@@ -114,8 +114,10 @@ class IdealClassSet:
         self.order = order
         self.classes = classes
         self.rights = rights
-        self._pairs: dict[tuple[int, int], tuple[Lattice4, Fraction]] = {}
-        self._counts: dict[tuple[int, int], tuple[int, dict[int, int]]] = {}
+        # raw counts per unordered pair (i <= j), complete up to degree _counted
+        self._counts: dict[tuple[int, int], dict[int, int]] = {}
+        self._counted = 0
+        self._planned = 0
         self._matrices: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     # -- basic data ----------------------------------------------------------
@@ -149,34 +151,38 @@ class IdealClassSet:
 
     # -- degree matrices -----------------------------------------------------
 
-    def _pair(self, i: int, j: int) -> tuple[Lattice4, Fraction]:
-        key = (i, j)
-        if key not in self._pairs:
-            P = self.classes[j].conjugate().product(self.classes[i])
-            self._pairs[key] = (P, P.norm_content())
-        return self._pairs[key]
+    def plan(self, nmax: int) -> None:
+        """Make the next counting pass run to degree nmax at least, so that
+        one pass over the class pairs serves every degree up to nmax."""
+        self._planned = max(self._planned, nmax)
 
-    def _pair_counts(self, i: int, j: int, nmax: int) -> dict[int, int]:
-        key = (i, j)
-        done, counts = self._counts.get(key, (-1, {}))
-        if nmax > done:
-            P, content = self._pair(i, j)
-            counts = P.norm_counts(nmax, scale=content)
-            self._counts[key] = (nmax, counts)
-        return counts
+    def _count(self, nmax: int) -> None:
+        """Count every unordered pair of classes up to degree nmax.
+
+        The raw counts are symmetric: conj(I_i) I_j is the conjugate lattice
+        of conj(I_j) I_i, and conjugation keeps the reduced norm.
+        """
+        for j in range(self.h):
+            conj_j = self.classes[j].conjugate()
+            for i in range(j + 1):
+                P = conj_j.product(self.classes[i])
+                self._counts[i, j] = P.norm_counts(nmax, scale=P.norm_content())
+        self._counted = nmax
 
     def brandt(self, n: int) -> tuple[tuple[int, ...], ...]:
         """The degree-n matrix (n >= 1), rows indexed by source class."""
         if n < 1:
             raise ValueError("degree must be >= 1")
         if n not in self._matrices:
+            if n > self._counted:
+                self._count(max(n, self._planned))
             H = self.h
             es = self.unit_counts
             rows = []
             for i in range(H):
                 row = []
                 for j in range(H):
-                    raw = self._pair_counts(i, j, n).get(n, 0)
+                    raw = self._counts[min(i, j), max(i, j)].get(n, 0)
                     if raw % es[j]:
                         raise IntegralityError(
                             f"count {raw} at ({i},{j},{n}) not divisible by e_j={es[j]}"
@@ -443,25 +449,32 @@ class Eigenform:
         return sum(self.vector) == 0
 
 
-def rational_eigenlines(
-    class_set: IdealClassSet, prime_bound: int = 60
+def _refine(
+    class_set: IdealClassSet, prime_bound: int, signs: dict[int, int] | None
 ) -> list[Eigenform]:
-    """All one-dimensional simultaneous rational eigenlines, by successive
-    refinement under the degree-p matrices.
+    """Rational simultaneous eigenlines by successive refinement under the
+    degree-p matrices, unsorted.
 
     Blocks whose restricted operator acquires an irreducible factor are
     discarded: no line inside them can have a rational eigenvalue at that
-    prime, hence none is a rational simultaneous eigenline.
+    prime, hence none is a rational simultaneous eigenline.  With `signs`,
+    the pinned primes are refined first and only the eigenspace of the
+    pinned eigenvalue is kept there.
     """
+    signs = signs or {}
     H = class_set.h
     eye = [[Fraction(int(i == j)) for j in range(H)] for i in range(H)]
     pending = [_Block(eye, {})]
     finished: list[_Block] = []
 
-    refine_primes = sorted(
+    default_order = sorted(
         set(prime_factors(class_set.level))
         | set(itertools.takewhile(lambda q: q <= prime_bound, primes()))
     )
+    refine_primes = sorted(signs) + [p for p in default_order if p not in signs]
+    if signs:
+        # one counting pass serves all the pinned primes refined first
+        class_set.plan(max(signs))
 
     for p in refine_primes:
         if not pending:
@@ -480,7 +493,10 @@ def rational_eigenlines(
                 for r in range(d)
             ]
             R = [_solve_row(block.rows, t) for t in T]
-            roots = _rational_roots(_charpoly(R))
+            if p in signs:
+                roots = [Fraction(signs[p])]
+            else:
+                roots = _rational_roots(_charpoly(R))
             for lam in roots:
                 shifted = [
                     [R[i][j] - (lam if i == j else 0) for j in range(d)]
@@ -513,11 +529,34 @@ def rational_eigenlines(
                 raise IrrationalEigenspaceError(f"fractional eigenvalue {lam}")
             eigs[p] = int(lam)
         lines.append(Eigenform(class_set, vec, eigs))
-    # deterministic order: by eigenvalue tuple at small primes
+    # a line finished before every pinned prime was reached is checked there
+    return [f for f in lines if all(f.eigenvalue(p) == s for p, s in signs.items())]
+
+
+def _by_small_eigenvalues(lines: list[Eigenform]) -> list[Eigenform]:
+    """Deterministic order: by eigenvalue tuple at small primes."""
     order_primes = [2, 3, 5, 7, 11, 13]
-    lines.sort(key=lambda f: tuple(f.eigenvalue(p) for p in order_primes))
-    return lines
+    return sorted(lines, key=lambda f: tuple(f.eigenvalue(p) for p in order_primes))
 
 
-def cuspidal_eigenlines(class_set: IdealClassSet, prime_bound: int = 60) -> list[Eigenform]:
-    return [f for f in rational_eigenlines(class_set, prime_bound) if f.is_cuspidal()]
+def rational_eigenlines(
+    class_set: IdealClassSet, prime_bound: int = 60
+) -> list[Eigenform]:
+    """All one-dimensional simultaneous rational eigenlines, by successive
+    refinement under the degree-p matrices up to `prime_bound`."""
+    return _by_small_eigenvalues(_refine(class_set, prime_bound, None))
+
+
+def cuspidal_eigenlines(
+    class_set: IdealClassSet,
+    prime_bound: int = 60,
+    signs: dict[int, int] | None = None,
+) -> list[Eigenform]:
+    """The cuspidal lines of `rational_eigenlines`, in the same order.
+
+    `signs` optionally pins the eigenvalue at primes dividing the level
+    (+1 at a ramified prime, -1 otherwise); only lines with those
+    eigenvalues are then refined and returned.
+    """
+    lines = _refine(class_set, prime_bound, signs)
+    return _by_small_eigenvalues([f for f in lines if f.is_cuspidal()])

@@ -29,7 +29,6 @@ from .errors import (
     ConfigurationError,
     EvenRootNumberError,
     HalfIntError,
-    IrrationalEigenspaceError,
     NewformFileError,
     SelectorNotFoundError,
     ZeroFormError,
@@ -102,7 +101,10 @@ def _load_class_set(
     if directory is not None:
         path = _cache_path(directory, alg, level)
         if path.is_file():
-            return IdealClassSet.from_state(order, json.loads(path.read_text()))
+            try:
+                return IdealClassSet.from_state(order, json.loads(path.read_text()))
+            except (ValueError, KeyError, TypeError):
+                pass  # unparsable or incomplete: a miss, overwritten once stored
     return ideal_classes(order)
 
 
@@ -113,7 +115,10 @@ def _store_class_set(
         return
     directory.mkdir(parents=True, exist_ok=True)
     path = _cache_path(directory, alg, level)
-    path.write_text(json.dumps(class_set.to_state(), sort_keys=True) + "\n")
+    # write beside the target and rename, so no reader sees a partial file
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp.write_text(json.dumps(class_set.to_state(), sort_keys=True) + "\n")
+    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +199,9 @@ def eigenline_candidates(
     """Admissible eigenlines over all odd ramification subsets.
 
     A line qualifies when its eigenvalue at every prime dividing the
-    level is ±1 and is +1 exactly at the ramified primes.  Lines whose
-    bad eigenvalues are not signs (transfers from lower level) are
-    skipped silently.
+    level is +1 at the ramified primes and -1 at the others.  The
+    refinement keeps only that sign pattern, so lines whose bad
+    eigenvalues are not signs (transfers from lower level) never appear.
     """
     bad_primes = prime_factors(level)
     out: list[Candidate] = []
@@ -206,13 +211,9 @@ def eigenline_candidates(
         alg = algebra_ramified_at(list(ramified))
         order = eichler_order(alg, level)
         class_set = _load_class_set(order, alg, level, cache_dir)
-        for line in cuspidal_eigenlines(class_set):
-            try:
-                signs = {p: line.bad_sign(p) for p in bad_primes}
-            except IrrationalEigenspaceError:
-                continue
-            if all((signs[p] == 1) == (p in ramified) for p in bad_primes):
-                out.append(Candidate(line, class_set, ramified, alg))
+        signs = {p: 1 if p in ramified else -1 for p in bad_primes}
+        for line in cuspidal_eigenlines(class_set, signs=signs):
+            out.append(Candidate(line, class_set, ramified, alg))
         _store_class_set(class_set, alg, level, cache_dir)
     return out
 
@@ -291,43 +292,9 @@ def _build_profile(cand: Candidate, pmax: int) -> LiftProfile:
 
 def kohnen_basis(config: JobConfig) -> dict:
     """Run the full pipeline for one level and return all artifacts."""
-    newform_map = (
-        ingest_newform(config.newform_file) if config.newform_file else {}
-    )
-    bad_primes = prime_factors(config.level)
-    restrict = None
-    file_bad = {p: newform_map[p] for p in bad_primes if p in newform_map}
-    if len(file_bad) == len(bad_primes):
-        for p, v in file_bad.items():
-            if v not in (1, -1):
-                raise NewformFileError(
-                    f"eigenvalue at {p} must be ±1 for a prime dividing the level"
-                )
-        chosen = tuple(p for p in bad_primes if file_bad[p] == 1)
-        if len(chosen) % 2 == 0:
-            raise EvenRootNumberError(
-                "the supplied signs make every functional equation even; "
-                "no quaternion algebra is ramified at this configuration"
-            )
-        restrict = chosen
-    cache_dir = _cache_dir(config)
-    candidates = eigenline_candidates(config.level, cache_dir, restrict)
-    if newform_map:
-        filtered = [
-            cand
-            for cand in candidates
-            if all(
-                cand.eigenform.eigenvalue(p) == v for p, v in newform_map.items()
-            )
-        ]
-        if not filtered:
-            raise NewformFileError(
-                "external eigenvalues conflict with every computed eigenline"
-            )
-        candidates = filtered
-    index, cand = _select(candidates, config.selector)
     pmax = max(max(_METADATA_PRIMES), isqrt(config.prec))
-    profile = _build_profile(cand, pmax)
+    result = kohnen_basis_selection_only(config, pmax)
+    cand = result["candidate"]
     deep_g = kohnen_form(
         cand.eigenform, cand.class_set, 4 * config.prec
     ).sign_normalized()
@@ -337,15 +304,9 @@ def kohnen_basis(config: JobConfig) -> dict:
             "has central L-value zero and carries no Kohnen lift"
         )
     g = deep_g.truncate(config.prec)
-    h = assemble_h(deep_g, profile, config.prec)
-    _store_class_set(cand.class_set, cand.alg, config.level, cache_dir)
-    return {
-        "candidate": cand,
-        "selector_index": index,
-        "profile": profile,
-        "g": g,
-        "h": h,
-    }
+    h = assemble_h(deep_g, result["profile"], config.prec)
+    _store_class_set(cand.class_set, cand.alg, config.level, _cache_dir(config))
+    return result | {"g": g, "h": h}
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +390,7 @@ def cmd_brandt(config: JobConfig, nmax: int = 10) -> str:
     result = kohnen_basis_selection_only(config)
     cand = result["candidate"]
     class_set = cand.class_set
+    class_set.plan(nmax)
     matrices = {n: class_set.brandt(n) for n in range(1, nmax + 1)}
     _store_class_set(cand.class_set, cand.alg, config.level, _cache_dir(config))
     meta = _metadata(cand, result["profile"])
@@ -493,13 +455,33 @@ def cmd_localfactors(config: JobConfig, lo: int = 2, hi: int = 23) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _pinned_subset(level: int, newform_map: dict[int, int]) -> tuple[int, ...] | None:
+    """The ramification subset fixed by file signs at every prime dividing
+    the level, or None when some such prime is not pinned."""
+    bad_primes = prime_factors(level)
+    if not all(p in newform_map for p in bad_primes):
+        return None
+    for p in bad_primes:
+        if newform_map[p] not in (1, -1):
+            raise NewformFileError(
+                f"eigenvalue at {p} must be ±1 for a prime dividing the level"
+            )
+    chosen = tuple(p for p in bad_primes if newform_map[p] == 1)
+    if len(chosen) % 2 == 0:
+        raise EvenRootNumberError(
+            "the supplied signs make every functional equation even; "
+            "no quaternion algebra is ramified at this configuration"
+        )
+    return chosen
+
+
 def kohnen_basis_selection_only(config: JobConfig, pmax: int | None = None) -> dict:
     """Candidate selection and profile, without theta or h work."""
     newform_map = (
         ingest_newform(config.newform_file) if config.newform_file else {}
     )
-    cache_dir = _cache_dir(config)
-    candidates = eigenline_candidates(config.level, cache_dir)
+    restrict = _pinned_subset(config.level, newform_map)
+    candidates = eigenline_candidates(config.level, _cache_dir(config), restrict)
     if newform_map:
         candidates = [
             cand
@@ -513,7 +495,9 @@ def kohnen_basis_selection_only(config: JobConfig, pmax: int | None = None) -> d
                 "external eigenvalues conflict with every computed eigenline"
             )
     index, cand = _select(candidates, config.selector)
-    profile = _build_profile(cand, pmax or max(_METADATA_PRIMES))
+    pmax = pmax or max(_METADATA_PRIMES)
+    cand.class_set.plan(pmax)
+    profile = _build_profile(cand, pmax)
     return {"candidate": cand, "selector_index": index, "profile": profile}
 
 

@@ -357,16 +357,6 @@ class Lattice4:
             raise IntegralityError(f"discriminant^2 = {dd} is not a square")
         return Fraction(rn, rd)
 
-    def short_by_norm(self, bound) -> Iterator[tuple[Quat, Fraction]]:
-        """Lattice elements with nrd <= bound, as (element, nrd) pairs."""
-        bas = self.basis()
-        for coords, val in short_vectors(self.gram(), bound):
-            vec = qelt()
-            for c, b in zip(coords, bas):
-                if c:
-                    vec = tuple(v + c * bi for v, bi in zip(vec, b))
-            yield vec, val
-
     def norm_counts(self, bound, scale=1) -> dict[int, int]:
         """#{x in L : nrd(x) = n * scale} for integer n <= bound."""
         scale = Fraction(scale)

@@ -141,6 +141,35 @@ def test_height_symmetry(level15, level33):
                     assert es[j] * B[i][j] == es[i] * B[j][i]
 
 
+def test_one_pass_counts_match_per_degree_recounts(level33, monkeypatch):
+    # a planned class set counts each unordered pair once, up to the planned
+    # degree, and its matrices agree with recounting every ordered pair
+    C = IdealClassSet(level33.order, level33.classes, level33.rights)
+    assert C.h >= 3
+    passes = []
+    original = Lattice4.norm_counts
+
+    def counted(self, bound, scale=1):
+        passes.append(bound)
+        return original(self, bound, scale)
+
+    monkeypatch.setattr(Lattice4, "norm_counts", counted)
+    C.plan(13)
+    mats = {n: C.brandt(n) for n in range(1, 14)}
+    assert passes == [13] * (C.h * (C.h + 1) // 2)
+    monkeypatch.setattr(Lattice4, "norm_counts", original)
+
+    es = C.unit_counts
+    for i in range(C.h):
+        for j in range(C.h):
+            P = C.classes[j].conjugate().product(C.classes[i])
+            content = P.norm_content()
+            for n, B in mats.items():
+                assert es[j] * B[i][j] == es[i] * B[j][i]
+                raw = P.norm_counts(n, scale=content).get(n, 0)
+                assert B[i][j] * es[j] == raw, (i, j, n)
+
+
 def test_brandt_rejects_bad_degree(level15):
     with pytest.raises(ValueError):
         level15.brandt(0)

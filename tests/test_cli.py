@@ -7,13 +7,16 @@ from fractions import Fraction
 
 import pytest
 
+from halfint.brandt import cuspidal_eigenlines, ideal_classes
 from halfint.cli import (
     JobConfig,
+    _odd_subsets,
     _select,
     cmd_basis,
     cmd_brandt,
     cmd_localfactors,
     cmd_theta,
+    eigenline_candidates,
     ingest_newform,
     kohnen_basis,
     main,
@@ -22,9 +25,13 @@ from halfint.errors import (
     AmbiguousSelectorError,
     ConfigurationError,
     EvenRootNumberError,
+    IrrationalEigenspaceError,
     NewformFileError,
     SelectorNotFoundError,
 )
+from halfint.lattice import eichler_order
+from halfint.numth import prime_factors
+from halfint.quat import algebra_ramified_at
 from halfint.qexp import QExpansion
 
 LEVEL15_G = {3: 1, 8: -2, 15: -1, 20: 2, 23: 2}
@@ -250,13 +257,58 @@ def test_newform_file_filters_and_conflicts(tmp_path):
 
 
 def test_even_root_number_rejected_before_any_work(tmp_path):
+    # every subcommand stops before the search: no cache file is written
     nf = tmp_path / "even.txt"
-    nf.write_text("3 1\n5 1\n")
-    with pytest.raises(EvenRootNumberError):
-        kohnen_basis(JobConfig(level=15, prec=12, newform_file=str(nf)))
-    nf.write_text("3 -1\n5 -1\n")
-    with pytest.raises(EvenRootNumberError):
-        kohnen_basis(JobConfig(level=15, prec=12, newform_file=str(nf)))
+    cache = tmp_path / "cache"
+    config = JobConfig(level=15, prec=12, newform_file=str(nf), cache_dir=str(cache))
+    for signs in ("3 1\n5 1\n", "3 -1\n5 -1\n"):
+        nf.write_text(signs)
+        for run in (kohnen_basis, cmd_brandt, cmd_theta, cmd_localfactors):
+            with pytest.raises(EvenRootNumberError):
+                run(config)
+    assert not cache.exists()
+
+
+def test_pinned_odd_signs_restrict_the_search(tmp_path, capsys):
+    nf = tmp_path / "odd.json"
+    nf.write_text('{"3": -1, "5": 1}')
+    cache = tmp_path / "cache"
+    argv = ["brandt", "--level", "15", "--nmax", "2", "--format", "json",
+            "--newform-file", str(nf), "--cache-dir", str(cache)]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["ramified_set"] == [5]
+    assert sorted(p.name for p in cache.iterdir()) == ["brandt_a2_b5_N15.json"]
+
+
+def _unpruned_candidates(level):
+    """The search without sign pruning: every subset fully refined, then
+    the lines with the wrong bad-prime signs dropped."""
+    bad = prime_factors(level)
+    out = []
+    for ramified in _odd_subsets(bad):
+        order = eichler_order(algebra_ramified_at(list(ramified)), level)
+        for line in cuspidal_eigenlines(ideal_classes(order)):
+            try:
+                signs = {p: line.bad_sign(p) for p in bad}
+            except IrrationalEigenspaceError:
+                continue
+            if all((signs[p] == 1) == (p in ramified) for p in bad):
+                out.append((ramified, line))
+    return out
+
+
+@pytest.mark.parametrize("level", [11, 15, 21, 33, 35, 37])
+def test_pruned_search_matches_unpruned_filter(level):
+    small = (2, 3, 5, 7, 11, 13)
+    want = [
+        (ramified, line.vector, [line.eigenvalue(p) for p in small])
+        for ramified, line in _unpruned_candidates(level)
+    ]
+    got = [
+        (c.ramified, c.eigenform.vector, [c.eigenform.eigenvalue(p) for p in small])
+        for c in eigenline_candidates(level)
+    ]
+    assert got == want
 
 
 def test_newform_file_sign_out_of_range(tmp_path):
@@ -362,6 +414,24 @@ def test_cache_flag_overrides_env(tmp_path, monkeypatch, capsys):
     assert (flag_cache / "brandt_a2_b5_N15.json").is_file()
 
 
+def test_truncated_cache_file_is_recomputed(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = ["basis", "--level", "11", "--prec", "24", "--cache-dir", str(cache)]
+    assert main(argv) == 0
+    cold_out = capsys.readouterr().out
+    path = cache / "brandt_a1_b11_N11.json"
+    cold_bytes = path.read_bytes()
+    path.write_bytes(cold_bytes[:100])
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cold_out
+    assert path.read_bytes() == cold_bytes
+    path.write_text('{"classes": []}\n')
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cold_out
+    assert path.read_bytes() == cold_bytes
+    assert [p.name for p in cache.iterdir()] == [path.name]
+
+
 def test_cache_reload_is_exact(tmp_path):
     cache = tmp_path / "cache"
     first = cmd_basis(JobConfig(level=15, prec=24, cache_dir=str(cache)))
@@ -386,6 +456,18 @@ def test_module_invocation_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == BASIS_15_TEXT
+
+
+def test_package_invocation_subprocess():
+    proc = subprocess.run(
+        [sys.executable, "-m", "halfint", "basis", "--level", "11",
+         "--prec", "10"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("level 11\n")
 
 
 def test_module_invocation_error_code():
