@@ -214,19 +214,47 @@ class IdealClassSet:
 
     @classmethod
     def from_state(cls, order: Order, state: dict) -> "IdealClassSet":
+        """Rebuild a class set from `to_state` output, checking it first.
+
+        Raises IntegralityError when the stored unit counts disagree with
+        the lattices, and ValueError when a stored matrix breaks an
+        invariant of the degree matrices (see `_check_degree_matrix`).
+        """
         alg = order.alg
         classes = [
             Lattice4(alg, int(c["den"]), tuple(tuple(int(x) for x in r) for r in c["rows"]))
             for c in state["classes"]
         ]
+        if len(state["unit_counts"]) != len(classes):
+            raise ValueError("cached unit counts do not match the class count")
         rights = [Order(right_order_lattice(c)) for c in classes]
         for r, e in zip(rights, state["unit_counts"]):
             if r.unit_count != int(e):
                 raise IntegralityError("cached unit counts disagree with lattices")
         out = cls(order, classes, rights)
+        es, level = out.unit_counts, out.level
         for n, mat in state.get("brandt", {}).items():
-            out._matrices[int(n)] = tuple(tuple(int(x) for x in row) for row in mat)
+            _check_degree_matrix(int(n), mat, es, level)
+            out._matrices[int(n)] = tuple(tuple(row) for row in mat)
         return out
+
+
+def _check_degree_matrix(n: int, mat, es: list[int], level: int) -> None:
+    """Raise ValueError unless `mat` can be the degree-n matrix: h x h
+    with non-negative integer entries, the identity at n = 1, symmetric
+    after weighting (e_j B_ij = e_i B_ji), and with row sums n + 1 at
+    primes n prime to the level."""
+    h = len(es)
+    if n < 1 or len(mat) != h or any(len(row) != h for row in mat):
+        raise ValueError(f"cached degree-{n} matrix has the wrong shape")
+    if any(type(x) is not int or x < 0 for row in mat for x in row):
+        raise ValueError(f"cached degree-{n} matrix has an entry that is not a count")
+    if n == 1 and any(mat[i][j] != (i == j) for i in range(h) for j in range(h)):
+        raise ValueError("cached degree-1 matrix is not the identity")
+    if any(es[j] * mat[i][j] != es[i] * mat[j][i] for i in range(h) for j in range(i)):
+        raise ValueError(f"cached degree-{n} matrix breaks the weighted symmetry")
+    if level % n and is_prime(n) and any(sum(row) != n + 1 for row in mat):
+        raise ValueError(f"cached degree-{n} matrix has a row sum other than {n + 1}")
 
 
 def ideal_classes(order: Order) -> IdealClassSet:

@@ -11,6 +11,7 @@ thin serializers over that pipeline and its intermediate stages.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -29,6 +30,7 @@ from .errors import (
     ConfigurationError,
     EvenRootNumberError,
     HalfIntError,
+    IntegralityError,
     NewformFileError,
     SelectorNotFoundError,
     ZeroFormError,
@@ -103,8 +105,8 @@ def _load_class_set(
         if path.is_file():
             try:
                 return IdealClassSet.from_state(order, json.loads(path.read_text()))
-            except (ValueError, KeyError, TypeError):
-                pass  # unparsable or incomplete: a miss, overwritten once stored
+            except (OSError, ValueError, KeyError, TypeError, IntegralityError):
+                pass  # unreadable, incomplete or inconsistent: a miss, overwritten
     return ideal_classes(order)
 
 
@@ -113,12 +115,20 @@ def _store_class_set(
 ) -> None:
     if directory is None:
         return
-    directory.mkdir(parents=True, exist_ok=True)
     path = _cache_path(directory, alg, level)
     # write beside the target and rename, so no reader sees a partial file
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(class_set.to_state(), sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    text = json.dumps(class_set.to_state(), sort_keys=True) + "\n"
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise ConfigurationError(
+            f"cannot write cache file {path}: {exc.strerror or exc}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,13 @@ removing content.  Canonical form makes equality, hashing and caching
 trivial.
 
 The module also carries the exact positive-definite enumeration used
-everywhere counts of lattice points by norm are needed: an LDL^t
-decomposition over Fractions, with integer interval bounds obtained
-through isqrt, so no floating point is involved anywhere.
+everywhere counts of lattice points by norm are needed (theta series,
+Brandt counts, unit counts): a Fincke-Pohst enumerator that runs in
+integers.  The Gram matrix is scaled to an integer matrix, its leading
+minors and eliminated rows come from fraction-free (Bareiss)
+elimination, and each coordinate's interval comes from isqrt of an
+integer budget, so neither floating point nor Fraction arithmetic
+enters the enumeration.
 """
 
 from __future__ import annotations
@@ -126,43 +130,76 @@ def hnf_rows(rows: Iterable[Sequence[int]]) -> list[list[int]]:
     return [r for r in mat[:pivot_row] if any(r)]
 
 
-def frac_gcd(values: Iterable[Fraction]) -> Fraction:
-    """Positive generator of the fractional ideal generated by `values`.
-
-    For reduced fractions this is gcd(numerators) / lcm(denominators).
-    """
-    num = 0
-    den = 1
-    for v in values:
-        v = Fraction(v)
-        if v == 0:
-            continue
-        num = gcd(num, abs(v.numerator))
-        den = lcm(den, v.denominator)
-    return Fraction(num, den)
-
-
 # ---------------------------------------------------------------------------
 # exact enumeration of short vectors of a positive-definite form
 # ---------------------------------------------------------------------------
 
 
-def _ldl(gram):
-    """gram = U^t D U with U unit upper triangular, D positive diagonal."""
-    n = len(gram)
-    d = [Fraction(0)] * n
-    u = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        val = Fraction(gram[i][i]) - sum(d[m] * u[m][i] ** 2 for m in range(i))
-        if val <= 0:
+def _bareiss(A):
+    """Fraction-free elimination of a symmetric integer matrix.
+
+    Returns the leading principal minors M_0 = 1, M_1, ..., M_n and the
+    eliminated matrix: right of the diagonal, its row i is M_{i+1} times
+    row i of the unit upper triangular U in A = U^t diag(M_{i+1}/M_i) U.
+    """
+    n = len(A)
+    A = [list(row) for row in A]
+    minors = [1]
+    for k in range(n):
+        piv = A[k][k]
+        if piv <= 0:
             raise ValueError("form is not positive definite")
-        d[i] = val
-        for j in range(i + 1, n):
-            val = Fraction(gram[i][j]) - sum(
-                d[m] * u[m][i] * u[m][j] for m in range(i)
-            )
-            u[i][j] = val / d[i]
-    return d, u
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (piv * A[i][j] - A[i][k] * A[k][j]) // minors[k]
+        minors.append(piv)
+    return minors, A
+
+
+def _fincke_pohst(gram, bound):
+    """Integer-exact Fincke-Pohst enumeration (Math. Comp. 44, 1985), one
+    innermost line at a time.
+
+    With A = den * gram over the integers (den the lcm of the entries'
+    denominators) and M_k its leading minors,
+
+        den * Q(c) = sum_i (M_{i+1} c_i + s_i)^2 / (M_i M_{i+1}),
+
+    where s_i is the eliminated row i dotted with the coordinates after i.
+    Each term and the remaining budget are integers scaled by
+    S = lcm_i(M_i M_{i+1}), so an integer key k stands for the value
+    k / (S * den).  Returns (S * den, m, w, lines): `lines` yields
+    (outer, lo, hi, s, used), last coordinate slowest, for each choice
+    `outer` of the coordinates 1..n-1 whose own terms fit the budget.
+    The vectors (x, *outer) within the bound are those with
+    lo <= x <= hi (possibly none), each with the key
+    used + w * (m * x + s)^2.
+    """
+    n = len(gram)
+    gram = [[Fraction(x) for x in row] for row in gram]
+    den = lcm(*(x.denominator for row in gram for x in row))
+    minors, rows = _bareiss([[int(x * den) for x in row] for row in gram])
+    scale = lcm(*(minors[i] * minors[i + 1] for i in range(n)))
+    weights = [scale // (minors[i] * minors[i + 1]) for i in range(n)]
+    top = scale * (bound.numerator * den // bound.denominator)
+    coords = [0] * n
+
+    def level(i: int, rem: int):
+        m, row = minors[i + 1], rows[i]
+        s = sum(row[j] * coords[j] for j in range(i + 1, n))
+        ymax = isqrt(rem // weights[i])
+        lo, hi = -((ymax + s) // m), (ymax - s) // m
+        if i == 0:
+            yield tuple(coords[1:]), lo, hi, s, top - rem
+            return
+        w = weights[i]
+        for x in range(lo, hi + 1):
+            coords[i] = x
+            y = m * x + s
+            yield from level(i - 1, rem - w * y * y)
+        coords[i] = 0
+
+    return scale * den, minors[1], weights[0], level(n - 1, top)
 
 
 def short_vectors(
@@ -172,42 +209,31 @@ def short_vectors(
 
     Yields (c, Q(c)) pairs, zero vector included, c and -c listed
     separately, in a fixed deterministic order (last coordinate varies
-    slowest).  Everything is exact; bounds are computed with isqrt.
+    slowest).  The enumeration runs in integers (see `_fincke_pohst`),
+    with interval bounds from isqrt, so it is exact.
     """
     bound = Fraction(bound)
     if bound < 0:
         return
-    n = len(gram)
-    d, u = _ldl(gram)
-    coords = [0] * n
-
-    def level(i: int, rem: Fraction) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        if i < 0:
-            yield tuple(coords), bound - rem
-            return
-        c = sum(u[i][j] * coords[j] for j in range(i + 1, n)) if i + 1 < n else Fraction(0)
-        lim = rem / d[i]
-        cn, cd = c.numerator, c.denominator
-        ymax = isqrt((cd * cd * lim.numerator) // lim.denominator)
-        lo = -((cn + ymax) // cd)
-        hi = (ymax - cn) // cd
+    scale, m, w, lines = _fincke_pohst(gram, bound)
+    for outer, lo, hi, s, used in lines:
         for x in range(lo, hi + 1):
-            t = d[i] * (x + c) ** 2
-            if t > rem:
-                continue
-            coords[i] = x
-            yield from level(i - 1, rem - t)
-        coords[i] = 0
-
-    yield from level(n - 1, bound)
+            y = m * x + s
+            yield (x,) + outer, Fraction(used + w * y * y, scale)
 
 
 def count_by_value(gram, bound) -> dict[Fraction, int]:
     """Histogram of Q-values up to `bound` over the integer lattice."""
-    out: dict[Fraction, int] = {}
-    for _, val in short_vectors(gram, bound):
-        out[val] = out.get(val, 0) + 1
-    return out
+    bound = Fraction(bound)
+    if bound < 0:
+        return {}
+    scale, m, w, lines = _fincke_pohst(gram, bound)
+    keys: dict[int, int] = {}
+    for _, lo, hi, s, used in lines:
+        for y in range(m * lo + s, m * hi + s + 1, m):
+            k = used + w * y * y
+            keys[k] = keys.get(k, 0) + 1
+    return {Fraction(k, scale): count for k, count in keys.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +298,19 @@ class Lattice4:
             prod *= self.rows[i][i]
         return Fraction(prod, self.den**4)
 
+    def int_gram(self) -> list[list[int]]:
+        """den^2 times the Gram matrix: rows diag(1, a, b, ab) rows^t."""
+        a, b = self.alg.a, self.alg.b
+        weighted = [(x0, a * x1, b * x2, a * b * x3) for x0, x1, x2, x3 in self.rows]
+        return [
+            [sum(x * y for x, y in zip(w, row)) for row in self.rows]
+            for w in weighted
+        ]
+
     def gram(self):
         """Matrix of the polarized norm form on the basis."""
-        bas = self.basis()
-        return [[self.alg.pair(x, y) for y in bas] for x in bas]
+        sq = self.den * self.den
+        return [[Fraction(x, sq) for x in row] for row in self.int_gram()]
 
     # -- membership and comparison -----------------------------------------
 
@@ -339,10 +374,10 @@ class Lattice4:
     def norm_content(self) -> Fraction:
         """Positive generator of the fractional ideal spanned by the values
         of the reduced norm on the lattice (content of the norm form)."""
-        g = self.gram()
-        vals = [g[i][i] for i in range(4)]
-        vals += [2 * g[i][j] for i in range(4) for j in range(i + 1, 4)]
-        return frac_gcd(vals)
+        g = self.int_gram()
+        content = gcd(*(g[i][i] for i in range(4)),
+                      *(2 * g[i][j] for i in range(4) for j in range(i + 1, 4)))
+        return Fraction(content, self.den * self.den)
 
     def reduced_discriminant(self) -> Fraction:
         """sqrt |det trd(b_i b_j)|; equals prod(ramified) for a maximal
@@ -360,7 +395,8 @@ class Lattice4:
     def norm_counts(self, bound, scale=1) -> dict[int, int]:
         """#{x in L : nrd(x) = n * scale} for integer n <= bound."""
         scale = Fraction(scale)
-        gram = [[x / scale for x in row] for row in self.gram()]
+        num, den = scale.denominator, scale.numerator * self.den * self.den
+        gram = [[Fraction(x * num, den) for x in row] for row in self.int_gram()]
         out: dict[int, int] = {}
         for val, count in count_by_value(gram, bound).items():
             if val.denominator != 1:

@@ -1,13 +1,16 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately built from different first principles
-than the library (exhaustive searches, floating point, point counting),
-so agreement between the two is evidence rather than tautology.
+than the library (exhaustive searches, floating point, point counting,
+rational rather than integer elimination), so agreement between the two
+is evidence rather than tautology.
 """
 
 from __future__ import annotations
 
 import functools
+from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
@@ -172,3 +175,64 @@ def chebyshev_like_ref(delta: float, h: int) -> float:
     for i in range(h // 2 + 1):
         total += comb(h + 1, 2 * i + 1) * delta ** (h - 2 * i) * (delta * delta - 4) ** i
     return total / 2**h
+
+
+# ---------------------------------------------------------------------------
+# Short-vector enumeration by an LDL^t decomposition over Fractions: the
+# rational recursion the library's integer enumerator replaced.  It
+# yields the same vectors in the same order (last coordinate slowest).
+# ---------------------------------------------------------------------------
+
+
+def _ldl_ref(gram):
+    """gram = U^t D U with U unit upper triangular, D positive diagonal."""
+    n = len(gram)
+    d = [Fraction(0)] * n
+    u = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        val = Fraction(gram[i][i]) - sum(d[m] * u[m][i] ** 2 for m in range(i))
+        if val <= 0:
+            raise ValueError("form is not positive definite")
+        d[i] = val
+        for j in range(i + 1, n):
+            val = Fraction(gram[i][j]) - sum(
+                d[m] * u[m][i] * u[m][j] for m in range(i)
+            )
+            u[i][j] = val / d[i]
+    return d, u
+
+
+def short_vectors_ref(gram, bound):
+    """(c, Q(c)) for every integer c with Q(c) <= bound."""
+    bound = Fraction(bound)
+    if bound < 0:
+        return
+    n = len(gram)
+    d, u = _ldl_ref(gram)
+    coords = [0] * n
+
+    def level(i, rem):
+        if i < 0:
+            yield tuple(coords), bound - rem
+            return
+        c = sum((u[i][j] * coords[j] for j in range(i + 1, n)), Fraction(0))
+        lim = rem / d[i]
+        cn, cd = c.numerator, c.denominator
+        ymax = isqrt((cd * cd * lim.numerator) // lim.denominator)
+        for x in range(-((cn + ymax) // cd), (ymax - cn) // cd + 1):
+            t = d[i] * (x + c) ** 2
+            if t > rem:
+                continue
+            coords[i] = x
+            yield from level(i - 1, rem - t)
+        coords[i] = 0
+
+    yield from level(n - 1, bound)
+
+
+def count_by_value_ref(gram, bound):
+    """Histogram of Q-values, keys in first-seen order."""
+    out = {}
+    for _, val in short_vectors_ref(gram, bound):
+        out[val] = out.get(val, 0) + 1
+    return out

@@ -432,6 +432,83 @@ def test_truncated_cache_file_is_recomputed(tmp_path, capsys):
     assert [p.name for p in cache.iterdir()] == [path.name]
 
 
+def _bump_b2(state):
+    state["brandt"]["2"][0][0] += 1
+
+
+def _bump_b3(state):
+    # 3 divides the level, so only the weighted symmetry catches this
+    state["brandt"]["3"][0][1] += 1
+
+
+def _negative_b3(state):
+    # weighted symmetry holds (6 * -1 == 2 * -3); only the sign check catches this
+    state["brandt"]["3"] = [[5, -1], [-3, 1]]
+
+
+def _add_wrong_b1(state):
+    state["brandt"]["1"] = [[1, 0], [0, 2]]
+
+
+def _swap_unit_counts(state):
+    state["unit_counts"].reverse()
+
+
+@pytest.mark.parametrize(
+    "tamper", [_bump_b2, _bump_b3, _negative_b3, _add_wrong_b1, _swap_unit_counts]
+)
+def test_tampered_cache_file_is_recomputed(tmp_path, capsys, tamper):
+    cache = tmp_path / "cache"
+    argv = ["basis", "--level", "15", "--prec", "24", "--cache-dir", str(cache)]
+    assert main(argv) == 0
+    cold_out = capsys.readouterr().out
+    path = cache / "brandt_a2_b5_N15.json"
+    cold_bytes = path.read_bytes()
+    state = json.loads(cold_bytes)
+    tamper(state)
+    path.write_text(json.dumps(state, sort_keys=True) + "\n")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cold_out
+    assert path.read_bytes() == cold_bytes
+
+
+def test_unreadable_cache_file_is_a_miss(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    argv = ["basis", "--level", "11", "--prec", "24", "--cache-dir", str(cache)]
+    assert main(argv) == 0
+    cold_out = capsys.readouterr().out
+
+    def unreadable(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(type(cache), "read_text", unreadable)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cold_out
+
+
+def test_cache_dir_under_a_file_exits_3(tmp_path, capsys):
+    blocker = tmp_path / "F"
+    blocker.write_text("not a directory\n")
+    argv = ["basis", "--level", "11", "--prec", "24",
+            "--cache-dir", str(blocker / "sub")]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write cache file")
+    assert captured.err.count("\n") == 1
+
+
+def test_failed_cache_write_leaves_no_temp_file(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    # a non-empty directory in the file's place makes the final rename fail
+    (cache / "brandt_a1_b11_N11.json").mkdir(parents=True)
+    (cache / "brandt_a1_b11_N11.json" / "keep").write_text("")
+    argv = ["basis", "--level", "11", "--prec", "24", "--cache-dir", str(cache)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: cannot write cache file")
+    assert [p.name for p in cache.iterdir()] == ["brandt_a1_b11_N11.json"]
+
+
 def test_cache_reload_is_exact(tmp_path):
     cache = tmp_path / "cache"
     first = cmd_basis(JobConfig(level=15, prec=24, cache_dir=str(cache)))

@@ -3,10 +3,12 @@
 import itertools
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+import oracles
 
 from halfint.errors import MaximalOrderNotFoundError
 from halfint.lattice import (
@@ -14,7 +16,6 @@ from halfint.lattice import (
     Order,
     count_by_value,
     eichler_order,
-    frac_gcd,
     hnf_rows,
     left_order_lattice,
     mat_det,
@@ -24,7 +25,7 @@ from halfint.lattice import (
     right_order_lattice,
     short_vectors,
 )
-from halfint.quat import ONE, QuaternionAlgebra, conj, qelt, qscale
+from halfint.quat import ONE, QuaternionAlgebra, algebra_ramified_at, conj, qelt, qscale
 
 B25 = QuaternionAlgebra(2, 5)
 B11 = QuaternionAlgebra(1, 1)
@@ -47,13 +48,6 @@ def test_mat_det():
     A = [[Fraction(2), Fraction(1)], [Fraction(7), Fraction(4)]]
     assert mat_det(A) == 1
     assert mat_det([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 0
-
-
-def test_frac_gcd():
-    assert frac_gcd([Fraction(4), Fraction(6)]) == 2
-    assert frac_gcd([Fraction(1, 2), Fraction(1, 3)]) == Fraction(1, 6)
-    assert frac_gcd([Fraction(3, 4), Fraction(9, 2)]) == Fraction(3, 4)
-    assert frac_gcd([]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +144,37 @@ def test_short_vectors_rejects_indefinite():
         list(short_vectors([[1, 0], [0, -1]], 5))
 
 
+@st.composite
+def _definite_forms(draw):
+    """Gram matrices (B^t B) / d + s I of rank 1-4, with d in {1, 2, 3, 6}
+    (integer, half- and third-integral entries), and bounds up to 12."""
+    n = draw(st.integers(1, 4))
+    B = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    d = draw(st.sampled_from([1, 2, 3, 6]))
+    s = draw(st.integers(0, 2))
+    gram = [
+        [Fraction(sum(B[k][i] * B[k][j] for k in range(n)), d) + s * (i == j)
+         for j in range(n)]
+        for i in range(n)
+    ]
+    assume(mat_det(gram) > 0)
+    bound = draw(st.fractions(min_value=0, max_value=12, max_denominator=3))
+    return gram, bound
+
+
+@settings(max_examples=80, deadline=None)
+@given(_definite_forms())
+def test_short_vectors_match_ldl_oracle(form):
+    gram, bound = form
+    assert list(short_vectors(gram, bound)) == list(oracles.short_vectors_ref(gram, bound))
+    # every vector with Q(c) <= bound has |c_i| <= sqrt(bound * (gram^-1)_ii)
+    inv = mat_inv(gram)
+    box = max(isqrt(int(bound * inv[i][i])) for i in range(len(gram)))
+    assume(box <= 4)
+    assert count_by_value(gram, bound) == _brute_counts(gram, bound, box)
+
+
 # ---------------------------------------------------------------------------
 # lattice basics
 # ---------------------------------------------------------------------------
@@ -215,6 +240,30 @@ def test_norm_content():
     assert L.norm_content() == 1
     assert L.scale(2).norm_content() == 4
     assert L.scale(Fraction(1, 3)).norm_content() == Fraction(1, 9)
+
+
+@pytest.mark.parametrize("level", [15, 35])
+def test_int_gram_matches_pairing(level):
+    from halfint.brandt import ideal_classes
+    from halfint.numth import prime_factors
+
+    for ramified in prime_factors(level):
+        alg = algebra_ramified_at([ramified])
+        class_set = ideal_classes(eichler_order(alg, level))
+        for lat in class_set.classes:
+            bas = lat.basis()
+            assert lat.gram() == [[alg.pair(x, y) for y in bas] for x in bas]
+
+
+def test_level15_ternary_histograms_match_ldl_oracle():
+    from halfint.brandt import ideal_classes
+    from halfint.theta import trace_zero_lattice
+
+    class_set = ideal_classes(eichler_order(algebra_ramified_at([5]), 15))
+    for right in class_set.rights:
+        gram = [list(row) for row in trace_zero_lattice(right).gram]
+        want = oracles.count_by_value_ref(gram, 4000)
+        assert list(count_by_value(gram, 4000).items()) == list(want.items())
 
 
 def test_reduced_discriminant_standard():
