@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     IntegralityError,
@@ -28,13 +28,17 @@ from .errors import (
     MassMismatchError,
     MissingEigenvalueError,
 )
-from .lattice import Lattice4, Order, right_order_lattice
+from .lattice import Lattice4, Order, combine, right_order_lattice
 from .numth import is_prime, prime_factors, primes
-from .quat import Quat, conj, qelt, qscale
+from .quat import qscale
 
 # deterministic neighbor prime: levels are odd and ramification sets
 # consist of odd primes, so 2 always splits and is prime to the level
 NEIGHBOR_PRIME = 2
+
+# eigenlines are ordered by their eigenvalues at these primes, so every
+# searched class set has these degree matrices built
+ORDER_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 def _phi(n: int) -> int:
@@ -61,14 +65,6 @@ def eichler_mass(D: int, N: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _combine(basis: Sequence[Quat], coeffs: Sequence[int]) -> Quat:
-    v = qelt()
-    for c, b in zip(coeffs, basis):
-        if c:
-            v = tuple(x + c * y for x, y in zip(v, b))
-    return v
-
-
 def _neighbors(ideal: Lattice4, right: Order, p: int = NEIGHBOR_PRIME) -> Iterator[Lattice4]:
     """Distinct index-p^2 subideals I x + p I over rank-one residues x of
     the right order mod p (the p+1 neighbors in the Brandt graph)."""
@@ -79,7 +75,7 @@ def _neighbors(ideal: Lattice4, right: Order, p: int = NEIGHBOR_PRIME) -> Iterat
     for coeffs in itertools.product(range(p), repeat=4):
         if not any(coeffs):
             continue
-        x = _combine(rbas, coeffs)
+        x = combine(rbas, coeffs)
         nx = alg.nrd(x)
         if nx.denominator != 1 or int(nx) % p:
             continue  # invertible residue: J would be all of I
@@ -340,68 +336,6 @@ def _solve_row(S: list[list[Fraction]], t: list[Fraction]) -> list[Fraction]:
     return x
 
 
-def _charpoly(M: list[list[Fraction]]) -> list[Fraction]:
-    """Monic characteristic polynomial, coefficients descending, by the
-    trace method (Faddeev-LeVerrier)."""
-    n = len(M)
-    coeffs = [Fraction(1)]
-    Mk = [[Fraction(x) for x in row] for row in M]
-    A = Mk
-    for k in range(1, n + 1):
-        tr = sum(A[i][i] for i in range(n))
-        c = -tr / k
-        coeffs.append(c)
-        if k == n:
-            break
-        # A <- M (A + c I)
-        B = [[A[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-        A = [
-            [sum(Mk[i][t] * B[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-    return coeffs
-
-
-def _rational_roots(poly: list[Fraction]) -> list[Fraction]:
-    """Distinct rational roots of a monic Fraction polynomial."""
-    den = 1
-    for c in poly:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in poly]  # leading coeff den > 0
-    # strip zero roots
-    roots = set()
-    while ints[-1] == 0:
-        roots.add(Fraction(0))
-        ints.pop()
-        if len(ints) == 1:
-            return sorted(roots)
-    lead, const = ints[0], ints[-1]
-
-    def _divs(m: int) -> list[int]:
-        m = abs(m)
-        out = set()
-        d = 1
-        while d * d <= m:
-            if m % d == 0:
-                out.add(d)
-                out.add(m // d)
-            d += 1
-        return sorted(out)
-
-    def _eval(x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in ints:
-            acc = acc * x + c
-        return acc
-
-    for p in _divs(const):
-        for q in _divs(lead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and _eval(cand) == 0:
-                    roots.add(cand)
-    return sorted(roots)
-
-
 def _normalize_primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale to primitive integers with positive first nonzero entry."""
     den = 1
@@ -429,7 +363,7 @@ def _normalize_primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
 @dataclass
 class _Block:
     rows: list[list[Fraction]]  # basis of the invariant subspace, row vectors
-    eigs: dict[int, Fraction]
+    eigs: dict[int, int]
 
 
 @dataclass
@@ -508,6 +442,14 @@ def _refine(
         if not pending:
             break
         B = class_set.brandt(p)
+        if p in signs:
+            roots = [signs[p]]
+        else:
+            # a restricted operator's characteristic polynomial divides that
+            # of the integer matrix B, so its rational roots are integers;
+            # B is non-negative, so they are bounded by its largest row sum
+            bound = max(sum(row) for row in B)
+            roots = range(-bound, bound + 1)
         Bf = [[Fraction(x) for x in row] for row in B]
         next_pending: list[_Block] = []
         for block in pending:
@@ -521,10 +463,6 @@ def _refine(
                 for r in range(d)
             ]
             R = [_solve_row(block.rows, t) for t in T]
-            if p in signs:
-                roots = [Fraction(signs[p])]
-            else:
-                roots = _rational_roots(_charpoly(R))
             for lam in roots:
                 shifted = [
                     [R[i][j] - (lam if i == j else 0) for j in range(d)]
@@ -548,23 +486,17 @@ def _refine(
             # anything outside the rational kernels is dead for our purpose
         pending = next_pending
 
-    lines = []
-    for block in finished:
-        vec = _normalize_primitive(block.rows[0])
-        eigs = {}
-        for p, lam in block.eigs.items():
-            if lam.denominator != 1:
-                raise IrrationalEigenspaceError(f"fractional eigenvalue {lam}")
-            eigs[p] = int(lam)
-        lines.append(Eigenform(class_set, vec, eigs))
+    lines = [
+        Eigenform(class_set, _normalize_primitive(block.rows[0]), block.eigs)
+        for block in finished
+    ]
     # a line finished before every pinned prime was reached is checked there
     return [f for f in lines if all(f.eigenvalue(p) == s for p, s in signs.items())]
 
 
 def _by_small_eigenvalues(lines: list[Eigenform]) -> list[Eigenform]:
     """Deterministic order: by eigenvalue tuple at small primes."""
-    order_primes = [2, 3, 5, 7, 11, 13]
-    return sorted(lines, key=lambda f: tuple(f.eigenvalue(p) for p in order_primes))
+    return sorted(lines, key=lambda f: tuple(f.eigenvalue(p) for p in ORDER_PRIMES))
 
 
 def rational_eigenlines(

@@ -1,25 +1,30 @@
 """Command-line front end: configuration, caching, and serialization.
 
-The pipeline entry point is `kohnen_basis`, which scans the odd
-ramification subsets of the level in increasing product order, keeps
-the rational eigenlines whose bad-prime eigenvalues are signs matching
-the subset, applies the selector and any external eigenvalue file, and
-hands back the pair {g, h} with its provenance.  The subcommands are
-thin serializers over that pipeline and its intermediate stages.
+Every subcommand runs one pipeline, `_run`: check the signs a newform
+file pins, search the odd ramification subsets of the level for the
+admissible eigenlines (`eigenline_candidates`), filter them by the file,
+select one, build its profile, then run the subcommand's stage: {g, h}
+for `basis` (the library's `kohnen_basis`), degree matrices for
+`brandt`, class theta series for `theta`, local products for
+`localfactors`.  The selected class set is then cached with every degree
+matrix the run built, and `_render` prints metadata and stage output.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, prod
 from pathlib import Path
+from typing import Callable
 
 from .brandt import (
+    ORDER_PRIMES,
     Eigenform,
     IdealClassSet,
     cuspidal_eigenlines,
@@ -35,11 +40,10 @@ from .errors import (
     SelectorNotFoundError,
     ZeroFormError,
 )
-from .lattice import eichler_order
+from .lattice import Order, eichler_order
 from .lift import LiftProfile, assemble_h, local_K
 from .numth import is_prime, is_squarefree, prime_factors, primes
-from .qexp import QExpansion
-from .quat import QuaternionAlgebra, algebra_ramified_at
+from .quat import algebra_ramified_at
 from .theta import kohnen_form, ternary_theta, trace_zero_lattice
 
 __all__ = [
@@ -55,7 +59,6 @@ __all__ = [
 ]
 
 CACHE_ENV = "HALFINT_CACHE_DIR"
-_METADATA_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 @dataclass
@@ -93,15 +96,14 @@ def _cache_dir(config: JobConfig) -> Path | None:
     return Path(raw) if raw else None
 
 
-def _cache_path(directory: Path, alg: QuaternionAlgebra, level: int) -> Path:
-    return directory / f"brandt_a{alg.a}_b{alg.b}_N{level}.json"
+def _cache_path(directory: Path, order: Order) -> Path:
+    alg = order.alg
+    return directory / f"brandt_a{alg.a}_b{alg.b}_N{order.reduced_discriminant}.json"
 
 
-def _load_class_set(
-    order, alg: QuaternionAlgebra, level: int, directory: Path | None
-) -> IdealClassSet:
+def _load_class_set(order: Order, directory: Path | None) -> IdealClassSet:
     if directory is not None:
-        path = _cache_path(directory, alg, level)
+        path = _cache_path(directory, order)
         if path.is_file():
             try:
                 return IdealClassSet.from_state(order, json.loads(path.read_text()))
@@ -110,12 +112,10 @@ def _load_class_set(
     return ideal_classes(order)
 
 
-def _store_class_set(
-    class_set: IdealClassSet, alg: QuaternionAlgebra, level: int, directory: Path | None
-) -> None:
+def _store_class_set(class_set: IdealClassSet, directory: Path | None) -> None:
     if directory is None:
         return
-    path = _cache_path(directory, alg, level)
+    path = _cache_path(directory, class_set.order)
     # write beside the target and rename, so no reader sees a partial file
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     text = json.dumps(class_set.to_state(), sort_keys=True) + "\n"
@@ -136,6 +136,13 @@ def _store_class_set(
 # ---------------------------------------------------------------------------
 
 
+def _file_int(value) -> int:
+    """A JSON integer (not a bool) or a decimal-integer string as an int."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return int(value)
+    raise ValueError(f"expected an integer, got {json.dumps(value)}")
+
+
 def ingest_newform(path: str) -> dict[int, int]:
     """Parse a "p b_p" two-column text file or a JSON map of the same."""
     try:
@@ -148,8 +155,7 @@ def ingest_newform(path: str) -> dict[int, int]:
         return out
     try:
         if stripped.startswith("{"):
-            data = json.loads(stripped)
-            items = [(key, value) for key, value in data.items()]
+            items = list(json.loads(stripped).items())
         else:
             items = []
             for line in stripped.splitlines():
@@ -161,7 +167,7 @@ def ingest_newform(path: str) -> dict[int, int]:
                     raise ValueError(f"expected 'p b_p', got {line!r}")
                 items.append((parts[0], parts[1]))
         for key, value in items:
-            p, v = int(key), int(value)
+            p, v = _file_int(key), _file_int(value)
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             if p in out and out[p] != v:
@@ -179,33 +185,15 @@ def ingest_newform(path: str) -> dict[int, int]:
 
 def _odd_subsets(ps: list[int]) -> list[tuple[int, ...]]:
     """Odd-cardinality subsets, ordered by product then lexicographically."""
-    subsets = []
-    for mask in range(1, 1 << len(ps)):
-        chosen = tuple(p for i, p in enumerate(ps) if mask >> i & 1)
-        if len(chosen) % 2:
-            product = 1
-            for p in chosen:
-                product *= p
-            subsets.append((product, chosen))
-    return [chosen for _, chosen in sorted(subsets)]
-
-
-class Candidate:
-    """One admissible eigenline together with its module."""
-
-    def __init__(self, eigenform: Eigenform, class_set: IdealClassSet,
-                 ramified: tuple[int, ...], alg: QuaternionAlgebra):
-        self.eigenform = eigenform
-        self.class_set = class_set
-        self.ramified = ramified
-        self.alg = alg
+    subsets = [c for k in range(1, len(ps) + 1, 2) for c in itertools.combinations(ps, k)]
+    return sorted(subsets, key=lambda chosen: (prod(chosen), chosen))
 
 
 def eigenline_candidates(
     level: int,
     cache_dir: Path | None = None,
     restrict: tuple[int, ...] | None = None,
-) -> list[Candidate]:
+) -> list[Eigenform]:
     """Admissible eigenlines over all odd ramification subsets.
 
     A line qualifies when its eigenvalue at every prime dividing the
@@ -214,17 +202,15 @@ def eigenline_candidates(
     eigenvalues are not signs (transfers from lower level) never appear.
     """
     bad_primes = prime_factors(level)
-    out: list[Candidate] = []
+    out: list[Eigenform] = []
     for ramified in _odd_subsets(bad_primes):
         if restrict is not None and ramified != restrict:
             continue
-        alg = algebra_ramified_at(list(ramified))
-        order = eichler_order(alg, level)
-        class_set = _load_class_set(order, alg, level, cache_dir)
+        order = eichler_order(algebra_ramified_at(list(ramified)), level)
+        class_set = _load_class_set(order, cache_dir)
         signs = {p: 1 if p in ramified else -1 for p in bad_primes}
-        for line in cuspidal_eigenlines(class_set, signs=signs):
-            out.append(Candidate(line, class_set, ramified, alg))
-        _store_class_set(class_set, alg, level, cache_dir)
+        out += cuspidal_eigenlines(class_set, signs=signs)
+        _store_class_set(class_set, cache_dir)
     return out
 
 
@@ -248,31 +234,30 @@ def _parse_prefix(selector: str) -> dict[int, int]:
     return out
 
 
-def _select(
-    candidates: list[Candidate], selector: str | None
-) -> tuple[int, Candidate]:
-    if not candidates:
+def _select(lines: list[Eigenform], selector: str | None) -> tuple[int, Eigenform]:
+    if not lines:
         raise SelectorNotFoundError(
             "no rational sign-compatible eigenline exists at this level"
         )
     if selector is None:
-        return 0, candidates[0]
+        return 0, lines[0]
     selector = selector.strip()
     try:
         index = int(selector)
     except ValueError:
         index = None
     if index is not None:
-        if not 0 <= index < len(candidates):
+        if not 0 <= index < len(lines):
             raise SelectorNotFoundError(
-                f"selector index {index} out of range 0..{len(candidates) - 1}"
+                f"selector index {index} out of range 0..{len(lines) - 1}"
             )
-        return index, candidates[index]
+        return index, lines[index]
     prefix = _parse_prefix(selector)
-    matches = []
-    for i, cand in enumerate(candidates):
-        if all(cand.eigenform.eigenvalue(p) == v for p, v in prefix.items()):
-            matches.append((i, cand))
+    matches = [
+        (i, line)
+        for i, line in enumerate(lines)
+        if all(line.eigenvalue(p) == v for p, v in prefix.items())
+    ]
     if not matches:
         raise SelectorNotFoundError(f"no eigenline matches {selector!r}")
     if len(matches) > 1:
@@ -282,14 +267,33 @@ def _select(
     return matches[0]
 
 
+def _pinned_subset(level: int, newform_map: dict[int, int]) -> tuple[int, ...] | None:
+    """The ramification subset fixed by file signs at every prime dividing
+    the level, or None when some such prime is not pinned."""
+    bad_primes = prime_factors(level)
+    if not all(p in newform_map for p in bad_primes):
+        return None
+    for p in bad_primes:
+        if newform_map[p] not in (1, -1):
+            raise NewformFileError(
+                f"eigenvalue at {p} must be ±1 for a prime dividing the level"
+            )
+    chosen = tuple(p for p in bad_primes if newform_map[p] == 1)
+    if len(chosen) % 2 == 0:
+        raise EvenRootNumberError(
+            "the supplied signs make every functional equation even; "
+            "no quaternion algebra is ramified at this configuration"
+        )
+    return chosen
+
+
 # ---------------------------------------------------------------------------
 # the pipeline
 # ---------------------------------------------------------------------------
 
 
-def _build_profile(cand: Candidate, pmax: int) -> LiftProfile:
-    line = cand.eigenform
-    level = cand.class_set.level
+def _build_profile(line: Eigenform, pmax: int) -> LiftProfile:
+    level = line.class_set.level
     bad = {p: (line.bad_sign(p), line.involution_sign(p)) for p in prime_factors(level)}
     eigen = {}
     for p in primes():
@@ -300,48 +304,73 @@ def _build_profile(cand: Candidate, pmax: int) -> LiftProfile:
     return LiftProfile(level=level, b2=line.eigenvalue(2), bad=bad, eigen=eigen)
 
 
-def kohnen_basis(config: JobConfig) -> dict:
-    """Run the full pipeline for one level and return all artifacts."""
-    pmax = max(max(_METADATA_PRIMES), isqrt(config.prec))
-    result = kohnen_basis_selection_only(config, pmax)
-    cand = result["candidate"]
-    deep_g = kohnen_form(
-        cand.eigenform, cand.class_set, 4 * config.prec
-    ).sign_normalized()
+def _run(config: JobConfig, stage: Callable[[dict], dict], pmax: int = 0) -> dict:
+    """The pipeline of every subcommand.
+
+    Check the signs a newform file pins, search, keep the lines the file
+    allows, select one, and build its profile at the primes up to
+    max(pmax, ORDER_PRIMES).  The run {"line", "selector_index",
+    "profile"} is then extended by the dict `stage` returns, and the
+    selected class set is stored with every degree the run built.
+    """
+    newform_map = (
+        ingest_newform(config.newform_file) if config.newform_file else {}
+    )
+    restrict = _pinned_subset(config.level, newform_map)
+    cache_dir = _cache_dir(config)
+    lines = eigenline_candidates(config.level, cache_dir, restrict)
+    if newform_map:
+        lines = [
+            line
+            for line in lines
+            if all(line.eigenvalue(p) == v for p, v in newform_map.items())
+        ]
+        if not lines:
+            raise NewformFileError(
+                "external eigenvalues conflict with every computed eigenline"
+            )
+    index, line = _select(lines, config.selector)
+    pmax = max(pmax, *ORDER_PRIMES)
+    line.class_set.plan(pmax)
+    run = {"line": line, "selector_index": index, "profile": _build_profile(line, pmax)}
+    run |= stage(run)
+    _store_class_set(line.class_set, cache_dir)
+    return run
+
+
+def _basis_pair(run: dict, prec: int) -> dict:
+    line = run["line"]
+    deep_g = kohnen_form(line, line.class_set, 4 * prec).sign_normalized()
     if not deep_g:
         raise ZeroFormError(
             "the theta eigenform vanishes identically: the selected newform "
             "has central L-value zero and carries no Kohnen lift"
         )
-    g = deep_g.truncate(config.prec)
-    h = assemble_h(deep_g, result["profile"], config.prec)
-    _store_class_set(cand.class_set, cand.alg, config.level, _cache_dir(config))
-    return result | {"g": g, "h": h}
+    return {"g": deep_g.truncate(prec), "h": assemble_h(deep_g, run["profile"], prec)}
+
+
+def kohnen_basis(config: JobConfig) -> dict:
+    """Run the full pipeline for one level and return all artifacts."""
+    return _run(config, lambda run: _basis_pair(run, config.prec), isqrt(config.prec))
 
 
 # ---------------------------------------------------------------------------
-# serialization helpers
+# serialization
 # ---------------------------------------------------------------------------
 
 
-def _metadata(cand: Candidate, profile: LiftProfile) -> dict:
-    class_set = cand.class_set
-    eig_table = {}
-    for p in _METADATA_PRIMES:
-        eig_table[str(p)] = profile.eigenvalue(p)
+def _metadata(line: Eigenform, profile: LiftProfile) -> dict:
+    class_set = line.class_set
+    eig_table = {str(p): profile.eigenvalue(p) for p in ORDER_PRIMES}
     for p in sorted(profile.bad):
         eig_table.setdefault(str(p), profile.bad[p][0])
     return {
         "level": class_set.level,
-        "algebra": {
-            "a": cand.alg.a,
-            "b": cand.alg.b,
-            "ramified": list(cand.alg.ramified),
-        },
+        "algebra": class_set.alg.describe(),
         "class_number": class_set.h,
         "mass": str(class_set.mass),
         "unit_counts": list(class_set.unit_counts),
-        "ramified_set": list(cand.ramified),
+        "ramified_set": list(class_set.alg.ramified),
         "involutions": {str(p): profile.bad[p][1] for p in sorted(profile.bad)},
         "eigenvalues": eig_table,
     }
@@ -367,8 +396,18 @@ def _meta_text(meta: dict) -> list[str]:
     return lines
 
 
-def _dump_json(obj: dict) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _render(
+    config: JobConfig,
+    run: dict,
+    fields: Callable[[], dict],
+    text: Callable[[], list[str]],
+) -> str:
+    """The run's metadata followed by one subcommand's output: the JSON
+    `fields` or the `text` lines, whichever the format asks for."""
+    meta = _metadata(run["line"], run["profile"])
+    if config.fmt == "json":
+        return json.dumps(meta | fields(), indent=2) + "\n"
+    return "\n".join(_meta_text(meta) + text()) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -377,138 +416,92 @@ def _dump_json(obj: dict) -> str:
 
 
 def cmd_basis(config: JobConfig) -> str:
-    result = kohnen_basis(config)
-    meta = _metadata(result["candidate"], result["profile"])
-    if config.fmt == "json":
-        payload = dict(meta)
-        payload["selector_index"] = result["selector_index"]
-        payload["g"] = result["g"].to_json_dict()
-        payload["h"] = result["h"].to_json_dict()
-        return _dump_json(payload)
-    lines = _meta_text(meta)
-    lines.append(f"selector_index {result['selector_index']}")
-    lines.append("g")
-    lines.append(result["g"].to_text())
-    lines.append("h")
-    lines.append(result["h"].to_text())
-    return "\n".join(lines) + "\n"
+    run = kohnen_basis(config)
+    index, g, h = run["selector_index"], run["g"], run["h"]
+    return _render(
+        config,
+        run,
+        lambda: {"selector_index": index, "g": g.to_json_dict(), "h": h.to_json_dict()},
+        lambda: [f"selector_index {index}", "g", g.to_text(), "h", h.to_text()],
+    )
 
 
 def cmd_brandt(config: JobConfig, nmax: int = 10) -> str:
     if nmax < 1:
         raise ConfigurationError(f"need nmax >= 1, got {nmax}")
-    result = kohnen_basis_selection_only(config)
-    cand = result["candidate"]
-    class_set = cand.class_set
-    class_set.plan(nmax)
-    matrices = {n: class_set.brandt(n) for n in range(1, nmax + 1)}
-    _store_class_set(cand.class_set, cand.alg, config.level, _cache_dir(config))
-    meta = _metadata(cand, result["profile"])
-    if config.fmt == "json":
-        payload = dict(meta)
-        payload["brandt"] = {
-            str(n): [list(row) for row in mat] for n, mat in matrices.items()
-        }
-        return _dump_json(payload)
-    lines = _meta_text(meta)
-    for n, mat in matrices.items():
-        lines.append(f"B({n})")
-        for row in mat:
-            lines.append(" ".join(str(x) for x in row))
-    return "\n".join(lines) + "\n"
+
+    def degree_matrices(run: dict) -> dict:
+        class_set = run["line"].class_set
+        class_set.plan(nmax)
+        return {"brandt": {n: class_set.brandt(n) for n in range(1, nmax + 1)}}
+
+    run = _run(config, degree_matrices)
+    matrices = run["brandt"]
+    return _render(
+        config,
+        run,
+        lambda: {
+            "brandt": {str(n): [list(row) for row in mat] for n, mat in matrices.items()}
+        },
+        lambda: [
+            line
+            for n, mat in matrices.items()
+            for line in [f"B({n})"] + [" ".join(str(x) for x in row) for row in mat]
+        ],
+    )
 
 
 def cmd_theta(config: JobConfig) -> str:
-    result = kohnen_basis_selection_only(config)
-    cand = result["candidate"]
-    thetas = [
-        ternary_theta(trace_zero_lattice(order), config.prec)
-        for order in cand.class_set.rights
-    ]
-    meta = _metadata(cand, result["profile"])
-    if config.fmt == "json":
-        payload = dict(meta)
-        payload["thetas"] = [t.to_json_dict() for t in thetas]
-        return _dump_json(payload)
-    lines = _meta_text(meta)
-    for i, t in enumerate(thetas, start=1):
-        lines.append(f"theta {i}")
-        lines.append(t.to_text())
-    return "\n".join(lines) + "\n"
+    def class_thetas(run: dict) -> dict:
+        rights = run["line"].class_set.rights
+        return {"thetas": [ternary_theta(trace_zero_lattice(o), config.prec) for o in rights]}
+
+    run = _run(config, class_thetas)
+    thetas = run["thetas"]
+    return _render(
+        config,
+        run,
+        lambda: {"thetas": [t.to_json_dict() for t in thetas]},
+        lambda: [
+            line
+            for i, t in enumerate(thetas, start=1)
+            for line in (f"theta {i}", t.to_text())
+        ],
+    )
+
+
+def _clean(z: complex) -> complex:
+    """z with any negative zero part made positive."""
+    return complex(z.real if z.real != 0 else 0.0, z.imag if z.imag != 0 else 0.0)
 
 
 def cmd_localfactors(config: JobConfig, lo: int = 2, hi: int = 23) -> str:
     if not 1 <= lo <= hi:
         raise ConfigurationError(f"bad index range {lo}:{hi}")
-    result = kohnen_basis_selection_only(config, pmax=max(13, isqrt(hi)))
-    profile = result["profile"]
-    def clean(z: complex) -> complex:
-        return complex(z.real if z.real != 0 else 0.0, z.imag if z.imag != 0 else 0.0)
 
-    rows = []
-    for n in range(lo, hi + 1):
-        k1 = clean(local_K(profile, "K1", n))
-        k2 = clean(local_K(profile, "K2", n))
-        rows.append((n, k1, k2))
-    meta = _metadata(result["candidate"], profile)
-    if config.fmt == "json":
-        payload = dict(meta)
-        payload["local_factors"] = [
-            {"n": n, "K1": [k1.real, k1.imag], "K2": [k2.real, k2.imag]}
-            for n, k1, k2 in rows
-        ]
-        return _dump_json(payload)
-    lines = _meta_text(meta)
-    lines.append("n K1_re K1_im K2_re K2_im")
-    for n, k1, k2 in rows:
-        lines.append(f"{n} {k1.real!r} {k1.imag!r} {k2.real!r} {k2.imag!r}")
-    return "\n".join(lines) + "\n"
+    def local_products(run: dict) -> dict:
+        profile = run["profile"]
+        return {
+            "rows": [
+                (n, _clean(local_K(profile, "K1", n)), _clean(local_K(profile, "K2", n)))
+                for n in range(lo, hi + 1)
+            ]
+        }
 
-
-def _pinned_subset(level: int, newform_map: dict[int, int]) -> tuple[int, ...] | None:
-    """The ramification subset fixed by file signs at every prime dividing
-    the level, or None when some such prime is not pinned."""
-    bad_primes = prime_factors(level)
-    if not all(p in newform_map for p in bad_primes):
-        return None
-    for p in bad_primes:
-        if newform_map[p] not in (1, -1):
-            raise NewformFileError(
-                f"eigenvalue at {p} must be ±1 for a prime dividing the level"
-            )
-    chosen = tuple(p for p in bad_primes if newform_map[p] == 1)
-    if len(chosen) % 2 == 0:
-        raise EvenRootNumberError(
-            "the supplied signs make every functional equation even; "
-            "no quaternion algebra is ramified at this configuration"
-        )
-    return chosen
-
-
-def kohnen_basis_selection_only(config: JobConfig, pmax: int | None = None) -> dict:
-    """Candidate selection and profile, without theta or h work."""
-    newform_map = (
-        ingest_newform(config.newform_file) if config.newform_file else {}
+    run = _run(config, local_products, isqrt(hi))
+    rows = run["rows"]
+    return _render(
+        config,
+        run,
+        lambda: {
+            "local_factors": [
+                {"n": n, "K1": [k1.real, k1.imag], "K2": [k2.real, k2.imag]}
+                for n, k1, k2 in rows
+            ]
+        },
+        lambda: ["n K1_re K1_im K2_re K2_im"]
+        + [f"{n} {k1.real!r} {k1.imag!r} {k2.real!r} {k2.imag!r}" for n, k1, k2 in rows],
     )
-    restrict = _pinned_subset(config.level, newform_map)
-    candidates = eigenline_candidates(config.level, _cache_dir(config), restrict)
-    if newform_map:
-        candidates = [
-            cand
-            for cand in candidates
-            if all(
-                cand.eigenform.eigenvalue(p) == v for p, v in newform_map.items()
-            )
-        ]
-        if not candidates:
-            raise NewformFileError(
-                "external eigenvalues conflict with every computed eigenline"
-            )
-    index, cand = _select(candidates, config.selector)
-    pmax = pmax or max(_METADATA_PRIMES)
-    cand.class_set.plan(pmax)
-    profile = _build_profile(cand, pmax)
-    return {"candidate": cand, "selector_index": index, "profile": profile}
 
 
 # ---------------------------------------------------------------------------

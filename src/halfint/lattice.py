@@ -241,6 +241,15 @@ def count_by_value(gram, bound) -> dict[Fraction, int]:
 # ---------------------------------------------------------------------------
 
 
+def combine(basis: Sequence[Quat], coeffs: Sequence[int]) -> Quat:
+    """The integer combination sum coeffs[r] * basis[r]."""
+    v = qelt()
+    for c, b in zip(coeffs, basis):
+        if c:
+            v = tuple(x + c * y for x, y in zip(v, b))
+    return v
+
+
 @dataclass(frozen=True)
 class Lattice4:
     """Full rank-4 lattice in a definite quaternion algebra.
@@ -588,11 +597,7 @@ def _idealizer_step(lat: Lattice4, p: int) -> Lattice4 | None:
     bas = lat.basis()
     gens = [qscale(p, b) for b in bas]
     for coeffs in rad:
-        v = qelt()
-        for ci, bi in zip(coeffs, bas):
-            if ci:
-                v = tuple(x + ci * y for x, y in zip(v, bi))
-        gens.append(v)
+        gens.append(combine(bas, coeffs))
     J = Lattice4.from_vectors(lat.alg, gens)
     for order_of in (left_order_lattice, right_order_lattice):
         cand = order_of(J)
@@ -622,11 +627,7 @@ def _saturate_brute(lat: Lattice4, p: int) -> Lattice4 | None:
     for coeffs in itertools.product(range(p), repeat=4):
         if not any(coeffs):
             continue
-        x = qelt()
-        for ci, bi in zip(coeffs, bas):
-            if ci:
-                x = tuple(a + ci * b for a, b in zip(x, bi))
-        x = qscale(Fraction(1, p), x)
+        x = qscale(Fraction(1, p), combine(bas, coeffs))
         if lat.contains(x):
             continue
         if trd(x).denominator != 1 or alg.nrd(x).denominator != 1:
@@ -701,10 +702,7 @@ def _index_p2_left_ideal(mlat: Lattice4, p: int) -> Lattice4:
     for coeffs in itertools.product(range(p), repeat=4):
         if not any(coeffs):
             continue
-        x = qelt()
-        for ci, bi in zip(coeffs, bas):
-            if ci:
-                x = tuple(a + ci * b for a, b in zip(x, bi))
+        x = combine(bas, coeffs)
         gens = [qscale(p, b) for b in bas] + [alg.mul(b, x) for b in bas]
         J = Lattice4.from_vectors(alg, gens)
         if mlat.index_over(J) == p * p:

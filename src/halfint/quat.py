@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import EvenRootNumberError, SearchExhaustedError
 from .numth import hilbert, hilbert_support, is_prime

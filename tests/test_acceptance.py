@@ -145,8 +145,8 @@ def test_criterion_5_property_suite(pipeline_runs):
     for level, run in sorted(pipeline_runs.items()):
         g, h = run["g"], run["h"]
         profile = run["profile"]
-        class_set = run["candidate"].class_set
-        line = run["candidate"].eigenform
+        class_set = run["line"].class_set
+        line = run["line"]
 
         # (a) Kohnen vanishing of g
         assert g.kohnen

@@ -249,6 +249,50 @@ def test_level33_old_lines_are_filtered_by_sign(level33):
     assert f.bad_sign(3) == -1
 
 
+# every rational eigenline (cuspidal or not) of every odd ramification
+# subset, with its eigenvalues at 2..13.  The eigenvalue scan runs over
+# |lambda| <= the largest row sum: Eisenstein lines sit at the top end,
+# and at level 57 the line (0, 0, 1, -1) is split off by the ramified
+# degree-3 matrix (a permutation) at eigenvalue -1, the bottom end.
+RATIONAL_EIGENLINES = {
+    (11, (11,)): [((1, -1), (-2, -1, 1, -2, 1, 4)), ((3, 2), (3, 4, 6, 8, 1, 14))],
+    (15, (3,)): [((1, -1), (-1, -1, 1, 0, -4, -2)), ((1, 1), (3, 1, 11, 8, 12, 14))],
+    (15, (5,)): [((1, -1), (-1, -1, 1, 0, -4, -2)), ((3, 1), (3, 7, 1, 8, 12, 14))],
+    (21, (3,)): [((1, -1), (-1, 1, -2, -1, 4, -2)), ((1, 3), (3, 1, 6, 15, 12, 14))],
+    (21, (7,)): [((1, -1), (-1, 1, -2, -1, 4, -2)), ((1, 1), (3, 7, 6, 1, 12, 14))],
+    (33, (3,)): [((1, -1), (1, -1, -2, 4, 1, -2)), ((1, 1), (3, 1, 6, 8, 23, 14))],
+    (33, (11,)): [
+        ((0, 1, 0, -1), (-2, -4, 1, -2, 1, 4)),
+        ((4, -1, -2, -1), (-2, 2, 1, -2, 1, 4)),
+        ((1, -1, 1, -1), (1, -1, -2, 4, 1, -2)),
+        ((3, 3, 1, 3), (3, 7, 6, 8, 1, 14)),
+    ],
+    (35, (5,)): [((1, 0, -1, 0), (0, 1, -1, 1, -3, 5)), ((1, 3, 1, 3), (3, 4, 1, 15, 12, 14))],
+    (35, (7,)): [((1, -1, -1, 1), (0, 1, -1, 1, -3, 5)), ((1, 2, 2, 1), (3, 4, 11, 1, 12, 14))],
+    (37, (37,)): [
+        ((0, 1, -1), (-2, -3, -2, -1, -5, -2)),
+        ((2, -1, -1), (0, 1, 0, -1, 3, -4)),
+        ((1, 1, 1), (3, 4, 6, 8, 12, 14)),
+    ],
+    (57, (3,)): [
+        ((0, 0, 1, -1), (-2, -1, -3, -5, 1, 2)),
+        ((2, -4, 1, 1), (-2, 1, 1, 3, -3, -6)),
+        ((1, 1, -1, -1), (1, 1, -2, 0, 0, 6)),
+        ((1, 3, 3, 3), (3, 1, 6, 8, 12, 14)),
+    ],
+}
+
+
+@pytest.mark.parametrize("level, ramified", sorted(RATIONAL_EIGENLINES))
+def test_rational_eigenlines_golden(level, ramified):
+    C = ideal_classes(eichler_order(algebra_ramified_at(list(ramified)), level))
+    got = [
+        (f.vector, tuple(f.eigenvalue(p) for p in (2, 3, 5, 7, 11, 13)))
+        for f in rational_eigenlines(C)
+    ]
+    assert got == RATIONAL_EIGENLINES[level, ramified]
+
+
 def test_eigenvalue_requires_prime(level15):
     f = cuspidal_eigenlines(level15)[0]
     with pytest.raises(ValueError):

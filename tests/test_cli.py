@@ -1,5 +1,6 @@
 """End-to-end and unit tests of the command-line front end."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -161,7 +162,7 @@ def test_localfactors_command():
 
 
 # ---------------------------------------------------------------------------
-# selector behavior (unit level, with stub candidates)
+# selector behavior (unit level, with stub eigenlines)
 # ---------------------------------------------------------------------------
 
 
@@ -173,13 +174,8 @@ class _StubLine:
         return self._evs[p]
 
 
-class _StubCand:
-    def __init__(self, evs):
-        self.eigenform = _StubLine(evs)
-
-
 def test_select_contract():
-    cands = [_StubCand({2: -1, 3: 1}), _StubCand({2: -1, 3: -1})]
+    cands = [_StubLine({2: -1, 3: 1}), _StubLine({2: -1, 3: -1})]
     assert _select(cands, None) == (0, cands[0])
     assert _select(cands, "1") == (1, cands[1])
     assert _select(cands, "2=-1,3=1") == (0, cands[0])
@@ -219,12 +215,25 @@ def test_ingest_text_and_json(tmp_path):
 
 def test_ingest_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.txt"
-    for content in ("2 -1 3", "x y", "4 1", "2 0.5", '{"2": "x"}'):
+    for content in (
+        "2 -1 3", "x y", "4 1", "2 0.5", '{"2": "x"}',
+        '{"2": 0.5}', '{"2": true}', '{"2": [1]}', '{"2": null}',
+    ):
         bad.write_text(content)
         with pytest.raises(NewformFileError):
             ingest_newform(str(bad))
     with pytest.raises(NewformFileError):
         ingest_newform(str(tmp_path / "does_not_exist.txt"))
+
+
+def test_main_malformed_newform_value_exit_3(tmp_path, capsys):
+    nf = tmp_path / "nf.json"
+    nf.write_text('{"2": [1]}')
+    assert main(["basis", "--level", "15", "--newform-file", str(nf)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed eigenvalue file")
+    assert captured.err.count("\n") == 1
 
 
 def test_ingest_conflicting_duplicate(tmp_path):
@@ -305,7 +314,7 @@ def test_pruned_search_matches_unpruned_filter(level):
         for ramified, line in _unpruned_candidates(level)
     ]
     got = [
-        (c.ramified, c.eigenform.vector, [c.eigenform.eigenvalue(p) for p in small])
+        (c.class_set.alg.ramified, c.vector, [c.eigenvalue(p) for p in small])
         for c in eigenline_candidates(level)
     ]
     assert got == want
@@ -517,6 +526,50 @@ def test_cache_reload_is_exact(tmp_path):
     assert state["unit_counts"] == [2, 6]
     second = cmd_basis(JobConfig(level=15, prec=24, cache_dir=str(cache)))
     assert first == second == BASIS_15_TEXT
+
+
+def test_localfactors_caches_the_degrees_it_builds(tmp_path, capsys):
+    # HI = 400 makes the profile reach the primes up to 20
+    cache = tmp_path / "cache"
+    argv = ["localfactors", "--level", "15", "--range", "2:400", "--cache-dir", str(cache)]
+    assert main(argv) == 0
+    cold_out = capsys.readouterr().out
+    state = json.loads((cache / "brandt_a2_b5_N15.json").read_text())
+    assert {"17", "19"} <= set(state["brandt"])
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cold_out
+
+
+# ---------------------------------------------------------------------------
+# byte-identical outputs (digests recorded before the pipeline was merged)
+# ---------------------------------------------------------------------------
+
+OUTPUT_SHA256 = {
+    (15, "brandt --nmax 13 --format json"):
+        "65f15f34fb111effba5bb3ce6fd0170a39775991b030f5496fabe3e0f8933c7c",
+    (15, "theta --prec 100 --format json"):
+        "aa37a9e422ac8d64c6d2056f4432256e59e3b6fc6de1a5ccacd1bf61631cc648",
+    (15, "localfactors --format json"):
+        "3f0e70695dc56d23b2e2ed84224a46ea26292b5ac72f6c6ee0e9ec274704499a",
+    (15, "basis --prec 60"):
+        "a9dcbe6dea09757ec6f14d8f316363375416e2ef35b329539abcd25ff36574da",
+    (21, "brandt --nmax 13 --format json"):
+        "f602a0c2cd35d0d39dd74b3b02ae015ad83d7b1e4d5d822406285a5add19af85",
+    (21, "theta --prec 100 --format json"):
+        "c7bf3808aa6a986932edcb4dd6bd045678d545a63fcc6bce595a1ba4fd920e48",
+    (21, "localfactors --format json"):
+        "10cbca4430e2c981e87c66f0a0cf17b656fb6919600c81947eb1c6f3a598f09c",
+    (21, "basis --prec 60"):
+        "04b79a231956df5bb2c031e03aee3733276e2fdd0a5965a9b4059cfd82003d96",
+}
+
+
+@pytest.mark.parametrize("level, args", sorted(OUTPUT_SHA256))
+def test_output_digests(level, args, capsys, monkeypatch):
+    monkeypatch.delenv("HALFINT_CACHE_DIR", raising=False)
+    assert main(args.split() + ["--level", str(level)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == OUTPUT_SHA256[level, args]
 
 
 # ---------------------------------------------------------------------------
