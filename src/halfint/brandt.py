@@ -28,9 +28,14 @@ from .errors import (
     MassMismatchError,
     MissingEigenvalueError,
 )
-from .lattice import Lattice4, Order, combine, right_order_lattice
+from .lattice import (
+    Lattice4,
+    Order,
+    combine,
+    left_order_lattice,
+    right_order_lattice,
+)
 from .numth import is_prime, prime_factors, primes
-from .quat import qscale
 
 # deterministic neighbor prime: levels are odd and ramification sets
 # consist of odd primes, so 2 always splits and is prime to the level
@@ -69,18 +74,19 @@ def _neighbors(ideal: Lattice4, right: Order, p: int = NEIGHBOR_PRIME) -> Iterat
     """Distinct index-p^2 subideals I x + p I over rank-one residues x of
     the right order mod p (the p+1 neighbors in the Brandt graph)."""
     alg = ideal.alg
-    rbas = right.basis()
-    ibas = ideal.basis()
+    rden, rrows = right.lattice.den, right.lattice.rows
     seen = set()
     for coeffs in itertools.product(range(p), repeat=4):
         if not any(coeffs):
             continue
-        x = combine(rbas, coeffs)
-        nx = alg.nrd(x)
-        if nx.denominator != 1 or int(nx) % p:
+        x = combine(rrows, coeffs)  # the residue is x / rden
+        if alg.nrd(x) % (p * rden * rden):
             continue  # invertible residue: J would be all of I
-        J = Lattice4.from_vectors(
-            alg, [alg.mul(b, x) for b in ibas] + [qscale(p, b) for b in ibas]
+        J = Lattice4.from_int_rows(
+            alg,
+            ideal.den * rden,
+            [alg.mul(row, x) for row in ideal.rows]
+            + [[p * rden * t for t in row] for row in ideal.rows],
         )
         if ideal.index_over(J) != p * p:
             continue  # x vanished mod p against this ideal
@@ -212,27 +218,53 @@ class IdealClassSet:
     def from_state(cls, order: Order, state: dict) -> "IdealClassSet":
         """Rebuild a class set from `to_state` output, checking it first.
 
-        Raises IntegralityError when the stored unit counts disagree with
-        the lattices, and ValueError when a stored matrix breaks an
-        invariant of the degree matrices (see `_check_degree_matrix`).
+        Raises ValueError when a stored class is not a canonical lattice,
+        has another left order than `order`, or is equivalent to another
+        stored class, when the classes' mass is not the Eichler mass, or
+        when a stored matrix breaks an invariant of the degree matrices
+        (see `_check_degree_matrix`); IntegralityError when the stored
+        unit counts disagree with the lattices.
         """
-        alg = order.alg
-        classes = [
-            Lattice4(alg, int(c["den"]), tuple(tuple(int(x) for x in r) for r in c["rows"]))
-            for c in state["classes"]
-        ]
+        classes = [_stored_class(order, c) for c in state["classes"]]
         if len(state["unit_counts"]) != len(classes):
             raise ValueError("cached unit counts do not match the class count")
         rights = [Order(right_order_lattice(c)) for c in classes]
         for r, e in zip(rights, state["unit_counts"]):
             if r.unit_count != int(e):
                 raise IntegralityError("cached unit counts disagree with lattices")
+        if any(
+            equivalent_ideals(classes[i], classes[j])
+            for j in range(len(classes))
+            for i in range(j)
+        ):
+            raise ValueError("two cached classes are equivalent")
         out = cls(order, classes, rights)
+        if out.mass != eichler_mass(order.alg.discriminant, out.level):
+            raise ValueError("cached classes do not have the Eichler mass")
         es, level = out.unit_counts, out.level
         for n, mat in state.get("brandt", {}).items():
             _check_degree_matrix(int(n), mat, es, level)
             out._matrices[int(n)] = tuple(tuple(row) for row in mat)
         return out
+
+
+def _stored_class(order: Order, entry: dict) -> Lattice4:
+    """A cached class: four rows of four JSON integers over a JSON integer
+    denominator, in the canonical form `from_int_rows` gives, with left
+    order `order`; ValueError otherwise."""
+    den, rows = entry["den"], entry["rows"]
+    if (
+        type(den) is not int
+        or len(rows) != 4
+        or any(len(row) != 4 or any(type(x) is not int for x in row) for row in rows)
+    ):
+        raise ValueError("cached class is not four rows of four integers")
+    lat = Lattice4(order.alg, den, tuple(tuple(row) for row in rows))
+    if Lattice4.from_int_rows(order.alg, den, rows) != lat:
+        raise ValueError("cached class is not in canonical form")
+    if left_order_lattice(lat) != order.lattice:
+        raise ValueError("cached class is not a left ideal of the order")
+    return lat
 
 
 def _check_degree_matrix(n: int, mat, es: list[int], level: int) -> None:

@@ -116,9 +116,12 @@ def _store_class_set(class_set: IdealClassSet, directory: Path | None) -> None:
     if directory is None:
         return
     path = _cache_path(directory, class_set.order)
+    text = json.dumps(class_set.to_state(), sort_keys=True) + "\n"
+    with contextlib.suppress(OSError):
+        if path.read_bytes() == text.encode():
+            return  # unchanged: leave the file alone
     # write beside the target and rename, so no reader sees a partial file
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    text = json.dumps(class_set.to_state(), sort_keys=True) + "\n"
     try:
         directory.mkdir(parents=True, exist_ok=True)
         tmp.write_text(text)

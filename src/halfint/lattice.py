@@ -4,7 +4,14 @@ A lattice is stored as a canonical pair (den, rows): `rows` is the
 unique upper-triangular Hermite basis with positive pivots and reduced
 entries above each pivot, and den is the common denominator after
 removing content.  Canonical form makes equality, hashing and caching
-trivial.
+trivial.  Every lattice is built by `Lattice4.from_int_rows` (Hermite
+form, then the content divided out), and every operation works on
+integer rows: products multiply rows over den_x * den_y, sums and
+intersections bring both lattices to one denominator, and the right and
+left orders intersect the v^-1 L (or L v^-1) with v^-1 = conj(v)/nrd(v).
+Fractions enter only through `from_vectors` and `contains` and leave
+only through the view `basis` (and the rational invariants `gram`, `det`,
+`norm_content` and `reduced_discriminant`).
 
 The module also carries the exact positive-definite enumeration used
 everywhere counts of lattice points by norm are needed (theta series,
@@ -18,6 +25,7 @@ enters the enumeration.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,63 +37,11 @@ from .errors import (
     MaximalOrderNotFoundError,
 )
 from .numth import prime_factors, xgcd
-from .quat import ONE, Quat, QuaternionAlgebra, conj, qelt, qscale, trd
+from .quat import Quat, QuaternionAlgebra, conj
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra over Fraction
+# Hermite normal form
 # ---------------------------------------------------------------------------
-
-
-def mat_mul(A, B):
-    n, m, k = len(A), len(B[0]), len(B)
-    return [
-        [sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
-        for i in range(n)
-    ]
-
-
-def mat_inv(A):
-    """Inverse of a square Fraction matrix by Gauss-Jordan."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [row[n:] for row in M]
-
-
-def mat_det(A):
-    """Determinant of a square Fraction matrix by elimination."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] for row in A]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det
-        det *= M[col][col]
-        inv = 1 / M[col][col]
-        for r in range(col + 1, n):
-            if M[r][col]:
-                f = M[r][col] * inv
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return det
-
-
-def transpose(A):
-    return [list(col) for col in zip(*A)]
 
 
 def hnf_rows(rows: Iterable[Sequence[int]]) -> list[list[int]]:
@@ -241,12 +197,12 @@ def count_by_value(gram, bound) -> dict[Fraction, int]:
 # ---------------------------------------------------------------------------
 
 
-def combine(basis: Sequence[Quat], coeffs: Sequence[int]) -> Quat:
-    """The integer combination sum coeffs[r] * basis[r]."""
-    v = qelt()
-    for c, b in zip(coeffs, basis):
+def combine(rows: Sequence[Sequence[int]], coeffs: Sequence[int]) -> tuple[int, ...]:
+    """The integer combination sum coeffs[r] * rows[r] of integer rows."""
+    v = (0, 0, 0, 0)
+    for c, row in zip(coeffs, rows):
         if c:
-            v = tuple(x + c * y for x, y in zip(v, b))
+            v = tuple(x + c * y for x, y in zip(v, row))
     return v
 
 
@@ -265,28 +221,28 @@ class Lattice4:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_frac_rows(cls, alg: QuaternionAlgebra, rows) -> "Lattice4":
-        den = 1
-        for row in rows:
-            for x in row:
-                den = lcm(den, Fraction(x).denominator)
-        int_rows = [
-            [int(Fraction(x) * den) for x in row] for row in rows
-        ]
-        hrows = hnf_rows(int_rows)
+    def from_int_rows(
+        cls, alg: QuaternionAlgebra, den: int, rows: Iterable[Sequence[int]]
+    ) -> "Lattice4":
+        """The lattice spanned by the integer rows over den >= 1."""
+        if den < 1:
+            raise ValueError("lattice denominator must be positive")
+        hrows = hnf_rows(rows)
         if len(hrows) != 4:
             raise ValueError("lattice is not of full rank")
-        content = den
-        for row in hrows:
-            for x in row:
-                content = gcd(content, x)
-        den //= content
-        hrows = [[x // content for x in row] for row in hrows]
-        return cls(alg, den, tuple(tuple(r) for r in hrows))
+        content = gcd(den, *(x for row in hrows for x in row))
+        return cls(
+            alg, den // content, tuple(tuple(x // content for x in row) for row in hrows)
+        )
 
     @classmethod
     def from_vectors(cls, alg: QuaternionAlgebra, vectors: Iterable[Quat]) -> "Lattice4":
-        return cls.from_frac_rows(alg, [list(v) for v in vectors])
+        """The lattice spanned by rational quaternions."""
+        vectors = [[Fraction(x) for x in v] for v in vectors]
+        den = lcm(*(x.denominator for v in vectors for x in v))
+        return cls.from_int_rows(
+            alg, den, [[x.numerator * (den // x.denominator) for x in v] for v in vectors]
+        )
 
     @classmethod
     def standard_order(cls, alg: QuaternionAlgebra) -> "Lattice4":
@@ -294,9 +250,6 @@ class Lattice4:
         return cls(alg, 1, eye)
 
     # -- views -------------------------------------------------------------
-
-    def frac_rows(self):
-        return [[Fraction(x, self.den) for x in row] for row in self.rows]
 
     def basis(self) -> list[Quat]:
         return [tuple(Fraction(x, self.den) for x in row) for row in self.rows]
@@ -323,21 +276,36 @@ class Lattice4:
 
     # -- membership and comparison -----------------------------------------
 
-    def contains(self, x: Quat) -> bool:
-        target = [Fraction(t) * self.den for t in x]
+    def coordinates(self, num: Sequence[int], den: int = 1) -> list[int] | None:
+        """The integer coefficients of num / den over the basis (num an
+        integer 4-vector), or None when num / den is not in the lattice."""
+        target = []
+        for t in num:
+            q, r = divmod(t * self.den, den)
+            if r:
+                return None
+            target.append(q)
         # rows are upper triangular with pivot i in column i, so peel off
         # coefficients left to right
+        coeffs = []
         for col in range(4):
-            c = target[col] / self.rows[col][col]
-            if c.denominator != 1:
-                return False
+            c, r = divmod(target[col], self.rows[col][col])
+            if r:
+                return None
+            coeffs.append(c)
             if c:
-                for t in range(col, 4):
+                for t in range(col + 1, 4):
                     target[t] -= c * self.rows[col][t]
-        return all(t == 0 for t in target)
+        return coeffs
+
+    def contains(self, x: Quat) -> bool:
+        x = [Fraction(t) for t in x]
+        den = lcm(*(t.denominator for t in x))
+        num = [t.numerator * (den // t.denominator) for t in x]
+        return self.coordinates(num, den) is not None
 
     def contains_lattice(self, other: "Lattice4") -> bool:
-        return all(self.contains(v) for v in other.basis())
+        return all(self.coordinates(row, other.den) is not None for row in other.rows)
 
     def index_over(self, sub: "Lattice4") -> Fraction:
         """[self : sub] as a positive rational (integer when sub <= self)."""
@@ -345,38 +313,48 @@ class Lattice4:
 
     # -- lattice operations --------------------------------------------------
 
-    def add(self, other: "Lattice4") -> "Lattice4":
+    def _common_rows(self, other: "Lattice4"):
+        """(den, A, B): both lattices' rows over one common denominator."""
         if self.alg != other.alg:
             raise ValueError("lattices live in different algebras")
-        return Lattice4.from_frac_rows(self.alg, self.frac_rows() + other.frac_rows())
+        den = lcm(self.den, other.den)
+        return (
+            den,
+            [[x * (den // self.den) for x in row] for row in self.rows],
+            [[x * (den // other.den) for x in row] for row in other.rows],
+        )
+
+    def add(self, other: "Lattice4") -> "Lattice4":
+        den, A, B = self._common_rows(other)
+        return Lattice4.from_int_rows(self.alg, den, A + B)
 
     def intersect(self, other: "Lattice4") -> "Lattice4":
-        dual = Lattice4.from_frac_rows(
-            self.alg,
-            transpose(mat_inv(self.frac_rows()))
-            + transpose(mat_inv(other.frac_rows())),
+        # rows (uA + vB | uA) with uA + vB = 0 are exactly the (0 | w) with
+        # w in both lattices, and an echelon basis spans those by its rows
+        # whose first half is zero
+        den, A, B = self._common_rows(other)
+        echelon = hnf_rows([a + a for a in A] + [b + [0, 0, 0, 0] for b in B])
+        return Lattice4.from_int_rows(
+            self.alg, den, [row[4:] for row in echelon if not any(row[:4])]
         )
-        rows = transpose(mat_inv(dual.frac_rows()))
-        return Lattice4.from_frac_rows(self.alg, rows)
 
     def product(self, other: "Lattice4") -> "Lattice4":
         """Lattice generated by all pairwise products."""
         if self.alg != other.alg:
             raise ValueError("lattices live in different algebras")
         mul = self.alg.mul
-        vecs = [mul(x, y) for x in self.basis() for y in other.basis()]
-        return Lattice4.from_vectors(self.alg, vecs)
+        products = [mul(x, y) for x in self.rows for y in other.rows]
+        return Lattice4.from_int_rows(self.alg, self.den * other.den, products)
 
     def scale(self, c) -> "Lattice4":
         c = Fraction(c)
         if c == 0:
             raise ValueError("cannot scale a lattice by zero")
-        return Lattice4.from_frac_rows(
-            self.alg, [[c * x for x in row] for row in self.frac_rows()]
-        )
+        rows = [[c.numerator * x for x in row] for row in self.rows]
+        return Lattice4.from_int_rows(self.alg, self.den * c.denominator, rows)
 
     def conjugate(self) -> "Lattice4":
-        return Lattice4.from_vectors(self.alg, [conj(v) for v in self.basis()])
+        return Lattice4.from_int_rows(self.alg, self.den, [conj(row) for row in self.rows])
 
     # -- arithmetic invariants ----------------------------------------------
 
@@ -390,16 +368,12 @@ class Lattice4:
 
     def reduced_discriminant(self) -> Fraction:
         """sqrt |det trd(b_i b_j)|; equals prod(ramified) for a maximal
-        order and the level for an Eichler order."""
-        bas = self.basis()
-        mul = self.alg.mul
-        T = [[trd(mul(x, y)) for y in bas] for x in bas]
-        dd = abs(mat_det(T))
-        num, den = dd.numerator, dd.denominator
-        rn, rd = isqrt(num), isqrt(den)
-        if rn * rn != num or rd * rd != den:
-            raise IntegralityError(f"discriminant^2 = {dd} is not a square")
-        return Fraction(rn, rd)
+        order and the level for an Eichler order.
+
+        The trace form on 1, i, j, k has determinant -16 a^2 b^2, so this
+        is 4ab [Z<1,i,j,k> : L].
+        """
+        return 4 * self.alg.a * self.alg.b * self.det()
 
     def norm_counts(self, bound, scale=1) -> dict[int, int]:
         """#{x in L : nrd(x) = n * scale} for integer n <= bound."""
@@ -418,42 +392,41 @@ class Lattice4:
     # -- order-related -------------------------------------------------------
 
     def is_order(self) -> bool:
-        if not self.contains(ONE):
+        """Whether the lattice contains 1 and is closed under products (a
+        ring that is a finitely generated group, so its elements are
+        integral)."""
+        if self.coordinates((1, 0, 0, 0)) is None:
             return False
-        bas = self.basis()
-        if any(trd(b).denominator != 1 for b in bas):
-            return False
-        if any(self.alg.nrd(b).denominator != 1 for b in bas):
-            return False
-        mul = self.alg.mul
-        return all(self.contains(mul(x, y)) for x in bas for y in bas)
+        mul, sq = self.alg.mul, self.den * self.den
+        return all(
+            self.coordinates(mul(x, y), sq) is not None
+            for x in self.rows
+            for y in self.rows
+        )
 
 
-def _multiplication_conditions(lat: Lattice4, side: str) -> Lattice4:
-    """Lattice of x with v*x in lat (side='right') or x*v in lat ('left')
-    for every v in lat: the right/left order as a lattice."""
+def _order_of(lat: Lattice4, times) -> Lattice4:
+    """The intersection over the basis rows r of the lattices spanned by
+    the times(conj(r), w) / nrd(r), w running over the rows."""
     alg = lat.alg
-    basis_std = [qelt(1), qelt(0, 1), qelt(0, 0, 1), qelt(0, 0, 0, 1)]
-    Binv = mat_inv(lat.frac_rows())
-    cond_vectors = []
-    for v in lat.basis():
-        if side == "right":
-            M = [list(alg.mul(v, e)) for e in basis_std]
-        else:
-            M = [list(alg.mul(e, v)) for e in basis_std]
-        A = mat_mul(M, Binv)
-        cond_vectors.extend(transpose(A))
-    cond_lat = Lattice4.from_frac_rows(alg, cond_vectors)
-    rows = transpose(mat_inv(cond_lat.frac_rows()))
-    return Lattice4.from_frac_rows(alg, rows)
+    parts = (
+        Lattice4.from_int_rows(alg, alg.nrd(r), [times(conj(r), w) for w in lat.rows])
+        for r in lat.rows
+    )
+    return functools.reduce(Lattice4.intersect, parts)
 
 
 def right_order_lattice(lat: Lattice4) -> Lattice4:
-    return _multiplication_conditions(lat, "right")
+    """{x : L x in L}, the intersection of the v^-1 L over the basis
+    vectors v = r / den.  With v^-1 = conj(v) / nrd(v) = den conj(r) / nrd(r),
+    v^-1 (w / den) = conj(r) w / nrd(r)."""
+    return _order_of(lat, lat.alg.mul)
 
 
 def left_order_lattice(lat: Lattice4) -> Lattice4:
-    return _multiplication_conditions(lat, "left")
+    """{x : x L in L}, the intersection of the L v^-1."""
+    mul = lat.alg.mul
+    return _order_of(lat, lambda vbar, w: mul(w, vbar))
 
 
 # ---------------------------------------------------------------------------
@@ -504,21 +477,15 @@ class Order:
 
 def _structure_constants(lat: Lattice4):
     """c[r][s] = integer coefficient vector of b_r b_s over the basis."""
-    alg = lat.alg
-    bas = lat.basis()
-    Binv = mat_inv(lat.frac_rows())
+    mul, sq = lat.alg.mul, lat.den * lat.den
     out = []
-    for x in bas:
+    for x in lat.rows:
         row = []
-        for y in bas:
-            prod = alg.mul(x, y)
-            coeffs = [
-                sum(Fraction(prod[t]) * Binv[t][s] for t in range(4))
-                for s in range(4)
-            ]
-            if any(c.denominator != 1 for c in coeffs):
+        for y in lat.rows:
+            coeffs = lat.coordinates(mul(x, y), sq)
+            if coeffs is None:
                 raise IntegralityError("basis does not close under products")
-            row.append([int(c) for c in coeffs])
+            row.append(coeffs)
         out.append(row)
     return out
 
@@ -593,12 +560,9 @@ def _radical_coeff_vectors(lat: Lattice4, p: int) -> list[list[int]]:
 
 def _idealizer_step(lat: Lattice4, p: int) -> Lattice4 | None:
     """One radical-idealizer improvement at p, or None if stuck."""
-    rad = _radical_coeff_vectors(lat, p)
-    bas = lat.basis()
-    gens = [qscale(p, b) for b in bas]
-    for coeffs in rad:
-        gens.append(combine(bas, coeffs))
-    J = Lattice4.from_vectors(lat.alg, gens)
+    gens = [[p * x for x in row] for row in lat.rows]
+    gens += [combine(lat.rows, coeffs) for coeffs in _radical_coeff_vectors(lat, p)]
+    J = Lattice4.from_int_rows(lat.alg, lat.den, gens)
     for order_of in (left_order_lattice, right_order_lattice):
         cand = order_of(J)
         if cand != lat and cand.contains_lattice(lat):
@@ -606,10 +570,9 @@ def _idealizer_step(lat: Lattice4, p: int) -> Lattice4 | None:
     return None
 
 
-def _close_to_order(alg: QuaternionAlgebra, gens: list[Quat]) -> Lattice4 | None:
-    """Smallest multiplicatively closed lattice containing gens, or None
-    if the generated lattice keeps growing (not integral)."""
-    L = Lattice4.from_vectors(alg, gens)
+def _close_to_order(L: Lattice4) -> Lattice4 | None:
+    """Smallest multiplicatively closed lattice containing L, or None if
+    the generated lattice keeps growing (not integral)."""
     for _ in range(16):
         M = L.add(L.product(L))
         if M == L:
@@ -622,17 +585,17 @@ def _close_to_order(alg: QuaternionAlgebra, gens: list[Quat]) -> Lattice4 | None
 
 def _saturate_brute(lat: Lattice4, p: int) -> Lattice4 | None:
     """Look for a strictly larger order inside (1/p) * lat."""
-    bas = lat.basis()
-    alg = lat.alg
+    alg, den = lat.alg, p * lat.den
     for coeffs in itertools.product(range(p), repeat=4):
         if not any(coeffs):
             continue
-        x = qscale(Fraction(1, p), combine(bas, coeffs))
-        if lat.contains(x):
+        x = combine(lat.rows, coeffs)  # the candidate element is x / den
+        if lat.coordinates(x, den) is not None:
             continue
-        if trd(x).denominator != 1 or alg.nrd(x).denominator != 1:
+        if 2 * x[0] % den or alg.nrd(x) % (den * den):
             continue
-        cand = _close_to_order(alg, bas + [x])
+        gens = [[p * t for t in row] for row in lat.rows] + [x]
+        cand = _close_to_order(Lattice4.from_int_rows(alg, den, gens))
         if cand is not None and cand != lat and cand.contains_lattice(lat):
             return cand
     return None
@@ -697,14 +660,14 @@ def eichler_order(alg: QuaternionAlgebra, level: int) -> Order:
 
 def _index_p2_left_ideal(mlat: Lattice4, p: int) -> Lattice4:
     """First (deterministic scan) left ideal M x + M p of index p^2."""
-    bas = mlat.basis()
-    alg = mlat.alg
+    alg, den, rows = mlat.alg, mlat.den, mlat.rows
     for coeffs in itertools.product(range(p), repeat=4):
         if not any(coeffs):
             continue
-        x = combine(bas, coeffs)
-        gens = [qscale(p, b) for b in bas] + [alg.mul(b, x) for b in bas]
-        J = Lattice4.from_vectors(alg, gens)
+        x = combine(rows, coeffs)  # x / den, and the generators are over den^2
+        gens = [[p * den * t for t in row] for row in rows]
+        gens += [alg.mul(row, x) for row in rows]
+        J = Lattice4.from_int_rows(alg, den * den, gens)
         if mlat.index_over(J) == p * p:
             return J
     raise MaximalOrderNotFoundError(f"no index-{p}^2 ideal found")

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .brandt import Eigenform, IdealClassSet
 from .errors import IntegralityError, PrecisionError
-from .lattice import Lattice4, Order, count_by_value, hnf_rows, mat_det
+from .lattice import Lattice4, Order, count_by_value
 from .numth import is_prime, kronecker, squarefree_part
 from .qexp import QExpansion
-from .quat import Quat, QuaternionAlgebra, qadd, qscale, trd
+from .quat import Quat, QuaternionAlgebra, trd
 
 __all__ = [
     "TernaryLattice",
@@ -46,11 +45,12 @@ class TernaryLattice:
             for j in range(3):
                 if self.gram[i][j] != self.alg.pair(self.basis[i], self.basis[j]):
                     raise ValueError("Gram matrix does not match the basis")
-        if mat_det([list(r) for r in self.gram]) <= 0:
+        if self.det() <= 0:
             raise ValueError("Gram matrix is not positive definite")
 
     def det(self) -> Fraction:
-        return mat_det([list(r) for r in self.gram])
+        (a, b, c), (d, e, f), (g, h, i) = self.gram
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
     def counts_by_norm(self, bound: int) -> dict[Fraction, int]:
         """Histogram {norm: count} over the lattice, norms <= bound."""
@@ -59,28 +59,14 @@ class TernaryLattice:
 
 def trace_zero_lattice(order: Order) -> TernaryLattice:
     """Trace-zero part of ℤ + 2O, with the norm form's Gram matrix."""
-    alg = order.lattice.alg
-    two_o = [
-        tuple(2 * x for x in row) for row in order.lattice.frac_rows()
-    ]
-    sub = Lattice4.from_frac_rows(alg, [(1, 0, 0, 0)] + two_o)
-    vecs = sub.basis()
-    traces = [trd(v) for v in vecs]
-    mult = lcm(*(t.denominator for t in traces)) if traces else 1
-    ints = [int(t * mult) for t in traces]
-    # integer kernel of the trace functional: row-reduce [trace | identity]
-    # and keep the rows whose trace entry vanished
-    rows = [[ints[i]] + [int(i == j) for j in range(4)] for i in range(4)]
-    reduced = hnf_rows(rows)
-    kernel = [r[1:] for r in reduced if r[0] == 0]
-    if len(kernel) != 3:
-        raise ValueError("trace functional does not have a rank-3 kernel")
-    basis = []
-    for coeffs in kernel:
-        w = (Fraction(0),) * 4
-        for c, v in zip(coeffs, vecs):
-            w = qadd(w, qscale(Fraction(c), v))
-        basis.append(w)
+    lat = order.lattice
+    alg, den = lat.alg, lat.den
+    sub = Lattice4.from_int_rows(
+        alg, den, [(den, 0, 0, 0)] + [[2 * x for x in row] for row in lat.rows]
+    )
+    # the Hermite basis is upper triangular and the trace is twice the
+    # first coordinate, so the last three basis vectors span the trace-zero part
+    basis = sub.basis()[1:]
     gram = tuple(
         tuple(alg.pair(x, y) for y in basis) for x in basis
     )

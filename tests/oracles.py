@@ -14,6 +14,8 @@ from math import isqrt
 
 import numpy as np
 
+from halfint.lattice import Lattice4
+
 
 def squarefree_part_ref(n: int) -> int:
     """Signed squarefree part, by bare trial division."""
@@ -236,3 +238,97 @@ def count_by_value_ref(gram, bound):
     for _, val in short_vectors_ref(gram, bound):
         out[val] = out.get(val, 0) + 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# Quaternion lattice algebra over Fractions: Gauss-Jordan inverses and
+# dual lattices, the route the library's integer Hermite-form operations
+# replaced.  Lattices enter and leave through the Fraction views
+# `Lattice4.from_vectors` and `Lattice4.basis`.
+# ---------------------------------------------------------------------------
+
+
+def mat_mul(A, B):
+    n, m, k = len(A), len(B[0]), len(B)
+    return [
+        [sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
+        for i in range(n)
+    ]
+
+
+def mat_inv(A):
+    """Inverse of a square Fraction matrix by Gauss-Jordan."""
+    n = len(A)
+    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(A)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        M[col], M[piv] = M[piv], M[col]
+        inv = 1 / M[col][col]
+        M[col] = [x * inv for x in M[col]]
+        for r in range(n):
+            if r != col and M[r][col]:
+                f = M[r][col]
+                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
+    return [row[n:] for row in M]
+
+
+def mat_det(A):
+    """Determinant of a square Fraction matrix by elimination."""
+    n = len(A)
+    M = [[Fraction(x) for x in row] for row in A]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            M[col], M[piv] = M[piv], M[col]
+            det = -det
+        det *= M[col][col]
+        inv = 1 / M[col][col]
+        for r in range(col + 1, n):
+            if M[r][col]:
+                f = M[r][col] * inv
+                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
+    return det
+
+
+def transpose(A):
+    return [list(col) for col in zip(*A)]
+
+
+def intersect_ref(L, M):
+    """L cap M as the dual lattice of the sum of the duals."""
+    dual = Lattice4.from_vectors(
+        L.alg, transpose(mat_inv(L.basis())) + transpose(mat_inv(M.basis()))
+    )
+    return Lattice4.from_vectors(L.alg, transpose(mat_inv(dual.basis())))
+
+
+def order_ref(lat, side):
+    """Lattice of x with v*x in lat (side='right') or x*v in lat ('left')
+    for every v in lat: the dual of the lattice of conditions."""
+    alg = lat.alg
+    std = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    Binv = mat_inv(lat.basis())
+    cond_vectors = []
+    for v in lat.basis():
+        if side == "right":
+            M = [list(alg.mul(v, e)) for e in std]
+        else:
+            M = [list(alg.mul(e, v)) for e in std]
+        cond_vectors.extend(transpose(mat_mul(M, Binv)))
+    cond_lat = Lattice4.from_vectors(alg, cond_vectors)
+    return Lattice4.from_vectors(alg, transpose(mat_inv(cond_lat.basis())))
+
+
+def reduced_discriminant_ref(lat):
+    """sqrt |det trd(b_i b_j)|, with an exact square root."""
+    bas = lat.basis()
+    dd = abs(mat_det([[2 * lat.alg.mul(x, y)[0] for y in bas] for x in bas]))
+    rn, rd = isqrt(dd.numerator), isqrt(dd.denominator)
+    assert rn * rn == dd.numerator and rd * rd == dd.denominator
+    return Fraction(rn, rd)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -30,9 +31,9 @@ from halfint.errors import (
     NewformFileError,
     SelectorNotFoundError,
 )
-from halfint.lattice import eichler_order
+from halfint.lattice import Lattice4, eichler_order
 from halfint.numth import prime_factors
-from halfint.quat import algebra_ramified_at
+from halfint.quat import QuaternionAlgebra, algebra_ramified_at
 from halfint.qexp import QExpansion
 
 LEVEL15_G = {3: 1, 8: -2, 15: -1, 20: 2, 23: 2}
@@ -463,15 +464,13 @@ def _swap_unit_counts(state):
     state["unit_counts"].reverse()
 
 
-@pytest.mark.parametrize(
-    "tamper", [_bump_b2, _bump_b3, _negative_b3, _add_wrong_b1, _swap_unit_counts]
-)
-def test_tampered_cache_file_is_recomputed(tmp_path, capsys, tamper):
-    cache = tmp_path / "cache"
-    argv = ["basis", "--level", "15", "--prec", "24", "--cache-dir", str(cache)]
+def _assert_tampering_is_recomputed(cache, capsys, level, name, tamper):
+    """A cold run, `tamper` applied to the cache file `name`, then a warm
+    run: same stdout, and the file rewritten to the cold bytes."""
+    argv = ["basis", "--level", str(level), "--prec", "24", "--cache-dir", str(cache)]
     assert main(argv) == 0
     cold_out = capsys.readouterr().out
-    path = cache / "brandt_a2_b5_N15.json"
+    path = cache / name
     cold_bytes = path.read_bytes()
     state = json.loads(cold_bytes)
     tamper(state)
@@ -479,6 +478,78 @@ def test_tampered_cache_file_is_recomputed(tmp_path, capsys, tamper):
     assert main(argv) == 0
     assert capsys.readouterr().out == cold_out
     assert path.read_bytes() == cold_bytes
+
+
+@pytest.mark.parametrize(
+    "tamper", [_bump_b2, _bump_b3, _negative_b3, _add_wrong_b1, _swap_unit_counts]
+)
+def test_tampered_cache_file_is_recomputed(tmp_path, capsys, tamper):
+    _assert_tampering_is_recomputed(
+        tmp_path / "cache", capsys, 15, "brandt_a2_b5_N15.json", tamper
+    )
+
+
+def _class0_over_class1(state):
+    # at N = 37 every class has two units, so the unit counts still agree
+    state["classes"][1] = state["classes"][0]
+
+
+def _class1_over_class0(state):
+    state["classes"][0] = state["classes"][1]
+
+
+def _non_canonical_class(state):
+    # the same lattice on another basis
+    rows = state["classes"][1]["rows"]
+    rows[0] = [x + y for x, y in zip(rows[0], rows[1])]
+
+
+def _scaled_class(state):
+    # the same lattice with content left in
+    c = state["classes"][1]
+    c["den"] *= 2
+    c["rows"] = [[2 * x for x in row] for row in c["rows"]]
+
+
+def _drop_last_class(state):
+    # consistent but incomplete: only the mass shows it
+    state["classes"].pop()
+    state["unit_counts"].pop()
+    state["brandt"] = {}
+
+
+def _class_of_another_order(state):
+    # (1 + i) I is a left ideal of (1 + i) O (1 + i)^-1, not of O; it keeps
+    # the right order of I and is equivalent to no stored class
+    alg, c = QuaternionAlgebra(2, 37), state["classes"][1]
+    rows = [alg.mul((1, 1, 0, 0), row) for row in c["rows"]]
+    moved = Lattice4.from_int_rows(alg, c["den"], rows)
+    state["classes"][1] = {"den": moved.den, "rows": [list(row) for row in moved.rows]}
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_class0_over_class1, _class1_over_class0, _non_canonical_class, _scaled_class,
+     _class_of_another_order, _drop_last_class],
+)
+def test_tampered_cache_classes_are_recomputed(tmp_path, capsys, tamper):
+    _assert_tampering_is_recomputed(
+        tmp_path / "cache", capsys, 37, "brandt_a2_b37_N37.json", tamper
+    )
+
+
+def test_warm_run_rewrites_no_cache_file(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    argv = ["basis", "--level", "15", "--prec", "24", "--cache-dir", str(cache)]
+    assert main(argv) == 0
+    cold_out = capsys.readouterr().out
+    stamps = {p.name: p.stat().st_mtime_ns for p in cache.iterdir()}
+    replaced = []
+    monkeypatch.setattr(os, "replace", lambda *args: replaced.append(args))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cold_out
+    assert replaced == []
+    assert {p.name: p.stat().st_mtime_ns for p in cache.iterdir()} == stamps
 
 
 def test_unreadable_cache_file_is_a_miss(tmp_path, capsys, monkeypatch):

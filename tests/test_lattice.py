@@ -18,9 +18,6 @@ from halfint.lattice import (
     eichler_order,
     hnf_rows,
     left_order_lattice,
-    mat_det,
-    mat_inv,
-    mat_mul,
     maximal_order,
     right_order_lattice,
     short_vectors,
@@ -29,25 +26,6 @@ from halfint.quat import ONE, QuaternionAlgebra, algebra_ramified_at, conj, qelt
 
 B25 = QuaternionAlgebra(2, 5)
 B11 = QuaternionAlgebra(1, 1)
-
-
-# ---------------------------------------------------------------------------
-# linear algebra helpers
-# ---------------------------------------------------------------------------
-
-
-def test_mat_inv_roundtrip():
-    A = [[Fraction(1), Fraction(2), Fraction(0)],
-         [Fraction(0), Fraction(1), Fraction(5, 2)],
-         [Fraction(3), Fraction(0), Fraction(1)]]
-    eye = mat_mul(A, mat_inv(A))
-    assert eye == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-
-
-def test_mat_det():
-    A = [[Fraction(2), Fraction(1)], [Fraction(7), Fraction(4)]]
-    assert mat_det(A) == 1
-    assert mat_det([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +65,7 @@ def test_hnf_invariant_under_unimodular():
     h = hnf_rows(rows)
     for _ in range(25):
         U = _random_unimodular(rng)
-        transformed = mat_mul(U, rows)
+        transformed = oracles.mat_mul(U, rows)
         assert hnf_rows([[int(x) for x in r] for r in transformed]) == h
 
 
@@ -158,7 +136,7 @@ def _definite_forms(draw):
          for j in range(n)]
         for i in range(n)
     ]
-    assume(mat_det(gram) > 0)
+    assume(oracles.mat_det(gram) > 0)
     bound = draw(st.fractions(min_value=0, max_value=12, max_denominator=3))
     return gram, bound
 
@@ -169,7 +147,7 @@ def test_short_vectors_match_ldl_oracle(form):
     gram, bound = form
     assert list(short_vectors(gram, bound)) == list(oracles.short_vectors_ref(gram, bound))
     # every vector with Q(c) <= bound has |c_i| <= sqrt(bound * (gram^-1)_ii)
-    inv = mat_inv(gram)
+    inv = oracles.mat_inv(gram)
     box = max(isqrt(int(bound * inv[i][i])) for i in range(len(gram)))
     assume(box <= 4)
     assert count_by_value(gram, bound) == _brute_counts(gram, bound, box)
@@ -185,11 +163,11 @@ def _std(alg):
 
 
 def test_canonical_form_and_equality():
-    L1 = Lattice4.from_frac_rows(
-        B25, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    L1 = Lattice4.from_int_rows(
+        B25, 1, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     )
-    L2 = Lattice4.from_frac_rows(
-        B25, [[1, 1, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
+    L2 = Lattice4.from_int_rows(
+        B25, 3, [[3, 3, 0, 0], [0, 3, 0, 3], [0, 0, 3, 3], [0, 0, 0, 3]]
     )
     assert L1 == L2 == _std(B25)
     assert hash(L1) == hash(L2)
@@ -264,6 +242,40 @@ def test_level15_ternary_histograms_match_ldl_oracle():
         gram = [list(row) for row in trace_zero_lattice(right).gram]
         want = oracles.count_by_value_ref(gram, 4000)
         assert list(count_by_value(gram, 4000).items()) == list(want.items())
+
+
+@st.composite
+def _lattice_pairs(draw):
+    """Two full-rank lattices rows / den in (-2, -5) or (-1, -1): entries
+    in [-4, 4], den <= 6."""
+    alg = draw(st.sampled_from([B25, B11]))
+
+    def one():
+        rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+                             min_size=4, max_size=4))
+        assume(oracles.mat_det(rows) != 0)
+        den = draw(st.integers(1, 6))
+        lat = Lattice4.from_int_rows(alg, den, rows)
+        assert lat == Lattice4.from_vectors(alg, [[Fraction(x, den) for x in r] for r in rows])
+        return lat
+
+    return one(), one()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lattice_pairs())
+def test_integer_lattice_algebra_matches_fraction_oracles(pair):
+    L, M = pair
+    alg = L.alg
+    assert L.intersect(M) == oracles.intersect_ref(L, M)
+    assert L.product(M) == Lattice4.from_vectors(
+        alg, [alg.mul(x, y) for x in L.basis() for y in M.basis()]
+    )
+    for lat in (L, M):
+        assert lat.conjugate() == Lattice4.from_vectors(alg, [conj(v) for v in lat.basis()])
+        assert right_order_lattice(lat) == oracles.order_ref(lat, "right")
+        assert left_order_lattice(lat) == oracles.order_ref(lat, "left")
+        assert lat.reduced_discriminant() == oracles.reduced_discriminant_ref(lat)
 
 
 def test_reduced_discriminant_standard():
