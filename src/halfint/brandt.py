@@ -32,6 +32,7 @@ from .lattice import (
     Lattice4,
     Order,
     combine,
+    hnf_rows,
     left_order_lattice,
     right_order_lattice,
 )
@@ -198,7 +199,7 @@ class IdealClassSet:
         """Row action v -> v B(n)."""
         B = self.brandt(n)
         H = self.h
-        return [sum(Fraction(v[i]) * B[i][j] for i in range(H)) for j in range(H)]
+        return [sum(v[i] * B[i][j] for i in range(H)) for j in range(H)]
 
     # -- persistence ---------------------------------------------------------
 
@@ -222,8 +223,9 @@ class IdealClassSet:
         has another left order than `order`, or is equivalent to another
         stored class, when the classes' mass is not the Eichler mass, or
         when a stored matrix breaks an invariant of the degree matrices
-        (see `_check_degree_matrix`); IntegralityError when the stored
-        unit counts disagree with the lattices.
+        (see `_check_degree_matrix`) or two stored matrices do not
+        commute; IntegralityError when the stored unit counts disagree
+        with the lattices.
         """
         classes = [_stored_class(order, c) for c in state["classes"]]
         if len(state["unit_counts"]) != len(classes):
@@ -241,10 +243,16 @@ class IdealClassSet:
         out = cls(order, classes, rights)
         if out.mass != eichler_mass(order.alg.discriminant, out.level):
             raise ValueError("cached classes do not have the Eichler mass")
-        es, level = out.unit_counts, out.level
+        es, level, ramified = out.unit_counts, out.level, order.alg.ramified
         for n, mat in state.get("brandt", {}).items():
-            _check_degree_matrix(int(n), mat, es, level)
+            _check_degree_matrix(int(n), mat, es, level, ramified)
             out._matrices[int(n)] = tuple(tuple(row) for row in mat)
+        mats = out._matrices
+        if any(
+            _product(mats[m], mats[n]) != _product(mats[n], mats[m])
+            for m, n in itertools.combinations(mats, 2)
+        ):
+            raise ValueError("cached degree matrices do not commute")
         return out
 
 
@@ -267,11 +275,14 @@ def _stored_class(order: Order, entry: dict) -> Lattice4:
     return lat
 
 
-def _check_degree_matrix(n: int, mat, es: list[int], level: int) -> None:
+def _check_degree_matrix(
+    n: int, mat, es: list[int], level: int, ramified: Sequence[int]
+) -> None:
     """Raise ValueError unless `mat` can be the degree-n matrix: h x h
     with non-negative integer entries, the identity at n = 1, symmetric
-    after weighting (e_j B_ij = e_i B_ji), and with row sums n + 1 at
-    primes n prime to the level."""
+    after weighting (e_j B_ij = e_i B_ji), with row sums n + 1 at primes
+    n prime to the level, and a single 1 in every row at ramified primes
+    (with the symmetry, the permutation matrix of an involution)."""
     h = len(es)
     if n < 1 or len(mat) != h or any(len(row) != h for row in mat):
         raise ValueError(f"cached degree-{n} matrix has the wrong shape")
@@ -283,6 +294,10 @@ def _check_degree_matrix(n: int, mat, es: list[int], level: int) -> None:
         raise ValueError(f"cached degree-{n} matrix breaks the weighted symmetry")
     if level % n and is_prime(n) and any(sum(row) != n + 1 for row in mat):
         raise ValueError(f"cached degree-{n} matrix has a row sum other than {n + 1}")
+    if n in ramified and any(sorted(row) != [0] * (h - 1) + [1] for row in mat):
+        raise ValueError(
+            f"cached degree-{n} matrix at a ramified prime is not a permutation"
+        )
 
 
 def ideal_classes(order: Order) -> IdealClassSet:
@@ -312,79 +327,34 @@ def ideal_classes(order: Order) -> IdealClassSet:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra for the eigen decomposition (row convention)
+# integer linear algebra for the eigen decomposition (row convention)
 # ---------------------------------------------------------------------------
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(len(mat[0]) if mat else 0):
-        piv = next((k for k in range(r, len(mat)) if mat[k][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for k in range(len(mat)):
-            if k != r and mat[k][c] != 0:
-                f = mat[k][c]
-                mat[k] = [x - f * y for x, y in zip(mat[k], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return [row for row in mat if any(row)], pivots
+def _product(
+    A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]
+) -> list[tuple[int, ...]]:
+    """The integer matrix product A B, row by row."""
+    return [combine(B, row) for row in A]
 
 
-def _left_kernel(M: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of {v : v M = 0} for a square Fraction matrix."""
-    n = len(M)
-    At = [[Fraction(M[j][i]) for j in range(n)] for i in range(n)]
-    rref, pivots = _rref(At)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rref[r][f]
-        basis.append(v)
-    return basis
+def _left_kernel(M: Sequence[Sequence[int]]) -> list[list[int]]:
+    """A basis of the integer vectors k with k M = 0, for an integer d x H
+    matrix M: the rows of the Hermite form of [M | I] whose M half is zero
+    (Cohen, GTM 138, Sec. 2.4.3)."""
+    d, H = len(M), len(M[0])
+    echelon = hnf_rows(list(M[r]) + [int(r == c) for c in range(d)] for r in range(d))
+    return [row[H:] for row in echelon if not any(row[:H])]
 
 
-def _solve_row(S: list[list[Fraction]], t: list[Fraction]) -> list[Fraction]:
-    """Solve x S = t for x, S full row rank (d x H)."""
-    d, H = len(S), len(S[0])
-    aug = [[S[r][c] for r in range(d)] + [t[c]] for c in range(H)]
-    rref, pivots = _rref(aug)
-    x = [Fraction(0)] * d
-    for row, c in zip(rref, pivots):
-        if c == d:
-            raise IrrationalEigenspaceError("vector not in the invariant subspace")
-        x[c] = row[d]
-    # consistency: any non-pivot rows must have vanished entirely
-    return x
-
-
-def _normalize_primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale to primitive integers with positive first nonzero entry."""
-    den = 1
-    for x in vec:
-        x = Fraction(x)
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(Fraction(x) * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+def _normalize_primitive(vec: Sequence[int]) -> tuple[int, ...]:
+    """Divide out the content, with positive first nonzero entry."""
+    g = gcd(*vec)
     if g == 0:
         raise ValueError("zero vector cannot be normalized")
-    ints = [x // g for x in ints]
-    first = next(x for x in ints if x)
-    if first < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    if next(x for x in vec if x) < 0:
+        g = -g
+    return tuple(x // g for x in vec)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +364,7 @@ def _normalize_primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
 
 @dataclass
 class _Block:
-    rows: list[list[Fraction]]  # basis of the invariant subspace, row vectors
+    rows: list[tuple[int, ...]]  # integer basis of the invariant subspace
     eigs: dict[int, int]
 
 
@@ -449,16 +419,17 @@ def _refine(
     """Rational simultaneous eigenlines by successive refinement under the
     degree-p matrices, unsorted.
 
-    Blocks whose restricted operator acquires an irreducible factor are
-    discarded: no line inside them can have a rational eigenvalue at that
-    prime, hence none is a rational simultaneous eigenline.  With `signs`,
-    the pinned primes are refined first and only the eigenspace of the
-    pinned eigenvalue is kept there.
+    A block is an integer basis `rows` of a subspace that the commuting
+    degree matrices keep.  At p it splits into the eigenspaces spanned by
+    the k rows with k in the integer left kernel of rows B(p) - lam rows,
+    that is with (k rows) B(p) = lam (k rows), one per integer lam.  What
+    lies outside them is discarded: no line there has a rational
+    eigenvalue at p.  With `signs`, the pinned primes are refined first
+    and only the eigenspace of the pinned eigenvalue is kept there.
     """
     signs = signs or {}
     H = class_set.h
-    eye = [[Fraction(int(i == j)) for j in range(H)] for i in range(H)]
-    pending = [_Block(eye, {})]
+    pending = [_Block([tuple(int(i == j) for j in range(H)) for i in range(H)], {})]
     finished: list[_Block] = []
 
     default_order = sorted(
@@ -477,45 +448,27 @@ def _refine(
         if p in signs:
             roots = [signs[p]]
         else:
-            # a restricted operator's characteristic polynomial divides that
-            # of the integer matrix B, so its rational roots are integers;
-            # B is non-negative, so they are bounded by its largest row sum
+            # a rational eigenvalue of the integer matrix B is an integer,
+            # and B is non-negative, so it is bounded by its largest row sum
             bound = max(sum(row) for row in B)
             roots = range(-bound, bound + 1)
-        Bf = [[Fraction(x) for x in row] for row in B]
         next_pending: list[_Block] = []
         for block in pending:
-            d = len(block.rows)
-            # restricted operator R with (rows) B = R (rows)
-            T = [
-                [
-                    sum(block.rows[r][i] * Bf[i][j] for i in range(H))
-                    for j in range(H)
-                ]
-                for r in range(d)
-            ]
-            R = [_solve_row(block.rows, t) for t in T]
+            T = _product(block.rows, B)
             for lam in roots:
                 shifted = [
-                    [R[i][j] - (lam if i == j else 0) for j in range(d)]
-                    for i in range(d)
+                    [t - lam * x for t, x in zip(trow, row)]
+                    for trow, row in zip(T, block.rows)
                 ]
                 kernel = _left_kernel(shifted)
                 if not kernel:
                     continue
-                rows = [
-                    [
-                        sum(k[r] * block.rows[r][i] for r in range(d))
-                        for i in range(H)
-                    ]
-                    for k in kernel
-                ]
+                rows = [combine(block.rows, k) for k in kernel]
                 child = _Block(rows, dict(block.eigs) | {p: lam})
                 if len(rows) == 1:
                     finished.append(child)
                 else:
                     next_pending.append(child)
-            # anything outside the rational kernels is dead for our purpose
         pending = next_pending
 
     lines = [

@@ -199,7 +199,7 @@ def count_by_value(gram, bound) -> dict[Fraction, int]:
 
 def combine(rows: Sequence[Sequence[int]], coeffs: Sequence[int]) -> tuple[int, ...]:
     """The integer combination sum coeffs[r] * rows[r] of integer rows."""
-    v = (0, 0, 0, 0)
+    v = (0,) * len(rows[0])
     for c, row in zip(coeffs, rows):
         if c:
             v = tuple(x + c * y for x, y in zip(v, row))

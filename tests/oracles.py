@@ -332,3 +332,48 @@ def reduced_discriminant_ref(lat):
     rn, rd = isqrt(dd.numerator), isqrt(dd.denominator)
     assert rn * rn == dd.numerator and rd * rd == dd.denominator
     return Fraction(rn, rd)
+
+
+# ---------------------------------------------------------------------------
+# Left kernels by Gauss-Jordan over Fractions, the route the library's
+# integer Hermite-form kernel replaced.
+# ---------------------------------------------------------------------------
+
+
+def rref(rows):
+    """Reduced row echelon form of a Fraction matrix: its nonzero rows and
+    the pivot columns."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        piv = next((k for k in range(r, len(mat)) if mat[k][c] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for k in range(len(mat)):
+            if k != r and mat[k][c] != 0:
+                f = mat[k][c]
+                mat[k] = [x - f * y for x, y in zip(mat[k], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return [row for row in mat if any(row)], pivots
+
+
+def left_kernel_ref(M):
+    """Basis of {v : v M = 0} for a d x H matrix, one vector per free
+    column of the transpose's reduced echelon form."""
+    d = len(M)
+    red, pivots = rref(transpose(M))
+    basis = []
+    for f in (c for c in range(d) if c not in pivots):
+        v = [Fraction(0)] * d
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][f]
+        basis.append(v)
+    return basis

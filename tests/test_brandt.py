@@ -3,11 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from halfint.brandt import (
     Eigenform,
     IdealClassSet,
+    _left_kernel,
     cuspidal_eigenlines,
     eichler_mass,
     equivalent_ideals,
@@ -321,3 +324,25 @@ def test_apply_is_row_action(level15):
     v = (1, -1)
     w = C.apply(v, 2)
     assert w == [v[0] * B[0][j] + v[1] * B[1][j] for j in range(2)]
+
+
+@st.composite
+def _integer_matrices(draw):
+    """d x H integer matrices A C with inner dimension r, so that r below
+    d or H gives rank-deficient ones (the zero matrix included)."""
+    d, H, r = (draw(st.integers(1, 6)) for _ in range(3))
+    entries = st.integers(-3, 3)
+    A = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=d, max_size=d))
+    C = draw(st.lists(st.lists(entries, min_size=H, max_size=H), min_size=r, max_size=r))
+    return oracles.mat_mul(A, C)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_integer_matrices())
+def test_left_kernel_matches_fraction_oracle(M):
+    kernel = _left_kernel(M)
+    assert all(type(x) is int for k in kernel for x in k)
+    assert all(not any(oracles.mat_mul([k], M)[0]) for k in kernel)
+    ref = oracles.left_kernel_ref(M)
+    assert len(kernel) == len(ref)
+    assert oracles.rref(kernel) == oracles.rref(ref)

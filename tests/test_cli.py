@@ -538,6 +538,34 @@ def test_tampered_cache_classes_are_recomputed(tmp_path, capsys, tamper):
     )
 
 
+def _non_commuting_b2(state):
+    # N = 67 has e_1 = e_2, so row sums, signs and the weighted symmetry
+    # still hold; only commutativity with the other degrees catches this
+    B = state["brandt"]["2"]
+    B[1][1] += 1
+    B[2][2] += 1
+    B[1][2] -= 1
+    B[2][1] -= 1
+
+
+def _non_permutation_b37(state):
+    # B(37) + I commutes with every degree matrix; only the shape required
+    # at a ramified prime catches this
+    for i, row in enumerate(state["brandt"]["37"]):
+        row[i] += 1
+
+
+@pytest.mark.parametrize(
+    "level, name, tamper",
+    [
+        (67, "brandt_a1_b67_N67.json", _non_commuting_b2),
+        (37, "brandt_a2_b37_N37.json", _non_permutation_b37),
+    ],
+)
+def test_tampered_cache_matrices_are_recomputed(tmp_path, capsys, level, name, tamper):
+    _assert_tampering_is_recomputed(tmp_path / "cache", capsys, level, name, tamper)
+
+
 def test_warm_run_rewrites_no_cache_file(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "cache"
     argv = ["basis", "--level", "15", "--prec", "24", "--cache-dir", str(cache)]
