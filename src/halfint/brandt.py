@@ -42,6 +42,9 @@ from .numth import is_prime, prime_factors, primes
 # consist of odd primes, so 2 always splits and is prime to the level
 NEIGHBOR_PRIME = 2
 
+# degree up to which a class key counts norms (see `_class_key`)
+KEY_DEGREE = 6
+
 # eigenlines are ordered by their eigenvalues at these primes, so every
 # searched class set has these degree matrices built
 ORDER_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -108,6 +111,16 @@ def _is_principal(lat: Lattice4) -> bool:
 def equivalent_ideals(I: Lattice4, J: Lattice4) -> bool:
     """Left ideals are isomorphic iff conj(I) J is principal."""
     return _is_principal(I.conjugate().product(J))
+
+
+def _class_key(I: Lattice4) -> tuple[int, ...]:
+    """The numbers of x in I with nrd(x) = n * content(I), n = 1..KEY_DEGREE.
+
+    I x has content nrd(x) content(I) and the same counts, so this is a
+    class invariant: ideals with different keys are not equivalent.
+    """
+    counts = I.norm_counts(KEY_DEGREE, scale=I.norm_content())
+    return tuple(counts.get(n, 0) for n in range(1, KEY_DEGREE + 1))
 
 
 class IdealClassSet:
@@ -225,7 +238,8 @@ class IdealClassSet:
         when a stored matrix breaks an invariant of the degree matrices
         (see `_check_degree_matrix`) or two stored matrices do not
         commute; IntegralityError when the stored unit counts disagree
-        with the lattices.
+        with the lattices.  Only classes with equal keys (`_class_key`) are
+        tested for equivalence: the keys skip only tests that must fail.
         """
         classes = [_stored_class(order, c) for c in state["classes"]]
         if len(state["unit_counts"]) != len(classes):
@@ -234,8 +248,9 @@ class IdealClassSet:
         for r, e in zip(rights, state["unit_counts"]):
             if r.unit_count != int(e):
                 raise IntegralityError("cached unit counts disagree with lattices")
+        keys = [_class_key(c) for c in classes]
         if any(
-            equivalent_ideals(classes[i], classes[j])
+            keys[i] == keys[j] and equivalent_ideals(classes[i], classes[j])
             for j in range(len(classes))
             for i in range(j)
         ):
@@ -302,18 +317,26 @@ def _check_degree_matrix(
 
 def ideal_classes(order: Order) -> IdealClassSet:
     """Breadth-first enumeration of the left ideal classes, terminated by
-    the exact mass count."""
+    the exact mass count.
+
+    A neighbour is tested for equivalence only against the classes with
+    its key (`_class_key`); the keys skip only tests that must fail, so
+    the classes and their order are those of testing every class.
+    """
     target = eichler_mass(order.alg.discriminant, order.reduced_discriminant)
     classes = [order.lattice]
+    keys = [_class_key(order.lattice)]
     rights = [order]
     mass = Fraction(2, order.unit_count)
     frontier = [0]
     while mass < target and frontier:
         idx = frontier.pop(0)
         for J in _neighbors(classes[idx], rights[idx]):
-            if any(equivalent_ideals(J, C) for C in classes):
+            key = _class_key(J)
+            if any(k == key and equivalent_ideals(J, C) for k, C in zip(keys, classes)):
                 continue
             classes.append(J)
+            keys.append(key)
             rights.append(Order(right_order_lattice(J)))
             mass += Fraction(2, rights[-1].unit_count)
             frontier.append(len(classes) - 1)

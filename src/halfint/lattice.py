@@ -20,7 +20,12 @@ integers.  The Gram matrix is scaled to an integer matrix, its leading
 minors and eliminated rows come from fraction-free (Bareiss)
 elimination, and each coordinate's interval comes from isqrt of an
 integer budget, so neither floating point nor Fraction arithmetic
-enters the enumeration.
+enters the enumeration.  `count_by_value` and `short_vectors` enumerate
+the basis they are given, so `short_vectors` keeps the caller's
+coordinates.  Counts do not depend on the basis, so the counting callers
+(`Lattice4.norm_counts`, the ternary theta series) first reduce their
+integer Gram matrix with `lll_gram`: on a raw Hermite basis most
+intervals of the enumeration tree come out empty.
 """
 
 from __future__ import annotations
@@ -112,12 +117,82 @@ def _bareiss(A):
     return minors, A
 
 
+def lll_gram(gram: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The Gram matrix of an LLL-reduced basis (delta = 3/4) of the lattice
+    with positive-definite integer Gram matrix `gram`.
+
+    Integral LLL on the Gram matrix alone (Cohen, GTM 138, Alg. 2.6.7,
+    after Lenstra-Lenstra-Lovasz, Math. Ann. 261, 1982): d[k] is the k-th
+    leading minor of the current basis and lam[k][j] = d[j+1] mu_kj its
+    scaled Gram-Schmidt coefficients, all integers, and every basis
+    change is applied to the Gram matrix as a row and a column operation.
+    Raises ValueError when the form is not positive definite.
+    """
+    n = len(gram)
+    G = [list(row) for row in gram]
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+
+    def reduce(k: int, l: int) -> None:
+        # b_k -= q b_l with q the integer nearest to mu_kl
+        if 2 * abs(lam[k][l]) <= d[l + 1]:
+            return
+        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+        for j in range(n):
+            G[k][j] -= q * G[l][j]
+        for j in range(n):
+            G[j][k] -= q * G[j][l]
+        lam[k][l] -= q * d[l + 1]
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
+
+    k, kmax = 0, -1
+    while k < n:
+        if k > kmax:
+            # incremental Gram-Schmidt for the new vector b_k
+            kmax = k
+            for j in range(k + 1):
+                u = G[k][j]
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u <= 0:
+                    raise ValueError("form is not positive definite")
+                else:
+                    d[k + 1] = u
+        if k == 0:
+            k = 1
+            continue
+        reduce(k, k - 1)
+        mu = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * mu * mu:
+            # the Lovasz condition fails: exchange b_k and b_{k-1}
+            G[k], G[k - 1] = G[k - 1], G[k]
+            for row in G:
+                row[k], row[k - 1] = row[k - 1], row[k]
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            new = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - mu * t) // d[k]
+                lam[i][k - 1] = (new * t + mu * lam[i][k]) // d[k + 1]
+            d[k] = new
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return G
+
+
 def _fincke_pohst(gram, bound):
     """Integer-exact Fincke-Pohst enumeration (Math. Comp. 44, 1985), one
     innermost line at a time.
 
     With A = den * gram over the integers (den the lcm of the entries'
-    denominators) and M_k its leading minors,
+    denominators, 1 for an integer gram) and M_k its leading minors,
 
         den * Q(c) = sum_i (M_{i+1} c_i + s_i)^2 / (M_i M_{i+1}),
 
@@ -132,9 +207,10 @@ def _fincke_pohst(gram, bound):
     used + w * (m * x + s)^2.
     """
     n = len(gram)
-    gram = [[Fraction(x) for x in row] for row in gram]
     den = lcm(*(x.denominator for row in gram for x in row))
-    minors, rows = _bareiss([[int(x * den) for x in row] for row in gram])
+    minors, rows = _bareiss(
+        [[x.numerator * (den // x.denominator) for x in row] for row in gram]
+    )
     scale = lcm(*(minors[i] * minors[i + 1] for i in range(n)))
     weights = [scale // (minors[i] * minors[i + 1]) for i in range(n)]
     top = scale * (bound.numerator * den // bound.denominator)
@@ -376,17 +452,16 @@ class Lattice4:
         return 4 * self.alg.a * self.alg.b * self.det()
 
     def norm_counts(self, bound, scale=1) -> dict[int, int]:
-        """#{x in L : nrd(x) = n * scale} for integer n <= bound."""
-        scale = Fraction(scale)
-        num, den = scale.denominator, scale.numerator * self.den * self.den
-        gram = [[Fraction(x * num, den) for x in row] for row in self.int_gram()]
+        """#{x in L : nrd(x) = n * scale} for integer n <= bound, counted
+        on the LLL-reduced integer Gram matrix."""
+        # nrd(x) = n * scale exactly when x^t G x = n * unit, G = int_gram
+        unit = Fraction(scale) * self.den * self.den
         out: dict[int, int] = {}
-        for val, count in count_by_value(gram, bound).items():
-            if val.denominator != 1:
-                raise IntegralityError(
-                    f"norm {val * scale} is not a multiple of {scale}"
-                )
-            out[int(val)] = count
+        for val, count in count_by_value(lll_gram(self.int_gram()), bound * unit).items():
+            n = val / unit
+            if n.denominator != 1:
+                raise IntegralityError(f"norm {n * scale} is not a multiple of {scale}")
+            out[int(n)] = count
         return out
 
     # -- order-related -------------------------------------------------------

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .brandt import Eigenform, IdealClassSet
 from .errors import IntegralityError, PrecisionError
-from .lattice import Lattice4, Order, count_by_value
+from .lattice import Lattice4, Order, count_by_value, lll_gram
 from .numth import is_prime, kronecker, squarefree_part
 from .qexp import QExpansion
 from .quat import Quat, QuaternionAlgebra, trd
@@ -53,8 +54,11 @@ class TernaryLattice:
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
     def counts_by_norm(self, bound: int) -> dict[Fraction, int]:
-        """Histogram {norm: count} over the lattice, norms <= bound."""
-        return count_by_value([list(r) for r in self.gram], bound)
+        """Histogram {norm: count} over the lattice, norms <= bound,
+        counted on the LLL-reduced integer Gram matrix."""
+        den = lcm(*(x.denominator for row in self.gram for x in row))
+        gram = lll_gram([[int(x * den) for x in row] for row in self.gram])
+        return {val / den: count for val, count in count_by_value(gram, bound * den).items()}
 
 
 def trace_zero_lattice(order: Order) -> TernaryLattice:

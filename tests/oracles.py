@@ -240,6 +240,19 @@ def count_by_value_ref(gram, bound):
     return out
 
 
+def is_lll_reduced_ref(gram):
+    """Whether the basis with this Gram matrix is LLL-reduced for delta =
+    3/4, by exact Gram-Schmidt over Fractions: |mu_kj| <= 1/2 for j < k,
+    and |b*_k|^2 >= (3/4 - mu_k,k-1^2) |b*_k-1|^2."""
+    d, u = _ldl_ref(gram)  # d[k] = |b*_k|^2 and u[j][k] = mu_kj
+    n = len(gram)
+    size_reduced = all(abs(u[j][k]) <= Fraction(1, 2) for k in range(n) for j in range(k))
+    lovasz = all(
+        d[k] >= (Fraction(3, 4) - u[k - 1][k] ** 2) * d[k - 1] for k in range(1, n)
+    )
+    return size_reduced and lovasz
+
+
 # ---------------------------------------------------------------------------
 # Quaternion lattice algebra over Fractions: Gauss-Jordan inverses and
 # dual lattices, the route the library's integer Hermite-form operations
@@ -377,3 +390,34 @@ def left_kernel_ref(M):
             v[c] = -red[r][f]
         basis.append(v)
     return basis
+
+
+# ---------------------------------------------------------------------------
+# Ideal classes by testing every new neighbour against every class found,
+# the scan the library's key buckets replaced.
+# ---------------------------------------------------------------------------
+
+
+def ideal_classes_ref(order):
+    """The left ideal classes in breadth-first discovery order, each
+    neighbour tested for equivalence against all classes so far."""
+    from halfint.brandt import _neighbors, eichler_mass, equivalent_ideals
+    from halfint.lattice import Order, right_order_lattice
+
+    target = eichler_mass(order.alg.discriminant, order.reduced_discriminant)
+    classes, rights = [order.lattice], [order]
+    mass = Fraction(2, order.unit_count)
+    frontier = [0]
+    while mass < target and frontier:
+        idx = frontier.pop(0)
+        for J in _neighbors(classes[idx], rights[idx]):
+            if any(equivalent_ideals(J, C) for C in classes):
+                continue
+            classes.append(J)
+            rights.append(Order(right_order_lattice(J)))
+            mass += Fraction(2, rights[-1].unit_count)
+            frontier.append(len(classes) - 1)
+            if mass >= target:
+                break
+    assert mass == target
+    return classes

@@ -10,6 +10,7 @@ import oracles
 from halfint.brandt import (
     Eigenform,
     IdealClassSet,
+    _class_key,
     _left_kernel,
     cuspidal_eigenlines,
     eichler_mass,
@@ -18,8 +19,10 @@ from halfint.brandt import (
     rational_eigenlines,
     _neighbors,
 )
+from halfint.cli import _odd_subsets
 from halfint.errors import IrrationalEigenspaceError
 from halfint.lattice import Lattice4, eichler_order
+from halfint.numth import prime_factors
 from halfint.quat import QuaternionAlgebra, algebra_ramified_at
 
 
@@ -94,6 +97,25 @@ def test_equivalence_relation(level15):
     assert equivalent_ideals(Ix, I)
     # distinct classes are not equivalent
     assert not equivalent_ideals(C.classes[0], C.classes[1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4).filter(any),
+)
+def test_class_key_is_invariant_under_right_multiplication(level33, index, x):
+    I = level33.classes[index]
+    alg = I.alg
+    Ix = Lattice4.from_vectors(alg, [alg.mul(b, tuple(x)) for b in I.basis()])
+    assert _class_key(Ix) == _class_key(I)
+
+
+@pytest.mark.parametrize("level", [11, 15, 21, 33, 35, 37, 57, 67, 105])
+def test_bucketed_classes_match_all_pairs_scan(level):
+    for ramified in _odd_subsets(prime_factors(level)):
+        order = eichler_order(algebra_ramified_at(list(ramified)), level)
+        assert ideal_classes(order).classes == oracles.ideal_classes_ref(order)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import oracles
 
-from halfint.errors import MaximalOrderNotFoundError
+from halfint.errors import IntegralityError, MaximalOrderNotFoundError
 from halfint.lattice import (
     Lattice4,
     Order,
@@ -18,6 +18,7 @@ from halfint.lattice import (
     eichler_order,
     hnf_rows,
     left_order_lattice,
+    lll_gram,
     maximal_order,
     right_order_lattice,
     short_vectors,
@@ -151,6 +152,58 @@ def test_short_vectors_match_ldl_oracle(form):
     box = max(isqrt(int(bound * inv[i][i])) for i in range(len(gram)))
     assume(box <= 4)
     assert count_by_value(gram, bound) == _brute_counts(gram, bound, box)
+
+
+@st.composite
+def _integer_forms(draw):
+    """Integer Gram matrices B^t B + s I of rank 1-4 with s in [-2, 2], so
+    that some are not positive definite, and integer bounds up to 12."""
+    n = draw(st.integers(1, 4))
+    B = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    s = draw(st.integers(-2, 2))
+    gram = [
+        [sum(B[k][i] * B[k][j] for k in range(n)) + s * (i == j) for j in range(n)]
+        for i in range(n)
+    ]
+    return gram, draw(st.integers(0, 12))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_integer_forms())
+def test_lll_gram_reduces_and_keeps_counts(form):
+    gram, bound = form
+    n = len(gram)
+    # Sylvester: positive definite iff every leading minor is positive
+    if any(oracles.mat_det([row[:k] for row in gram[:k]]) <= 0 for k in range(1, n + 1)):
+        with pytest.raises(ValueError):
+            lll_gram(gram)
+        return
+    reduced = lll_gram(gram)
+    assert all(type(x) is int for row in reduced for x in row)
+    assert oracles.mat_det(reduced) == oracles.mat_det(gram)
+    assert oracles.is_lll_reduced_ref(reduced)
+    # integer entries count exactly as the same entries as Fractions
+    as_fractions = [[Fraction(x) for x in row] for row in gram]
+    assert list(count_by_value(gram, bound).items()) == list(
+        count_by_value(as_fractions, bound).items()
+    )
+    inv = oracles.mat_inv(gram)
+    box = max(isqrt(int(bound * inv[i][i])) for i in range(n))
+    assume(box <= 4)
+    assert count_by_value(reduced, bound) == _brute_counts(gram, bound, box)
+
+
+def test_norm_counts_scale():
+    L = _std(B25)  # nrd = x0^2 + 2 x1^2 + 5 x2^2 + 10 x3^2
+    counts = {0: 1, 1: 2, 2: 2, 3: 4, 4: 2, 5: 2, 6: 8}
+    assert L.norm_counts(6) == counts
+    assert L.norm_counts(12, scale=Fraction(1, 2)) == {2 * n: c for n, c in counts.items()}
+    assert L.scale(Fraction(1, 3)).norm_counts(6, scale=Fraction(1, 9)) == counts
+    with pytest.raises(IntegralityError):
+        L.norm_counts(6, scale=2)
+    with pytest.raises(IntegralityError):
+        L.scale(Fraction(1, 3)).norm_counts(6)
 
 
 # ---------------------------------------------------------------------------
