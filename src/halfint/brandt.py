@@ -12,6 +12,13 @@ Conventions used throughout (and pinned by the tests):
   so B(1) is the identity and coefficient vectors act as rows, v -> vB;
 * a cuspidal rational eigenline is normalized primitive integral with
   positive first nonzero entry.
+
+Pair lattices conj(I_j) I_i are built from two left generators of I_i
+(`_left_generators`, found once per class): when I_i = O y1 + O y2 for
+the base order O, conj(I_j) I_i = conj(I_j) O y1 + conj(I_j) O y2, and
+conj(I_j) O = conj(I_j) because conj(I_j) is a right O-ideal (I_j has
+left order O).  So the 8 products of conj(I_j)'s rows with y1, y2 span
+the same lattice as the 16 products of the two bases.
 """
 
 from __future__ import annotations
@@ -80,6 +87,7 @@ def _neighbors(ideal: Lattice4, right: Order, p: int = NEIGHBOR_PRIME) -> Iterat
     alg = ideal.alg
     rden, rrows = right.lattice.den, right.lattice.rows
     seen = set()
+    # p is prime to the level, so the scan stops after the p+1 neighbours
     for coeffs in itertools.product(range(p), repeat=4):
         if not any(coeffs):
             continue
@@ -99,6 +107,8 @@ def _neighbors(ideal: Lattice4, right: Order, p: int = NEIGHBOR_PRIME) -> Iterat
             continue
         seen.add(key)
         yield J
+        if len(seen) == p + 1:
+            return
 
 
 def _is_principal(lat: Lattice4) -> bool:
@@ -111,6 +121,27 @@ def _is_principal(lat: Lattice4) -> bool:
 def equivalent_ideals(I: Lattice4, J: Lattice4) -> bool:
     """Left ideals are isomorphic iff conj(I) J is principal."""
     return _is_principal(I.conjugate().product(J))
+
+
+def _left_generators(order: Order, I: Lattice4) -> tuple[tuple[int, ...], ...]:
+    """Integer rows y over I.den with I = sum of the O y, O = `order`: the
+    first pair (rows[0], rows[r]), r = 1, 2, 3, that generates I, else
+    the four basis rows (1 is in O, so they always do)."""
+    mul, O = I.alg.mul, order.lattice
+    for r in (1, 2, 3):
+        pair = (I.rows[0], I.rows[r])
+        products = [mul(o, y) for o in O.rows for y in pair]
+        if Lattice4.from_int_rows(I.alg, O.den * I.den, products) == I:
+            return pair
+    return I.rows
+
+
+def _pair_lattice(conj_j: Lattice4, I: Lattice4, gens) -> Lattice4:
+    """conj(I_j) I_i from conj_j = conj(I_j) and the left generators
+    `gens` of I = I_i; I_j must have left order O (module docstring)."""
+    mul = I.alg.mul
+    products = [mul(x, y) for x in conj_j.rows for y in gens]
+    return Lattice4.from_int_rows(I.alg, conj_j.den * I.den, products)
 
 
 def _class_key(I: Lattice4) -> tuple[int, ...]:
@@ -126,10 +157,14 @@ def _class_key(I: Lattice4) -> tuple[int, ...]:
 class IdealClassSet:
     """The left ideal classes of a definite order, with cached counts."""
 
-    def __init__(self, order: Order, classes: list[Lattice4], rights: list[Order]):
+    def __init__(
+        self, order: Order, classes: list[Lattice4], rights: list[Order], gens: list
+    ):
         self.order = order
         self.classes = classes
         self.rights = rights
+        # gens[i] generate classes[i] as a left ideal (`_left_generators`)
+        self.gens = gens
         # raw counts per unordered pair (i <= j), complete up to degree _counted
         self._counts: dict[tuple[int, int], dict[int, int]] = {}
         self._counted = 0
@@ -181,7 +216,7 @@ class IdealClassSet:
         for j in range(self.h):
             conj_j = self.classes[j].conjugate()
             for i in range(j + 1):
-                P = conj_j.product(self.classes[i])
+                P = _pair_lattice(conj_j, self.classes[i], self.gens[i])
                 self._counts[i, j] = P.norm_counts(nmax, scale=P.norm_content())
         self._counted = nmax
 
@@ -240,6 +275,9 @@ class IdealClassSet:
         commute; IntegralityError when the stored unit counts disagree
         with the lattices.  Only classes with equal keys (`_class_key`) are
         tested for equivalence: the keys skip only tests that must fail.
+        The equivalence tests build pair lattices from left generators (see
+        the module docstring), which is sound only because `_stored_class`
+        has first proved that every class has left order `order`.
         """
         classes = [_stored_class(order, c) for c in state["classes"]]
         if len(state["unit_counts"]) != len(classes):
@@ -249,13 +287,15 @@ class IdealClassSet:
             if r.unit_count != int(e):
                 raise IntegralityError("cached unit counts disagree with lattices")
         keys = [_class_key(c) for c in classes]
+        gens = [_left_generators(order, c) for c in classes]
         if any(
-            keys[i] == keys[j] and equivalent_ideals(classes[i], classes[j])
+            keys[i] == keys[j]
+            and _is_principal(_pair_lattice(classes[i].conjugate(), classes[j], gens[j]))
             for j in range(len(classes))
             for i in range(j)
         ):
             raise ValueError("two cached classes are equivalent")
-        out = cls(order, classes, rights)
+        out = cls(order, classes, rights, gens)
         if out.mass != eichler_mass(order.alg.discriminant, out.level):
             raise ValueError("cached classes do not have the Eichler mass")
         es, level, ramified = out.unit_counts, out.level, order.alg.ramified
@@ -326,6 +366,7 @@ def ideal_classes(order: Order) -> IdealClassSet:
     target = eichler_mass(order.alg.discriminant, order.reduced_discriminant)
     classes = [order.lattice]
     keys = [_class_key(order.lattice)]
+    gens = [_left_generators(order, order.lattice)]
     rights = [order]
     mass = Fraction(2, order.unit_count)
     frontier = [0]
@@ -333,10 +374,14 @@ def ideal_classes(order: Order) -> IdealClassSet:
         idx = frontier.pop(0)
         for J in _neighbors(classes[idx], rights[idx]):
             key = _class_key(J)
-            if any(k == key and equivalent_ideals(J, C) for k, C in zip(keys, classes)):
+            if any(
+                k == key and _is_principal(_pair_lattice(J.conjugate(), C, g))
+                for k, C, g in zip(keys, classes, gens)
+            ):
                 continue
             classes.append(J)
             keys.append(key)
+            gens.append(_left_generators(order, J))
             rights.append(Order(right_order_lattice(J)))
             mass += Fraction(2, rights[-1].unit_count)
             frontier.append(len(classes) - 1)
@@ -346,7 +391,7 @@ def ideal_classes(order: Order) -> IdealClassSet:
         raise MassMismatchError(
             f"class search ended with mass {mass}, expected {target}"
         )
-    return IdealClassSet(order, classes, rights)
+    return IdealClassSet(order, classes, rights, gens)
 
 
 # ---------------------------------------------------------------------------

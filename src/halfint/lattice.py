@@ -13,6 +13,14 @@ Fractions enter only through `from_vectors` and `contains` and leave
 only through the view `basis` (and the rational invariants `gram`, `det`,
 `norm_content` and `reduced_discriminant`).
 
+`hnf_rows` brings each column to echelon form around the row whose entry
+there has the smallest nonzero absolute value.  A row whose entry that
+pivot divides is cleared by one row subtraction; any other row is
+combined with the pivot row by the Bezout coefficients of the two
+entries, taken from `math.gcd` and a modular inverse (`pow(x, -1, m)`),
+and the pivot becomes their gcd.  The Hermite form is unique, so the
+pivot rule changes only the work done, never the rows returned.
+
 The module also carries the exact positive-definite enumeration used
 everywhere counts of lattice points by norm are needed (theta series,
 Brandt counts, unit counts): a Fincke-Pohst enumerator that runs in
@@ -41,7 +49,7 @@ from .errors import (
     IntegralityError,
     MaximalOrderNotFoundError,
 )
-from .numth import prime_factors, xgcd
+from .numth import prime_factors
 from .quat import Quat, QuaternionAlgebra, conj
 
 # ---------------------------------------------------------------------------
@@ -54,7 +62,8 @@ def hnf_rows(rows: Iterable[Sequence[int]]) -> list[list[int]]:
 
     Returns the nonzero echelon rows: upper triangular in the pivot
     columns, positive pivots, entries above each pivot reduced into
-    [0, pivot).  Unimodular row operations only.
+    [0, pivot).  Unimodular row operations only; the pivot rule is in
+    the module docstring.
     """
     mat = [list(r) for r in rows if any(r)]
     if not mat:
@@ -62,25 +71,36 @@ def hnf_rows(rows: Iterable[Sequence[int]]) -> list[list[int]]:
     ncols = len(mat[0])
     pivot_row = 0
     for col in range(ncols):
-        idx = [r for r in range(pivot_row, len(mat)) if mat[r][col] != 0]
-        if not idx:
+        live = [r for r in range(pivot_row, len(mat)) if mat[r][col]]
+        if not live:
             continue
-        if idx[0] != pivot_row:
-            # the displaced row had a zero in this column, so idx[1:] are
-            # still the positions left to clear
-            mat[pivot_row], mat[idx[0]] = mat[idx[0]], mat[pivot_row]
-        for r in idx[1:]:
-            a, b = mat[pivot_row][col], mat[r][col]
-            if b == 0:
+        best = min(live, key=lambda r: abs(mat[r][col]))
+        mat[pivot_row], mat[best] = mat[best], mat[pivot_row]
+        prow = mat[pivot_row]
+        for r in range(pivot_row + 1, len(mat)):
+            row = mat[r]
+            b = row[col]
+            if not b:
                 continue
-            g, s, t = xgcd(a, b)
-            row_p, row_r = mat[pivot_row], mat[r]
-            new_p = [s * x + t * y for x, y in zip(row_p, row_r)]
-            new_r = [(a // g) * y - (b // g) * x for x, y in zip(row_p, row_r)]
-            mat[pivot_row], mat[r] = new_p, new_r
-        if mat[pivot_row][col] < 0:
-            mat[pivot_row] = [-x for x in mat[pivot_row]]
-        piv = mat[pivot_row][col]
+            a = prow[col]
+            if b % a == 0:
+                q = b // a
+                mat[r] = [y - q * x for x, y in zip(prow, row)]
+                continue
+            # s a + t b = g with s = (a/g)^-1 mod |b/g|; the 2 x 2 step
+            # [[s, t], [-b/g, a/g]] has determinant (s a + t b) / g = 1
+            g = gcd(a, b)
+            ag, bg = a // g, b // g
+            s = pow(ag, -1, abs(bg))
+            t = (g - s * a) // b
+            prow, mat[r] = (
+                [s * x + t * y for x, y in zip(prow, row)],
+                [ag * y - bg * x for x, y in zip(prow, row)],
+            )
+        if prow[col] < 0:
+            prow = [-x for x in prow]
+        mat[pivot_row] = prow
+        piv = prow[col]
         for r in range(pivot_row):
             q = mat[r][col] // piv
             if q:

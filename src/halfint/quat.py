@@ -9,13 +9,14 @@ reduced norm positive definite, which everything downstream relies on.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
 from .errors import EvenRootNumberError, SearchExhaustedError
-from .numth import hilbert, hilbert_support, is_prime
+from .numth import divisors, hilbert, hilbert_support, is_prime
 
 Quat = tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -118,7 +119,10 @@ def algebra_ramified_at(
 
     The set must consist of distinct primes, odd in number (the infinite
     place makes the total even).  Presentations are scanned by a*b
-    ascending, then a ascending, so the result is canonical.
+    ascending, then a ascending, so the result is canonical.  Only the
+    multiples of the odd target primes' product are tried for a*b: the
+    Hilbert symbol (-a, -b)_p is 1 at an odd prime p not dividing ab, so
+    every other a*b leaves some odd target prime unramified.
     """
     target = tuple(sorted(set(finite_primes)))
     if len(target) % 2 == 0:
@@ -129,17 +133,15 @@ def algebra_ramified_at(
     for p in target:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-    for prod in itertools.count(1):
+    step = math.prod(p for p in target if p != 2)
+    for prod in itertools.count(step, step):
         if prod > search_bound:
             raise SearchExhaustedError(
                 f"no presentation with a*b <= {search_bound} ramifies at {list(target)}"
             )
-        for a in range(1, prod + 1):
-            if prod % a:
-                continue
-            b = prod // a
-            if _ramified(a, b) == target:
-                return QuaternionAlgebra(a, b)
+        for a in divisors(prod):
+            if _ramified(a, prod // a) == target:
+                return QuaternionAlgebra(a, prod // a)
 
 
 def algebra_for_level(N: int, signs: dict[int, int]) -> QuaternionAlgebra:

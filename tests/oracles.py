@@ -12,9 +12,13 @@ import functools
 from fractions import Fraction
 from math import isqrt
 
+import itertools
+
 import numpy as np
 
-from halfint.lattice import Lattice4
+from halfint.lattice import Lattice4, combine
+from halfint.numth import divisors, xgcd
+from halfint.quat import QuaternionAlgebra, _ramified
 
 
 def squarefree_part_ref(n: int) -> int:
@@ -421,3 +425,104 @@ def ideal_classes_ref(order):
                 break
     assert mass == target
     return classes
+
+
+# ---------------------------------------------------------------------------
+# Row Hermite form pivoting on the first nonzero entry of each column and
+# combining every other row with it by the extended Euclidean algorithm,
+# the routine the library's smallest-pivot version replaced.
+# ---------------------------------------------------------------------------
+
+
+def hnf_rows_ref(rows):
+    """Nonzero rows of the row Hermite normal form (positive pivots,
+    entries above each pivot reduced into [0, pivot))."""
+    mat = [list(r) for r in rows if any(r)]
+    if not mat:
+        return []
+    ncols = len(mat[0])
+    pivot_row = 0
+    for col in range(ncols):
+        idx = [r for r in range(pivot_row, len(mat)) if mat[r][col] != 0]
+        if not idx:
+            continue
+        if idx[0] != pivot_row:
+            # the displaced row had a zero in this column, so idx[1:] are
+            # still the positions left to clear
+            mat[pivot_row], mat[idx[0]] = mat[idx[0]], mat[pivot_row]
+        for r in idx[1:]:
+            a, b = mat[pivot_row][col], mat[r][col]
+            if b == 0:
+                continue
+            g, s, t = xgcd(a, b)
+            row_p, row_r = mat[pivot_row], mat[r]
+            new_p = [s * x + t * y for x, y in zip(row_p, row_r)]
+            new_r = [(a // g) * y - (b // g) * x for x, y in zip(row_p, row_r)]
+            mat[pivot_row], mat[r] = new_p, new_r
+        if mat[pivot_row][col] < 0:
+            mat[pivot_row] = [-x for x in mat[pivot_row]]
+        piv = mat[pivot_row][col]
+        for r in range(pivot_row):
+            q = mat[r][col] // piv
+            if q:
+                mat[r] = [x - q * y for x, y in zip(mat[r], mat[pivot_row])]
+        pivot_row += 1
+        if pivot_row == len(mat):
+            break
+    return [r for r in mat[:pivot_row] if any(r)]
+
+
+# ---------------------------------------------------------------------------
+# Brandt neighbours by scanning every residue mod p, the scan the library
+# stops once it has found the p + 1 neighbours.
+# ---------------------------------------------------------------------------
+
+
+def neighbors_ref(ideal, right, p=2):
+    """The distinct index-p^2 subideals I x + p I, in residue scan order."""
+    alg = ideal.alg
+    rden, rrows = right.lattice.den, right.lattice.rows
+    out = []
+    for coeffs in itertools.product(range(p), repeat=4):
+        if not any(coeffs):
+            continue
+        x = combine(rrows, coeffs)
+        if alg.nrd(x) % (p * rden * rden):
+            continue
+        J = Lattice4.from_int_rows(
+            alg,
+            ideal.den * rden,
+            [alg.mul(row, x) for row in ideal.rows]
+            + [[p * rden * t for t in row] for row in ideal.rows],
+        )
+        if ideal.index_over(J) == p * p and J not in out:
+            out.append(J)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Canonical algebra presentations by trying every a * b in turn, the scan
+# the library's search over multiples of the odd target primes replaced.
+# One pass serves many targets: each gets the first (a, b) of the scan.
+# ---------------------------------------------------------------------------
+
+
+def algebra_ramified_at_ref(targets):
+    """{target: the first (-a, -b) in the order a * b ascending, then a
+    ascending, with finite ramification exactly `target`}, for sorted
+    tuples of primes."""
+    left = set(targets)
+    out = {}
+    ramified = {}  # (-a, -b) and (-b, -a) ramify at the same primes
+    for prod in itertools.count(1):
+        for a in divisors(prod):
+            b = prod // a
+            key = (min(a, b), max(a, b))
+            if key not in ramified:
+                ramified[key] = _ramified.__wrapped__(a, b)
+            target = ramified[key]
+            if target in left:
+                out[target] = QuaternionAlgebra(a, b)
+                left.discard(target)
+                if not left:
+                    return out

@@ -12,6 +12,7 @@ from halfint.brandt import (
     IdealClassSet,
     _class_key,
     _left_kernel,
+    _pair_lattice,
     cuspidal_eigenlines,
     eichler_mass,
     equivalent_ideals,
@@ -118,6 +119,26 @@ def test_bucketed_classes_match_all_pairs_scan(level):
         assert ideal_classes(order).classes == oracles.ideal_classes_ref(order)
 
 
+@pytest.mark.parametrize("level", [15, 21, 33, 35, 37, 57, 67, 105])
+def test_generators_pair_lattices_and_neighbors(level):
+    for ramified in _odd_subsets(prime_factors(level)):
+        C = ideal_classes(eichler_order(algebra_ramified_at(list(ramified)), level))
+        alg, O = C.alg, C.order
+        for I, gens in zip(C.classes, C.gens):
+            assert len(gens) == 2
+            ys = [tuple(Fraction(x, I.den) for x in y) for y in gens]
+            assert Lattice4.from_vectors(
+                alg, [alg.mul(o, y) for o in O.basis() for y in ys]
+            ) == I
+        for j, I_j in enumerate(C.classes):
+            conj_j = I_j.conjugate()
+            for i in range(j + 1):
+                I_i = C.classes[i]
+                assert _pair_lattice(conj_j, I_i, C.gens[i]) == conj_j.product(I_i)
+        for I, right in zip(C.classes, C.rights):
+            assert list(_neighbors(I, right)) == oracles.neighbors_ref(I, right)
+
+
 # ---------------------------------------------------------------------------
 # degree matrices
 # ---------------------------------------------------------------------------
@@ -169,7 +190,7 @@ def test_height_symmetry(level15, level33):
 def test_one_pass_counts_match_per_degree_recounts(level33, monkeypatch):
     # a planned class set counts each unordered pair once, up to the planned
     # degree, and its matrices agree with recounting every ordered pair
-    C = IdealClassSet(level33.order, level33.classes, level33.rights)
+    C = IdealClassSet(level33.order, level33.classes, level33.rights, level33.gens)
     assert C.h >= 3
     passes = []
     original = Lattice4.norm_counts
@@ -338,6 +359,15 @@ def test_state_roundtrip(level15):
     assert C2.brandt(11) == C.brandt(11)
     f = cuspidal_eigenlines(C2)[0]
     assert f.vector == (1, -1)
+
+
+@pytest.mark.parametrize("level", [37, 67])
+def test_state_roundtrip_with_equal_keys(level):
+    # distinct classes share a key here, so `from_state` runs equivalence
+    # tests that must all come out false
+    C = ideal_classes(eichler_order(algebra_ramified_at([level]), level))
+    assert len(set(map(_class_key, C.classes))) < C.h
+    assert IdealClassSet.from_state(C.order, C.to_state()).classes == C.classes
 
 
 def test_apply_is_row_action(level15):

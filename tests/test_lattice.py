@@ -75,6 +75,35 @@ def test_hnf_rank_deficient():
     assert hnf_rows([[0, 0, 0, 0]]) == []
 
 
+@st.composite
+def _int_matrices(draw):
+    """1-16 rows of 1-8 entries in [-50, 50]: fresh rows, zero rows,
+    repeats and sums or differences of a few base rows, so that the rank
+    often falls short of both dimensions."""
+    ncols = draw(st.integers(1, 8))
+    base = draw(
+        st.lists(st.lists(st.integers(-25, 25), min_size=ncols, max_size=ncols),
+                 min_size=1, max_size=4)
+    )
+    fresh = st.lists(st.integers(-50, 50), min_size=ncols, max_size=ncols)
+    row = st.one_of(
+        fresh,
+        st.just([0] * ncols),
+        st.sampled_from(base),
+        st.builds(
+            lambda x, y, sign: [s + sign * t for s, t in zip(x, y)],
+            st.sampled_from(base), st.sampled_from(base), st.sampled_from((1, -1)),
+        ),
+    )
+    return draw(st.lists(row, min_size=1, max_size=16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_matrices())
+def test_hnf_matches_euclidean_reference(rows):
+    assert hnf_rows(rows) == oracles.hnf_rows_ref(rows)
+
+
 # ---------------------------------------------------------------------------
 # exact short-vector enumeration vs. box brute force
 # ---------------------------------------------------------------------------

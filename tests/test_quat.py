@@ -1,13 +1,15 @@
 """Tests for quaternion arithmetic and algebra selection."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from halfint import numth
-from halfint.errors import EvenRootNumberError
+from halfint.errors import EvenRootNumberError, SearchExhaustedError
 from halfint.quat import (
     I,
     J,
@@ -122,6 +124,23 @@ def test_canonical_search_minimality():
     for prod in range(1, 10):
         for a in numth.divisors(prod):
             assert QuaternionAlgebra(a, prod // a).ramified != (5,)
+
+
+def test_search_over_odd_multiples_matches_full_scan():
+    odd = [p for p in range(3, 24) if numth.is_prime(p)]
+    targets = [S for k in (1, 3) for S in itertools.combinations(odd, k)]
+    targets += [(2,), (2, 3, 5)]
+    expected = oracles.algebra_ramified_at_ref(targets)
+    assert {S: algebra_ramified_at(S) for S in targets} == expected
+
+
+@pytest.mark.parametrize("target", [(5,), (2, 3, 5), (13, 17, 23)])
+def test_search_bound_still_exhausts(target):
+    found = algebra_ramified_at(target)
+    prod = found.a * found.b
+    assert algebra_ramified_at(target, search_bound=prod) == found
+    with pytest.raises(SearchExhaustedError):
+        algebra_ramified_at(target, search_bound=prod - 1)
 
 
 def test_even_sets_rejected():
