@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import (
     IntegralityError,
@@ -38,16 +38,13 @@ from .errors import (
 from .lattice import (
     Lattice4,
     Order,
+    _neighbors,
     combine,
     hnf_rows,
     left_order_lattice,
     right_order_lattice,
 )
 from .numth import is_prime, prime_factors, primes
-
-# deterministic neighbor prime: levels are odd and ramification sets
-# consist of odd primes, so 2 always splits and is prime to the level
-NEIGHBOR_PRIME = 2
 
 # degree up to which a class key counts norms (see `_class_key`)
 KEY_DEGREE = 6
@@ -79,36 +76,6 @@ def eichler_mass(D: int, N: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # ideal classes
 # ---------------------------------------------------------------------------
-
-
-def _neighbors(ideal: Lattice4, right: Order, p: int = NEIGHBOR_PRIME) -> Iterator[Lattice4]:
-    """Distinct index-p^2 subideals I x + p I over rank-one residues x of
-    the right order mod p (the p+1 neighbors in the Brandt graph)."""
-    alg = ideal.alg
-    rden, rrows = right.lattice.den, right.lattice.rows
-    seen = set()
-    # p is prime to the level, so the scan stops after the p+1 neighbours
-    for coeffs in itertools.product(range(p), repeat=4):
-        if not any(coeffs):
-            continue
-        x = combine(rrows, coeffs)  # the residue is x / rden
-        if alg.nrd(x) % (p * rden * rden):
-            continue  # invertible residue: J would be all of I
-        J = Lattice4.from_int_rows(
-            alg,
-            ideal.den * rden,
-            [alg.mul(row, x) for row in ideal.rows]
-            + [[p * rden * t for t in row] for row in ideal.rows],
-        )
-        if ideal.index_over(J) != p * p:
-            continue  # x vanished mod p against this ideal
-        key = (J.den, J.rows)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield J
-        if len(seen) == p + 1:
-            return
 
 
 def _is_principal(lat: Lattice4) -> bool:
@@ -505,9 +472,9 @@ def _refine(
         | set(itertools.takewhile(lambda q: q <= prime_bound, primes()))
     )
     refine_primes = sorted(signs) + [p for p in default_order if p not in signs]
-    if signs:
-        # one counting pass serves all the pinned primes refined first
-        class_set.plan(max(signs))
+    # one counting pass serves the pinned primes refined first and the
+    # ORDER_PRIMES that `_by_small_eigenvalues` asks for afterwards
+    class_set.plan(max([*signs, *ORDER_PRIMES]))
 
     for p in refine_primes:
         if not pending:

@@ -52,6 +52,10 @@ from .errors import (
 from .numth import prime_factors
 from .quat import Quat, QuaternionAlgebra, conj
 
+# deterministic neighbor prime: levels are odd and ramification sets
+# consist of odd primes, so 2 always splits and is prime to the level
+NEIGHBOR_PRIME = 2
+
 # ---------------------------------------------------------------------------
 # Hermite normal form
 # ---------------------------------------------------------------------------
@@ -570,101 +574,6 @@ class Order:
         return f"Order({self.lattice.rows}, den={self.lattice.den})"
 
 
-def _structure_constants(lat: Lattice4):
-    """c[r][s] = integer coefficient vector of b_r b_s over the basis."""
-    mul, sq = lat.alg.mul, lat.den * lat.den
-    out = []
-    for x in lat.rows:
-        row = []
-        for y in lat.rows:
-            coeffs = lat.coordinates(mul(x, y), sq)
-            if coeffs is None:
-                raise IntegralityError("basis does not close under products")
-            row.append(coeffs)
-        out.append(row)
-    return out
-
-
-def _kernel_mod_p(mat, p: int) -> list[list[int]]:
-    """Basis of {v : v M = 0 mod p} by elimination over F_p."""
-    n = len(mat)
-    M = [[mat[i][j] % p for j in range(len(mat[0]))] + [int(i == j) for j in range(n)]
-         for i in range(n)]
-    ncols = len(mat[0])
-    pivot_row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(pivot_row, n) if M[r][col] % p), None)
-        if piv is None:
-            continue
-        M[pivot_row], M[piv] = M[piv], M[pivot_row]
-        inv = pow(M[pivot_row][col], -1, p)
-        M[pivot_row] = [(x * inv) % p for x in M[pivot_row]]
-        for r in range(n):
-            if r != pivot_row and M[r][col] % p:
-                f = M[r][col]
-                M[r] = [(x - f * y) % p for x, y in zip(M[r], M[pivot_row])]
-        pivot_row += 1
-    # rows below the last pivot have zero data part; their augmented
-    # halves record the combinations that killed them
-    return [M[r][ncols:] for r in range(pivot_row, n)]
-
-
-def _radical_coeff_vectors(lat: Lattice4, p: int) -> list[list[int]]:
-    """Coefficient vectors spanning the Jacobson radical of O/pO."""
-    c = _structure_constants(lat)
-    if p != 2:
-        # trace form of the regular representation; its radical is the
-        # Jacobson radical when p is odd (quotients are matrix algebras
-        # over finite fields of characteristic not dividing their degree)
-        T = [
-            [
-                sum(c[r][u][t] * c[s][t][u] for u in range(4) for t in range(4)) % p
-                for s in range(4)
-            ]
-            for r in range(4)
-        ]
-        return _kernel_mod_p(T, p)
-    # p = 2: a residue lies in the radical iff multiplying by anything
-    # always gives a nilpotent (fourth powers vanish in dimension 4)
-    def mul_mod2(u, v):
-        out = [0, 0, 0, 0]
-        for r in range(4):
-            if not u[r]:
-                continue
-            for s in range(4):
-                if not v[s]:
-                    continue
-                for t in range(4):
-                    out[t] ^= (c[r][s][t] & 1)
-        return out
-
-    def nilpotent(v):
-        w = mul_mod2(v, v)
-        w = mul_mod2(w, w)
-        return not any(w)
-
-    members = []
-    residues = list(itertools.product((0, 1), repeat=4))
-    for v in residues:
-        if not any(v):
-            continue
-        if all(nilpotent(mul_mod2(list(v), list(y))) for y in residues):
-            members.append(list(v))
-    return hnf_rows(members) if members else []
-
-
-def _idealizer_step(lat: Lattice4, p: int) -> Lattice4 | None:
-    """One radical-idealizer improvement at p, or None if stuck."""
-    gens = [[p * x for x in row] for row in lat.rows]
-    gens += [combine(lat.rows, coeffs) for coeffs in _radical_coeff_vectors(lat, p)]
-    J = Lattice4.from_int_rows(lat.alg, lat.den, gens)
-    for order_of in (left_order_lattice, right_order_lattice):
-        cand = order_of(J)
-        if cand != lat and cand.contains_lattice(lat):
-            return cand
-    return None
-
-
 def _close_to_order(L: Lattice4) -> Lattice4 | None:
     """Smallest multiplicatively closed lattice containing L, or None if
     the generated lattice keeps growing (not integral)."""
@@ -679,7 +588,15 @@ def _close_to_order(L: Lattice4) -> Lattice4 | None:
 
 
 def _saturate_brute(lat: Lattice4, p: int) -> Lattice4 | None:
-    """Look for a strictly larger order inside (1/p) * lat."""
+    """A strictly larger order inside (1/p) lat, or None when lat is
+    maximal at p: the closure of lat and the first x in (1/p) lat, in the
+    fixed residue scan, that closes to an order strictly containing lat.
+
+    The scan is complete: if lat is properly contained in an order O' of
+    p-power index, then O'/lat has an element of order p, that is some
+    x not in lat with p x in lat, and the closure of lat and x stays
+    inside O'.
+    """
     alg, den = lat.alg, p * lat.den
     for coeffs in itertools.product(range(p), repeat=4):
         if not any(coeffs):
@@ -697,7 +614,8 @@ def _saturate_brute(lat: Lattice4, p: int) -> Lattice4 | None:
 
 
 def maximal_order(alg: QuaternionAlgebra) -> Order:
-    """A maximal order, grown from Z<1,i,j,k> by radical idealizers."""
+    """A maximal order, grown from Z<1,i,j,k> by saturation
+    (`_saturate_brute`) at the primes of the excess discriminant."""
     target = alg.discriminant
     lat = Lattice4.standard_order(alg)
     while True:
@@ -712,23 +630,52 @@ def maximal_order(alg: QuaternionAlgebra) -> Order:
             raise MaximalOrderNotFoundError(
                 f"discriminant {disc} does not refine to {target}"
             )
-        progressed = False
         for p in prime_factors(excess):
-            cand = _idealizer_step(lat, p)
-            if cand is None:
-                cand = _saturate_brute(lat, p)
+            cand = _saturate_brute(lat, p)
             if cand is not None:
                 lat = cand
-                progressed = True
                 break
-        if not progressed:
+        else:
             raise MaximalOrderNotFoundError(
                 f"stuck at discriminant {disc}, target {target}"
             )
 
 
+def _neighbors(ideal: Lattice4, right: Order, p: int = NEIGHBOR_PRIME) -> Iterator[Lattice4]:
+    """Distinct index-p^2 subideals I x + p I over rank-one residues x of
+    the right order mod p (the p+1 neighbors in the Brandt graph), for p
+    prime to the reduced discriminant of the right order."""
+    alg = ideal.alg
+    rden, rrows = right.lattice.den, right.lattice.rows
+    seen = set()
+    # p is prime to the level, so the scan stops after the p+1 neighbours
+    for coeffs in itertools.product(range(p), repeat=4):
+        if not any(coeffs):
+            continue
+        x = combine(rrows, coeffs)  # the residue is x / rden
+        if alg.nrd(x) % (p * rden * rden):
+            continue  # invertible residue: J would be all of I
+        J = Lattice4.from_int_rows(
+            alg,
+            ideal.den * rden,
+            [alg.mul(row, x) for row in ideal.rows]
+            + [[p * rden * t for t in row] for row in ideal.rows],
+        )
+        if ideal.index_over(J) != p * p:
+            continue  # x vanished mod p against this ideal
+        key = (J.den, J.rows)
+        if key in seen:
+            continue
+        seen.add(key)
+        yield J
+        if len(seen) == p + 1:
+            return
+
+
 def eichler_order(alg: QuaternionAlgebra, level: int) -> Order:
-    """An order of reduced discriminant `level` inside a maximal order.
+    """An order of reduced discriminant `level` inside a maximal order M:
+    M intersected with the right orders of the first neighbour of M at
+    each prime of the cofactor.
 
     level must be a multiple of the algebra discriminant with squarefree
     cofactor prime to it.
@@ -742,27 +689,13 @@ def eichler_order(alg: QuaternionAlgebra, level: int) -> Order:
     M = maximal_order(alg)
     lat = M.lattice
     for p in prime_factors(cofactor):
-        J = _index_p2_left_ideal(M.lattice, p)
-        R = right_order_lattice(J)
-        lat = lat.intersect(R)
+        J = next(_neighbors(M.lattice, M, p), None)
+        if J is None:
+            raise MaximalOrderNotFoundError(f"no index-{p}^2 ideal found")
+        lat = lat.intersect(right_order_lattice(J))
     order = Order(lat)
     if order.reduced_discriminant != level:
         raise MaximalOrderNotFoundError(
             f"order has discriminant {order.reduced_discriminant}, wanted {level}"
         )
     return order
-
-
-def _index_p2_left_ideal(mlat: Lattice4, p: int) -> Lattice4:
-    """First (deterministic scan) left ideal M x + M p of index p^2."""
-    alg, den, rows = mlat.alg, mlat.den, mlat.rows
-    for coeffs in itertools.product(range(p), repeat=4):
-        if not any(coeffs):
-            continue
-        x = combine(rows, coeffs)  # x / den, and the generators are over den^2
-        gens = [[p * den * t for t in row] for row in rows]
-        gens += [alg.mul(row, x) for row in rows]
-        J = Lattice4.from_int_rows(alg, den * den, gens)
-        if mlat.index_over(J) == p * p:
-            return J
-    raise MaximalOrderNotFoundError(f"no index-{p}^2 ideal found")

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from halfint.brandt import cuspidal_eigenlines, ideal_classes
+from halfint.brandt import IdealClassSet, cuspidal_eigenlines, ideal_classes
 from halfint.cli import (
     JobConfig,
     _odd_subsets,
@@ -402,6 +402,23 @@ def test_cache_cold_and_warm_byte_identical(tmp_path, capsys):
     assert warm_out == cold_out
     warm_cache = {p.name: p.read_bytes() for p in cache.iterdir()}
     assert warm_cache == cold_cache
+
+
+def test_cold_run_counts_each_class_set_once(tmp_path, monkeypatch, capsys):
+    # the refinement plans the pinned primes and ORDER_PRIMES together, so
+    # one counting pass serves every degree a cold basis run asks for
+    passes = []
+    original = IdealClassSet._count
+
+    def counted(self, nmax):
+        passes.append(id(self))
+        return original(self, nmax)
+
+    monkeypatch.setattr(IdealClassSet, "_count", counted)
+    argv = ["basis", "--level", "105", "--prec", "100", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(passes) == len(set(passes)) == len(_odd_subsets(prime_factors(105)))
 
 
 def test_cache_env_variable(tmp_path, monkeypatch, capsys):

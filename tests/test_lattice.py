@@ -1,15 +1,17 @@
 """Tests for lattices, Hermite form, enumeration, and orders."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import oracles
 
+from halfint.cli import _odd_subsets
 from halfint.errors import IntegralityError, MaximalOrderNotFoundError
 from halfint.lattice import (
     Lattice4,
@@ -23,6 +25,7 @@ from halfint.lattice import (
     right_order_lattice,
     short_vectors,
 )
+from halfint.numth import is_squarefree, prime_factors
 from halfint.quat import ONE, QuaternionAlgebra, algebra_ramified_at, conj, qelt, qscale
 
 B25 = QuaternionAlgebra(2, 5)
@@ -455,3 +458,53 @@ def test_eichler_rejects_bad_level():
         eichler_order(B25, 7)  # not a multiple of disc 5
     with pytest.raises(ValueError):
         eichler_order(B25, 25)  # cofactor shares a prime with disc
+
+
+# ---------------------------------------------------------------------------
+# order digests: at a split prime the maximal order containing a given
+# order is not unique, so these pin the orders the growth and the Eichler
+# construction pick, (a, b, den, rows) for each algebra in a fixed sweep
+# ---------------------------------------------------------------------------
+
+MAXIMAL_ORDERS_DIGEST = "ad100c982adc71d0a2a38c4392ea1d392028aebf1dd748413621370922b2fae8"
+EICHLER_ORDERS_DIGEST = "8b340d256b137fdbff6790615cf95984bef9348bdf1b51bf1dbf173d811c38c6"
+
+
+def _odd_squarefree_levels(bound):
+    return [N for N in range(3, bound, 2) if is_squarefree(N)]
+
+
+def _orders_digest(orders) -> str:
+    rows = [(o.alg.a, o.alg.b, o.lattice.den, o.lattice.rows) for o in orders]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def _maximal_orders_below(bound):
+    """maximal_order of every algebra ramified at an odd subset of the
+    primes of an odd squarefree N < bound, sets ordered by product."""
+    sets = {S for N in _odd_squarefree_levels(bound) for S in _odd_subsets(prime_factors(N))}
+    ordered = sorted(sets, key=lambda S: (prod(S), S))
+    return [maximal_order(algebra_ramified_at(list(S))) for S in ordered]
+
+
+def _eichler_orders_below(bound):
+    """eichler_order for every (odd subset S of the primes of N, N), N an
+    odd squarefree level below bound, by level then subset."""
+    return [
+        eichler_order(algebra_ramified_at(list(S)), N)
+        for N in _odd_squarefree_levels(bound)
+        for S in _odd_subsets(prime_factors(N))
+    ]
+
+
+def test_maximal_orders_digest():
+    orders = _maximal_orders_below(1000)
+    assert len(orders) == 209
+    assert all(o.reduced_discriminant == o.alg.discriminant for o in orders)
+    assert _orders_digest(orders) == MAXIMAL_ORDERS_DIGEST
+
+
+def test_eichler_orders_digest():
+    orders = _eichler_orders_below(300)
+    assert len(orders) == 195
+    assert _orders_digest(orders) == EICHLER_ORDERS_DIGEST
