@@ -80,9 +80,7 @@ def eichler_mass(D: int, N: int) -> Fraction:
 
 def _is_principal(lat: Lattice4) -> bool:
     """Whether the norm form on the lattice represents its content."""
-    content = lat.norm_content()
-    counts = lat.norm_counts(1, scale=content)
-    return counts.get(1, 0) > 0
+    return lat.norm_counts(1).get(1, 0) > 0
 
 
 def equivalent_ideals(I: Lattice4, J: Lattice4) -> bool:
@@ -117,7 +115,7 @@ def _class_key(I: Lattice4) -> tuple[int, ...]:
     I x has content nrd(x) content(I) and the same counts, so this is a
     class invariant: ideals with different keys are not equivalent.
     """
-    counts = I.norm_counts(KEY_DEGREE, scale=I.norm_content())
+    counts = I.norm_counts(KEY_DEGREE)
     return tuple(counts.get(n, 0) for n in range(1, KEY_DEGREE + 1))
 
 
@@ -160,13 +158,6 @@ class IdealClassSet:
     def mass(self) -> Fraction:
         return sum((Fraction(2, e) for e in self.unit_counts), Fraction(0))
 
-    def height(self, v: Sequence, w: Sequence) -> Fraction:
-        """Natural inner product sum v_i w_i e_i / 2."""
-        return sum(
-            Fraction(x) * Fraction(y) * Fraction(e, 2)
-            for x, y, e in zip(v, w, self.unit_counts)
-        )
-
     # -- degree matrices -----------------------------------------------------
 
     def plan(self, nmax: int) -> None:
@@ -184,7 +175,7 @@ class IdealClassSet:
             conj_j = self.classes[j].conjugate()
             for i in range(j + 1):
                 P = _pair_lattice(conj_j, self.classes[i], self.gens[i])
-                self._counts[i, j] = P.norm_counts(nmax, scale=P.norm_content())
+                self._counts[i, j] = P.norm_counts(nmax)
         self._counted = nmax
 
     def brandt(self, n: int) -> tuple[tuple[int, ...], ...]:
@@ -416,18 +407,20 @@ class Eigenform:
         if p not in self.eigs:
             if not is_prime(p):
                 raise ValueError(f"eigenvalues are indexed by primes, got {p}")
-            w = self.class_set.apply(self.vector, p)
-            i = next(k for k, x in enumerate(self.vector) if x)
-            lam = Fraction(w[i], self.vector[i])
-            if any(Fraction(x) != lam * v for x, v in zip(w, self.vector)):
+            v = self.vector
+            w = self.class_set.apply(v, p)
+            i = next(k for k, x in enumerate(v) if x)
+            # w = lam v exactly when every w_j v_i = w_i v_j, lam = w_i / v_i
+            if any(x * v[i] != w[i] * y for x, y in zip(w, v)):
                 raise MissingEigenvalueError(
                     f"vector is not an eigenvector of the degree-{p} matrix"
                 )
-            if lam.denominator != 1:
+            lam, r = divmod(w[i], v[i])
+            if r:
                 raise IrrationalEigenspaceError(
-                    f"non-integral eigenvalue {lam} at {p}"
+                    f"non-integral eigenvalue {w[i]}/{v[i]} at {p}"
                 )
-            self.eigs[p] = int(lam)
+            self.eigs[p] = lam
         return self.eigs[p]
 
     def bad_sign(self, p: int) -> int:

@@ -10,7 +10,7 @@ integer rows: products multiply rows over den_x * den_y, sums and
 intersections bring both lattices to one denominator, and the right and
 left orders intersect the v^-1 L (or L v^-1) with v^-1 = conj(v)/nrd(v).
 Fractions enter only through `from_vectors` and `contains` and leave
-only through the view `basis` (and the rational invariants `gram`, `det`,
+only through the view `basis` (and the rational invariants `det`,
 `norm_content` and `reduced_discriminant`).
 
 `hnf_rows` brings each column to echelon form around the row whose entry
@@ -23,17 +23,18 @@ pivot rule changes only the work done, never the rows returned.
 
 The module also carries the exact positive-definite enumeration used
 everywhere counts of lattice points by norm are needed (theta series,
-Brandt counts, unit counts): a Fincke-Pohst enumerator that runs in
-integers.  The Gram matrix is scaled to an integer matrix, its leading
-minors and eliminated rows come from fraction-free (Bareiss)
-elimination, and each coordinate's interval comes from isqrt of an
-integer budget, so neither floating point nor Fraction arithmetic
-enters the enumeration.  `count_by_value` and `short_vectors` enumerate
-the basis they are given, so `short_vectors` keeps the caller's
-coordinates.  Counts do not depend on the basis, so the counting callers
-(`Lattice4.norm_counts`, the ternary theta series) first reduce their
-integer Gram matrix with `lll_gram`: on a raw Hermite basis most
-intervals of the enumeration tree come out empty.
+Brandt counts, unit counts): `count_by_value`, a Fincke-Pohst enumerator
+that takes an integer Gram matrix and an integer bound and returns
+integer values with their counts.  The leading minors and eliminated
+rows come from fraction-free (Bareiss) elimination, and each
+coordinate's interval comes from isqrt of an integer budget, so neither
+floating point nor Fraction arithmetic enters the enumeration.
+`Lattice4.norm_counts` counts the reduced norm in units of the lattice's
+norm content, the gcd of the values of its integer Gram matrix.  Counts
+do not depend on the basis, so the counting callers (`norm_counts`, the
+ternary theta series) first reduce their integer Gram matrix with
+`lll_gram`: on a raw Hermite basis most intervals of the enumeration
+tree come out empty.
 """
 
 from __future__ import annotations
@@ -211,33 +212,29 @@ def lll_gram(gram: Sequence[Sequence[int]]) -> list[list[int]]:
     return G
 
 
-def _fincke_pohst(gram, bound):
+def _fincke_pohst(gram: Sequence[Sequence[int]], bound: int):
     """Integer-exact Fincke-Pohst enumeration (Math. Comp. 44, 1985), one
     innermost line at a time.
 
-    With A = den * gram over the integers (den the lcm of the entries'
-    denominators, 1 for an integer gram) and M_k its leading minors,
+    With M_k the leading minors of the integer Gram matrix,
 
-        den * Q(c) = sum_i (M_{i+1} c_i + s_i)^2 / (M_i M_{i+1}),
+        Q(c) = sum_i (M_{i+1} c_i + s_i)^2 / (M_i M_{i+1}),
 
     where s_i is the eliminated row i dotted with the coordinates after i.
     Each term and the remaining budget are integers scaled by
     S = lcm_i(M_i M_{i+1}), so an integer key k stands for the value
-    k / (S * den).  Returns (S * den, m, w, lines): `lines` yields
-    (outer, lo, hi, s, used), last coordinate slowest, for each choice
-    `outer` of the coordinates 1..n-1 whose own terms fit the budget.
-    The vectors (x, *outer) within the bound are those with
+    k / S.  Returns (S, m, w, lines): `lines` yields (lo, hi, s, used),
+    last coordinate slowest, for each choice of the coordinates 1..n-1
+    whose own terms fit the budget.  The vectors within the bound that
+    extend that choice are those with first coordinate x in
     lo <= x <= hi (possibly none), each with the key
     used + w * (m * x + s)^2.
     """
     n = len(gram)
-    den = lcm(*(x.denominator for row in gram for x in row))
-    minors, rows = _bareiss(
-        [[x.numerator * (den // x.denominator) for x in row] for row in gram]
-    )
+    minors, rows = _bareiss(gram)
     scale = lcm(*(minors[i] * minors[i + 1] for i in range(n)))
     weights = [scale // (minors[i] * minors[i + 1]) for i in range(n)]
-    top = scale * (bound.numerator * den // bound.denominator)
+    top = scale * bound
     coords = [0] * n
 
     def level(i: int, rem: int):
@@ -246,7 +243,7 @@ def _fincke_pohst(gram, bound):
         ymax = isqrt(rem // weights[i])
         lo, hi = -((ymax + s) // m), (ymax - s) // m
         if i == 0:
-            yield tuple(coords[1:]), lo, hi, s, top - rem
+            yield lo, hi, s, top - rem
             return
         w = weights[i]
         for x in range(lo, hi + 1):
@@ -255,46 +252,38 @@ def _fincke_pohst(gram, bound):
             yield from level(i - 1, rem - w * y * y)
         coords[i] = 0
 
-    return scale * den, minors[1], weights[0], level(n - 1, top)
+    return scale, minors[1], weights[0], level(n - 1, top)
 
 
-def short_vectors(
-    gram: Sequence[Sequence[Fraction]], bound
-) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-    """All integer vectors c with Q(c) <= bound for the given Gram matrix.
-
-    Yields (c, Q(c)) pairs, zero vector included, c and -c listed
-    separately, in a fixed deterministic order (last coordinate varies
-    slowest).  The enumeration runs in integers (see `_fincke_pohst`),
-    with interval bounds from isqrt, so it is exact.
+def count_by_value(gram: Sequence[Sequence[int]], bound: int) -> dict[int, int]:
+    """Histogram {c^t G c: count} over the integer vectors c with
+    c^t G c <= bound, for a positive-definite integer Gram matrix G; the
+    zero vector counts once, c and -c apart, and the keys come in
+    first-seen order.  Raises ValueError when G is not positive definite.
     """
-    bound = Fraction(bound)
-    if bound < 0:
-        return
-    scale, m, w, lines = _fincke_pohst(gram, bound)
-    for outer, lo, hi, s, used in lines:
-        for x in range(lo, hi + 1):
-            y = m * x + s
-            yield (x,) + outer, Fraction(used + w * y * y, scale)
-
-
-def count_by_value(gram, bound) -> dict[Fraction, int]:
-    """Histogram of Q-values up to `bound` over the integer lattice."""
-    bound = Fraction(bound)
     if bound < 0:
         return {}
     scale, m, w, lines = _fincke_pohst(gram, bound)
     keys: dict[int, int] = {}
-    for _, lo, hi, s, used in lines:
+    for lo, hi, s, used in lines:
         for y in range(m * lo + s, m * hi + s + 1, m):
             k = used + w * y * y
             keys[k] = keys.get(k, 0) + 1
-    return {Fraction(k, scale): count for k, count in keys.items()}
+    # every key is S times an integer value
+    return {k // scale: count for k, count in keys.items()}
 
 
 # ---------------------------------------------------------------------------
 # lattices
 # ---------------------------------------------------------------------------
+
+
+def _form_content(gram: Sequence[Sequence[int]]) -> int:
+    """The gcd of the values of x^t G x over integer x: the gcd of the
+    G_ii and the 2 G_ij."""
+    n = len(gram)
+    return gcd(*(gram[i][i] for i in range(n)),
+               *(2 * gram[i][j] for i in range(n) for j in range(i + 1, n)))
 
 
 def combine(rows: Sequence[Sequence[int]], coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -368,11 +357,6 @@ class Lattice4:
             [sum(x * y for x, y in zip(w, row)) for row in self.rows]
             for w in weighted
         ]
-
-    def gram(self):
-        """Matrix of the polarized norm form on the basis."""
-        sq = self.den * self.den
-        return [[Fraction(x, sq) for x in row] for row in self.int_gram()]
 
     # -- membership and comparison -----------------------------------------
 
@@ -461,10 +445,7 @@ class Lattice4:
     def norm_content(self) -> Fraction:
         """Positive generator of the fractional ideal spanned by the values
         of the reduced norm on the lattice (content of the norm form)."""
-        g = self.int_gram()
-        content = gcd(*(g[i][i] for i in range(4)),
-                      *(2 * g[i][j] for i in range(4) for j in range(i + 1, 4)))
-        return Fraction(content, self.den * self.den)
+        return Fraction(_form_content(self.int_gram()), self.den * self.den)
 
     def reduced_discriminant(self) -> Fraction:
         """sqrt |det trd(b_i b_j)|; equals prod(ramified) for a maximal
@@ -475,18 +456,17 @@ class Lattice4:
         """
         return 4 * self.alg.a * self.alg.b * self.det()
 
-    def norm_counts(self, bound, scale=1) -> dict[int, int]:
-        """#{x in L : nrd(x) = n * scale} for integer n <= bound, counted
+    def norm_counts(self, bound: int) -> dict[int, int]:
+        """#{x in L : nrd(x) = n * norm_content()} for n <= bound, counted
         on the LLL-reduced integer Gram matrix."""
-        # nrd(x) = n * scale exactly when x^t G x = n * unit, G = int_gram
-        unit = Fraction(scale) * self.den * self.den
-        out: dict[int, int] = {}
-        for val, count in count_by_value(lll_gram(self.int_gram()), bound * unit).items():
-            n = val / unit
-            if n.denominator != 1:
-                raise IntegralityError(f"norm {n * scale} is not a multiple of {scale}")
-            out[int(n)] = count
-        return out
+        # nrd(x) = n * content exactly when x^t G x = n * unit, G = int_gram,
+        # and unit divides every value of the form
+        gram = self.int_gram()
+        unit = _form_content(gram)
+        return {
+            val // unit: count
+            for val, count in count_by_value(lll_gram(gram), bound * unit).items()
+        }
 
     # -- order-related -------------------------------------------------------
 
@@ -580,7 +560,7 @@ def _close_to_order(L: Lattice4) -> Lattice4 | None:
     for _ in range(16):
         M = L.add(L.product(L))
         if M == L:
-            return L if L.is_order() else None
+            return L
         if abs(M.det()) < Fraction(1, 10**9):
             return None  # runaway growth: the generators are not integral
         L = M
@@ -608,7 +588,7 @@ def _saturate_brute(lat: Lattice4, p: int) -> Lattice4 | None:
             continue
         gens = [[p * t for t in row] for row in lat.rows] + [x]
         cand = _close_to_order(Lattice4.from_int_rows(alg, den, gens))
-        if cand is not None and cand != lat and cand.contains_lattice(lat):
+        if cand is not None:
             return cand
     return None
 

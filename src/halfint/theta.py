@@ -6,20 +6,23 @@ the quaternion norm form.  Half the representation numbers of that form
 are the coefficients of a weight-3/2 theta series; the eigenvector
 combination of the class theta series is the half-integral form
 attached to the rational eigenline.
+
+R_i is kept as integer rows over a denominator den, and its series is
+counted on den^2 times the Gram matrix, an integer matrix: a norm n is
+the integer value n den^2 of that form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .brandt import Eigenform, IdealClassSet
 from .errors import IntegralityError, PrecisionError
 from .lattice import Lattice4, Order, count_by_value, lll_gram
 from .numth import is_prime, kronecker, squarefree_part
 from .qexp import QExpansion
-from .quat import Quat, QuaternionAlgebra, trd
+from .quat import QuaternionAlgebra
 
 __all__ = [
     "TernaryLattice",
@@ -32,49 +35,41 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TernaryLattice:
-    """Rank-3 lattice of trace-zero quaternions with its exact Gram matrix."""
+    """Rank-3 lattice of trace-zero quaternions: basis vector r is
+    (rows[r][0] + rows[r][1] i + rows[r][2] j + rows[r][3] k) / den."""
 
     alg: QuaternionAlgebra
-    basis: tuple[Quat, Quat, Quat]
-    gram: tuple[tuple[Fraction, ...], ...]
+    den: int
+    rows: tuple[tuple[int, int, int, int], ...]
 
     def __post_init__(self):
-        for v in self.basis:
-            if trd(v) != 0:
-                raise ValueError(f"basis vector {v} has nonzero trace")
-        for i in range(3):
-            for j in range(3):
-                if self.gram[i][j] != self.alg.pair(self.basis[i], self.basis[j]):
-                    raise ValueError("Gram matrix does not match the basis")
+        for row in self.rows:
+            if row[0] != 0:
+                raise ValueError(f"basis vector {row} / {self.den} has nonzero trace")
         if self.det() <= 0:
             raise ValueError("Gram matrix is not positive definite")
 
-    def det(self) -> Fraction:
-        (a, b, c), (d, e, f), (g, h, i) = self.gram
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    def int_gram(self) -> list[list[int]]:
+        """den^2 times the Gram matrix of the norm form on the basis."""
+        return [[self.alg.pair(x, y) for y in self.rows] for x in self.rows]
 
-    def counts_by_norm(self, bound: int) -> dict[Fraction, int]:
-        """Histogram {norm: count} over the lattice, norms <= bound,
-        counted on the LLL-reduced integer Gram matrix."""
-        den = lcm(*(x.denominator for row in self.gram for x in row))
-        gram = lll_gram([[int(x * den) for x in row] for row in self.gram])
-        return {val / den: count for val, count in count_by_value(gram, bound * den).items()}
+    def det(self) -> Fraction:
+        """Determinant of the Gram matrix of the norm form."""
+        (a, b, c), (d, e, f), (g, h, i) = self.int_gram()
+        return Fraction(
+            a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g), self.den**6
+        )
 
 
 def trace_zero_lattice(order: Order) -> TernaryLattice:
-    """Trace-zero part of ℤ + 2O, with the norm form's Gram matrix."""
+    """Trace-zero part of ℤ + 2O."""
     lat = order.lattice
-    alg, den = lat.alg, lat.den
     sub = Lattice4.from_int_rows(
-        alg, den, [(den, 0, 0, 0)] + [[2 * x for x in row] for row in lat.rows]
+        lat.alg, lat.den, [(lat.den, 0, 0, 0)] + [[2 * x for x in row] for row in lat.rows]
     )
     # the Hermite basis is upper triangular and the trace is twice the
-    # first coordinate, so the last three basis vectors span the trace-zero part
-    basis = sub.basis()[1:]
-    gram = tuple(
-        tuple(alg.pair(x, y) for y in basis) for x in basis
-    )
-    return TernaryLattice(alg, tuple(basis), gram)
+    # first coordinate, so the last three rows span the trace-zero part
+    return TernaryLattice(sub.alg, sub.den, sub.rows[1:])
 
 
 def ternary_theta(lattice: TernaryLattice, prec: int) -> QExpansion:
@@ -85,15 +80,17 @@ def ternary_theta(lattice: TernaryLattice, prec: int) -> QExpansion:
     """
     if prec < 0:
         raise ValueError("precision must be nonnegative")
+    sq = lattice.den * lattice.den
     coeffs: dict[int, int] = {}
-    for value, count in lattice.counts_by_norm(prec).items():
+    for value, count in count_by_value(lll_gram(lattice.int_gram()), prec * sq).items():
         if value == 0:
             continue
-        if value.denominator != 1:
-            raise IntegralityError(f"non-integral norm {value} on a theta lattice")
+        n, r = divmod(value, sq)
+        if r:
+            raise IntegralityError(f"non-integral norm {value}/{sq} on a theta lattice")
         if count % 2:
-            raise IntegralityError(f"odd representation count at norm {value}")
-        coeffs[int(value)] = count // 2
+            raise IntegralityError(f"odd representation count at norm {n}")
+        coeffs[n] = count // 2
     return QExpansion(prec, coeffs)
 
 

@@ -21,7 +21,7 @@ from halfint.brandt import (
     _neighbors,
 )
 from halfint.cli import _odd_subsets
-from halfint.errors import IrrationalEigenspaceError
+from halfint.errors import IrrationalEigenspaceError, MissingEigenvalueError
 from halfint.lattice import Lattice4, eichler_order
 from halfint.numth import prime_factors
 from halfint.quat import QuaternionAlgebra, algebra_ramified_at
@@ -195,9 +195,9 @@ def test_one_pass_counts_match_per_degree_recounts(level33, monkeypatch):
     passes = []
     original = Lattice4.norm_counts
 
-    def counted(self, bound, scale=1):
+    def counted(self, bound):
         passes.append(bound)
-        return original(self, bound, scale)
+        return original(self, bound)
 
     monkeypatch.setattr(Lattice4, "norm_counts", counted)
     C.plan(13)
@@ -209,10 +209,9 @@ def test_one_pass_counts_match_per_degree_recounts(level33, monkeypatch):
     for i in range(C.h):
         for j in range(C.h):
             P = C.classes[j].conjugate().product(C.classes[i])
-            content = P.norm_content()
             for n, B in mats.items():
                 assert es[j] * B[i][j] == es[i] * B[j][i]
-                raw = P.norm_counts(n, scale=content).get(n, 0)
+                raw = P.norm_counts(n).get(n, 0)
                 assert B[i][j] * es[j] == raw, (i, j, n)
 
 
@@ -224,6 +223,27 @@ def test_brandt_rejects_bad_degree(level15):
 # ---------------------------------------------------------------------------
 # eigenlines
 # ---------------------------------------------------------------------------
+
+
+class _FixedAction:
+    """A class set whose every degree matrix sends any vector to w."""
+
+    def __init__(self, w):
+        self.w = w
+
+    def apply(self, v, n):
+        return list(self.w)
+
+
+def test_eigenvalue_is_exact_in_integers():
+    # lam = w_i / v_i at the first nonzero v_i, once w is proportional to v
+    assert Eigenform(_FixedAction([0, -6, 9]), (0, 2, -3)).eigenvalue(2) == -3
+    # w is neither proportional to v nor an integer multiple: the relation
+    # is tested first
+    with pytest.raises(MissingEigenvalueError):
+        Eigenform(_FixedAction([3, 4]), (2, 2)).eigenvalue(3)
+    with pytest.raises(IrrationalEigenspaceError):
+        Eigenform(_FixedAction([3, 3]), (2, 2)).eigenvalue(3)
 
 
 def test_level15_eigenlines(level15):

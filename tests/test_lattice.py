@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 
 from halfint.cli import _odd_subsets
-from halfint.errors import IntegralityError, MaximalOrderNotFoundError
+from halfint.errors import MaximalOrderNotFoundError
 from halfint.lattice import (
     Lattice4,
     Order,
@@ -23,7 +23,6 @@ from halfint.lattice import (
     lll_gram,
     maximal_order,
     right_order_lattice,
-    short_vectors,
 )
 from halfint.numth import is_squarefree, prime_factors
 from halfint.quat import ONE, QuaternionAlgebra, algebra_ramified_at, conj, qelt, qscale
@@ -118,7 +117,7 @@ def _brute_counts(gram, bound, box):
     for c in itertools.product(range(-box, box + 1), repeat=n):
         q = sum(gram[i][j] * c[i] * c[j] for i in range(n) for j in range(n))
         if q <= bound:
-            out[Fraction(q)] = out.get(Fraction(q), 0) + 1
+            out[q] = out.get(q, 0) + 1
     return out
 
 
@@ -128,7 +127,7 @@ def _brute_counts(gram, bound, box):
         ([[2, 1], [1, 2]], 12, 6),
         ([[1, 0, 0], [0, 2, 1], [0, 1, 3]], 10, 6),
         ([[2, 0, 1, 0], [0, 3, 0, 1], [1, 0, 4, 0], [0, 1, 0, 5]], 9, 5),
-        ([[Fraction(1, 2), 0], [0, Fraction(5, 3)]], 7, 8),
+        ([[3, 1], [1, 10]], 7, 8),
     ],
 )
 def test_short_vectors_match_brute_force(gram, bound, box):
@@ -138,47 +137,47 @@ def test_short_vectors_match_brute_force(gram, bound, box):
 
 
 def test_short_vectors_includes_zero_and_signs():
-    pairs = list(short_vectors([[1, 0], [0, 1]], 2))
-    vecs = [v for v, _ in pairs]
-    assert (0, 0) in vecs
-    assert ((1, 0) in vecs) and ((-1, 0) in vecs)
-    assert len(vecs) == len(set(vecs))  # no duplicates
+    # the zero vector once, (+-1, 0) and (0, +-1), then (+-1, +-1)
+    assert count_by_value([[1, 0], [0, 1]], 2) == {0: 1, 1: 4, 2: 4}
+    assert count_by_value([[1, 0], [0, 1]], -1) == {}
 
 
 def test_short_vectors_deterministic():
     gram = [[2, 1], [1, 4]]
-    assert list(short_vectors(gram, 9)) == list(short_vectors(gram, 9))
+    assert list(count_by_value(gram, 9).items()) == list(count_by_value(gram, 9).items())
 
 
 def test_short_vectors_rejects_indefinite():
     with pytest.raises(ValueError):
-        list(short_vectors([[1, 0], [0, -1]], 5))
+        count_by_value([[1, 0], [0, -1]], 5)
 
 
 @st.composite
 def _definite_forms(draw):
-    """Gram matrices (B^t B) / d + s I of rank 1-4, with d in {1, 2, 3, 6}
-    (integer, half- and third-integral entries), and bounds up to 12."""
+    """Integer Gram matrices d ((B^t B) / d + s I) = B^t B + d s I of rank
+    1-4, with d in {1, 2, 3, 6}, and bounds floor(d t) for t a fraction
+    up to 12 with denominator at most 3."""
     n = draw(st.integers(1, 4))
     B = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
                       min_size=n, max_size=n))
     d = draw(st.sampled_from([1, 2, 3, 6]))
     s = draw(st.integers(0, 2))
     gram = [
-        [Fraction(sum(B[k][i] * B[k][j] for k in range(n)), d) + s * (i == j)
-         for j in range(n)]
+        [sum(B[k][i] * B[k][j] for k in range(n)) + d * s * (i == j) for j in range(n)]
         for i in range(n)
     ]
     assume(oracles.mat_det(gram) > 0)
     bound = draw(st.fractions(min_value=0, max_value=12, max_denominator=3))
-    return gram, bound
+    return gram, int(d * bound)
 
 
 @settings(max_examples=80, deadline=None)
 @given(_definite_forms())
 def test_short_vectors_match_ldl_oracle(form):
     gram, bound = form
-    assert list(short_vectors(gram, bound)) == list(oracles.short_vectors_ref(gram, bound))
+    got = count_by_value(gram, bound)
+    assert all(type(k) is int for k in got)
+    assert list(got.items()) == list(oracles.count_by_value_ref(gram, bound).items())
     # every vector with Q(c) <= bound has |c_i| <= sqrt(bound * (gram^-1)_ii)
     inv = oracles.mat_inv(gram)
     box = max(isqrt(int(bound * inv[i][i])) for i in range(len(gram)))
@@ -215,10 +214,8 @@ def test_lll_gram_reduces_and_keeps_counts(form):
     assert all(type(x) is int for row in reduced for x in row)
     assert oracles.mat_det(reduced) == oracles.mat_det(gram)
     assert oracles.is_lll_reduced_ref(reduced)
-    # integer entries count exactly as the same entries as Fractions
-    as_fractions = [[Fraction(x) for x in row] for row in gram]
     assert list(count_by_value(gram, bound).items()) == list(
-        count_by_value(as_fractions, bound).items()
+        oracles.count_by_value_ref(gram, bound).items()
     )
     inv = oracles.mat_inv(gram)
     box = max(isqrt(int(bound * inv[i][i])) for i in range(n))
@@ -227,15 +224,11 @@ def test_lll_gram_reduces_and_keeps_counts(form):
 
 
 def test_norm_counts_scale():
+    # norms count in units of the content, so scaling the lattice keeps them
     L = _std(B25)  # nrd = x0^2 + 2 x1^2 + 5 x2^2 + 10 x3^2
     counts = {0: 1, 1: 2, 2: 2, 3: 4, 4: 2, 5: 2, 6: 8}
-    assert L.norm_counts(6) == counts
-    assert L.norm_counts(12, scale=Fraction(1, 2)) == {2 * n: c for n, c in counts.items()}
-    assert L.scale(Fraction(1, 3)).norm_counts(6, scale=Fraction(1, 9)) == counts
-    with pytest.raises(IntegralityError):
-        L.norm_counts(6, scale=2)
-    with pytest.raises(IntegralityError):
-        L.scale(Fraction(1, 3)).norm_counts(6)
+    for lat in (L, L.scale(2), L.scale(Fraction(1, 3))):
+        assert lat.norm_counts(6) == counts
 
 
 # ---------------------------------------------------------------------------
@@ -315,18 +308,23 @@ def test_int_gram_matches_pairing(level):
         class_set = ideal_classes(eichler_order(alg, level))
         for lat in class_set.classes:
             bas = lat.basis()
-            assert lat.gram() == [[alg.pair(x, y) for y in bas] for x in bas]
+            sq = lat.den * lat.den
+            assert lat.int_gram() == [[sq * alg.pair(x, y) for y in bas] for x in bas]
 
 
 def test_level15_ternary_histograms_match_ldl_oracle():
     from halfint.brandt import ideal_classes
     from halfint.theta import trace_zero_lattice
 
-    class_set = ideal_classes(eichler_order(algebra_ramified_at([5]), 15))
+    alg = algebra_ramified_at([5])
+    class_set = ideal_classes(eichler_order(alg, 15))
     for right in class_set.rights:
-        gram = [list(row) for row in trace_zero_lattice(right).gram]
-        want = oracles.count_by_value_ref(gram, 4000)
-        assert list(count_by_value(gram, 4000).items()) == list(want.items())
+        R = trace_zero_lattice(right)
+        sq = R.den * R.den
+        bas = [[Fraction(x, R.den) for x in row] for row in R.rows]
+        want = oracles.count_by_value_ref([[alg.pair(x, y) for y in bas] for x in bas], 4000)
+        got = count_by_value(R.int_gram(), 4000 * sq)
+        assert [(Fraction(k, sq), c) for k, c in got.items()] == list(want.items())
 
 
 @st.composite

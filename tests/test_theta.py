@@ -48,8 +48,8 @@ def level11():
 def test_trace_zero_basis(level15):
     for order in level15.rights:
         R = trace_zero_lattice(order)
-        assert len(R.basis) == 3
-        for v in R.basis:
+        assert len(R.rows) == 3
+        for v in R.rows:
             assert trd(v) == 0
 
 
