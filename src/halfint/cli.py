@@ -149,8 +149,8 @@ def _file_int(value) -> int:
 def ingest_newform(path: str) -> dict[int, int]:
     """Parse a "p b_p" two-column text file or a JSON map of the same."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise NewformFileError(f"cannot read {path}: {exc}") from exc
     stripped = text.strip()
     out: dict[int, int] = {}
@@ -343,7 +343,7 @@ def _run(config: JobConfig, stage: Callable[[dict], dict], pmax: int = 0) -> dic
 
 def _basis_pair(run: dict, prec: int) -> dict:
     line = run["line"]
-    deep_g = kohnen_form(line, line.class_set, 4 * prec).sign_normalized()
+    deep_g = kohnen_form(line, 4 * prec).sign_normalized()
     if not deep_g:
         raise ZeroFormError(
             "the theta eigenform vanishes identically: the selected newform "

@@ -13,13 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .errors import (
-    IntegralityError,
-    MissingEigenvalueError,
-    PrecisionError,
-)
+from .errors import MissingEigenvalueError, PrecisionError
 from .numth import (
     factorize,
     fundamental_discriminant,
@@ -55,19 +50,15 @@ class LiftProfile:
 
     `bad` maps each prime dividing the level to (b_p, w_p); `eigen`
     carries eigenvalues at whatever other odd primes the caller plans to
-    use.  The weight parameter is fixed at 3 for the whole pipeline but
-    kept as a field so the invariant is explicit.
+    use.  The weight is fixed at 3/2 for the whole pipeline.
     """
 
     level: int
     b2: int
     bad: dict[int, tuple[int, int]]
     eigen: dict[int, int] = field(default_factory=dict)
-    k: int = 3
 
     def __post_init__(self):
-        if self.k % 4 != 3:
-            raise ValueError(f"weight parameter {self.k} is not 3 mod 4")
         if self.level < 3 or self.level % 2 == 0 or not is_squarefree(self.level):
             raise ValueError(f"level {self.level} is not odd and square-free")
         if sorted(self.bad) != prime_factors(self.level):
@@ -264,22 +255,16 @@ def assemble_h(g: QExpansion, profile: LiftProfile, prec: int) -> QExpansion:
     square parts supported at 2 and the bad primes through the integer
     power sums T_s; remaining square parts through the degree-p² Hecke
     recursion at the largest good prime.  Indices failing the gate
-    vanish.  The result must come out integral; a non-integer
-    coefficient raises rather than rounding.
+    vanish.  Every tier multiplies coefficients of g, or of h at smaller
+    indices, by integers, so h is integral because g is.
     """
-    if profile.k != 3:
-        raise ValueError("exact assembly is specific to weight parameter 3")
     if g.prec < 4 * prec:
         raise PrecisionError(
             f"need theta coefficients through {4 * prec}, have {g.prec}"
         )
     b2 = profile.b2
     ts = power_sums(b2, prec.bit_length() // 2 + 2)
-    coeffs: dict[int, Fraction] = {}
-
-    def stored(m: int) -> Fraction:
-        return coeffs.get(m, Fraction(0))
-
+    coeffs: dict[int, int] = {}
     for n in range(1, prec + 1):
         core, y = squarefree_split(n)
         if not kronecker_gate(profile, core):
@@ -305,17 +290,16 @@ def assemble_h(g: QExpansion, profile: LiftProfile, prec: int) -> QExpansion:
                         * bad_scale
                     )
                 else:
-                    value = Fraction(ts[s], 2) * stored(core) * bad_scale
+                    # core is square-free and passes the same gate, so
+                    # it was stored at tier one as 2·g[4·core]; half of
+                    # that times T_s is exact
+                    value = ts[s] * g[4 * core] * bad_scale
             else:
                 p = max(good)
                 m = n // (p * p)
-                value = stored(m) * (profile.eigenvalue(p) - kronecker(-m, p))
+                value = coeffs.get(m, 0) * (profile.eigenvalue(p) - kronecker(-m, p))
                 if n % p**4 == 0:
-                    value -= p * stored(n // p**4)
+                    value -= p * coeffs.get(n // p**4, 0)
         if value:
-            coeffs[n] = Fraction(value)
-
-    for n, v in coeffs.items():
-        if v.denominator != 1:
-            raise IntegralityError(f"non-integral coefficient {v} at index {n}")
+            coeffs[n] = value
     return QExpansion(prec, coeffs)

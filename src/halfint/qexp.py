@@ -1,34 +1,36 @@
 """Sparse exact q-expansions.
 
-A QExpansion stores finitely many exact coefficients a_n (n >= 0) of a
+A QExpansion stores finitely many integer coefficients a_n (n >= 0) of a
 series known through precision `prec`: coefficients with n <= prec and
 n not stored are genuinely zero, anything past prec is unknown and
-asking for it raises.  Values are ints or Fractions, never floats.
+asking for it raises.  Every series the pipeline builds (class theta
+series, g and h) has integer coefficients, so a coefficient that is not
+an int (a Fraction, a float, a "num/den" string) is rejected.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import PrecisionError
 
 
-def _normalize(coeffs) -> dict[int, Fraction]:
+def _normalize(coeffs) -> dict[int, int]:
     out = {}
     for n, c in coeffs.items():
         n = int(n)
         if n < 0:
             raise ValueError(f"negative exponent {n}")
-        c = Fraction(c)
-        if c != 0:
+        c = operator.index(c)
+        if c:
             out[n] = c
     return dict(sorted(out.items()))
 
 
 @dataclass(frozen=True)
 class QExpansion:
-    """Finitely many exact coefficients, valid through q^prec.
+    """Finitely many integer coefficients, valid through q^prec.
 
     `kohnen` marks a series claimed to live in the plus subspace for
     weight 3/2, where coefficients may only sit at n ≡ 0, 3 mod 4; the
@@ -36,7 +38,7 @@ class QExpansion:
     """
 
     prec: int
-    coeffs: dict[int, Fraction] = field(default_factory=dict)
+    coeffs: dict[int, int] = field(default_factory=dict)
     kohnen: bool = False
 
     def __post_init__(self):
@@ -49,14 +51,14 @@ class QExpansion:
                     f"nonzero coefficient at {n} ≡ {n % 4} mod 4 in a plus-space series"
                 )
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> int:
         if n < 0:
             raise ValueError(f"negative exponent {n}")
         if n > self.prec:
             raise PrecisionError(
                 f"coefficient {n} requested but series only known to {self.prec}"
             )
-        return self.coeffs.get(n, Fraction(0))
+        return self.coeffs.get(n, 0)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -72,8 +74,8 @@ class QExpansion:
     def __sub__(self, other: "QExpansion") -> "QExpansion":
         return self + other.scale(-1)
 
-    def scale(self, c) -> "QExpansion":
-        c = Fraction(c)
+    def scale(self, c: int) -> "QExpansion":
+        c = operator.index(c)
         return QExpansion(
             self.prec,
             {n: c * v for n, v in self.coeffs.items()},
@@ -92,10 +94,7 @@ class QExpansion:
     def support(self) -> list[int]:
         return list(self.coeffs)
 
-    def is_integral(self) -> bool:
-        return all(v.denominator == 1 for v in self.coeffs.values())
-
-    def leading(self) -> tuple[int, Fraction] | None:
+    def leading(self) -> tuple[int, int] | None:
         """(n, a_n) at the smallest n with a_n != 0, or None."""
         for n, v in self.coeffs.items():
             return n, v
@@ -111,23 +110,13 @@ class QExpansion:
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        """{"prec": prec, "coeffs": {str(n): int-or-"num/den"}}, n ascending."""
-        ser = {}
-        for n, v in self.coeffs.items():
-            ser[str(n)] = int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-        return {"prec": self.prec, "coeffs": ser}
+        """{"prec": prec, "coeffs": {str(n): a_n}}, n ascending."""
+        return {"prec": self.prec, "coeffs": {str(n): v for n, v in self.coeffs.items()}}
 
     @classmethod
     def from_json_dict(cls, data: dict, kohnen: bool = False) -> "QExpansion":
-        coeffs = {}
-        for n, v in data["coeffs"].items():
-            coeffs[int(n)] = Fraction(v) if isinstance(v, str) else Fraction(int(v))
-        return cls(int(data["prec"]), coeffs, kohnen=kohnen)
+        return cls(int(data["prec"]), data["coeffs"], kohnen=kohnen)
 
     def to_text(self) -> str:
         """Two-column 'n a_n' lines, nonzero coefficients, n ascending."""
-        lines = []
-        for n, v in self.coeffs.items():
-            val = str(int(v)) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-            lines.append(f"{n} {val}")
-        return "\n".join(lines)
+        return "\n".join(f"{n} {v}" for n, v in self.coeffs.items())

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .brandt import Eigenform, IdealClassSet
+from .brandt import Eigenform
 from .errors import IntegralityError, PrecisionError
 from .lattice import Lattice4, Order, count_by_value, lll_gram
 from .numth import is_prime, kronecker, squarefree_part
@@ -94,21 +94,18 @@ def ternary_theta(lattice: TernaryLattice, prec: int) -> QExpansion:
     return QExpansion(prec, coeffs)
 
 
-def kohnen_form(
-    eigenform: Eigenform, class_set: IdealClassSet, prec: int
-) -> QExpansion:
+def kohnen_form(eigenform: Eigenform, prec: int) -> QExpansion:
     """Eigenvector combination of the class theta series.
 
     The zero series is a legal output: it signals a vanishing central
     L-value for the newform behind the eigenline.
     """
-    total = QExpansion(prec, {})
-    for weight, order in zip(eigenform.vector, class_set.rights):
+    total: dict[int, int] = {}
+    for weight, order in zip(eigenform.vector, eigenform.class_set.rights):
         theta = ternary_theta(trace_zero_lattice(order), prec)
-        total = total + theta.scale(weight)
-    if not total.is_integral():
-        raise IntegralityError("eigenvector theta combination is not integral")
-    return QExpansion(prec, total.coeffs, kohnen=True)
+        for n, count in theta.coeffs.items():
+            total[n] = total.get(n, 0) + weight * count
+    return QExpansion(prec, total, kohnen=True)
 
 
 def hecke_check(g: QExpansion, eigenform: Eigenform, p: int) -> bool:

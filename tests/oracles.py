@@ -16,8 +16,10 @@ import itertools
 
 import numpy as np
 
+from halfint.errors import IntegralityError
 from halfint.lattice import Lattice4, combine
-from halfint.numth import divisors, xgcd
+from halfint.lift import kronecker_gate, power_sums
+from halfint.numth import divisors, factorize, hilbert, kronecker, squarefree_split, xgcd
 from halfint.quat import QuaternionAlgebra, _ramified
 
 
@@ -526,3 +528,58 @@ def algebra_ramified_at_ref(targets):
                 left.discard(target)
                 if not left:
                     return out
+
+
+# ---------------------------------------------------------------------------
+# The companion form h over Fractions, the route the library's integer
+# assembly replaced: the power-sum tier over a core not 3 mod 4 halves
+# the value stored at the core, and a closing scan rejects any
+# coefficient that did not come out integral.
+# ---------------------------------------------------------------------------
+
+
+def assemble_h_ref(g, profile, prec):
+    """{n: h_n} as Fractions for 1 <= n <= prec, nonzero entries only;
+    raises IntegralityError on a non-integral coefficient."""
+    b2 = profile.b2
+    ts = power_sums(b2, prec.bit_length() // 2 + 2)
+    coeffs = {}
+
+    def stored(m):
+        return coeffs.get(m, Fraction(0))
+
+    for n in range(1, prec + 1):
+        core, y = squarefree_split(n)
+        if not kronecker_gate(profile, core):
+            continue
+        if y == 1:
+            if n % 4 == 3:
+                value = g[n] * (b2 - 2 * hilbert(2, n, 2))
+            else:
+                value = 2 * g[4 * n]
+        else:
+            square_support = factorize(y)
+            good = [p for p in square_support if p != 2 and p not in profile.bad]
+            if not good:
+                s = square_support.get(2, 0)
+                bad_scale = 1
+                for p, e in square_support.items():
+                    if p in profile.bad:
+                        bad_scale *= profile.bad[p][0] ** e
+                if core % 4 == 3:
+                    value = g[core] * (ts[s + 1] - hilbert(2, core, 2) * ts[s]) * bad_scale
+                else:
+                    value = Fraction(ts[s], 2) * stored(core) * bad_scale
+            else:
+                p = max(good)
+                m = n // (p * p)
+                value = stored(m) * (profile.eigenvalue(p) - kronecker(-m, p))
+                if n % p**4 == 0:
+                    value -= p * stored(n // p**4)
+        if value:
+            coeffs[n] = Fraction(value)
+
+    for n, v in coeffs.items():
+        if v.denominator != 1:
+            raise IntegralityError(f"non-integral coefficient {v} at index {n}")
+    return coeffs

@@ -10,7 +10,6 @@ import cmath
 import json
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -86,15 +85,15 @@ def test_criterion_2_class_thetas_and_swap():
 
     class_set = ideal_classes(eichler_order(algebra_ramified_at([5]), 15))
     line = cuspidal_eigenlines(class_set)[0]
-    raw = kohnen_form(line, class_set, 96)
+    raw = kohnen_form(line, 96)
     swapped_vector = tuple(reversed(line.vector))
     swapped = QExpansion(96, {})
     for weight, order in zip(swapped_vector, reversed(class_set.rights)):
         swapped = swapped + ternary_theta(trace_zero_lattice(order), 96).scale(weight)
     assert swapped.coeffs == raw.coeffs  # theta sum is label-invariant
     flipped = Eigenform(class_set=class_set, vector=(-1, 1), eigs={})
-    assert kohnen_form(flipped, class_set, 96) == raw.scale(-1)
-    assert kohnen_form(flipped, class_set, 96).sign_normalized() == raw.sign_normalized()
+    assert kohnen_form(flipped, 96) == raw.scale(-1)
+    assert kohnen_form(flipped, 96).sign_normalized() == raw.sign_normalized()
     print(
         "\nACCEPTANCE 2 PASS class thetas exact through q^95; "
         "class swap flips the sign of g only"
@@ -182,7 +181,7 @@ def test_criterion_5_property_suite(pipeline_runs):
             hecke_note = f"hecke p={p} vacuous at prec 40"
 
         # (e) h is integral
-        assert h.is_integral()
+        assert all(type(v) is int for v in h.coeffs.values())
 
         # (f) tier-1/tier-2 agreement at s = 0
         ts = power_sums(profile.b2, 2)
@@ -302,11 +301,11 @@ def test_criterion_7_negative_controls(tmp_path, monkeypatch, capsys):
 
     class_set = ideal_classes(eichler_order(algebra_ramified_at([5]), 15))
     zero_line = Eigenform(class_set=class_set, vector=(0, 0), eigs={})
-    zero_series = kohnen_form(zero_line, class_set, 48)
+    zero_series = kohnen_form(zero_line, 48)
     assert not zero_series
 
-    def synthetic(eigenform, cs, prec):
-        return kohnen_form(zero_line, cs, prec)
+    def synthetic(eigenform, prec):
+        return kohnen_form(zero_line, prec)
 
     monkeypatch.setattr(cli_mod, "kohnen_form", synthetic)
     assert main(["basis", "--level", "15", "--prec", "12"]) == 2

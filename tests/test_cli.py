@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -118,13 +117,9 @@ def test_basis_json_roundtrip():
     assert payload["selector_index"] == 0
     g = QExpansion.from_json_dict(payload["g"], kohnen=True)
     assert g.prec == 24
-    assert {n: g[n] for n in LEVEL15_G} == {
-        n: Fraction(c) for n, c in LEVEL15_G.items()
-    }
+    assert {n: g[n] for n in LEVEL15_G} == LEVEL15_G
     h = QExpansion.from_json_dict(payload["h"])
-    assert {n: h[n] for n in LEVEL15_H} == {
-        n: Fraction(c) for n, c in LEVEL15_H.items()
-    }
+    assert {n: h[n] for n in LEVEL15_H} == LEVEL15_H
 
 
 def test_brandt_command():
@@ -234,6 +229,18 @@ def test_main_malformed_newform_value_exit_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: malformed eigenvalue file")
+    assert captured.err.count("\n") == 1
+
+
+def test_main_newform_file_not_utf8_exit_3(tmp_path, capsys):
+    nf = tmp_path / "nf.txt"
+    nf.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(NewformFileError):
+        ingest_newform(str(nf))
+    assert main(["basis", "--level", "15", "--newform-file", str(nf)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {nf}: ")
     assert captured.err.count("\n") == 1
 
 
@@ -368,7 +375,7 @@ def test_main_zero_form_exit_2(monkeypatch, capsys):
     """A theta eigenvector summing to the zero series must exit with 2."""
     import halfint.cli as cli_mod
 
-    def zero_form(eigenform, class_set, prec):
+    def zero_form(eigenform, prec):
         return QExpansion(prec, {}, kohnen=True)
 
     monkeypatch.setattr(cli_mod, "kohnen_form", zero_form)

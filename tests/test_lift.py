@@ -1,7 +1,6 @@
 """Tests for local factors, gate logic, and the exact assembly of h."""
 
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -293,8 +292,38 @@ def test_diagnostic_requires_deep_theta():
 
 def test_level15_h_gold():
     h = assemble_h(LEVEL15_G, LEVEL15_PROFILE, 25)
-    assert {n: int(v) for n, v in h.coeffs.items()} == LEVEL15_H
-    assert h.is_integral()
+    assert h.coeffs == LEVEL15_H
+    assert all(type(v) is int for v in h.coeffs.values())
+
+
+@st.composite
+def lift_cases(draw):
+    """A random integer g deep enough for the drawn precision, and a valid
+    profile: odd square-free level, signs w_p = -b_p multiplying to -1,
+    and eigenvalues at every odd good prime the Hecke tier may reach."""
+    odd_primes = st.sampled_from([3, 5, 7, 11, 13])
+    primes = draw(st.lists(odd_primes, min_size=1, max_size=3, unique=True))
+    level = math.prod(primes)
+    signs = [draw(st.sampled_from([1, -1])) for _ in primes[1:]]
+    signs.insert(0, -math.prod(signs))
+    bad = {p: (-w, w) for p, w in zip(primes, signs)}
+    prec = draw(st.integers(1, 80))
+    eigen = {
+        p: draw(st.integers(-9, 9))
+        for p in (3, 5, 7)
+        if p * p <= prec and p not in bad
+    }
+    profile = LiftProfile(level=level, b2=draw(st.integers(-6, 6)), bad=bad, eigen=eigen)
+    coeffs = draw(st.dictionaries(st.integers(1, 4 * prec), st.integers(-20, 20), max_size=40))
+    return QExpansion(4 * prec, coeffs), profile, prec
+
+
+@given(lift_cases())
+def test_h_halving_exact_for_every_integer_g(case):
+    # the Fraction oracle halves at the power-sum tier and scans for a
+    # non-integer; agreement shows that halving is exact for any integer g
+    g, profile, prec = case
+    assert assemble_h(g, profile, prec).coeffs == oracles.assemble_h_ref(g, profile, prec)
 
 
 def test_h_examples_by_hand():
