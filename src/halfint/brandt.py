@@ -19,6 +19,11 @@ the base order O, conj(I_j) I_i = conj(I_j) O y1 + conj(I_j) O y2, and
 conj(I_j) O = conj(I_j) because conj(I_j) is a right O-ideal (I_j has
 left order O).  So the 8 products of conj(I_j)'s rows with y1, y2 span
 the same lattice as the 16 products of the two bases.
+
+Classes come only from the search (`ideal_classes`).  A cached state
+(`IdealClassSet.from_state`) contributes only its degree matrices, and
+only when its classes and unit counts are exactly the searched ones, so
+the classes and their order never depend on a cache file.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from .lattice import (
     _neighbors,
     combine,
     hnf_rows,
-    left_order_lattice,
     right_order_lattice,
 )
 from .numth import is_prime, prime_factors, primes
@@ -52,6 +56,10 @@ KEY_DEGREE = 6
 # eigenlines are ordered by their eigenvalues at these primes, so every
 # searched class set has these degree matrices built
 ORDER_PRIMES = (2, 3, 5, 7, 11, 13)
+
+# eigenlines are refined under the degree matrices at the primes up to
+# this bound (and at the primes dividing the level)
+PRIME_BOUND = 60
 
 
 def _phi(n: int) -> int:
@@ -222,70 +230,35 @@ class IdealClassSet:
         }
 
     @classmethod
-    def from_state(cls, order: Order, state: dict) -> "IdealClassSet":
-        """Rebuild a class set from `to_state` output, checking it first.
+    def from_state(cls, searched: "IdealClassSet", state: dict) -> "IdealClassSet":
+        """The class set `searched` (from `ideal_classes`) with the degree
+        matrices of `to_state` output attached, checked first.
 
-        Raises ValueError when a stored class is not a canonical lattice,
-        has another left order than `order`, or is equivalent to another
-        stored class, when the classes' mass is not the Eichler mass, or
-        when a stored matrix breaks an invariant of the degree matrices
-        (see `_check_degree_matrix`) or two stored matrices do not
-        commute; IntegralityError when the stored unit counts disagree
-        with the lattices.  Only classes with equal keys (`_class_key`) are
-        tested for equivalence: the keys skip only tests that must fail.
-        The equivalence tests build pair lattices from left generators (see
-        the module docstring), which is sound only because `_stored_class`
-        has first proved that every class has left order `order`.
+        Raises ValueError when the stored classes or unit counts are not
+        those of `searched`, when a stored matrix breaks an invariant of
+        the degree matrices (see `_check_degree_matrix`) or when two stored
+        matrices do not commute.  The stored classes are only compared,
+        never built into lattices; `searched` is left untouched.
         """
-        classes = [_stored_class(order, c) for c in state["classes"]]
-        if len(state["unit_counts"]) != len(classes):
-            raise ValueError("cached unit counts do not match the class count")
-        rights = [Order(right_order_lattice(c)) for c in classes]
-        for r, e in zip(rights, state["unit_counts"]):
-            if r.unit_count != int(e):
-                raise IntegralityError("cached unit counts disagree with lattices")
-        keys = [_class_key(c) for c in classes]
-        gens = [_left_generators(order, c) for c in classes]
-        if any(
-            keys[i] == keys[j]
-            and _is_principal(_pair_lattice(classes[i].conjugate(), classes[j], gens[j]))
-            for j in range(len(classes))
-            for i in range(j)
+        expected = searched.to_state()
+        if (
+            state["classes"] != expected["classes"]
+            or state["unit_counts"] != expected["unit_counts"]
         ):
-            raise ValueError("two cached classes are equivalent")
-        out = cls(order, classes, rights, gens)
-        if out.mass != eichler_mass(order.alg.discriminant, out.level):
-            raise ValueError("cached classes do not have the Eichler mass")
-        es, level, ramified = out.unit_counts, out.level, order.alg.ramified
+            raise ValueError("cached classes are not the ones the search finds")
+        es, ramified = searched.unit_counts, searched.alg.ramified
+        mats = {}
         for n, mat in state.get("brandt", {}).items():
-            _check_degree_matrix(int(n), mat, es, level, ramified)
-            out._matrices[int(n)] = tuple(tuple(row) for row in mat)
-        mats = out._matrices
+            _check_degree_matrix(int(n), mat, es, searched.level, ramified)
+            mats[int(n)] = tuple(tuple(row) for row in mat)
         if any(
             _product(mats[m], mats[n]) != _product(mats[n], mats[m])
             for m, n in itertools.combinations(mats, 2)
         ):
             raise ValueError("cached degree matrices do not commute")
+        out = cls(searched.order, searched.classes, searched.rights, searched.gens)
+        out._matrices = mats
         return out
-
-
-def _stored_class(order: Order, entry: dict) -> Lattice4:
-    """A cached class: four rows of four JSON integers over a JSON integer
-    denominator, in the canonical form `from_int_rows` gives, with left
-    order `order`; ValueError otherwise."""
-    den, rows = entry["den"], entry["rows"]
-    if (
-        type(den) is not int
-        or len(rows) != 4
-        or any(len(row) != 4 or any(type(x) is not int for x in row) for row in rows)
-    ):
-        raise ValueError("cached class is not four rows of four integers")
-    lat = Lattice4(order.alg, den, tuple(tuple(row) for row in rows))
-    if Lattice4.from_int_rows(order.alg, den, rows) != lat:
-        raise ValueError("cached class is not in canonical form")
-    if left_order_lattice(lat) != order.lattice:
-        raise ValueError("cached class is not a left ideal of the order")
-    return lat
 
 
 def _check_degree_matrix(
@@ -319,7 +292,9 @@ def ideal_classes(order: Order) -> IdealClassSet:
 
     A neighbour is tested for equivalence only against the classes with
     its key (`_class_key`); the keys skip only tests that must fail, so
-    the classes and their order are those of testing every class.
+    the classes and their order are those of testing every class.  This
+    is the only source of classes: `IdealClassSet.from_state` compares
+    stored classes with these and takes only degree matrices from them.
     """
     target = eichler_mass(order.alg.discriminant, order.reduced_discriminant)
     classes = [order.lattice]
@@ -441,9 +416,7 @@ class Eigenform:
         return sum(self.vector) == 0
 
 
-def _refine(
-    class_set: IdealClassSet, prime_bound: int, signs: dict[int, int] | None
-) -> list[Eigenform]:
+def _refine(class_set: IdealClassSet, signs: dict[int, int] | None) -> list[Eigenform]:
     """Rational simultaneous eigenlines by successive refinement under the
     degree-p matrices, unsorted.
 
@@ -462,7 +435,7 @@ def _refine(
 
     default_order = sorted(
         set(prime_factors(class_set.level))
-        | set(itertools.takewhile(lambda q: q <= prime_bound, primes()))
+        | set(itertools.takewhile(lambda q: q <= PRIME_BOUND, primes()))
     )
     refine_primes = sorted(signs) + [p for p in default_order if p not in signs]
     # one counting pass serves the pinned primes refined first and the
@@ -512,18 +485,14 @@ def _by_small_eigenvalues(lines: list[Eigenform]) -> list[Eigenform]:
     return sorted(lines, key=lambda f: tuple(f.eigenvalue(p) for p in ORDER_PRIMES))
 
 
-def rational_eigenlines(
-    class_set: IdealClassSet, prime_bound: int = 60
-) -> list[Eigenform]:
+def rational_eigenlines(class_set: IdealClassSet) -> list[Eigenform]:
     """All one-dimensional simultaneous rational eigenlines, by successive
-    refinement under the degree-p matrices up to `prime_bound`."""
-    return _by_small_eigenvalues(_refine(class_set, prime_bound, None))
+    refinement under the degree-p matrices up to `PRIME_BOUND`."""
+    return _by_small_eigenvalues(_refine(class_set, None))
 
 
 def cuspidal_eigenlines(
-    class_set: IdealClassSet,
-    prime_bound: int = 60,
-    signs: dict[int, int] | None = None,
+    class_set: IdealClassSet, signs: dict[int, int] | None = None
 ) -> list[Eigenform]:
     """The cuspidal lines of `rational_eigenlines`, in the same order.
 
@@ -531,5 +500,5 @@ def cuspidal_eigenlines(
     (+1 at a ramified prime, -1 otherwise); only lines with those
     eigenvalues are then refined and returned.
     """
-    lines = _refine(class_set, prime_bound, signs)
+    lines = _refine(class_set, signs)
     return _by_small_eigenvalues([f for f in lines if f.is_cuspidal()])

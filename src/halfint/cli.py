@@ -35,7 +35,6 @@ from .errors import (
     ConfigurationError,
     EvenRootNumberError,
     HalfIntError,
-    IntegralityError,
     NewformFileError,
     SelectorNotFoundError,
     ZeroFormError,
@@ -102,14 +101,15 @@ def _cache_path(directory: Path, order: Order) -> Path:
 
 
 def _load_class_set(order: Order, directory: Path | None) -> IdealClassSet:
+    searched = ideal_classes(order)
     if directory is not None:
         path = _cache_path(directory, order)
         if path.is_file():
             try:
-                return IdealClassSet.from_state(order, json.loads(path.read_text()))
-            except (OSError, ValueError, KeyError, TypeError, IntegralityError):
+                return IdealClassSet.from_state(searched, json.loads(path.read_text()))
+            except (OSError, ValueError, KeyError, TypeError):
                 pass  # unreadable, incomplete or inconsistent: a miss, overwritten
-    return ideal_classes(order)
+    return searched
 
 
 def _store_class_set(class_set: IdealClassSet, directory: Path | None) -> None:

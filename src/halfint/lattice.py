@@ -7,8 +7,8 @@ removing content.  Canonical form makes equality, hashing and caching
 trivial.  Every lattice is built by `Lattice4.from_int_rows` (Hermite
 form, then the content divided out), and every operation works on
 integer rows: products multiply rows over den_x * den_y, sums and
-intersections bring both lattices to one denominator, and the right and
-left orders intersect the v^-1 L (or L v^-1) with v^-1 = conj(v)/nrd(v).
+intersections bring both lattices to one denominator, and the right
+order intersects the v^-1 L with v^-1 = conj(v)/nrd(v).
 Fractions enter only through `from_vectors` and `contains` and leave
 only through the view `basis` (and the rational invariants `det`,
 `norm_content` and `reduced_discriminant`).
@@ -484,28 +484,16 @@ class Lattice4:
         )
 
 
-def _order_of(lat: Lattice4, times) -> Lattice4:
-    """The intersection over the basis rows r of the lattices spanned by
-    the times(conj(r), w) / nrd(r), w running over the rows."""
-    alg = lat.alg
-    parts = (
-        Lattice4.from_int_rows(alg, alg.nrd(r), [times(conj(r), w) for w in lat.rows])
-        for r in lat.rows
-    )
-    return functools.reduce(Lattice4.intersect, parts)
-
-
 def right_order_lattice(lat: Lattice4) -> Lattice4:
     """{x : L x in L}, the intersection of the v^-1 L over the basis
     vectors v = r / den.  With v^-1 = conj(v) / nrd(v) = den conj(r) / nrd(r),
     v^-1 (w / den) = conj(r) w / nrd(r)."""
-    return _order_of(lat, lat.alg.mul)
-
-
-def left_order_lattice(lat: Lattice4) -> Lattice4:
-    """{x : x L in L}, the intersection of the L v^-1."""
-    mul = lat.alg.mul
-    return _order_of(lat, lambda vbar, w: mul(w, vbar))
+    alg = lat.alg
+    parts = (
+        Lattice4.from_int_rows(alg, alg.nrd(r), [alg.mul(conj(r), w) for w in lat.rows])
+        for r in lat.rows
+    )
+    return functools.reduce(Lattice4.intersect, parts)
 
 
 # ---------------------------------------------------------------------------
