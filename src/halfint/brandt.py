@@ -211,9 +211,7 @@ class IdealClassSet:
 
     def apply(self, v: Sequence, n: int) -> list:
         """Row action v -> v B(n)."""
-        B = self.brandt(n)
-        H = self.h
-        return [sum(v[i] * B[i][j] for i in range(H)) for j in range(H)]
+        return list(combine(self.brandt(n), v))
 
     # -- persistence ---------------------------------------------------------
 
@@ -247,8 +245,11 @@ class IdealClassSet:
         ):
             raise ValueError("cached classes are not the ones the search finds")
         es, ramified = searched.unit_counts, searched.alg.ramified
+        stored = state.get("brandt", {})
+        if not isinstance(stored, dict):
+            raise ValueError("cached degree matrices are not a JSON object")
         mats = {}
-        for n, mat in state.get("brandt", {}).items():
+        for n, mat in stored.items():
             _check_degree_matrix(int(n), mat, es, searched.level, ramified)
             mats[int(n)] = tuple(tuple(row) for row in mat)
         if any(
@@ -397,20 +398,6 @@ class Eigenform:
                 )
             self.eigs[p] = lam
         return self.eigs[p]
-
-    def bad_sign(self, p: int) -> int:
-        """Eigenvalue at a prime dividing the level; must be +-1."""
-        lam = self.eigenvalue(p)
-        if lam not in (1, -1):
-            raise IrrationalEigenspaceError(
-                f"degree-{p} eigenvalue {lam} at a level prime is not a sign"
-            )
-        return lam
-
-    def involution_sign(self, p: int) -> int:
-        """Sign of the level involution at p | N: opposite of the degree
-        eigenvalue."""
-        return -self.bad_sign(p)
 
     def is_cuspidal(self) -> bool:
         return sum(self.vector) == 0

@@ -297,14 +297,8 @@ def _pinned_subset(level: int, newform_map: dict[int, int]) -> tuple[int, ...] |
 
 def _build_profile(line: Eigenform, pmax: int) -> LiftProfile:
     level = line.class_set.level
-    bad = {p: (line.bad_sign(p), line.involution_sign(p)) for p in prime_factors(level)}
-    eigen = {}
-    for p in primes():
-        if p > pmax:
-            break
-        if p != 2 and level % p != 0:
-            eigen[p] = line.eigenvalue(p)
-    return LiftProfile(level=level, b2=line.eigenvalue(2), bad=bad, eigen=eigen)
+    ps = {*itertools.takewhile(lambda p: p <= pmax, primes()), *prime_factors(level)}
+    return LiftProfile(level, {p: line.eigenvalue(p) for p in sorted(ps)})
 
 
 def _run(config: JobConfig, stage: Callable[[dict], dict], pmax: int = 0) -> dict:
@@ -364,9 +358,6 @@ def kohnen_basis(config: JobConfig) -> dict:
 
 def _metadata(line: Eigenform, profile: LiftProfile) -> dict:
     class_set = line.class_set
-    eig_table = {str(p): profile.eigenvalue(p) for p in ORDER_PRIMES}
-    for p in sorted(profile.bad):
-        eig_table.setdefault(str(p), profile.bad[p][0])
     return {
         "level": class_set.level,
         "algebra": class_set.alg.describe(),
@@ -374,8 +365,10 @@ def _metadata(line: Eigenform, profile: LiftProfile) -> dict:
         "mass": str(class_set.mass),
         "unit_counts": list(class_set.unit_counts),
         "ramified_set": list(class_set.alg.ramified),
-        "involutions": {str(p): profile.bad[p][1] for p in sorted(profile.bad)},
-        "eigenvalues": eig_table,
+        "involutions": {str(p): profile.involution_sign(p) for p in profile.bad},
+        "eigenvalues": {
+            str(p): profile.eigenvalue(p) for p in sorted({*ORDER_PRIMES, *profile.bad})
+        },
     }
 
 

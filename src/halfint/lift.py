@@ -7,6 +7,11 @@ diagnostic path used to audit small tables, and an exact integer path
 that assembles the second basis vector h from g through a three-tier
 recursion (square-free indices, square parts supported at 2 and the bad
 primes, then degree-p² Hecke extensions at the remaining primes).
+
+Both paths read one number per prime from a `LiftProfile`: the
+eigenvalue b_p of the degree-p matrix on the eigenline.  At a prime
+dividing the level b_p is a sign, and the level involution there has
+sign w_p = -b_p, which `LiftProfile.involution_sign` alone computes.
 """
 
 from __future__ import annotations
@@ -46,42 +51,40 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class LiftProfile:
-    """Everything the local factors need to know about one eigenline.
+    """The eigenvalues of one eigenline, which is all the local factors read.
 
-    `bad` maps each prime dividing the level to (b_p, w_p); `eigen`
-    carries eigenvalues at whatever other odd primes the caller plans to
-    use.  The weight is fixed at 3/2 for the whole pipeline.
+    `eigen` maps each prime to its degree-matrix eigenvalue b_p: 2, every
+    prime dividing the level (where b_p is a sign), and whatever good odd
+    primes the caller plans to use.  The level involution at p | N has
+    sign w_p = -b_p (`involution_sign`), and these signs multiply to -1.
+    `bad`, the primes dividing the level in increasing order, is derived
+    once here.  The weight is fixed at 3/2 for the whole pipeline.
     """
 
     level: int
-    b2: int
-    bad: dict[int, tuple[int, int]]
-    eigen: dict[int, int] = field(default_factory=dict)
+    eigen: dict[int, int]
+    bad: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.level < 3 or self.level % 2 == 0 or not is_squarefree(self.level):
             raise ValueError(f"level {self.level} is not odd and square-free")
-        if sorted(self.bad) != prime_factors(self.level):
-            raise ValueError("bad-prime data does not cover the level exactly")
-        sign_product = 1
-        for p, (bp, wp) in self.bad.items():
-            if bp not in (1, -1) or wp != -bp:
-                raise ValueError(f"inconsistent sign data at {p}: {(bp, wp)}")
-            sign_product *= wp
-        if sign_product != -1:
+        if 2 not in self.eigen:
+            raise ValueError("no eigenvalue stored at 2")
+        object.__setattr__(self, "bad", tuple(prime_factors(self.level)))
+        for p in self.bad:
+            if self.eigen.get(p) not in (1, -1):
+                raise ValueError(f"eigenvalue at the level prime {p} is not a sign")
+        if math.prod(self.involution_sign(p) for p in self.bad) != -1:
             raise ValueError("involution signs multiply to +1 (even root number)")
 
     def eigenvalue(self, p: int) -> int:
-        if p == 2:
-            return self.b2
-        if p in self.bad:
-            return self.bad[p][0]
-        if p in self.eigen:
-            return self.eigen[p]
-        raise MissingEigenvalueError(f"no eigenvalue stored for prime {p}")
+        if p not in self.eigen:
+            raise MissingEigenvalueError(f"no eigenvalue stored for prime {p}")
+        return self.eigen[p]
 
     def involution_sign(self, p: int) -> int:
-        return self.bad[p][1]
+        """w_p = -b_p, the sign of the level involution at p | N."""
+        return -self.eigen[p]
 
     def alpha_pair(self) -> tuple[complex, complex]:
         """Roots of x² − (b₂/√2)x + 1, first branch fixed.
@@ -89,8 +92,9 @@ class LiftProfile:
         The first root has positive imaginary part when the pair is
         complex, and the larger real part otherwise.
         """
-        half_trace = self.b2 / (2 * _SQRT2)
-        disc = self.b2 * self.b2 / 2.0 - 4.0
+        b2 = self.eigenvalue(2)
+        half_trace = b2 / (2 * _SQRT2)
+        disc = b2 * b2 / 2.0 - 4.0
         if disc < 0:
             im = math.sqrt(-disc) / 2
             return complex(half_trace, im), complex(half_trace, -im)
@@ -188,8 +192,8 @@ def local_K(profile: LiftProfile, which: str, n: int) -> complex:
         value = c2_prime(alpha_conj, n)
     else:
         value = c2_doubleprime(alpha, n)
-    for p, (bp, _) in sorted(profile.bad.items()):
-        value *= cp_s(bp / math.sqrt(p), p, n)
+    for p in profile.bad:
+        value *= cp_s(profile.eigenvalue(p) / math.sqrt(p), p, n)
     for p, e in factorize(n).items():
         if p == 2 or p in profile.bad or e < 2:
             continue
@@ -200,8 +204,8 @@ def local_K(profile: LiftProfile, which: str, n: int) -> complex:
 def kronecker_gate(profile: LiftProfile, t: int) -> bool:
     """Local sign condition at the bad primes for a square-free index."""
     disc = fundamental_discriminant(t)
-    for p, (_, wp) in profile.bad.items():
-        if disc % p != 0 and kronecker(disc, p) != wp:
+    for p in profile.bad:
+        if disc % p != 0 and kronecker(disc, p) != profile.involution_sign(p):
             return False
     return True
 
@@ -262,7 +266,7 @@ def assemble_h(g: QExpansion, profile: LiftProfile, prec: int) -> QExpansion:
         raise PrecisionError(
             f"need theta coefficients through {4 * prec}, have {g.prec}"
         )
-    b2 = profile.b2
+    b2 = profile.eigenvalue(2)
     ts = power_sums(b2, prec.bit_length() // 2 + 2)
     coeffs: dict[int, int] = {}
     for n in range(1, prec + 1):
@@ -282,7 +286,7 @@ def assemble_h(g: QExpansion, profile: LiftProfile, prec: int) -> QExpansion:
                 bad_scale = 1
                 for p, e in square_support.items():
                     if p in profile.bad:
-                        bad_scale *= profile.bad[p][0] ** e
+                        bad_scale *= profile.eigenvalue(p) ** e
                 if core % 4 == 3:
                     value = (
                         g[core]

@@ -142,21 +142,3 @@ def algebra_ramified_at(
         for a in divisors(prod):
             if _ramified(a, prod // a) == target:
                 return QuaternionAlgebra(a, prod // a)
-
-
-def algebra_for_level(N: int, signs: dict[int, int]) -> QuaternionAlgebra:
-    """Definite algebra attached to level N and involution signs.
-
-    `signs` maps each prime p | N to +1 or -1; the algebra ramifies
-    exactly where the sign is -1.  An even number of -1s is the
-    obstructed case and raises EvenRootNumberError.
-    """
-    from .numth import prime_factors  # local import to avoid cycle noise
-
-    ps = prime_factors(N)
-    if sorted(signs) != ps:
-        raise ValueError(f"signs must cover exactly the primes {ps} of {N}")
-    if any(s not in (1, -1) for s in signs.values()):
-        raise ValueError("signs must be +1 or -1")
-    S = [p for p in ps if signs[p] == -1]
-    return algebra_ramified_at(S)

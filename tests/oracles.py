@@ -541,7 +541,7 @@ def algebra_ramified_at_ref(targets):
 def assemble_h_ref(g, profile, prec):
     """{n: h_n} as Fractions for 1 <= n <= prec, nonzero entries only;
     raises IntegralityError on a non-integral coefficient."""
-    b2 = profile.b2
+    b2 = profile.eigenvalue(2)
     ts = power_sums(b2, prec.bit_length() // 2 + 2)
     coeffs = {}
 
@@ -565,7 +565,7 @@ def assemble_h_ref(g, profile, prec):
                 bad_scale = 1
                 for p, e in square_support.items():
                     if p in profile.bad:
-                        bad_scale *= profile.bad[p][0] ** e
+                        bad_scale *= profile.eigenvalue(p) ** e
                 if core % 4 == 3:
                     value = g[core] * (ts[s + 1] - hilbert(2, core, 2) * ts[s]) * bad_scale
                 else:

@@ -184,12 +184,12 @@ def test_criterion_5_property_suite(pipeline_runs):
         assert all(type(v) is int for v in h.coeffs.values())
 
         # (f) tier-1/tier-2 agreement at s = 0
-        ts = power_sums(profile.b2, 2)
+        ts = power_sums(profile.eigenvalue(2), 2)
         for n in range(3, 41, 4):
             if squarefree_part(n) != n:
                 continue
             eps = hilbert(2, n, 2)
-            tier1 = g[n] * (profile.b2 - 2 * eps)
+            tier1 = g[n] * (profile.eigenvalue(2) - 2 * eps)
             tier2 = g[n] * (ts[1] - eps * ts[0])
             assert tier1 == tier2 == h[n]
         notes.append(f"N={level} ({hecke_note})")

@@ -260,9 +260,6 @@ def test_level15_eigenlines(level15):
     assert f.eigenvalue(5) == 1
     assert f.eigenvalue(7) == 0
     assert f.eigenvalue(11) == -4
-    # signs of the level involutions
-    assert f.involution_sign(3) == 1
-    assert f.involution_sign(5) == -1
     # the Eisenstein line is the unit-count direction with eigenvalue p+1
     e = eis[0]
     w = [Fraction(v) * u for v, u in zip(e.vector, level15.unit_counts)]
@@ -296,23 +293,17 @@ def test_cuspidal_means_summing_to_zero(level15):
 def test_level33_old_lines_are_filtered_by_sign(level33):
     # the class set at ramification {11}, level 33 carries a two-dimensional
     # block of lines coming from level 11; they split rationally but their
-    # degree-3 eigenvalues are not signs, so bad_sign rejects them
+    # degree-3 eigenvalues are not signs, so the sign test rejects them
     lines = cuspidal_eigenlines(level33)
     assert len(lines) == 3
-    sign_ok = []
-    for f in lines:
-        try:
-            f.bad_sign(3)
-            sign_ok.append(f)
-        except IrrationalEigenspaceError:
-            continue
+    sign_ok = [f for f in lines if f.eigenvalue(3) in (1, -1)]
     assert len(sign_ok) == 1
     f = sign_ok[0]
     # the genuine level-33 newform
     for p in (2, 5, 7, 13):
         assert f.eigenvalue(p) == oracles.newform_ap(33, p)
-    assert f.bad_sign(11) == 1
-    assert f.bad_sign(3) == -1
+    assert f.eigenvalue(11) == 1
+    assert f.eigenvalue(3) == -1
 
 
 # every rational eigenline (cuspidal or not) of every odd ramification

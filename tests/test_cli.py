@@ -26,7 +26,6 @@ from halfint.errors import (
     AmbiguousSelectorError,
     ConfigurationError,
     EvenRootNumberError,
-    IrrationalEigenspaceError,
     NewformFileError,
     SelectorNotFoundError,
 )
@@ -305,9 +304,8 @@ def _unpruned_candidates(level):
     for ramified in _odd_subsets(bad):
         order = eichler_order(algebra_ramified_at(list(ramified)), level)
         for line in cuspidal_eigenlines(ideal_classes(order)):
-            try:
-                signs = {p: line.bad_sign(p) for p in bad}
-            except IrrationalEigenspaceError:
+            signs = {p: line.eigenvalue(p) for p in bad}
+            if not all(s in (1, -1) for s in signs.values()):
                 continue
             if all((signs[p] == 1) == (p in ramified) for p in bad):
                 out.append((ramified, line))
@@ -497,6 +495,14 @@ def _permute_classes(state):
         state["brandt"][n] = [row[::-1] for row in B[::-1]]
 
 
+def _brandt_as_list(state):
+    state["brandt"] = []
+
+
+def _brandt_as_string(state):
+    state["brandt"] = "x"
+
+
 def _assert_tampering_is_recomputed(cache, capsys, level, name, tamper):
     """A cold run, `tamper` applied to the cache file `name`, then a warm
     run: same stdout, and the file rewritten to the cold bytes."""
@@ -515,7 +521,16 @@ def _assert_tampering_is_recomputed(cache, capsys, level, name, tamper):
 
 @pytest.mark.parametrize(
     "tamper",
-    [_bump_b2, _bump_b3, _negative_b3, _add_wrong_b1, _swap_unit_counts, _permute_classes],
+    [
+        _bump_b2,
+        _bump_b3,
+        _negative_b3,
+        _add_wrong_b1,
+        _swap_unit_counts,
+        _permute_classes,
+        _brandt_as_list,
+        _brandt_as_string,
+    ],
 )
 def test_tampered_cache_file_is_recomputed(tmp_path, capsys, tamper):
     _assert_tampering_is_recomputed(

@@ -440,9 +440,7 @@ def test_right_order_conjugation_covariance():
     ],
 )
 def test_eichler_orders(signs, level, a_b):
-    from halfint.quat import algebra_for_level
-
-    alg = algebra_for_level(level, signs)
+    alg = algebra_ramified_at([p for p, s in signs.items() if s == -1])
     assert (alg.a, alg.b) == a_b
     E = eichler_order(alg, level)
     assert E.reduced_discriminant == level

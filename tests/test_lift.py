@@ -25,13 +25,11 @@ from halfint.qexp import QExpansion
 SQRT2 = math.sqrt(2)
 SQRT7 = math.sqrt(7)
 
-# sign data of the tracked eigenline at level 15, plus the small good
-# eigenvalues it needs; this profile drives all the table tests
+# eigenvalues of the tracked eigenline at level 15 at 2, at the level
+# primes and at the small good primes; this profile drives all the table
+# tests
 LEVEL15_PROFILE = LiftProfile(
-    level=15,
-    b2=-1,
-    bad={3: (-1, 1), 5: (1, -1)},
-    eigen={7: 0, 11: -4, 13: -2},
+    level=15, eigen={2: -1, 3: -1, 5: 1, 7: 0, 11: -4, 13: -2}
 )
 
 # the exactly-known coefficients of the level-15 theta eigenform
@@ -63,13 +61,15 @@ LEVEL15_H = {2: -4, 3: 1, 5: 4, 8: 2, 12: -4, 15: 3, 18: 4, 20: -2, 23: -6}
 
 def test_profile_validation():
     with pytest.raises(ValueError):
-        LiftProfile(level=15, b2=0, bad={3: (-1, 1)})  # missing prime 5
+        LiftProfile(level=15, eigen={2: 0, 3: -1})  # missing prime 5
     with pytest.raises(ValueError):
-        LiftProfile(level=15, b2=0, bad={3: (-1, 1), 5: (-1, 1)})  # even signs
+        LiftProfile(level=15, eigen={2: 0, 3: -1, 5: 2})  # not a sign at 5
     with pytest.raises(ValueError):
-        LiftProfile(level=15, b2=0, bad={3: (-1, -1), 5: (1, -1)})  # w != -b
+        LiftProfile(level=15, eigen={2: 0, 3: -1, 5: -1})  # even signs
     with pytest.raises(ValueError):
-        LiftProfile(level=9, b2=0, bad={3: (1, -1)})  # not squarefree
+        LiftProfile(level=9, eigen={2: 0, 3: 1})  # not squarefree
+    with pytest.raises(ValueError):
+        LiftProfile(level=15, eigen={3: -1, 5: 1})  # missing prime 2
 
 
 def test_profile_eigenvalues():
@@ -79,6 +79,9 @@ def test_profile_eigenvalues():
     assert p.eigenvalue(5) == 1
     assert p.eigenvalue(13) == -2
     assert p.involution_sign(3) == 1
+    assert p.bad == (3, 5)
+    for q in p.bad:
+        assert p.involution_sign(q) == -p.eigenvalue(q)
     with pytest.raises(MissingEigenvalueError):
         p.eigenvalue(19)
 
@@ -187,7 +190,7 @@ def test_table_of_local_products():
 
 
 def test_local_product_needs_eigenvalue():
-    prof = LiftProfile(level=15, b2=-1, bad={3: (-1, 1), 5: (1, -1)})
+    prof = LiftProfile(level=15, eigen={2: -1, 3: -1, 5: 1})
     with pytest.raises(MissingEigenvalueError):
         local_K(prof, "K1", 49 * 2)
     # first power of a good prime never needs its eigenvalue
@@ -299,21 +302,23 @@ def test_level15_h_gold():
 @st.composite
 def lift_cases(draw):
     """A random integer g deep enough for the drawn precision, and a valid
-    profile: odd square-free level, signs w_p = -b_p multiplying to -1,
-    and eigenvalues at every odd good prime the Hecke tier may reach."""
+    profile: odd square-free level, sign eigenvalues b_p there whose
+    involution signs -b_p multiply to -1, an eigenvalue at 2, and
+    eigenvalues at every odd good prime the Hecke tier may reach."""
     odd_primes = st.sampled_from([3, 5, 7, 11, 13])
     primes = draw(st.lists(odd_primes, min_size=1, max_size=3, unique=True))
     level = math.prod(primes)
     signs = [draw(st.sampled_from([1, -1])) for _ in primes[1:]]
     signs.insert(0, -math.prod(signs))
-    bad = {p: (-w, w) for p, w in zip(primes, signs)}
     prec = draw(st.integers(1, 80))
-    eigen = {
+    eigen = {p: -w for p, w in zip(primes, signs)}
+    eigen |= {
         p: draw(st.integers(-9, 9))
         for p in (3, 5, 7)
-        if p * p <= prec and p not in bad
+        if p * p <= prec and p not in eigen
     }
-    profile = LiftProfile(level=level, b2=draw(st.integers(-6, 6)), bad=bad, eigen=eigen)
+    eigen[2] = draw(st.integers(-6, 6))
+    profile = LiftProfile(level=level, eigen=eigen)
     coeffs = draw(st.dictionaries(st.integers(1, 4 * prec), st.integers(-20, 20), max_size=40))
     return QExpansion(4 * prec, coeffs), profile, prec
 
@@ -347,7 +352,7 @@ def test_h_gate_vanishing():
 def test_tier_consistency_at_s_zero():
     # for square-free n = 3 mod 4 the power-sum branch at s = 0 equals
     # the direct square-free branch
-    b2 = LEVEL15_PROFILE.b2
+    b2 = LEVEL15_PROFILE.eigenvalue(2)
     ts = power_sums(b2, 1)
     import halfint.numth as numth
 
@@ -362,7 +367,7 @@ def test_h_precision_guard():
 
 
 def test_h_missing_eigenvalue():
-    prof = LiftProfile(level=15, b2=-1, bad={3: (-1, 1), 5: (1, -1)})
+    prof = LiftProfile(level=15, eigen={2: -1, 3: -1, 5: 1})
     g = QExpansion(400, dict(LEVEL15_G.coeffs))
     with pytest.raises(MissingEigenvalueError):
         assemble_h(g, prof, 100)

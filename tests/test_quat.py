@@ -16,7 +16,6 @@ from halfint.quat import (
     K,
     ONE,
     QuaternionAlgebra,
-    algebra_for_level,
     algebra_ramified_at,
     conj,
     qadd,
@@ -148,15 +147,3 @@ def test_even_sets_rejected():
         algebra_ramified_at([])
     with pytest.raises(EvenRootNumberError):
         algebra_ramified_at([3, 5])
-
-
-def test_algebra_for_level():
-    assert algebra_for_level(15, {3: 1, 5: -1}) == QuaternionAlgebra(2, 5)
-    assert algebra_for_level(15, {3: -1, 5: 1}) == QuaternionAlgebra(1, 3)
-    assert algebra_for_level(11, {11: -1}) == QuaternionAlgebra(1, 11)
-    with pytest.raises(EvenRootNumberError):
-        algebra_for_level(15, {3: -1, 5: -1})
-    with pytest.raises(ValueError):
-        algebra_for_level(15, {3: -1})
-    with pytest.raises(ValueError):
-        algebra_for_level(15, {3: -1, 5: 2})
