@@ -29,7 +29,6 @@ the classes and their order never depend on a cache file.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -364,19 +363,28 @@ def _normalize_primitive(vec: Sequence[int]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class _Block:
-    rows: list[tuple[int, ...]]  # integer basis of the invariant subspace
-    eigs: dict[int, int]
+    __slots__ = ("rows", "eigs")
+
+    def __init__(self, rows: list[tuple[int, ...]], eigs: dict[int, int]):
+        self.rows = rows  # integer basis of the invariant subspace
+        self.eigs = eigs
 
 
-@dataclass
 class Eigenform:
     """A rational simultaneous eigenline of the degree matrices."""
 
-    class_set: IdealClassSet
-    vector: tuple[int, ...]
-    eigs: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("class_set", "vector", "eigs")
+
+    def __init__(
+        self,
+        class_set: IdealClassSet,
+        vector: tuple[int, ...],
+        eigs: dict[int, int] | None = None,
+    ):
+        self.class_set = class_set
+        self.vector = vector
+        self.eigs = {} if eigs is None else eigs
 
     def eigenvalue(self, p: int) -> int:
         """Eigenvalue of the degree-p matrix on this line (p prime)."""

@@ -18,7 +18,6 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from math import isqrt, prod
 from pathlib import Path
 from typing import Callable
@@ -60,29 +59,38 @@ __all__ = [
 CACHE_ENV = "HALFINT_CACHE_DIR"
 
 
-@dataclass
 class JobConfig:
     """Validated options shared by every subcommand."""
 
-    level: int
-    selector: str | None = None
-    prec: int = 100
-    fmt: str = "text"
-    cache_dir: str | None = None
-    newform_file: str | None = None
-    workers: int = 1
+    __slots__ = ("level", "selector", "prec", "fmt", "cache_dir", "newform_file", "workers")
 
-    def __post_init__(self):
-        if self.level < 3 or self.level % 2 == 0 or not is_squarefree(self.level):
+    def __init__(
+        self,
+        level: int,
+        selector: str | None = None,
+        prec: int = 100,
+        fmt: str = "text",
+        cache_dir: str | None = None,
+        newform_file: str | None = None,
+        workers: int = 1,
+    ):
+        if level < 3 or level % 2 == 0 or not is_squarefree(level):
             raise ConfigurationError(
-                f"level must be an odd square-free integer >= 3, got {self.level}"
+                f"level must be an odd square-free integer >= 3, got {level}"
             )
-        if self.prec < 1:
-            raise ConfigurationError(f"precision must be >= 1, got {self.prec}")
-        if self.fmt not in ("text", "json"):
-            raise ConfigurationError(f"unknown output format {self.fmt!r}")
-        if self.workers < 1:
-            raise ConfigurationError(f"worker count must be >= 1, got {self.workers}")
+        if prec < 1:
+            raise ConfigurationError(f"precision must be >= 1, got {prec}")
+        if fmt not in ("text", "json"):
+            raise ConfigurationError(f"unknown output format {fmt!r}")
+        if workers < 1:
+            raise ConfigurationError(f"worker count must be >= 1, got {workers}")
+        self.level = level
+        self.selector = selector
+        self.prec = prec
+        self.fmt = fmt
+        self.cache_dir = cache_dir
+        self.newform_file = newform_file
+        self.workers = workers
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +115,8 @@ def _load_class_set(order: Order, directory: Path | None) -> IdealClassSet:
         if path.is_file():
             try:
                 return IdealClassSet.from_state(searched, json.loads(path.read_text()))
-            except (OSError, ValueError, KeyError, TypeError):
-                pass  # unreadable, incomplete or inconsistent: a miss, overwritten
+            except (OSError, ValueError, KeyError, TypeError, RecursionError):
+                pass  # unreadable, too deep, incomplete or inconsistent: a miss, overwritten
     return searched
 
 
@@ -178,6 +186,10 @@ def ingest_newform(path: str) -> dict[int, int]:
             out[p] = v
     except (ValueError, json.JSONDecodeError) as exc:
         raise NewformFileError(f"malformed eigenvalue file {path}: {exc}") from exc
+    except RecursionError:
+        raise NewformFileError(
+            f"malformed eigenvalue file {path}: JSON nested too deeply"
+        ) from None
     return out
 
 

@@ -8,7 +8,7 @@ trivial.  Every lattice is built by `Lattice4.from_int_rows` (Hermite
 form, then the content divided out), and every operation works on
 integer rows: products multiply rows over den_x * den_y, sums and
 intersections bring both lattices to one denominator, and the right
-order intersects the v^-1 L with v^-1 = conj(v)/nrd(v).
+order of an invertible lattice is the one product conj(L) L / nrd(L).
 Fractions enter only through `from_vectors` and `contains` and leave
 only through the view `basis` (and the rational invariants `det`,
 `norm_content` and `reduced_discriminant`).
@@ -39,9 +39,7 @@ tree come out empty.
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Sequence
@@ -295,17 +293,33 @@ def combine(rows: Sequence[Sequence[int]], coeffs: Sequence[int]) -> tuple[int, 
     return v
 
 
-@dataclass(frozen=True)
 class Lattice4:
     """Full rank-4 lattice in a definite quaternion algebra.
 
     rows/den is the canonical Hermite basis: basis vector r is
     (rows[r][0] + rows[r][1] i + rows[r][2] j + rows[r][3] k) / den.
+    Immutable, equal by (alg, den, rows) and hashable.
     """
 
-    alg: QuaternionAlgebra
-    den: int
-    rows: tuple[tuple[int, int, int, int], ...]
+    __slots__ = ("alg", "den", "rows")
+
+    def __init__(
+        self, alg: QuaternionAlgebra, den: int, rows: tuple[tuple[int, int, int, int], ...]
+    ):
+        object.__setattr__(self, "alg", alg)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Lattice4 is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alg, self.den, self.rows) == (other.alg, other.den, other.rows)
+
+    def __hash__(self):
+        return hash((self.alg, self.den, self.rows))
 
     # -- construction ------------------------------------------------------
 
@@ -485,15 +499,13 @@ class Lattice4:
 
 
 def right_order_lattice(lat: Lattice4) -> Lattice4:
-    """{x : L x in L}, the intersection of the v^-1 L over the basis
-    vectors v = r / den.  With v^-1 = conj(v) / nrd(v) = den conj(r) / nrd(r),
-    v^-1 (w / den) = conj(r) w / nrd(r)."""
+    """{x : L x in L} for an invertible lattice L, which is
+    conj(L) L / nrd(L) (Voight, Quaternion Algebras, ch. 16).  Over the
+    rows r / den, conj(L) L is spanned by the conj(r) s / den^2 and nrd(L)
+    is content(int_gram) / den^2, so the den^2 cancel."""
     alg = lat.alg
-    parts = (
-        Lattice4.from_int_rows(alg, alg.nrd(r), [alg.mul(conj(r), w) for w in lat.rows])
-        for r in lat.rows
-    )
-    return functools.reduce(Lattice4.intersect, parts)
+    products = [alg.mul(conj(x), y) for x in lat.rows for y in lat.rows]
+    return Lattice4.from_int_rows(alg, _form_content(lat.int_gram()), products)
 
 
 # ---------------------------------------------------------------------------

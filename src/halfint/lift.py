@@ -17,7 +17,6 @@ sign w_p = -b_p, which `LiftProfile.involution_sign` alone computes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import MissingEigenvalueError, PrecisionError
 from .numth import (
@@ -49,7 +48,6 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
 class LiftProfile:
     """The eigenvalues of one eigenline, which is all the local factors read.
 
@@ -59,23 +57,32 @@ class LiftProfile:
     sign w_p = -b_p (`involution_sign`), and these signs multiply to -1.
     `bad`, the primes dividing the level in increasing order, is derived
     once here.  The weight is fixed at 3/2 for the whole pipeline.
+    Immutable and equal by (level, eigen).
     """
 
-    level: int
-    eigen: dict[int, int]
-    bad: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("level", "eigen", "bad")
 
-    def __post_init__(self):
-        if self.level < 3 or self.level % 2 == 0 or not is_squarefree(self.level):
-            raise ValueError(f"level {self.level} is not odd and square-free")
-        if 2 not in self.eigen:
+    def __init__(self, level: int, eigen: dict[int, int]):
+        if level < 3 or level % 2 == 0 or not is_squarefree(level):
+            raise ValueError(f"level {level} is not odd and square-free")
+        if 2 not in eigen:
             raise ValueError("no eigenvalue stored at 2")
-        object.__setattr__(self, "bad", tuple(prime_factors(self.level)))
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "eigen", eigen)
+        object.__setattr__(self, "bad", tuple(prime_factors(level)))
         for p in self.bad:
-            if self.eigen.get(p) not in (1, -1):
+            if eigen.get(p) not in (1, -1):
                 raise ValueError(f"eigenvalue at the level prime {p} is not a sign")
         if math.prod(self.involution_sign(p) for p in self.bad) != -1:
             raise ValueError("involution signs multiply to +1 (even root number)")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LiftProfile is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.level, self.eigen) == (other.level, other.eigen)
 
     def eigenvalue(self, p: int) -> int:
         if p not in self.eigen:

@@ -11,7 +11,6 @@ an int (a Fraction, a float, a "num/den" string) is rejected.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 
 from .errors import PrecisionError
 
@@ -28,28 +27,37 @@ def _normalize(coeffs) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-@dataclass(frozen=True)
 class QExpansion:
     """Finitely many integer coefficients, valid through q^prec.
 
     `kohnen` marks a series claimed to live in the plus subspace for
     weight 3/2, where coefficients may only sit at n ≡ 0, 3 mod 4; the
-    claim is validated on construction.
+    claim is validated on construction.  Immutable and equal by
+    (prec, coeffs, kohnen).
     """
 
-    prec: int
-    coeffs: dict[int, int] = field(default_factory=dict)
-    kohnen: bool = False
+    __slots__ = ("prec", "coeffs", "kohnen")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _normalize(self.coeffs))
-        for n in self.coeffs:
-            if n > self.prec:
-                raise ValueError(f"coefficient at {n} beyond precision {self.prec}")
-            if self.kohnen and n % 4 in (1, 2):
+    def __init__(self, prec: int, coeffs: dict[int, int] | None = None, kohnen: bool = False):
+        coeffs = _normalize(coeffs or {})
+        for n in coeffs:
+            if n > prec:
+                raise ValueError(f"coefficient at {n} beyond precision {prec}")
+            if kohnen and n % 4 in (1, 2):
                 raise ValueError(
                     f"nonzero coefficient at {n} ≡ {n % 4} mod 4 in a plus-space series"
                 )
+        object.__setattr__(self, "prec", prec)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "kohnen", kohnen)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QExpansion is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.prec, self.coeffs, self.kohnen) == (other.prec, other.coeffs, other.kohnen)
 
     def __getitem__(self, n: int) -> int:
         if n < 0:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
@@ -63,16 +62,28 @@ def _ramified(a: int, b: int) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
 class QuaternionAlgebra:
-    """B = (-a, -b) over Q, with a, b > 0 (definite)."""
+    """B = (-a, -b) over Q, with a, b > 0 (definite).  Immutable, equal by
+    (a, b) and hashable."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
+    def __init__(self, a: int, b: int):
+        if a <= 0 or b <= 0:
             raise ValueError("definite algebras need a, b > 0")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QuaternionAlgebra is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self):
+        return hash((self.a, self.b))
 
     def mul(self, x: Quat, y: Quat) -> Quat:
         a, b = self.a, self.b

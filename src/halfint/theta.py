@@ -14,7 +14,6 @@ the integer value n den^2 of that form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .brandt import Eigenform
@@ -33,21 +32,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class TernaryLattice:
     """Rank-3 lattice of trace-zero quaternions: basis vector r is
-    (rows[r][0] + rows[r][1] i + rows[r][2] j + rows[r][3] k) / den."""
+    (rows[r][0] + rows[r][1] i + rows[r][2] j + rows[r][3] k) / den.
+    Immutable, equal by (alg, den, rows) and hashable."""
 
-    alg: QuaternionAlgebra
-    den: int
-    rows: tuple[tuple[int, int, int, int], ...]
+    __slots__ = ("alg", "den", "rows")
 
-    def __post_init__(self):
-        for row in self.rows:
+    def __init__(
+        self, alg: QuaternionAlgebra, den: int, rows: tuple[tuple[int, int, int, int], ...]
+    ):
+        object.__setattr__(self, "alg", alg)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "rows", rows)
+        for row in rows:
             if row[0] != 0:
-                raise ValueError(f"basis vector {row} / {self.den} has nonzero trace")
+                raise ValueError(f"basis vector {row} / {den} has nonzero trace")
         if self.det() <= 0:
             raise ValueError("Gram matrix is not positive definite")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TernaryLattice is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alg, self.den, self.rows) == (other.alg, other.den, other.rows)
+
+    def __hash__(self):
+        return hash((self.alg, self.den, self.rows))
 
     def int_gram(self) -> list[list[int]]:
         """den^2 times the Gram matrix of the norm form on the basis."""

@@ -20,7 +20,7 @@ from halfint.errors import IntegralityError
 from halfint.lattice import Lattice4, combine
 from halfint.lift import kronecker_gate, power_sums
 from halfint.numth import divisors, factorize, hilbert, kronecker, squarefree_split, xgcd
-from halfint.quat import QuaternionAlgebra, _ramified
+from halfint.quat import QuaternionAlgebra, _ramified, conj
 
 
 def squarefree_part_ref(n: int) -> int:
@@ -325,6 +325,19 @@ def intersect_ref(L, M):
         L.alg, transpose(mat_inv(L.basis())) + transpose(mat_inv(M.basis()))
     )
     return Lattice4.from_vectors(L.alg, transpose(mat_inv(dual.basis())))
+
+
+def right_order_intersection_ref(lat):
+    """{x : L x in L} for any lattice L, as the intersection of the v^-1 L
+    over the basis vectors v = r / den: with v^-1 = den conj(r) / nrd(r),
+    v^-1 (w / den) = conj(r) w / nrd(r).  The library's one-product
+    formula holds only for invertible L."""
+    alg = lat.alg
+    parts = (
+        Lattice4.from_int_rows(alg, alg.nrd(r), [alg.mul(conj(r), w) for w in lat.rows])
+        for r in lat.rows
+    )
+    return functools.reduce(Lattice4.intersect, parts)
 
 
 def order_ref(lat, side):

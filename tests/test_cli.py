@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -326,6 +327,15 @@ def test_pruned_search_matches_unpruned_filter(level):
     assert got == want
 
 
+def test_deeply_nested_newform_file_exits_3(tmp_path, capsys):
+    nf = tmp_path / "deep.json"
+    nf.write_text('{"2": ' + "[" * 200000 + "]" * 200000 + "}")
+    assert main(["basis", "--level", "15", "--newform-file", str(nf)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed eigenvalue file {nf}: JSON nested too deeply\n"
+
+
 def test_newform_file_sign_out_of_range(tmp_path):
     nf = tmp_path / "signs.txt"
     nf.write_text("3 2\n5 -1\n")
@@ -462,6 +472,19 @@ def test_truncated_cache_file_is_recomputed(tmp_path, capsys):
     assert capsys.readouterr().out == cold_out
     assert path.read_bytes() == cold_bytes
     assert [p.name for p in cache.iterdir()] == [path.name]
+
+
+def test_deeply_nested_cache_file_is_a_miss(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = ["basis", "--level", "15", "--prec", "24", "--cache-dir", str(cache)]
+    assert main(argv) == 0
+    cold_out = capsys.readouterr().out
+    cold_cache = {p.name: p.read_bytes() for p in cache.iterdir()}
+    for name in cold_cache:
+        (cache / name).write_text("[" * 200000)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cold_out
+    assert {p.name: p.read_bytes() for p in cache.iterdir()} == cold_cache
 
 
 def _bump_b2(state):
@@ -746,6 +769,21 @@ def test_package_invocation_subprocess():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout.startswith("level 11\n")
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every job is a fresh process, so what the import pulls in is paid on
+    # every run; -S keeps site hooks of the environment out of the check
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, halfint.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_module_invocation_error_code():

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import oracles
 
+from halfint.brandt import ideal_classes
 from halfint.cli import _odd_subsets
 from halfint.errors import MaximalOrderNotFoundError
 from halfint.lattice import (
@@ -355,7 +356,7 @@ def test_integer_lattice_algebra_matches_fraction_oracles(pair):
     )
     for lat in (L, M):
         assert lat.conjugate() == Lattice4.from_vectors(alg, [conj(v) for v in lat.basis()])
-        assert right_order_lattice(lat) == oracles.order_ref(lat, "right")
+        assert oracles.right_order_intersection_ref(lat) == oracles.order_ref(lat, "right")
         assert lat.reduced_discriminant() == oracles.reduced_discriminant_ref(lat)
 
 
@@ -379,6 +380,16 @@ def test_right_order_of_order_is_itself():
     L = _std(B25)
     assert right_order_lattice(L) == L
     assert oracles.order_ref(L, "left") == L
+
+
+@pytest.mark.parametrize("level", [15, 21, 35, 67, 105])
+def test_right_order_product_matches_intersection_on_classes(level):
+    # conj(I) I / nrd(I) is the right order only for invertible I; every
+    # class the search finds is one (a chain of 2-neighbours, 2 prime to N)
+    for ramified in _odd_subsets(prime_factors(level)):
+        C = ideal_classes(eichler_order(algebra_ramified_at(list(ramified)), level))
+        for I in C.classes:
+            assert right_order_lattice(I) == oracles.right_order_intersection_ref(I)
 
 
 def test_order_units_of_standard():

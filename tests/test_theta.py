@@ -5,9 +5,11 @@ import pytest
 from halfint.brandt import Eigenform, cuspidal_eigenlines, ideal_classes
 from halfint.errors import PrecisionError
 from halfint.lattice import Lattice4, Order, eichler_order
+from halfint.lift import LiftProfile
 from halfint.qexp import QExpansion
-from halfint.quat import algebra_ramified_at, conj, qelt, qscale, trd
+from halfint.quat import QuaternionAlgebra, algebra_ramified_at, conj, qelt, qscale, trd
 from halfint.theta import (
+    TernaryLattice,
     hecke_check,
     kohnen_form,
     ternary_theta,
@@ -49,6 +51,30 @@ def test_trace_zero_basis(level15):
         assert len(R.rows) == 3
         for v in R.rows:
             assert trd(v) == 0
+
+
+def test_value_semantics(level15):
+    # equal fields give equal objects with equal hashes, within one class
+    # only, and the immutable classes refuse assignment to a field
+    R = trace_zero_lattice(level15.rights[1])
+    twin = TernaryLattice(R.alg, R.den, R.rows)
+    assert twin == R and hash(twin) == hash(R)
+    alg = QuaternionAlgebra(R.alg.a, R.alg.b)
+    assert alg == R.alg and hash(alg) == hash(R.alg)
+    assert Lattice4(R.alg, R.den, R.rows) != R and R != Lattice4(R.alg, R.den, R.rows)
+    profile = LiftProfile(15, {2: 0, 3: -1, 5: 1})
+    assert profile == LiftProfile(15, {2: 0, 3: -1, 5: 1})
+    assert profile != LiftProfile(15, {2: 1, 3: -1, 5: 1})
+    frozen = [
+        (alg, "a"),
+        (level15.classes[1], "rows"),
+        (R, "den"),
+        (QExpansion(4, {3: 1}), "coeffs"),
+        (profile, "eigen"),
+    ]
+    for obj, name in frozen:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
 
 
 def test_gram_determinant_shape(level15, level11):
