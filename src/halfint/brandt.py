@@ -18,7 +18,12 @@ Pair lattices conj(I_j) I_i are built from two left generators of I_i
 the base order O, conj(I_j) I_i = conj(I_j) O y1 + conj(I_j) O y2, and
 conj(I_j) O = conj(I_j) because conj(I_j) is a right O-ideal (I_j has
 left order O).  So the 8 products of conj(I_j)'s rows with y1, y2 span
-the same lattice as the 16 products of the two bases.
+the same lattice as the 16 products of the two bases.  Row 0 and the
+diagonal need no pair lattice at all (`IdealClassSet._count`): counts
+are in units of the content, conj(I_j) O = conj(I_j) has the counts of
+I_j, and conj(I_j) I_j = nrd(I_j) O_j those of the right order O_j, so
+those pairs are counted on classes[j] and rights[j].lattice, which the
+class search has already reduced.
 
 Classes come only from the search (`ideal_classes`).  A cached state
 (`IdealClassSet.from_state`) contributes only its degree matrices, and
@@ -176,12 +181,22 @@ class IdealClassSet:
         """Count every unordered pair of classes up to degree nmax.
 
         The raw counts are symmetric: conj(I_i) I_j is the conjugate lattice
-        of conj(I_j) I_i, and conjugation keeps the reduced norm.
+        of conj(I_j) I_i, and conjugation keeps the reduced norm.  The pairs
+        (0, j) are counted on classes[j] and the pairs (j, j) on
+        rights[j].lattice (module docstring); only the pairs 0 < i < j build
+        a lattice.
         """
+        classes, rights = self.classes, self.rights
         for j in range(self.h):
-            conj_j = self.classes[j].conjugate()
+            if j > 1:
+                conj_j = classes[j].conjugate()
             for i in range(j + 1):
-                P = _pair_lattice(conj_j, self.classes[i], self.gens[i])
+                if i == 0:
+                    P = classes[j]
+                elif i == j:
+                    P = rights[j].lattice
+                else:
+                    P = _pair_lattice(conj_j, classes[i], self.gens[i])
                 self._counts[i, j] = P.norm_counts(nmax)
         self._counted = nmax
 

@@ -147,11 +147,23 @@ def _store_class_set(class_set: IdealClassSet, directory: Path | None) -> None:
 # ---------------------------------------------------------------------------
 
 
+# the longest piece of an eigenvalue file that an error message quotes
+EXCERPT_CHARS = 40
+
+
+def _excerpt(text: str) -> str:
+    """`text`, or its first EXCERPT_CHARS characters marked as cut, so an
+    error line stays short whatever the file holds."""
+    if len(text) <= EXCERPT_CHARS:
+        return text
+    return f"{text[:EXCERPT_CHARS]}... ({len(text)} characters)"
+
+
 def _file_int(value) -> int:
     """A JSON integer (not a bool) or a decimal-integer string as an int."""
     if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
         return int(value)
-    raise ValueError(f"expected an integer, got {json.dumps(value)}")
+    raise ValueError(f"expected an integer, got {_excerpt(json.dumps(value))}")
 
 
 def ingest_newform(path: str) -> dict[int, int]:
@@ -175,7 +187,7 @@ def ingest_newform(path: str) -> dict[int, int]:
                     continue
                 parts = line.split()
                 if len(parts) != 2:
-                    raise ValueError(f"expected 'p b_p', got {line!r}")
+                    raise ValueError(f"expected 'p b_p', got {_excerpt(repr(line))}")
                 items.append((parts[0], parts[1]))
         for key, value in items:
             p, v = _file_int(key), _file_int(value)

@@ -28,18 +28,23 @@ that takes an integer Gram matrix and an integer bound and returns
 integer values with their counts.  The leading minors and eliminated
 rows come from fraction-free (Bareiss) elimination, and each
 coordinate's interval comes from isqrt of an integer budget, so neither
-floating point nor Fraction arithmetic enters the enumeration.
+floating point nor Fraction arithmetic enters the enumeration.  A form
+takes one value on c and -c, so the enumeration visits only the half
+space of vectors whose last nonzero coordinate is positive and counts
+each of them twice; the histogram comes back with its keys ascending.
 `Lattice4.norm_counts` counts the reduced norm in units of the lattice's
 norm content, the gcd of the values of its integer Gram matrix.  Counts
 do not depend on the basis, so the counting callers (`norm_counts`, the
 ternary theta series) first reduce their integer Gram matrix with
 `lll_gram`: on a raw Hermite basis most intervals of the enumeration
-tree come out empty.
+tree come out empty.  A `Lattice4` keeps its content and reduced Gram
+matrix after the first count, so each lattice object is reduced once.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Sequence
@@ -211,8 +216,8 @@ def lll_gram(gram: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def _fincke_pohst(gram: Sequence[Sequence[int]], bound: int):
-    """Integer-exact Fincke-Pohst enumeration (Math. Comp. 44, 1985), one
-    innermost line at a time.
+    """Integer-exact Fincke-Pohst enumeration (Math. Comp. 44, 1985) of one
+    vector of each pair c, -c, one innermost line at a time.
 
     With M_k the leading minors of the integer Gram matrix,
 
@@ -227,6 +232,10 @@ def _fincke_pohst(gram: Sequence[Sequence[int]], bound: int):
     extend that choice are those with first coordinate x in
     lo <= x <= hi (possibly none), each with the key
     used + w * (m * x + s)^2.
+
+    Only the nonzero vectors whose last nonzero coordinate is positive
+    are enumerated: while the coordinates after i are all 0 (so s_i = 0),
+    coordinate i runs over 0..hi, and the innermost one over 1..hi.
     """
     n = len(gram)
     minors, rows = _bareiss(gram)
@@ -235,11 +244,13 @@ def _fincke_pohst(gram: Sequence[Sequence[int]], bound: int):
     top = scale * bound
     coords = [0] * n
 
-    def level(i: int, rem: int):
+    def level(i: int, rem: int, zero_after: bool):
         m, row = minors[i + 1], rows[i]
         s = sum(row[j] * coords[j] for j in range(i + 1, n))
         ymax = isqrt(rem // weights[i])
         lo, hi = -((ymax + s) // m), (ymax - s) // m
+        if zero_after:
+            lo = 0 if i else 1
         if i == 0:
             yield lo, hi, s, top - rem
             return
@@ -247,28 +258,33 @@ def _fincke_pohst(gram: Sequence[Sequence[int]], bound: int):
         for x in range(lo, hi + 1):
             coords[i] = x
             y = m * x + s
-            yield from level(i - 1, rem - w * y * y)
+            yield from level(i - 1, rem - w * y * y, zero_after and not x)
         coords[i] = 0
 
-    return scale, minors[1], weights[0], level(n - 1, top)
+    return scale, minors[1], weights[0], level(n - 1, top, True)
 
 
 def count_by_value(gram: Sequence[Sequence[int]], bound: int) -> dict[int, int]:
     """Histogram {c^t G c: count} over the integer vectors c with
     c^t G c <= bound, for a positive-definite integer Gram matrix G; the
     zero vector counts once, c and -c apart, and the keys come in
-    first-seen order.  Raises ValueError when G is not positive definite.
+    ascending order.  Raises ValueError when G is not positive definite.
+
+    Only half the vectors are visited (`_fincke_pohst`): c and -c have
+    one value, so each vector found counts twice.
     """
     if bound < 0:
         return {}
     scale, m, w, lines = _fincke_pohst(gram, bound)
-    keys: dict[int, int] = {}
+    tally: Counter[int] = Counter()
     for lo, hi, s, used in lines:
-        for y in range(m * lo + s, m * hi + s + 1, m):
-            k = used + w * y * y
-            keys[k] = keys.get(k, 0) + 1
-    # every key is S times an integer value
-    return {k // scale: count for k, count in keys.items()}
+        tally.update([used + w * y * y for y in range(m * lo + s, m * hi + s + 1, m)])
+    # every key is S times an integer value, and the zero vector is not in
+    # the half space
+    counts = {0: 1}
+    for k, count in sorted(tally.items()):
+        counts[k // scale] = 2 * count
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +314,11 @@ class Lattice4:
 
     rows/den is the canonical Hermite basis: basis vector r is
     (rows[r][0] + rows[r][1] i + rows[r][2] j + rows[r][3] k) / den.
-    Immutable, equal by (alg, den, rows) and hashable.
+    Immutable, equal by (alg, den, rows) and hashable; the private slot
+    `_form` only caches what `norm_counts` derives from those fields.
     """
 
-    __slots__ = ("alg", "den", "rows")
+    __slots__ = ("alg", "den", "rows", "_form")
 
     def __init__(
         self, alg: QuaternionAlgebra, den: int, rows: tuple[tuple[int, int, int, int], ...]
@@ -309,6 +326,7 @@ class Lattice4:
         object.__setattr__(self, "alg", alg)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_form", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Lattice4 is immutable: cannot set {name!r}")
@@ -472,14 +490,17 @@ class Lattice4:
 
     def norm_counts(self, bound: int) -> dict[int, int]:
         """#{x in L : nrd(x) = n * norm_content()} for n <= bound, counted
-        on the LLL-reduced integer Gram matrix."""
+        on the LLL-reduced integer Gram matrix, which is computed once per
+        lattice object."""
         # nrd(x) = n * content exactly when x^t G x = n * unit, G = int_gram,
         # and unit divides every value of the form
-        gram = self.int_gram()
-        unit = _form_content(gram)
+        if self._form is None:
+            gram = self.int_gram()
+            object.__setattr__(self, "_form", (_form_content(gram), lll_gram(gram)))
+        unit, reduced = self._form
         return {
             val // unit: count
-            for val, count in count_by_value(lll_gram(gram), bound * unit).items()
+            for val, count in count_by_value(reduced, bound * unit).items()
         }
 
     # -- order-related -------------------------------------------------------

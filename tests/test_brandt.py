@@ -215,6 +215,21 @@ def test_one_pass_counts_match_per_degree_recounts(level33, monkeypatch):
                 assert B[i][j] * es[j] == raw, (i, j, n)
 
 
+@pytest.mark.parametrize("level", [15, 35, 37, 67, 105])
+def test_reused_pair_counts_match_built_pair_lattices(level):
+    # row 0 and the diagonal are counted on the classes and the right orders
+    # themselves; every pair must have the counts of conj(I_j) I_i built out
+    for ramified in _odd_subsets(prime_factors(level)):
+        C = ideal_classes(eichler_order(algebra_ramified_at(list(ramified)), level))
+        C._count(13)
+        for j in range(C.h):
+            conj_j = C.classes[j].conjugate()
+            for i in range(j + 1):
+                P = _pair_lattice(conj_j, C.classes[i], C.gens[i])
+                want = list(P.norm_counts(13).items())
+                assert list(C._counts[i, j].items()) == want, (ramified, i, j)
+
+
 def test_brandt_rejects_bad_degree(level15):
     with pytest.raises(ValueError):
         level15.brandt(0)

@@ -232,6 +232,32 @@ def test_main_malformed_newform_value_exit_3(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_long_newform_value_is_quoted_cut(tmp_path, capsys):
+    # a JSON value of 100000 zeros is quoted by its first characters only
+    nf = tmp_path / "zeros.json"
+    nf.write_text('{"2": [' + ", ".join(["0"] * 100000) + "]}")
+    assert main(["basis", "--level", "15", "--newform-file", str(nf)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: malformed eigenvalue file {nf}: expected an integer, got "
+        "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, ... (300000 characters)\n"
+    )
+
+
+def test_long_newform_line_is_quoted_cut(tmp_path, capsys):
+    # a text line of 100001 tokens is quoted by its first characters only
+    nf = tmp_path / "zeros.txt"
+    nf.write_text(" ".join(["0"] * 100001) + "\n")
+    assert main(["basis", "--level", "15", "--newform-file", str(nf)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: malformed eigenvalue file {nf}: expected 'p b_p', got "
+        "'0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0... (200003 characters)\n"
+    )
+
+
 def test_main_newform_file_not_utf8_exit_3(tmp_path, capsys):
     nf = tmp_path / "nf.txt"
     nf.write_bytes(b"\xff\xfe\x00")

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import oracles
 
+import halfint.lattice as lattice_module
 from halfint.brandt import ideal_classes
 from halfint.cli import _odd_subsets
 from halfint.errors import MaximalOrderNotFoundError
@@ -147,6 +148,19 @@ def test_short_vectors_deterministic():
     assert list(count_by_value(gram, 9).items()) == list(count_by_value(gram, 9).items())
 
 
+def test_short_vectors_edge_forms():
+    # rank 1: the zero vector once, then each +-c
+    assert list(count_by_value([[3]], 12).items()) == [(0, 1), (3, 2), (12, 2)]
+    assert list(count_by_value([[3]], 11).items()) == [(0, 1), (3, 2)]
+    # bound 0 leaves the zero vector only
+    assert count_by_value([[3]], 0) == {0: 1}
+    assert count_by_value([[2, 1], [1, 2]], 0) == {0: 1}
+    # only the top coordinate 0 fits: Q >= (99/2) c_2^2 > 20 for c_2 != 0
+    got = count_by_value([[2, 1], [1, 50]], 20)
+    assert list(got.items()) == [(0, 1), (2, 2), (8, 2), (18, 2)]
+    assert got == _brute_counts([[2, 1], [1, 50]], 20, 4)
+
+
 def test_short_vectors_rejects_indefinite():
     with pytest.raises(ValueError):
         count_by_value([[1, 0], [0, -1]], 5)
@@ -177,7 +191,7 @@ def test_short_vectors_match_ldl_oracle(form):
     gram, bound = form
     got = count_by_value(gram, bound)
     assert all(type(k) is int for k in got)
-    assert list(got.items()) == list(oracles.count_by_value_ref(gram, bound).items())
+    assert list(got.items()) == sorted(oracles.count_by_value_ref(gram, bound).items())
     # every vector with Q(c) <= bound has |c_i| <= sqrt(bound * (gram^-1)_ii)
     inv = oracles.mat_inv(gram)
     box = max(isqrt(int(bound * inv[i][i])) for i in range(len(gram)))
@@ -214,7 +228,7 @@ def test_lll_gram_reduces_and_keeps_counts(form):
     assert all(type(x) is int for row in reduced for x in row)
     assert oracles.mat_det(reduced) == oracles.mat_det(gram)
     assert oracles.is_lll_reduced_ref(reduced)
-    assert list(count_by_value(gram, bound).items()) == list(
+    assert list(count_by_value(gram, bound).items()) == sorted(
         oracles.count_by_value_ref(gram, bound).items()
     )
     inv = oracles.mat_inv(gram)
@@ -229,6 +243,27 @@ def test_norm_counts_scale():
     counts = {0: 1, 1: 2, 2: 2, 3: 4, 4: 2, 5: 2, 6: 8}
     for lat in (L, L.scale(2), L.scale(Fraction(1, 3))):
         assert lat.norm_counts(6) == counts
+
+
+def test_norm_counts_reduces_each_lattice_once(monkeypatch):
+    # the reduced Gram matrix is kept on the lattice object: a second count
+    # on it runs no LLL, while an equal but new object reduces its own
+    want = _std(B25).norm_counts(9)
+    reductions = []
+
+    def counted(gram):
+        reductions.append(gram)
+        return lll_gram(gram)
+
+    monkeypatch.setattr(lattice_module, "lll_gram", counted)
+    L = _std(B25).scale(3)
+    first = L.norm_counts(6)
+    assert len(reductions) == 1
+    assert L.norm_counts(9) == want
+    assert L.norm_counts(6) == first
+    assert len(reductions) == 1
+    twin = Lattice4(L.alg, L.den, L.rows)
+    assert twin.norm_counts(6) == first and len(reductions) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +359,7 @@ def test_level15_ternary_histograms_match_ldl_oracle():
         bas = [[Fraction(x, R.den) for x in row] for row in R.rows]
         want = oracles.count_by_value_ref([[alg.pair(x, y) for y in bas] for x in bas], 4000)
         got = count_by_value(R.int_gram(), 4000 * sq)
-        assert [(Fraction(k, sq), c) for k, c in got.items()] == list(want.items())
+        assert [(Fraction(k, sq), c) for k, c in got.items()] == sorted(want.items())
 
 
 @st.composite
