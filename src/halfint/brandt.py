@@ -45,6 +45,7 @@ from .errors import (
     MissingEigenvalueError,
 )
 from .lattice import (
+    NEIGHBOR_PRIME,
     Lattice4,
     Order,
     _neighbors,
@@ -307,9 +308,13 @@ def ideal_classes(order: Order) -> IdealClassSet:
 
     A neighbour is tested for equivalence only against the classes with
     its key (`_class_key`); the keys skip only tests that must fail, so
-    the classes and their order are those of testing every class.  This
-    is the only source of classes: `IdealClassSet.from_state` compares
-    stored classes with these and takes only degree matrices from them.
+    the classes and their order are those of testing every class.  A
+    class I found as a neighbour of I_parent skips its neighbour
+    p I_parent (p = NEIGHBOR_PRIME) with no key and no test: p I_parent
+    lies between p I and I with index p^2, so it is one of the p + 1
+    neighbours of I, and it is equivalent to I_parent.  This is the only
+    source of classes: `IdealClassSet.from_state` compares stored classes
+    with these and takes only degree matrices from them.
     """
     target = eichler_mass(order.alg.discriminant, order.reduced_discriminant)
     classes = [order.lattice]
@@ -317,22 +322,28 @@ def ideal_classes(order: Order) -> IdealClassSet:
     gens = [_left_generators(order, order.lattice)]
     rights = [order]
     mass = Fraction(2, order.unit_count)
-    frontier = [0]
+    # (class, the class it was found as a neighbour of)
+    frontier = [(0, None)]
     while mass < target and frontier:
-        idx = frontier.pop(0)
+        idx, parent = frontier.pop(0)
+        back = None if parent is None else classes[parent].scale(NEIGHBOR_PRIME)
         for J in _neighbors(classes[idx], rights[idx]):
-            key = _class_key(J)
-            if any(
-                k == key and _is_principal(_pair_lattice(J.conjugate(), C, g))
-                for k, C, g in zip(keys, classes, gens)
-            ):
+            if J == back:
                 continue
+            key = _class_key(J)
+            same = [i for i, k in enumerate(keys) if k == key]
+            if same:
+                conj_J = J.conjugate()
+                if any(
+                    _is_principal(_pair_lattice(conj_J, classes[i], gens[i])) for i in same
+                ):
+                    continue
             classes.append(J)
             keys.append(key)
             gens.append(_left_generators(order, J))
             rights.append(Order(right_order_lattice(J)))
             mass += Fraction(2, rights[-1].unit_count)
-            frontier.append(len(classes) - 1)
+            frontier.append((len(classes) - 1, idx))
             if mass >= target:
                 break
     if mass != target:

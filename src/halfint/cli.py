@@ -253,9 +253,12 @@ def _parse_prefix(selector: str) -> dict[int, int]:
             )
         p, v = chunk.split("=", 1)
         try:
-            out[int(p)] = int(v)
+            p, v = int(p), int(v)
         except ValueError as exc:
             raise ConfigurationError(f"bad selector entry {chunk!r}") from exc
+        if not is_prime(p):
+            raise ConfigurationError(f"selector key {p} is not a prime")
+        out[p] = v
     if not out:
         raise ConfigurationError(f"empty selector {selector!r}")
     return out

@@ -39,12 +39,21 @@ ternary theta series) first reduce their integer Gram matrix with
 `lll_gram`: on a raw Hermite basis most intervals of the enumeration
 tree come out empty.  A `Lattice4` keeps its content and reduced Gram
 matrix after the first count, so each lattice object is reduced once.
+
+These kernels run mostly on matrices of rank 4, so their cost is
+interpreter overhead rather than integer arithmetic.  They are written
+as flat loops over integers: row operations in place from the pivot
+column on, LLL's size reduction inline, and the enumeration as an
+explicit loop over the levels of its tree rather than one generator
+frame per node.  The tests hold them to slower references with the same
+output: `hnf_rows_ref` (first nonzero pivot), `lll_gram_ref` (the LLL
+with a nested size reduction that the flat loop replaced) and
+`count_by_value_ref` (the rational recursion).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Sequence
@@ -76,16 +85,28 @@ def hnf_rows(rows: Iterable[Sequence[int]]) -> list[list[int]]:
     mat = [list(r) for r in rows if any(r)]
     if not mat:
         return []
-    ncols = len(mat[0])
+    nrows, ncols = len(mat), len(mat[0])
     pivot_row = 0
     for col in range(ncols):
-        live = [r for r in range(pivot_row, len(mat)) if mat[r][col]]
-        if not live:
+        # the rows from pivot_row on are zero left of col, so operations
+        # with the pivot row start at col; the pivot is the first of them
+        # with the smallest nonzero |entry| in col
+        best, small = -1, 0
+        for r in range(pivot_row, nrows):
+            x = mat[r][col]
+            if x:
+                if x < 0:
+                    x = -x
+                if best < 0 or x < small:
+                    best, small = r, x
+                    if x == 1:
+                        break
+        if best < 0:
             continue
-        best = min(live, key=lambda r: abs(mat[r][col]))
-        mat[pivot_row], mat[best] = mat[best], mat[pivot_row]
-        prow = mat[pivot_row]
-        for r in range(pivot_row + 1, len(mat)):
+        prow = mat[best]
+        mat[best] = mat[pivot_row]
+        mat[pivot_row] = prow
+        for r in range(pivot_row + 1, nrows):
             row = mat[r]
             b = row[col]
             if not b:
@@ -93,7 +114,8 @@ def hnf_rows(rows: Iterable[Sequence[int]]) -> list[list[int]]:
             a = prow[col]
             if b % a == 0:
                 q = b // a
-                mat[r] = [y - q * x for x, y in zip(prow, row)]
+                for c in range(col, ncols):
+                    row[c] -= q * prow[c]
                 continue
             # s a + t b = g with s = (a/g)^-1 mod |b/g|; the 2 x 2 step
             # [[s, t], [-b/g, a/g]] has determinant (s a + t b) / g = 1
@@ -101,22 +123,26 @@ def hnf_rows(rows: Iterable[Sequence[int]]) -> list[list[int]]:
             ag, bg = a // g, b // g
             s = pow(ag, -1, abs(bg))
             t = (g - s * a) // b
-            prow, mat[r] = (
-                [s * x + t * y for x, y in zip(prow, row)],
-                [ag * y - bg * x for x, y in zip(prow, row)],
-            )
-        if prow[col] < 0:
-            prow = [-x for x in prow]
-        mat[pivot_row] = prow
+            for c in range(col, ncols):
+                x, y = prow[c], row[c]
+                prow[c] = s * x + t * y
+                row[c] = ag * y - bg * x
         piv = prow[col]
+        if piv < 0:
+            piv = -piv
+            for c in range(col, ncols):
+                prow[c] = -prow[c]
         for r in range(pivot_row):
-            q = mat[r][col] // piv
+            row = mat[r]
+            q = row[col] // piv
             if q:
-                mat[r] = [x - q * y for x, y in zip(mat[r], mat[pivot_row])]
+                for c in range(col, ncols):
+                    row[c] -= q * prow[c]
         pivot_row += 1
-        if pivot_row == len(mat):
+        if pivot_row == nrows:
             break
-    return [r for r in mat[:pivot_row] if any(r)]
+    # each of these rows has a positive pivot, so none is zero
+    return mat[:pivot_row]
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +161,15 @@ def _bareiss(A):
     A = [list(row) for row in A]
     minors = [1]
     for k in range(n):
-        piv = A[k][k]
+        Ak, prev = A[k], minors[k]
+        piv = Ak[k]
         if piv <= 0:
             raise ValueError("form is not positive definite")
         for i in range(k + 1, n):
+            Ai = A[i]
+            aik = Ai[k]
             for j in range(k + 1, n):
-                A[i][j] = (piv * A[i][j] - A[i][k] * A[k][j]) // minors[k]
+                Ai[j] = (piv * Ai[j] - aik * Ak[j]) // prev
         minors.append(piv)
     return minors, A
 
@@ -160,31 +189,20 @@ def lll_gram(gram: Sequence[Sequence[int]]) -> list[list[int]]:
     G = [list(row) for row in gram]
     d = [1] + [0] * n
     lam = [[0] * n for _ in range(n)]
-
-    def reduce(k: int, l: int) -> None:
-        # b_k -= q b_l with q the integer nearest to mu_kl
-        if 2 * abs(lam[k][l]) <= d[l + 1]:
-            return
-        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
-        for j in range(n):
-            G[k][j] -= q * G[l][j]
-        for j in range(n):
-            G[j][k] -= q * G[j][l]
-        lam[k][l] -= q * d[l + 1]
-        for i in range(l):
-            lam[k][i] -= q * lam[l][i]
-
     k, kmax = 0, -1
     while k < n:
+        # lam's rows stay in place (a swap exchanges entries), G's move
+        lk = lam[k]
         if k > kmax:
             # incremental Gram-Schmidt for the new vector b_k
             kmax = k
+            Gk = G[k]
             for j in range(k + 1):
-                u = G[k][j]
+                u, lj = Gk[j], lam[j]
                 for i in range(j):
-                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                    u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
                 if j < k:
-                    lam[k][j] = u
+                    lk[j] = u
                 elif u <= 0:
                     raise ValueError("form is not positive definite")
                 else:
@@ -192,76 +210,45 @@ def lll_gram(gram: Sequence[Sequence[int]]) -> list[list[int]]:
         if k == 0:
             k = 1
             continue
-        reduce(k, k - 1)
-        mu = lam[k][k - 1]
-        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * mu * mu:
-            # the Lovasz condition fails: exchange b_k and b_{k-1}
-            G[k], G[k - 1] = G[k - 1], G[k]
-            for row in G:
-                row[k], row[k - 1] = row[k - 1], row[k]
-            for j in range(k - 1):
-                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-            new = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
-            for i in range(k + 1, kmax + 1):
-                t = lam[i][k]
-                lam[i][k] = (d[k + 1] * lam[i][k - 1] - mu * t) // d[k]
-                lam[i][k - 1] = (new * t + mu * lam[i][k]) // d[k + 1]
-            d[k] = new
-            k = max(1, k - 1)
+        # size-reduce b_k against b_{k-1}, test the Lovasz condition there,
+        # and only when it holds size-reduce against b_{k-2}, ..., b_0
+        for l in range(k - 1, -1, -1):
+            dl, r = d[l + 1], lk[l]
+            if 2 * abs(r) > dl:
+                # b_k -= q b_l with q the integer nearest to mu_kl
+                q = (2 * r + dl) // (2 * dl)
+                Gk, Gl = G[k], G[l]
+                for j in range(n):
+                    Gk[j] -= q * Gl[j]
+                for row in G:
+                    row[k] -= q * row[l]
+                lk[l] = r - q * dl
+                ll = lam[l]
+                for i in range(l):
+                    lk[i] -= q * ll[i]
+            if l < k - 1:
+                continue
+            mu, dk, dk1 = lk[l], d[k], d[k + 1]
+            if 4 * dk1 * d[l] < 3 * dk * dk - 4 * mu * mu:
+                # the Lovasz condition fails: exchange b_k and b_{k-1}
+                G[k], G[l] = G[l], G[k]
+                for row in G:
+                    row[k], row[l] = row[l], row[k]
+                ll = lam[l]
+                for j in range(l):
+                    lk[j], ll[j] = ll[j], lk[j]
+                new = (d[l] * dk1 + mu * mu) // dk
+                for i in range(k + 1, kmax + 1):
+                    li = lam[i]
+                    t = li[k]
+                    li[k] = (dk1 * li[l] - mu * t) // dk
+                    li[l] = (new * t + mu * li[k]) // dk1
+                d[k] = new
+                k = max(1, l)
+                break
         else:
-            for l in range(k - 2, -1, -1):
-                reduce(k, l)
             k += 1
     return G
-
-
-def _fincke_pohst(gram: Sequence[Sequence[int]], bound: int):
-    """Integer-exact Fincke-Pohst enumeration (Math. Comp. 44, 1985) of one
-    vector of each pair c, -c, one innermost line at a time.
-
-    With M_k the leading minors of the integer Gram matrix,
-
-        Q(c) = sum_i (M_{i+1} c_i + s_i)^2 / (M_i M_{i+1}),
-
-    where s_i is the eliminated row i dotted with the coordinates after i.
-    Each term and the remaining budget are integers scaled by
-    S = lcm_i(M_i M_{i+1}), so an integer key k stands for the value
-    k / S.  Returns (S, m, w, lines): `lines` yields (lo, hi, s, used),
-    last coordinate slowest, for each choice of the coordinates 1..n-1
-    whose own terms fit the budget.  The vectors within the bound that
-    extend that choice are those with first coordinate x in
-    lo <= x <= hi (possibly none), each with the key
-    used + w * (m * x + s)^2.
-
-    Only the nonzero vectors whose last nonzero coordinate is positive
-    are enumerated: while the coordinates after i are all 0 (so s_i = 0),
-    coordinate i runs over 0..hi, and the innermost one over 1..hi.
-    """
-    n = len(gram)
-    minors, rows = _bareiss(gram)
-    scale = lcm(*(minors[i] * minors[i + 1] for i in range(n)))
-    weights = [scale // (minors[i] * minors[i + 1]) for i in range(n)]
-    top = scale * bound
-    coords = [0] * n
-
-    def level(i: int, rem: int, zero_after: bool):
-        m, row = minors[i + 1], rows[i]
-        s = sum(row[j] * coords[j] for j in range(i + 1, n))
-        ymax = isqrt(rem // weights[i])
-        lo, hi = -((ymax + s) // m), (ymax - s) // m
-        if zero_after:
-            lo = 0 if i else 1
-        if i == 0:
-            yield lo, hi, s, top - rem
-            return
-        w = weights[i]
-        for x in range(lo, hi + 1):
-            coords[i] = x
-            y = m * x + s
-            yield from level(i - 1, rem - w * y * y, zero_after and not x)
-        coords[i] = 0
-
-    return scale, minors[1], weights[0], level(n - 1, top, True)
 
 
 def count_by_value(gram: Sequence[Sequence[int]], bound: int) -> dict[int, int]:
@@ -270,20 +257,79 @@ def count_by_value(gram: Sequence[Sequence[int]], bound: int) -> dict[int, int]:
     zero vector counts once, c and -c apart, and the keys come in
     ascending order.  Raises ValueError when G is not positive definite.
 
-    Only half the vectors are visited (`_fincke_pohst`): c and -c have
-    one value, so each vector found counts twice.
+    Integer-exact Fincke-Pohst enumeration (Math. Comp. 44, 1985).  With
+    M_k the leading minors of G (`_bareiss`),
+
+        Q(c) = sum_i (M_{i+1} c_i + s_i)^2 / (M_i M_{i+1}),
+
+    where s_i is the eliminated row i dotted with the coordinates after i.
+    Each term and the remaining budget are integers scaled by
+    S = lcm_i(M_i M_{i+1}), so an integer key k stands for the value k / S.
+    Coordinate i runs over the integers whose own term fits the budget
+    left by the coordinates after it, last coordinate slowest, one level
+    of an explicit loop per coordinate; the first coordinate's run is
+    tallied as one line of keys.
+
+    c and -c have one value, so only the nonzero vectors whose last
+    nonzero coordinate is positive are visited, and each counts twice:
+    while the coordinates after i are all 0 (so s_i = 0), coordinate i
+    runs over 0..hi, and the first one over 1..hi.
     """
     if bound < 0:
         return {}
-    scale, m, w, lines = _fincke_pohst(gram, bound)
-    tally: Counter[int] = Counter()
-    for lo, hi, s, used in lines:
-        tally.update([used + w * y * y for y in range(m * lo + s, m * hi + s + 1, m)])
+    n = len(gram)
+    minors, rows = _bareiss(gram)
+    scale = lcm(*(minors[i] * minors[i + 1] for i in range(n)))
+    weights = [scale // (minors[i] * minors[i + 1]) for i in range(n)]
+    top = scale * bound
+    m0, w0 = minors[1], weights[0]
+    tally: dict[int, int] = {}
+    if n == 1:
+        for y in range(m0, isqrt(top // w0) + 1, m0):
+            tally[w0 * y * y] = 1
+    else:
+        # level i >= 1: coordinate x[i], running up to hi[i], with shift
+        # s[i], the budget rem[i] left by the coordinates after i, and
+        # zero[i] whether those are all 0
+        x, hi, s, rem, zero = [0] * n, [0] * n, [0] * n, [0] * n, [False] * n
+        i = n - 1
+        rem[i], zero[i], hi[i] = top, True, isqrt(top // weights[i]) // minors[n]
+        while True:
+            xi = x[i]
+            if xi > hi[i]:
+                # level i is done: advance the coordinate after it
+                i += 1
+                if i == n:
+                    break
+                x[i] += 1
+                continue
+            y = minors[i + 1] * xi + s[i]
+            left = rem[i] - weights[i] * y * y
+            j, row, m = i - 1, rows[i - 1], minors[i]
+            t = 0
+            for c in range(i, n):
+                t += row[c] * x[c]
+            ymax = isqrt(left // weights[j])
+            z = zero[i] and not xi
+            if z:
+                lo, up = (0 if j else 1), ymax // m
+            else:
+                lo, up = -((ymax + t) // m), (ymax - t) // m
+            if j:
+                s[j], rem[j], zero[j], hi[j], x[j] = t, left, z, up, lo
+                i = j
+                continue
+            # the line x[0] = lo..up: the vector's value is used + w0 y^2
+            used = top - left
+            for y in range(m0 * lo + t, m0 * up + t + 1, m0):
+                key = used + w0 * y * y
+                tally[key] = tally.get(key, 0) + 1
+            x[i] = xi + 1
     # every key is S times an integer value, and the zero vector is not in
     # the half space
     counts = {0: 1}
-    for k, count in sorted(tally.items()):
-        counts[k // scale] = 2 * count
+    for key, count in sorted(tally.items()):
+        counts[key // scale] = 2 * count
     return counts
 
 

@@ -3,7 +3,9 @@
 Everything here is deliberately built from different first principles
 than the library (exhaustive searches, floating point, point counting,
 rational rather than integer elimination), so agreement between the two
-is evidence rather than tautology.
+is evidence rather than tautology.  The exceptions are routines the
+library replaced by faster code with the same output (`hnf_rows_ref`,
+`lll_gram_ref`): they pin the replacement to what it replaced.
 """
 
 from __future__ import annotations
@@ -257,6 +259,69 @@ def is_lll_reduced_ref(gram):
         d[k] >= (Fraction(3, 4) - u[k - 1][k] ** 2) * d[k - 1] for k in range(1, n)
     )
     return size_reduced and lovasz
+
+
+def lll_gram_ref(gram):
+    """Integral LLL on a Gram matrix (Cohen, GTM 138, Alg. 2.6.7) with the
+    size reduction as a nested function, the routine the library's flat
+    loop replaced; the two must return the same Gram matrix."""
+    n = len(gram)
+    G = [list(row) for row in gram]
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+
+    def reduce(k, l):
+        # b_k -= q b_l with q the integer nearest to mu_kl
+        if 2 * abs(lam[k][l]) <= d[l + 1]:
+            return
+        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+        for j in range(n):
+            G[k][j] -= q * G[l][j]
+        for j in range(n):
+            G[j][k] -= q * G[j][l]
+        lam[k][l] -= q * d[l + 1]
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
+
+    k, kmax = 0, -1
+    while k < n:
+        if k > kmax:
+            # incremental Gram-Schmidt for the new vector b_k
+            kmax = k
+            for j in range(k + 1):
+                u = G[k][j]
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u <= 0:
+                    raise ValueError("form is not positive definite")
+                else:
+                    d[k + 1] = u
+        if k == 0:
+            k = 1
+            continue
+        reduce(k, k - 1)
+        mu = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * mu * mu:
+            # the Lovasz condition fails: exchange b_k and b_{k-1}
+            G[k], G[k - 1] = G[k - 1], G[k]
+            for row in G:
+                row[k], row[k - 1] = row[k - 1], row[k]
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            new = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - mu * t) // d[k]
+                lam[i][k - 1] = (new * t + mu * lam[i][k]) // d[k + 1]
+            d[k] = new
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return G
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import halfint.brandt as brandt_module
 import oracles
 from halfint.brandt import (
     Eigenform,
@@ -117,6 +118,37 @@ def test_bucketed_classes_match_all_pairs_scan(level):
     for ramified in _odd_subsets(prime_factors(level)):
         order = eichler_order(algebra_ramified_at(list(ramified)), level)
         assert ideal_classes(order).classes == oracles.ideal_classes_ref(order)
+
+
+@pytest.mark.parametrize("level", [15, 21, 33, 35, 37, 57, 67, 105])
+def test_every_class_has_one_neighbour_back_to_its_parent(level):
+    # the search skips the neighbour 2 I_parent of each class it found
+    # as a neighbour of I_parent; that neighbour is always there, once
+    for ramified in _odd_subsets(prime_factors(level)):
+        C = ideal_classes(eichler_order(algebra_ramified_at(list(ramified)), level))
+        nbrs = [list(_neighbors(I, right)) for I, right in zip(C.classes, C.rights)]
+        for j in range(1, C.h):
+            # breadth first, so a class comes from the first class it neighbours
+            parent = next(i for i in range(C.h) if C.classes[j] in nbrs[i])
+            assert parent < j
+            back = C.classes[parent].scale(2)
+            assert sum(J == back for J in nbrs[j]) == 1
+            assert equivalent_ideals(back, C.classes[parent])
+
+
+def test_search_skips_the_neighbour_back_to_the_parent(monkeypatch):
+    # keying every neighbour of a cold N=105 search takes 81 keys; the 22
+    # neighbours 2 I_parent that the search skips take none
+    calls = []
+
+    def counted(I):
+        calls.append(I)
+        return _class_key(I)
+
+    monkeypatch.setattr(brandt_module, "_class_key", counted)
+    for ramified in _odd_subsets(prime_factors(105)):
+        ideal_classes(eichler_order(algebra_ramified_at(list(ramified)), 105))
+    assert len(calls) == 81 - 22
 
 
 @pytest.mark.parametrize("level", [15, 21, 33, 35, 37, 57, 67, 105])

@@ -185,6 +185,11 @@ def test_select_contract():
         _select([], None)
     with pytest.raises(ConfigurationError):
         _select(cands, "nonsense")
+    # eigenvalues are indexed by primes, so a key that is not a prime is a
+    # configuration error before any line is asked for an eigenvalue
+    for selector in ("4=1", "0=1", "-3=1", "1=0", "2=-1,9=1"):
+        with pytest.raises(ConfigurationError, match="is not a prime"):
+            _select(cands, selector)
 
 
 def test_selector_through_pipeline():
@@ -385,6 +390,11 @@ def test_main_config_errors(capsys):
     assert main(["basis", "--level", "15", "--prec", "0"]) == 3
     assert main(["localfactors", "--level", "15", "--range", "nope"]) == 3
     assert main(["basis", "--level", "15", "--selector", "99"]) == 3
+    capsys.readouterr()
+    for key, argv in (("4", ["--selector", "4=1"]), ("0", ["--selector", "0=1"]),
+                      ("-3", ["--selector=-3=1"])):
+        assert main(["basis", "--level", "11", *argv]) == 3
+        assert capsys.readouterr().err == f"error: selector key {key} is not a prime\n"
 
 
 def test_main_usage_errors_exit_3():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 
 import halfint.lattice as lattice_module
-from halfint.brandt import ideal_classes
+from halfint.brandt import _pair_lattice, ideal_classes
 from halfint.cli import _odd_subsets
 from halfint.errors import MaximalOrderNotFoundError
 from halfint.lattice import (
@@ -237,6 +237,45 @@ def test_lll_gram_reduces_and_keeps_counts(form):
     assert count_by_value(reduced, bound) == _brute_counts(gram, bound, box)
 
 
+@st.composite
+def _skewed_forms(draw):
+    """Positive-definite integer Gram matrices B^t B + s I of rank 1-4 with
+    entries of B up to 60, far from reduced, so that LLL makes many size
+    reductions and exchanges."""
+    n = draw(st.integers(1, 4))
+    B = draw(st.lists(st.lists(st.integers(-60, 60), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    s = draw(st.integers(0, 2))
+    gram = [
+        [sum(B[k][i] * B[k][j] for k in range(n)) + s * (i == j) for j in range(n)]
+        for i in range(n)
+    ]
+    assume(oracles.mat_det(gram) > 0)
+    return gram
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_definite_forms().map(lambda form: form[0]), _skewed_forms()))
+def test_lll_gram_matches_nested_reference(gram):
+    assert lll_gram(gram) == oracles.lll_gram_ref(gram)
+
+
+def test_lll_gram_matches_nested_reference_on_pair_lattices():
+    # every pair lattice conj(I_j) I_i, 0 < i < j, that a cold N=105 run
+    # reduces before counting
+    grams = []
+    for ramified in _odd_subsets(prime_factors(105)):
+        C = ideal_classes(eichler_order(algebra_ramified_at(list(ramified)), 105))
+        for j in range(2, C.h):
+            conj_j = C.classes[j].conjugate()
+            for i in range(1, j):
+                P = _pair_lattice(conj_j, C.classes[i], C.gens[i])
+                grams.append(P.int_gram())
+    assert len(grams) == 134
+    for gram in grams:
+        assert lll_gram(gram) == oracles.lll_gram_ref(gram)
+
+
 def test_norm_counts_scale():
     # norms count in units of the content, so scaling the lattice keeps them
     L = _std(B25)  # nrd = x0^2 + 2 x1^2 + 5 x2^2 + 10 x3^2
@@ -335,7 +374,7 @@ def test_norm_content():
 
 @pytest.mark.parametrize("level", [15, 35])
 def test_int_gram_matches_pairing(level):
-    from halfint.brandt import ideal_classes
+    from halfint.brandt import _pair_lattice, ideal_classes
     from halfint.numth import prime_factors
 
     for ramified in prime_factors(level):
@@ -348,7 +387,7 @@ def test_int_gram_matches_pairing(level):
 
 
 def test_level15_ternary_histograms_match_ldl_oracle():
-    from halfint.brandt import ideal_classes
+    from halfint.brandt import _pair_lattice, ideal_classes
     from halfint.theta import trace_zero_lattice
 
     alg = algebra_ramified_at([5])
