@@ -33,15 +33,7 @@ from .errors import (
     ZeroFormError,
 )
 from .lattice import Lattice4, Order, eichler_order, maximal_order
-from .lift import (
-    LiftProfile,
-    assemble_h,
-    f1_f2_diagnostic,
-    global_factor,
-    kronecker_gate,
-    local_K,
-    power_sums,
-)
+from .lift import LiftProfile, assemble_h, kronecker_gate, power_sums
 from .qexp import QExpansion
 from .quat import Quat, QuaternionAlgebra, algebra_ramified_at
 from .theta import (
@@ -100,3 +92,14 @@ __all__ = [
     "ternary_theta",
     "trace_zero_lattice",
 ]
+
+# the float diagnostics, loaded on first use: a basis job never needs them
+_LOCALFACTORS = ("f1_f2_diagnostic", "global_factor", "local_K")
+
+
+def __getattr__(name: str):
+    if name in _LOCALFACTORS:
+        from . import localfactors
+
+        return getattr(localfactors, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -34,9 +34,8 @@ the classes and their order never depend on a cache file.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from math import gcd
-from typing import Sequence
+from math import gcd, lcm
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     IntegralityError,
@@ -54,6 +53,9 @@ from .lattice import (
     right_order_lattice,
 )
 from .numth import is_prime, prime_factors, primes
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # degree up to which a class key counts norms (see `_class_key`)
 KEY_DEGREE = 6
@@ -83,7 +85,24 @@ def _psi(n: int) -> int:
 
 def eichler_mass(D: int, N: int) -> Fraction:
     """Mass of the class set for an order of level N and ramification D."""
+    from fractions import Fraction
+
     return Fraction(_phi(D) * _psi(N // D), 12)
+
+
+def _unit_mass(unit_counts: Sequence[int]) -> tuple[int, int]:
+    """sum(2/e) over the unit counts e, as a reduced pair (num, den)."""
+    den = lcm(*unit_counts)
+    num = sum(2 * (den // e) for e in unit_counts)
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, without making the Fraction."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +188,14 @@ class IdealClassSet:
 
     @property
     def mass(self) -> Fraction:
-        return sum((Fraction(2, e) for e in self.unit_counts), Fraction(0))
+        from fractions import Fraction
+
+        return Fraction(*_unit_mass(self.unit_counts))
+
+    @property
+    def mass_text(self) -> str:
+        """str(self.mass), computed in integers."""
+        return _ratio_text(*_unit_mass(self.unit_counts))
 
     # -- degree matrices -----------------------------------------------------
 
@@ -316,15 +342,18 @@ def ideal_classes(order: Order) -> IdealClassSet:
     source of classes: `IdealClassSet.from_state` compares stored classes
     with these and takes only degree matrices from them.
     """
-    target = eichler_mass(order.alg.discriminant, order.reduced_discriminant)
+    # the mass sum(2/e_j) is num/den, and the target is twelfths/12
+    twelfths = _phi(order.alg.discriminant) * _psi(
+        order.reduced_discriminant // order.alg.discriminant
+    )
     classes = [order.lattice]
     keys = [_class_key(order.lattice)]
     gens = [_left_generators(order, order.lattice)]
     rights = [order]
-    mass = Fraction(2, order.unit_count)
+    num, den = _unit_mass([order.unit_count])
     # (class, the class it was found as a neighbour of)
     frontier = [(0, None)]
-    while mass < target and frontier:
+    while 12 * num < twelfths * den and frontier:
         idx, parent = frontier.pop(0)
         back = None if parent is None else classes[parent].scale(NEIGHBOR_PRIME)
         for J in _neighbors(classes[idx], rights[idx]):
@@ -342,13 +371,14 @@ def ideal_classes(order: Order) -> IdealClassSet:
             keys.append(key)
             gens.append(_left_generators(order, J))
             rights.append(Order(right_order_lattice(J)))
-            mass += Fraction(2, rights[-1].unit_count)
+            num, den = _unit_mass([r.unit_count for r in rights])
             frontier.append((len(classes) - 1, idx))
-            if mass >= target:
+            if 12 * num >= twelfths * den:
                 break
-    if mass != target:
+    if 12 * num != twelfths * den:
         raise MassMismatchError(
-            f"class search ended with mass {mass}, expected {target}"
+            f"class search ended with mass {_ratio_text(num, den)}, "
+            f"expected {_ratio_text(twelfths, 12)}"
         )
     return IdealClassSet(order, classes, rights, gens)
 

@@ -12,7 +12,6 @@ matrix the run built, and `_render` prints metadata and stage output.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import itertools
 import json
@@ -20,10 +19,11 @@ import os
 import sys
 from math import isqrt, prod
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .brandt import (
     ORDER_PRIMES,
+    PRIME_BOUND,
     Eigenform,
     IdealClassSet,
     cuspidal_eigenlines,
@@ -39,10 +39,13 @@ from .errors import (
     ZeroFormError,
 )
 from .lattice import Order, eichler_order
-from .lift import LiftProfile, assemble_h, local_K
+from .lift import LiftProfile, assemble_h
 from .numth import is_prime, is_squarefree, prime_factors, primes
 from .quat import algebra_ramified_at
 from .theta import kohnen_form, ternary_theta, trace_zero_lattice
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = [
     "JobConfig",
@@ -241,7 +244,11 @@ def eigenline_candidates(
     return out
 
 
-def _parse_prefix(selector: str) -> dict[int, int]:
+def _parse_prefix(selector: str, level: int) -> dict[int, int]:
+    """The p=value pairs of a selector.  A key must be a prime, and one of
+    those that refinement reaches: at most PRIME_BOUND or dividing the
+    level.  Lines distinct there need no other key, and a larger key
+    would cost a degree-p matrix (or a long primality test) to read."""
     out = {}
     for chunk in selector.split(","):
         chunk = chunk.strip()
@@ -256,6 +263,10 @@ def _parse_prefix(selector: str) -> dict[int, int]:
             p, v = int(p), int(v)
         except ValueError as exc:
             raise ConfigurationError(f"bad selector entry {chunk!r}") from exc
+        if p > PRIME_BOUND and level % p:
+            raise ConfigurationError(
+                f"selector key {p} is above {PRIME_BOUND} and does not divide the level"
+            )
         if not is_prime(p):
             raise ConfigurationError(f"selector key {p} is not a prime")
         out[p] = v
@@ -264,7 +275,9 @@ def _parse_prefix(selector: str) -> dict[int, int]:
     return out
 
 
-def _select(lines: list[Eigenform], selector: str | None) -> tuple[int, Eigenform]:
+def _select(
+    lines: list[Eigenform], selector: str | None, level: int
+) -> tuple[int, Eigenform]:
     if not lines:
         raise SelectorNotFoundError(
             "no rational sign-compatible eigenline exists at this level"
@@ -282,7 +295,7 @@ def _select(lines: list[Eigenform], selector: str | None) -> tuple[int, Eigenfor
                 f"selector index {index} out of range 0..{len(lines) - 1}"
             )
         return index, lines[index]
-    prefix = _parse_prefix(selector)
+    prefix = _parse_prefix(selector, level)
     matches = [
         (i, line)
         for i, line in enumerate(lines)
@@ -353,7 +366,7 @@ def _run(config: JobConfig, stage: Callable[[dict], dict], pmax: int = 0) -> dic
             raise NewformFileError(
                 "external eigenvalues conflict with every computed eigenline"
             )
-    index, line = _select(lines, config.selector)
+    index, line = _select(lines, config.selector, config.level)
     pmax = max(pmax, *ORDER_PRIMES)
     line.class_set.plan(pmax)
     run = {"line": line, "selector_index": index, "profile": _build_profile(line, pmax)}
@@ -389,7 +402,7 @@ def _metadata(line: Eigenform, profile: LiftProfile) -> dict:
         "level": class_set.level,
         "algebra": class_set.alg.describe(),
         "class_number": class_set.h,
-        "mass": str(class_set.mass),
+        "mass": class_set.mass_text,
         "unit_counts": list(class_set.unit_counts),
         "ramified_set": list(class_set.alg.ramified),
         "involutions": {str(p): profile.involution_sign(p) for p in profile.bad},
@@ -501,6 +514,7 @@ def _clean(z: complex) -> complex:
 def cmd_localfactors(config: JobConfig, lo: int = 2, hi: int = 23) -> str:
     if not 1 <= lo <= hi:
         raise ConfigurationError(f"bad index range {lo}:{hi}")
+    from .localfactors import local_K
 
     def local_products(run: dict) -> dict:
         profile = run["profile"]
@@ -532,73 +546,120 @@ def cmd_localfactors(config: JobConfig, lo: int = 2, hi: int = 23) -> str:
 # ---------------------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage errors exit with the config code."""
+# every subcommand's options in `--help` order, the shared ones first:
+# (option, add_argument keywords); the dest is the option's own name
+# unless the keywords give one, and a value is a str unless they give a type
+_COMMON_OPTIONS = (
+    ("--level", {"type": int, "required": True, "help": "odd square-free level"}),
+    ("--selector", {"default": None,
+                    "help": "eigenline index or comma list of p=value pairs"}),
+    ("--prec", {"type": int, "default": 100, "help": "series precision"}),
+    ("--format", {"dest": "fmt", "choices": ("text", "json"), "default": "text",
+                  "help": "output format"}),
+    ("--cache-dir", {"default": None,
+                     "help": f"Brandt cache directory (default ${CACHE_ENV})"}),
+    ("--newform-file", {"default": None,
+                        "help": "optional 'p b_p' text or JSON eigenvalue file"}),
+    ("--workers", {"type": int, "default": 1,
+                   "help": "parallelism cap (results never depend on it)"}),
+)
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(3, f"error: {message}\n")
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--level", type=int, required=True, help="odd square-free level")
-    sub.add_argument("--selector", default=None,
-                     help="eigenline index or comma list of p=value pairs")
-    sub.add_argument("--prec", type=int, default=100, help="series precision")
-    sub.add_argument("--format", dest="fmt", choices=("text", "json"),
-                     default="text", help="output format")
-    sub.add_argument("--cache-dir", default=None,
-                     help=f"Brandt cache directory (default ${CACHE_ENV})")
-    sub.add_argument("--newform-file", default=None,
-                     help="optional 'p b_p' text or JSON eigenvalue file")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="parallelism cap (results never depend on it)")
+# subcommand -> (its help line, its options)
+_SUBCOMMANDS = {
+    "basis": ("compute the basis pair {g, h}", _COMMON_OPTIONS),
+    "brandt": ("ideal-class and degree-matrix data", _COMMON_OPTIONS + (
+        ("--nmax", {"type": int, "default": 10, "help": "largest degree matrix to print"}),
+    )),
+    "theta": ("class theta series", _COMMON_OPTIONS),
+    "localfactors": ("diagnostic local products", _COMMON_OPTIONS + (
+        ("--range", {"dest": "index_range", "default": "2:23", "help": "index range LO:HI"}),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the command line; its usage errors exit 3."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(3, f"error: {message}\n")
+
     parser = _Parser(prog="halfint",
                      description="Exact weight-3/2 bases from quaternionic theta series")
     commands = parser.add_subparsers(dest="command", required=True)
-    basis = commands.add_parser("basis", help="compute the basis pair {g, h}")
-    _add_common(basis)
-    brandt = commands.add_parser("brandt", help="ideal-class and degree-matrix data")
-    _add_common(brandt)
-    brandt.add_argument("--nmax", type=int, default=10,
-                        help="largest degree matrix to print")
-    theta = commands.add_parser("theta", help="class theta series")
-    _add_common(theta)
-    local = commands.add_parser("localfactors", help="diagnostic local products")
-    _add_common(local)
-    local.add_argument("--range", dest="index_range", default="2:23",
-                       help="index range LO:HI")
+    for name, (help_line, options) in _SUBCOMMANDS.items():
+        sub = commands.add_parser(name, help=help_line)
+        for option, spec in options:
+            sub.add_argument(option, **spec)
     return parser
 
 
+def _parse_plain(argv: list[str]) -> dict | None:
+    """vars(build_parser().parse_args(argv)) for an argv of the plain form
+    SUBCOMMAND --option value ...: exact option names, each at most once,
+    no value starting with "-", every value valid.  None for any other
+    argv (help, a usage error, an abbreviation, --option=value), which
+    only argparse handles.
+
+    Every job would otherwise import argparse (and gettext and locale
+    through it) and build the four-subcommand parser before its run.
+    """
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    names, values = argv[1::2], argv[2::2]
+    given = dict(zip(names, values))
+    if len(names) != len(values) or len(given) != len(names):
+        return None  # an option without its value, or one given twice
+    args = {"command": argv[0]}
+    for option, spec in _SUBCOMMANDS[argv[0]][1]:
+        dest = spec.get("dest", option[2:].replace("-", "_"))
+        if option not in given:
+            if spec.get("required"):
+                return None
+            args[dest] = spec["default"]
+            continue
+        value = given.pop(option)
+        if value.startswith("-") or value not in spec.get("choices", (value,)):
+            return None
+        try:
+            args[dest] = spec.get("type", str)(value)
+        except ValueError:
+            return None
+    return None if given else args  # what is left is no option of this subcommand
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_plain(argv)
+    if args is None:
+        args = vars(build_parser().parse_args(argv))
     try:
         config = JobConfig(
-            level=args.level,
-            selector=args.selector,
-            prec=args.prec,
-            fmt=args.fmt,
-            cache_dir=args.cache_dir,
-            newform_file=args.newform_file,
-            workers=args.workers,
+            level=args["level"],
+            selector=args["selector"],
+            prec=args["prec"],
+            fmt=args["fmt"],
+            cache_dir=args["cache_dir"],
+            newform_file=args["newform_file"],
+            workers=args["workers"],
         )
-        if args.command == "basis":
+        command = args["command"]
+        if command == "basis":
             out = cmd_basis(config)
-        elif args.command == "brandt":
-            out = cmd_brandt(config, nmax=args.nmax)
-        elif args.command == "theta":
+        elif command == "brandt":
+            out = cmd_brandt(config, nmax=args["nmax"])
+        elif command == "theta":
             out = cmd_theta(config)
         else:
+            index_range = args["index_range"]
             try:
-                lo, hi = (int(x) for x in args.index_range.split(":", 1))
+                lo, hi = (int(x) for x in index_range.split(":", 1))
             except ValueError:
                 raise ConfigurationError(
-                    f"range must look like LO:HI, got {args.index_range!r}"
+                    f"range must look like LO:HI, got {index_range!r}"
                 ) from None
             out = cmd_localfactors(config, lo, hi)
     except HalfIntError as exc:

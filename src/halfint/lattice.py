@@ -9,9 +9,13 @@ form, then the content divided out), and every operation works on
 integer rows: products multiply rows over den_x * den_y, sums and
 intersections bring both lattices to one denominator, and the right
 order of an invertible lattice is the one product conj(L) L / nrd(L).
-Fractions enter only through `from_vectors` and `contains` and leave
-only through the view `basis` (and the rational invariants `det`,
-`norm_content` and `reduced_discriminant`).
+Fractions enter only through `from_vectors`, `contains` and a non-integer
+`scale`, and leave only through the view `basis` and the rational
+invariants `det`, `index_over` and `norm_content`; each of these imports
+`fractions` when it is called, so building orders, ideals and
+neighbours never does.  The determinant is held as the integer pair
+`_det_ratio`, and `reduced_discriminant` is an int whenever it is
+integral.
 
 `hnf_rows` brings each column to echelon form around the row whose entry
 there has the smallest nonzero absolute value.  A row whose entry that
@@ -54,9 +58,8 @@ with a nested size reduction that the flat loop replaced) and
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
     IntegralityError,
@@ -64,6 +67,9 @@ from .errors import (
 )
 from .numth import prime_factors
 from .quat import Quat, QuaternionAlgebra, conj
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # deterministic neighbor prime: levels are odd and ramification sets
 # consist of odd primes, so 2 always splits and is prime to the level
@@ -405,6 +411,8 @@ class Lattice4:
     @classmethod
     def from_vectors(cls, alg: QuaternionAlgebra, vectors: Iterable[Quat]) -> "Lattice4":
         """The lattice spanned by rational quaternions."""
+        from fractions import Fraction
+
         vectors = [[Fraction(x) for x in v] for v in vectors]
         den = lcm(*(x.denominator for v in vectors for x in v))
         return cls.from_int_rows(
@@ -419,13 +427,20 @@ class Lattice4:
     # -- views -------------------------------------------------------------
 
     def basis(self) -> list[Quat]:
+        from fractions import Fraction
+
         return [tuple(Fraction(x, self.den) for x in row) for row in self.rows]
 
+    def _det_ratio(self) -> tuple[int, int]:
+        """det() as (numerator, denominator), both positive, not reduced:
+        the product of the Hermite pivots over den^4."""
+        rows = self.rows
+        return rows[0][0] * rows[1][1] * rows[2][2] * rows[3][3], self.den**4
+
     def det(self) -> Fraction:
-        prod = 1
-        for i in range(4):
-            prod *= self.rows[i][i]
-        return Fraction(prod, self.den**4)
+        from fractions import Fraction
+
+        return Fraction(*self._det_ratio())
 
     def int_gram(self) -> list[list[int]]:
         """den^2 times the Gram matrix: rows diag(1, a, b, ab) rows^t."""
@@ -461,6 +476,8 @@ class Lattice4:
         return coeffs
 
     def contains(self, x: Quat) -> bool:
+        from fractions import Fraction
+
         x = [Fraction(t) for t in x]
         den = lcm(*(t.denominator for t in x))
         num = [t.numerator * (den // t.denominator) for t in x]
@@ -471,7 +488,10 @@ class Lattice4:
 
     def index_over(self, sub: "Lattice4") -> Fraction:
         """[self : sub] as a positive rational (integer when sub <= self)."""
-        return abs(sub.det() / self.det())
+        from fractions import Fraction
+
+        (sub_num, sub_den), (num, den) = sub._det_ratio(), self._det_ratio()
+        return Fraction(sub_num * den, sub_den * num)
 
     # -- lattice operations --------------------------------------------------
 
@@ -509,7 +529,10 @@ class Lattice4:
         return Lattice4.from_int_rows(self.alg, self.den * other.den, products)
 
     def scale(self, c) -> "Lattice4":
-        c = Fraction(c)
+        if not isinstance(c, int):
+            from fractions import Fraction
+
+            c = Fraction(c)
         if c == 0:
             raise ValueError("cannot scale a lattice by zero")
         rows = [[c.numerator * x for x in row] for row in self.rows]
@@ -523,16 +546,25 @@ class Lattice4:
     def norm_content(self) -> Fraction:
         """Positive generator of the fractional ideal spanned by the values
         of the reduced norm on the lattice (content of the norm form)."""
+        from fractions import Fraction
+
         return Fraction(_form_content(self.int_gram()), self.den * self.den)
 
-    def reduced_discriminant(self) -> Fraction:
+    def reduced_discriminant(self) -> int | Fraction:
         """sqrt |det trd(b_i b_j)|; equals prod(ramified) for a maximal
-        order and the level for an Eichler order.
+        order and the level for an Eichler order.  An int when it is
+        integral, as it is for every order, else a Fraction.
 
         The trace form on 1, i, j, k has determinant -16 a^2 b^2, so this
         is 4ab [Z<1,i,j,k> : L].
         """
-        return 4 * self.alg.a * self.alg.b * self.det()
+        num, den = self._det_ratio()
+        num *= 4 * self.alg.a * self.alg.b
+        if num % den:
+            from fractions import Fraction
+
+            return Fraction(num, den)
+        return num // den
 
     def norm_counts(self, bound: int) -> dict[int, int]:
         """#{x in L : nrd(x) = n * norm_content()} for n <= bound, counted
@@ -600,9 +632,9 @@ class Order:
     @property
     def reduced_discriminant(self) -> int:
         d = self.lattice.reduced_discriminant()
-        if d.denominator != 1:
+        if not isinstance(d, int):
             raise IntegralityError(f"order has fractional discriminant {d}")
-        return int(d)
+        return d
 
     @property
     def unit_count(self) -> int:
@@ -628,7 +660,8 @@ def _close_to_order(L: Lattice4) -> Lattice4 | None:
         M = L.add(L.product(L))
         if M == L:
             return L
-        if abs(M.det()) < Fraction(1, 10**9):
+        num, den = M._det_ratio()
+        if num * 10**9 < den:  # det(M) < 1e-9
             return None  # runaway growth: the generators are not integral
         L = M
     return None
@@ -667,9 +700,8 @@ def maximal_order(alg: QuaternionAlgebra) -> Order:
     lat = Lattice4.standard_order(alg)
     while True:
         disc = lat.reduced_discriminant()
-        if disc.denominator != 1:
+        if not isinstance(disc, int):
             raise MaximalOrderNotFoundError(f"fractional discriminant {disc}")
-        disc = int(disc)
         if disc == target:
             return Order(lat)
         excess = disc // target
@@ -694,6 +726,7 @@ def _neighbors(ideal: Lattice4, right: Order, p: int = NEIGHBOR_PRIME) -> Iterat
     prime to the reduced discriminant of the right order."""
     alg = ideal.alg
     rden, rrows = right.lattice.den, right.lattice.rows
+    I_num, I_den = ideal._det_ratio()
     seen = set()
     # p is prime to the level, so the scan stops after the p+1 neighbours
     for coeffs in itertools.product(range(p), repeat=4):
@@ -708,8 +741,10 @@ def _neighbors(ideal: Lattice4, right: Order, p: int = NEIGHBOR_PRIME) -> Iterat
             [alg.mul(row, x) for row in ideal.rows]
             + [[p * rden * t for t in row] for row in ideal.rows],
         )
-        if ideal.index_over(J) != p * p:
-            continue  # x vanished mod p against this ideal
+        # [I : J] = det(J) / det(I) is p^2 unless x vanished mod p against I
+        J_num, J_den = J._det_ratio()
+        if J_num * I_den != p * p * I_num * J_den:
+            continue
         key = (J.den, J.rows)
         if key in seen:
             continue

@@ -2,34 +2,43 @@
 
 An algebra here is B = (-a, -b | Q) with a, b positive integers:
 i^2 = -a, j^2 = -b, k = ij = -ji, k^2 = -ab.  Elements are 4-tuples of
-Fractions in the basis (1, i, j, k).  Definiteness (a, b > 0) makes the
-reduced norm positive definite, which everything downstream relies on.
+rationals in the basis (1, i, j, k): ints, or Fractions where a
+coordinate needs a denominator.  The pipeline multiplies integer rows
+only, so `fractions` is imported by the helpers that make Fractions
+(`qelt`, `qscale`) when they are called.  Definiteness (a, b > 0) makes
+the reduced norm positive definite, which everything downstream relies
+on.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import EvenRootNumberError, SearchExhaustedError
 from .numth import divisors, hilbert, hilbert_support, is_prime
 
-Quat = tuple[Fraction, Fraction, Fraction, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# (x0, x1, x2, x3), rational coordinates in the basis (1, i, j, k)
+Quat = tuple
 
 
 def qelt(x0=0, x1=0, x2=0, x3=0) -> Quat:
-    """Coerce four rationals into an element tuple."""
+    """Coerce four rationals into an element tuple of Fractions."""
+    from fractions import Fraction
+
     return (Fraction(x0), Fraction(x1), Fraction(x2), Fraction(x3))
 
 
-ZERO: Quat = qelt()
-ONE: Quat = qelt(1)
-I: Quat = qelt(0, 1)
-J: Quat = qelt(0, 0, 1)
-K: Quat = qelt(0, 0, 0, 1)
+ZERO: Quat = (0, 0, 0, 0)
+ONE: Quat = (1, 0, 0, 0)
+I: Quat = (0, 1, 0, 0)
+J: Quat = (0, 0, 1, 0)
+K: Quat = (0, 0, 0, 1)
 
 
 def qadd(x: Quat, y: Quat) -> Quat:
@@ -41,6 +50,8 @@ def qsub(x: Quat, y: Quat) -> Quat:
 
 
 def qscale(c, x: Quat) -> Quat:
+    from fractions import Fraction
+
     c = Fraction(c)
     return (c * x[0], c * x[1], c * x[2], c * x[3])
 

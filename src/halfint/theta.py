@@ -14,7 +14,7 @@ the integer value n den^2 of that form.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .brandt import Eigenform
 from .errors import IntegralityError, PrecisionError
@@ -22,6 +22,9 @@ from .lattice import Lattice4, Order, count_by_value, lll_gram
 from .numth import is_prime, kronecker, squarefree_part
 from .qexp import QExpansion
 from .quat import QuaternionAlgebra
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "TernaryLattice",
@@ -48,7 +51,7 @@ class TernaryLattice:
         for row in rows:
             if row[0] != 0:
                 raise ValueError(f"basis vector {row} / {den} has nonzero trace")
-        if self.det() <= 0:
+        if self._int_det() <= 0:
             raise ValueError("Gram matrix is not positive definite")
 
     def __setattr__(self, name, value):
@@ -66,12 +69,16 @@ class TernaryLattice:
         """den^2 times the Gram matrix of the norm form on the basis."""
         return [[self.alg.pair(x, y) for y in self.rows] for x in self.rows]
 
+    def _int_det(self) -> int:
+        """den^6 det(): the determinant of `int_gram`."""
+        (a, b, c), (d, e, f), (g, h, i) = self.int_gram()
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
     def det(self) -> Fraction:
         """Determinant of the Gram matrix of the norm form."""
-        (a, b, c), (d, e, f), (g, h, i) = self.int_gram()
-        return Fraction(
-            a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g), self.den**6
-        )
+        from fractions import Fraction
+
+        return Fraction(self._int_det(), self.den**6)
 
 
 def trace_zero_lattice(order: Order) -> TernaryLattice:
@@ -115,6 +122,8 @@ def kohnen_form(eigenform: Eigenform, prec: int) -> QExpansion:
     """
     total: dict[int, int] = {}
     for weight, order in zip(eigenform.vector, eigenform.class_set.rights):
+        if not weight:
+            continue  # a class of weight 0 adds nothing: skip its theta series
         theta = ternary_theta(trace_zero_lattice(order), prec)
         for n, count in theta.coeffs.items():
             total[n] = total.get(n, 0) + weight * count

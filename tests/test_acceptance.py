@@ -21,7 +21,8 @@ from halfint.errors import (
     PrecisionError,
     ZeroFormError,
 )
-from halfint.lift import global_factor, local_K, power_sums
+from halfint.lift import power_sums
+from halfint.localfactors import global_factor, local_K
 from halfint.numth import hilbert, prime_factors, squarefree_part
 from halfint.qexp import QExpansion
 from halfint.theta import hecke_check, kohnen_form, ternary_theta, trace_zero_lattice

@@ -1,19 +1,26 @@
 """End-to-end and unit tests of the command-line front end."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfint.brandt import IdealClassSet, cuspidal_eigenlines, ideal_classes
 from halfint.cli import (
     JobConfig,
     _odd_subsets,
+    _parse_plain,
     _select,
+    build_parser,
     cmd_basis,
     cmd_brandt,
     cmd_localfactors,
@@ -172,24 +179,31 @@ class _StubLine:
 
 def test_select_contract():
     cands = [_StubLine({2: -1, 3: 1}), _StubLine({2: -1, 3: -1})]
-    assert _select(cands, None) == (0, cands[0])
-    assert _select(cands, "1") == (1, cands[1])
-    assert _select(cands, "2=-1,3=1") == (0, cands[0])
+    assert _select(cands, None, 15) == (0, cands[0])
+    assert _select(cands, "1", 15) == (1, cands[1])
+    assert _select(cands, "2=-1,3=1", 15) == (0, cands[0])
     with pytest.raises(AmbiguousSelectorError):
-        _select(cands, "2=-1")
+        _select(cands, "2=-1", 15)
     with pytest.raises(SelectorNotFoundError):
-        _select(cands, "7")
+        _select(cands, "7", 15)
     with pytest.raises(SelectorNotFoundError):
-        _select(cands, "2=9")
+        _select(cands, "2=9", 15)
     with pytest.raises(SelectorNotFoundError):
-        _select([], None)
+        _select([], None, 15)
     with pytest.raises(ConfigurationError):
-        _select(cands, "nonsense")
+        _select(cands, "nonsense", 15)
     # eigenvalues are indexed by primes, so a key that is not a prime is a
     # configuration error before any line is asked for an eigenvalue
     for selector in ("4=1", "0=1", "-3=1", "1=0", "2=-1,9=1"):
         with pytest.raises(ConfigurationError, match="is not a prime"):
-            _select(cands, selector)
+            _select(cands, selector, 15)
+    # refinement reaches the primes up to 60 and those dividing the level;
+    # a key beyond them is refused before its primality is tested
+    for selector in ("61=1", "2=-1,67=1", "100=1", "1000000000000000003=1"):
+        with pytest.raises(ConfigurationError, match="is above 60 and does not divide"):
+            _select(cands, selector, 15)
+    with_67 = [_StubLine({2: -1, 67: 1}), _StubLine({2: -1, 67: -1})]
+    assert _select(with_67, "67=-1", 67) == (1, with_67[1])
 
 
 def test_selector_through_pipeline():
@@ -395,6 +409,18 @@ def test_main_config_errors(capsys):
                       ("-3", ["--selector=-3=1"])):
         assert main(["basis", "--level", "11", *argv]) == 3
         assert capsys.readouterr().err == f"error: selector key {key} is not a prime\n"
+
+
+@pytest.mark.parametrize("key", ["1000000000000000003", "10007"])
+def test_large_selector_key_exits_3_at_once(key, capsys):
+    # these keys used to hang: one in trial division, one counting every
+    # class pair to degree 10007
+    start = time.perf_counter()
+    assert main(["basis", "--level", "11", "--selector", f"{key}=1"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error: selector key {key} is above 60 and does not divide the level\n"
+    )
 
 
 def test_main_usage_errors_exit_3():
@@ -807,19 +833,131 @@ def test_package_invocation_subprocess():
     assert proc.stdout.startswith("level 11\n")
 
 
+# modules a basis job must not load: the import, the argv parse and the
+# run pay for each of them in every fresh process
+HEAVY_MODULES = (
+    "dataclasses", "inspect", "fractions", "decimal", "numbers", "argparse",
+    "gettext", "locale", "halfint.localfactors",
+)
+
+IMPORT_PROBE = f"""
+import contextlib, io, sys
+heavy = set({HEAVY_MODULES!r})
+import halfint.cli
+print(sorted(heavy & set(sys.modules)))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = halfint.cli.main(["basis", "--level", "15", "--prec", "20"])
+print(code, sorted(heavy & set(sys.modules)))
+import halfint
+print(halfint.local_K.__module__, halfint.f1_f2_diagnostic.__module__)
+"""
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     # every job is a fresh process, so what the import pulls in is paid on
-    # every run; -S keeps site hooks of the environment out of the check
+    # every run; -S keeps site hooks of the environment out of the check.
+    # The float diagnostics still resolve from the package, on first use.
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import sys, halfint.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        [sys.executable, "-S", "-c", IMPORT_PROBE],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == (
+        "[]\n0 []\nhalfint.localfactors halfint.localfactors\n"
+    )
+
+
+def test_package_exports_resolve():
+    import halfint
+
+    namespace = {}
+    exec("from halfint import *", namespace)
+    assert all(name in namespace for name in halfint.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        halfint.nonexistent
+
+
+# ---------------------------------------------------------------------------
+# the direct argv parse against argparse
+# ---------------------------------------------------------------------------
+
+# option -> (values argparse takes, values it refuses or that start with -)
+_OPTION_VALUES = {
+    "--level": (["15", "11", " 7 ", "1_5"], ["x", "", "-15", "15.0"]),
+    "--selector": (["0", "2=-1,3=1", "", "a b", "basis"], ["-1"]),
+    "--prec": (["20", "0", "+4"], ["x", "-3"]),
+    "--format": (["text", "json"], ["yaml", "JSON"]),
+    "--cache-dir": (["cache", "basis"], ["-c"]),
+    "--newform-file": (["nf.txt"], ["--level"]),
+    "--workers": (["1", "4"], ["four"]),
+    "--nmax": (["3"], ["x"]),
+    "--range": (["2:23", "nope"], ["-1:3"]),
+}
+
+
+@st.composite
+def _argvs(draw):
+    """argvs over the four subcommands (and one unknown): options in any
+    order, some missing, repeated, abbreviated, =-joined or without a
+    value, and values valid or not."""
+    command = draw(st.sampled_from(["basis", "brandt", "theta", "localfactors", "frob"]))
+    own = {"brandt": "--nmax", "localfactors": "--range"}.get(command)
+    pool = [o for o in _OPTION_VALUES if o not in ("--nmax", "--range") or o == own]
+    names = draw(st.permutations(pool))[: draw(st.integers(0, 5))]
+    if "--level" not in names and draw(st.integers(0, 3)):
+        names.insert(draw(st.integers(0, len(names))), "--level")
+    if not draw(st.integers(0, 7)):
+        names.append(draw(st.sampled_from(sorted(_OPTION_VALUES))))  # maybe foreign
+    if names and not draw(st.integers(0, 7)):
+        names.append(draw(st.sampled_from(names)))  # given twice
+    argv = [command]
+    for option in names:
+        valid, refused = _OPTION_VALUES[option]
+        value = draw(st.sampled_from(valid if draw(st.integers(0, 7)) else refused))
+        form = draw(st.sampled_from(["plain"] * 20 + ["abbrev", "joined", "bare", "no-value"]))
+        if form == "abbrev":
+            option = option[: draw(st.integers(3, len(option) - 1))]
+        if form == "joined":
+            argv.append(f"{option}={value}")
+        elif form == "bare":
+            argv.append(value)
+        elif form == "no-value":
+            argv.append(option)
+        else:
+            argv += [option, value]
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_argvs())
+def test_direct_parse_agrees_with_argparse(argv):
+    parser = build_parser()
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            expected = vars(parser.parse_args(argv))
+        except SystemExit:
+            expected = None
+    direct = _parse_plain(argv)
+    if expected is None:
+        assert direct is None, argv
+    elif direct is not None:
+        assert direct == expected, argv
+
+
+def test_direct_parse_takes_the_plain_form():
+    assert _parse_plain(["basis", "--prec", "20", "--level", "15"]) == {
+        "command": "basis", "level": 15, "selector": None, "prec": 20, "fmt": "text",
+        "cache_dir": None, "newform_file": None, "workers": 1,
+    }
+    assert _parse_plain(["localfactors", "--level", "15", "--range", "3:5"])["index_range"] == "3:5"
+    assert _parse_plain(["brandt", "--level", "15"])["nmax"] == 10
+    for argv in (["basis", "--level=15"], ["basis", "--lev", "15"], ["basis", "-h"],
+                 ["basis", "--level", "15", "--level", "15"], ["basis", "--level", "-15"]):
+        assert _parse_plain(argv) is None, argv
 
 
 def test_module_invocation_error_code():

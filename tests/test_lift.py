@@ -7,18 +7,16 @@ from hypothesis import given, strategies as st
 
 import oracles
 from halfint.errors import MissingEigenvalueError, PrecisionError
-from halfint.lift import (
-    LiftProfile,
-    assemble_h,
+from halfint.lift import LiftProfile, assemble_h, kronecker_gate, power_sums
+from halfint.localfactors import (
+    alpha_pair,
     c2_doubleprime,
     c2_prime,
     cp_0,
     cp_s,
     f1_f2_diagnostic,
     global_factor,
-    kronecker_gate,
     local_K,
-    power_sums,
 )
 from halfint.qexp import QExpansion
 
@@ -87,7 +85,7 @@ def test_profile_eigenvalues():
 
 
 def test_alpha_pair():
-    a, b = LEVEL15_PROFILE.alpha_pair()
+    a, b = alpha_pair(LEVEL15_PROFILE)
     assert a.imag > 0
     assert abs(a - (-1 + 1j * SQRT7) / (2 * SQRT2)) < 1e-12
     assert abs(a * b - 1) < 1e-12
@@ -118,14 +116,14 @@ def test_power_sums_match_float_oracle(b2):
 
 
 def test_c2_prime_residues():
-    a, _ = LEVEL15_PROFILE.alpha_pair()
+    a, _ = alpha_pair(LEVEL15_PROFILE)
     # n = 1 mod 4 and n = 2 mod 4 give 1 regardless of delta
     for n in (1, 5, 9, 13, 2, 6, 10, 18):
         assert abs(c2_prime(a, n) - 1) < 1e-12
 
 
 def test_c2_doubleprime_residues():
-    a, ap = LEVEL15_PROFILE.alpha_pair()
+    a, ap = alpha_pair(LEVEL15_PROFILE)
     for n in (1, 5, 9, 17):
         assert c2_doubleprime(a, n) == 0
     for n in (2, 6, 10, 14):
@@ -136,7 +134,7 @@ def test_c2_doubleprime_residues():
 
 def test_lemma_style_equal_branches():
     # for n = 1, 2 mod 4 the two first-kind values agree exactly
-    a, ap = LEVEL15_PROFILE.alpha_pair()
+    a, ap = alpha_pair(LEVEL15_PROFILE)
     for n in range(1, 60):
         if n % 4 in (1, 2):
             assert c2_prime(a, n) == c2_prime(ap, n) == 1
@@ -272,7 +270,7 @@ def test_ratio_identity():
     # at a square-free index r = 3 mod 4 and its quadruple, the
     # coefficient ratios differ exactly by one alpha quotient
     f1, f2 = f1_f2_diagnostic(LEVEL15_G, LEVEL15_PROFILE, 12)
-    a, ap = LEVEL15_PROFILE.alpha_pair()
+    a, ap = alpha_pair(LEVEL15_PROFILE)
     lhs = f1[12] / f2[12]
     rhs = (a / ap) * (f1[3] / f2[3])
     assert abs(lhs - rhs) < 1e-12

@@ -2,6 +2,7 @@
 
 import pytest
 
+import halfint.theta as theta_module
 from halfint.brandt import Eigenform, cuspidal_eigenlines, ideal_classes
 from halfint.errors import PrecisionError
 from halfint.lattice import Lattice4, Order, eichler_order
@@ -165,6 +166,27 @@ def test_class_swap_flips_sign_only(level15):
 def test_zero_vector_gives_zero_series(level15):
     z = Eigenform(class_set=level15, vector=(0, 0), eigs={})
     assert not kohnen_form(z, 40)
+
+
+def test_kohnen_form_skips_classes_of_weight_zero(monkeypatch):
+    # the N=67 line weights two of its six classes by 0; their theta
+    # series add nothing, so only the other four are enumerated
+    alg = algebra_ramified_at([67])
+    line = cuspidal_eigenlines(ideal_classes(eichler_order(alg, 67)), signs={67: 1})[0]
+    assert line.vector == (1, 1, 0, 0, -1, -1)
+    full = QExpansion(80, {})
+    for weight, order in zip(line.vector, line.class_set.rights):
+        full = full + ternary_theta(trace_zero_lattice(order), 80).scale(weight)
+    calls = []
+
+    def counted(lattice, prec):
+        calls.append(lattice)
+        return ternary_theta(lattice, prec)
+
+    monkeypatch.setattr(theta_module, "ternary_theta", counted)
+    g = kohnen_form(line, 80)
+    assert len(calls) == 4
+    assert g.coeffs == full.coeffs and g
 
 
 def test_hecke_check_level15(level15):
