@@ -13,7 +13,6 @@ from .brandt import (
     Eigenform,
     IdealClassSet,
     cuspidal_eigenlines,
-    eichler_mass,
     equivalent_ideals,
     ideal_classes,
     rational_eigenlines,
@@ -73,7 +72,6 @@ __all__ = [
     "algebra_ramified_at",
     "assemble_h",
     "cuspidal_eigenlines",
-    "eichler_mass",
     "eichler_order",
     "equivalent_ideals",
     "f1_f2_diagnostic",

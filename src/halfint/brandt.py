@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .errors import (
     IntegralityError,
@@ -53,9 +53,6 @@ from .lattice import (
     right_order_lattice,
 )
 from .numth import is_prime, prime_factors, primes
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # degree up to which a class key counts norms (see `_class_key`)
 KEY_DEGREE = 6
@@ -83,13 +80,6 @@ def _psi(n: int) -> int:
     return out
 
 
-def eichler_mass(D: int, N: int) -> Fraction:
-    """Mass of the class set for an order of level N and ramification D."""
-    from fractions import Fraction
-
-    return Fraction(_phi(D) * _psi(N // D), 12)
-
-
 def _unit_mass(unit_counts: Sequence[int]) -> tuple[int, int]:
     """sum(2/e) over the unit counts e, as a reduced pair (num, den)."""
     den = lcm(*unit_counts)
@@ -99,7 +89,8 @@ def _unit_mass(unit_counts: Sequence[int]) -> tuple[int, int]:
 
 
 def _ratio_text(num: int, den: int) -> str:
-    """str(Fraction(num, den)) for den > 0, without making the Fraction."""
+    """num/den in lowest terms, as "num/den" or as "num" when it is an
+    integer; den > 0."""
     g = gcd(num, den)
     num, den = num // g, den // g
     return str(num) if den == 1 else f"{num}/{den}"
@@ -187,14 +178,8 @@ class IdealClassSet:
         return [r.unit_count for r in self.rights]
 
     @property
-    def mass(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(*_unit_mass(self.unit_counts))
-
-    @property
     def mass_text(self) -> str:
-        """str(self.mass), computed in integers."""
+        """The mass sum(2/e_j) as "num/den" in lowest terms, or "num"."""
         return _ratio_text(*_unit_mass(self.unit_counts))
 
     # -- degree matrices -----------------------------------------------------

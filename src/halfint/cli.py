@@ -40,7 +40,7 @@ from .errors import (
 )
 from .lattice import Order, eichler_order
 from .lift import LiftProfile, assemble_h
-from .numth import is_prime, is_squarefree, prime_factors, primes
+from .numth import TRIAL_BOUND, is_prime, is_squarefree, prime_factors, primes
 from .quat import algebra_ramified_at
 from .theta import kohnen_form, ternary_theta, trace_zero_lattice
 
@@ -77,6 +77,11 @@ class JobConfig:
         newform_file: str | None = None,
         workers: int = 1,
     ):
+        # checked first: is_squarefree factors the level by trial division
+        if level > TRIAL_BOUND:
+            raise ConfigurationError(
+                f"level {level} exceeds the trial-division bound {TRIAL_BOUND}"
+            )
         if level < 3 or level % 2 == 0 or not is_squarefree(level):
             raise ConfigurationError(
                 f"level must be an odd square-free integer >= 3, got {level}"

@@ -9,13 +9,10 @@ form, then the content divided out), and every operation works on
 integer rows: products multiply rows over den_x * den_y, sums and
 intersections bring both lattices to one denominator, and the right
 order of an invertible lattice is the one product conj(L) L / nrd(L).
-Fractions enter only through `from_vectors`, `contains` and a non-integer
-`scale`, and leave only through the view `basis` and the rational
-invariants `det`, `index_over` and `norm_content`; each of these imports
-`fractions` when it is called, so building orders, ideals and
-neighbours never does.  The determinant is held as the integer pair
-`_det_ratio`, and `reduced_discriminant` is an int whenever it is
-integral.
+A lattice is integer rows over a denominator and nothing else: an
+element is tested as an integer row over a denominator (`coordinates`),
+a rational invariant is an integer pair (the determinant `_det_ratio`
+is the pivot product over den^4), and `reduced_discriminant` is an int.
 
 `hnf_rows` brings each column to echelon form around the row whose entry
 there has the smallest nonzero absolute value.  A row whose entry that
@@ -32,7 +29,7 @@ that takes an integer Gram matrix and an integer bound and returns
 integer values with their counts.  The leading minors and eliminated
 rows come from fraction-free (Bareiss) elimination, and each
 coordinate's interval comes from isqrt of an integer budget, so neither
-floating point nor Fraction arithmetic enters the enumeration.  A form
+floating point nor rational arithmetic enters the enumeration.  A form
 takes one value on c and -c, so the enumeration visits only the half
 space of vectors whose last nonzero coordinate is positive and counts
 each of them twice; the histogram comes back with its keys ascending.
@@ -59,17 +56,11 @@ from __future__ import annotations
 
 import itertools
 from math import gcd, isqrt, lcm
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    IntegralityError,
-    MaximalOrderNotFoundError,
-)
+from .errors import IntegralityError, MaximalOrderNotFoundError
 from .numth import prime_factors
-from .quat import Quat, QuaternionAlgebra, conj
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from .quat import QuaternionAlgebra, conj
 
 # deterministic neighbor prime: levels are odd and ramification sets
 # consist of odd primes, so 2 always splits and is prime to the level
@@ -409,38 +400,17 @@ class Lattice4:
         )
 
     @classmethod
-    def from_vectors(cls, alg: QuaternionAlgebra, vectors: Iterable[Quat]) -> "Lattice4":
-        """The lattice spanned by rational quaternions."""
-        from fractions import Fraction
-
-        vectors = [[Fraction(x) for x in v] for v in vectors]
-        den = lcm(*(x.denominator for v in vectors for x in v))
-        return cls.from_int_rows(
-            alg, den, [[x.numerator * (den // x.denominator) for x in v] for v in vectors]
-        )
-
-    @classmethod
     def standard_order(cls, alg: QuaternionAlgebra) -> "Lattice4":
         eye = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
         return cls(alg, 1, eye)
 
     # -- views -------------------------------------------------------------
 
-    def basis(self) -> list[Quat]:
-        from fractions import Fraction
-
-        return [tuple(Fraction(x, self.den) for x in row) for row in self.rows]
-
     def _det_ratio(self) -> tuple[int, int]:
-        """det() as (numerator, denominator), both positive, not reduced:
-        the product of the Hermite pivots over den^4."""
+        """The determinant of the basis as (numerator, denominator), both
+        positive, not reduced: the product of the Hermite pivots over den^4."""
         rows = self.rows
         return rows[0][0] * rows[1][1] * rows[2][2] * rows[3][3], self.den**4
-
-    def det(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(*self._det_ratio())
 
     def int_gram(self) -> list[list[int]]:
         """den^2 times the Gram matrix: rows diag(1, a, b, ab) rows^t."""
@@ -475,23 +445,8 @@ class Lattice4:
                     target[t] -= c * self.rows[col][t]
         return coeffs
 
-    def contains(self, x: Quat) -> bool:
-        from fractions import Fraction
-
-        x = [Fraction(t) for t in x]
-        den = lcm(*(t.denominator for t in x))
-        num = [t.numerator * (den // t.denominator) for t in x]
-        return self.coordinates(num, den) is not None
-
     def contains_lattice(self, other: "Lattice4") -> bool:
         return all(self.coordinates(row, other.den) is not None for row in other.rows)
-
-    def index_over(self, sub: "Lattice4") -> Fraction:
-        """[self : sub] as a positive rational (integer when sub <= self)."""
-        from fractions import Fraction
-
-        (sub_num, sub_den), (num, den) = sub._det_ratio(), self._det_ratio()
-        return Fraction(sub_num * den, sub_den * num)
 
     # -- lattice operations --------------------------------------------------
 
@@ -528,32 +483,22 @@ class Lattice4:
         products = [mul(x, y) for x in self.rows for y in other.rows]
         return Lattice4.from_int_rows(self.alg, self.den * other.den, products)
 
-    def scale(self, c) -> "Lattice4":
-        if not isinstance(c, int):
-            from fractions import Fraction
-
-            c = Fraction(c)
+    def scale(self, c: int) -> "Lattice4":
+        """c L for a nonzero integer c."""
         if c == 0:
             raise ValueError("cannot scale a lattice by zero")
-        rows = [[c.numerator * x for x in row] for row in self.rows]
-        return Lattice4.from_int_rows(self.alg, self.den * c.denominator, rows)
+        rows = [[c * x for x in row] for row in self.rows]
+        return Lattice4.from_int_rows(self.alg, self.den, rows)
 
     def conjugate(self) -> "Lattice4":
         return Lattice4.from_int_rows(self.alg, self.den, [conj(row) for row in self.rows])
 
     # -- arithmetic invariants ----------------------------------------------
 
-    def norm_content(self) -> Fraction:
-        """Positive generator of the fractional ideal spanned by the values
-        of the reduced norm on the lattice (content of the norm form)."""
-        from fractions import Fraction
-
-        return Fraction(_form_content(self.int_gram()), self.den * self.den)
-
-    def reduced_discriminant(self) -> int | Fraction:
+    def reduced_discriminant(self) -> int:
         """sqrt |det trd(b_i b_j)|; equals prod(ramified) for a maximal
-        order and the level for an Eichler order.  An int when it is
-        integral, as it is for every order, else a Fraction.
+        order and the level for an Eichler order.  It is an integer for
+        every order; IntegralityError otherwise.
 
         The trace form on 1, i, j, k has determinant -16 a^2 b^2, so this
         is 4ab [Z<1,i,j,k> : L].
@@ -561,15 +506,13 @@ class Lattice4:
         num, den = self._det_ratio()
         num *= 4 * self.alg.a * self.alg.b
         if num % den:
-            from fractions import Fraction
-
-            return Fraction(num, den)
+            raise IntegralityError(f"lattice has fractional discriminant {num}/{den}")
         return num // den
 
     def norm_counts(self, bound: int) -> dict[int, int]:
-        """#{x in L : nrd(x) = n * norm_content()} for n <= bound, counted
-        on the LLL-reduced integer Gram matrix, which is computed once per
-        lattice object."""
+        """#{x in L : nrd(x) = n * content} for n <= bound, where content
+        generates the values of nrd on L; counted on the LLL-reduced
+        integer Gram matrix, which is computed once per lattice object."""
         # nrd(x) = n * content exactly when x^t G x = n * unit, G = int_gram,
         # and unit divides every value of the form
         if self._form is None:
@@ -626,15 +569,9 @@ class Order:
     def alg(self) -> QuaternionAlgebra:
         return self.lattice.alg
 
-    def basis(self) -> list[Quat]:
-        return self.lattice.basis()
-
     @property
     def reduced_discriminant(self) -> int:
-        d = self.lattice.reduced_discriminant()
-        if not isinstance(d, int):
-            raise IntegralityError(f"order has fractional discriminant {d}")
-        return d
+        return self.lattice.reduced_discriminant()
 
     @property
     def unit_count(self) -> int:
@@ -700,8 +637,6 @@ def maximal_order(alg: QuaternionAlgebra) -> Order:
     lat = Lattice4.standard_order(alg)
     while True:
         disc = lat.reduced_discriminant()
-        if not isinstance(disc, int):
-            raise MaximalOrderNotFoundError(f"fractional discriminant {disc}")
         if disc == target:
             return Order(lat)
         excess = disc // target

@@ -1,13 +1,13 @@
 """Definite rational quaternion algebras with exact arithmetic.
 
 An algebra here is B = (-a, -b | Q) with a, b positive integers:
-i^2 = -a, j^2 = -b, k = ij = -ji, k^2 = -ab.  Elements are 4-tuples of
-rationals in the basis (1, i, j, k): ints, or Fractions where a
-coordinate needs a denominator.  The pipeline multiplies integer rows
-only, so `fractions` is imported by the helpers that make Fractions
-(`qelt`, `qscale`) when they are called.  Definiteness (a, b > 0) makes
-the reduced norm positive definite, which everything downstream relies
-on.
+i^2 = -a, j^2 = -b, k = ij = -ji, k^2 = -ab.  Elements are integer
+4-tuples in the basis (1, i, j, k); a rational element is such a row
+over a denominator kept beside it, as the rows of a lattice are
+(`lattice.Lattice4`).  Products, norms and traces of rows are again
+integers, so no arithmetic here needs a denominator.  Definiteness
+(a, b > 0) makes the reduced norm positive definite, which everything
+downstream relies on.
 """
 
 from __future__ import annotations
@@ -15,23 +15,13 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from .errors import EvenRootNumberError, SearchExhaustedError
 from .numth import divisors, hilbert, hilbert_support, is_prime
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-# (x0, x1, x2, x3), rational coordinates in the basis (1, i, j, k)
+# (x0, x1, x2, x3), integer coordinates in the basis (1, i, j, k)
 Quat = tuple
-
-
-def qelt(x0=0, x1=0, x2=0, x3=0) -> Quat:
-    """Coerce four rationals into an element tuple of Fractions."""
-    from fractions import Fraction
-
-    return (Fraction(x0), Fraction(x1), Fraction(x2), Fraction(x3))
 
 
 ZERO: Quat = (0, 0, 0, 0)
@@ -49,19 +39,12 @@ def qsub(x: Quat, y: Quat) -> Quat:
     return (x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3])
 
 
-def qscale(c, x: Quat) -> Quat:
-    from fractions import Fraction
-
-    c = Fraction(c)
-    return (c * x[0], c * x[1], c * x[2], c * x[3])
-
-
 def conj(x: Quat) -> Quat:
     """Standard involution: fixes 1, negates i, j, k."""
     return (x[0], -x[1], -x[2], -x[3])
 
 
-def trd(x: Quat) -> Fraction:
+def trd(x: Quat) -> int:
     """Reduced trace x + conj(x)."""
     return 2 * x[0]
 
@@ -107,12 +90,12 @@ class QuaternionAlgebra:
             x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
         )
 
-    def nrd(self, x: Quat) -> Fraction:
+    def nrd(self, x: Quat) -> int:
         """Reduced norm x * conj(x)."""
         a, b = self.a, self.b
         return x[0] ** 2 + a * x[1] ** 2 + b * x[2] ** 2 + a * b * x[3] ** 2
 
-    def pair(self, x: Quat, y: Quat) -> Fraction:
+    def pair(self, x: Quat, y: Quat) -> int:
         """Polarization of the norm form: trd(x * conj(y)) / 2."""
         a, b = self.a, self.b
         return x[0] * y[0] + a * x[1] * y[1] + b * x[2] * y[2] + a * b * x[3] * y[3]

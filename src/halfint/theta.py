@@ -14,17 +14,12 @@ the integer value n den^2 of that form.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .brandt import Eigenform
 from .errors import IntegralityError, PrecisionError
 from .lattice import Lattice4, Order, count_by_value, lll_gram
 from .numth import is_prime, kronecker, squarefree_part
 from .qexp import QExpansion
 from .quat import QuaternionAlgebra
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = [
     "TernaryLattice",
@@ -70,15 +65,10 @@ class TernaryLattice:
         return [[self.alg.pair(x, y) for y in self.rows] for x in self.rows]
 
     def _int_det(self) -> int:
-        """den^6 det(): the determinant of `int_gram`."""
+        """den^6 times the determinant of the Gram matrix: the determinant
+        of `int_gram`."""
         (a, b, c), (d, e, f), (g, h, i) = self.int_gram()
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-    def det(self) -> Fraction:
-        """Determinant of the Gram matrix of the norm form."""
-        from fractions import Fraction
-
-        return Fraction(self._int_det(), self.den**6)
 
 
 def trace_zero_lattice(order: Order) -> TernaryLattice:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import itertools
 
@@ -325,10 +325,41 @@ def lll_gram_ref(gram):
 
 
 # ---------------------------------------------------------------------------
+# Rational views.  The library keeps elements and lattices as integer rows
+# over a denominator; the tests state rational elements and lattices with
+# these and compare through them.
+# ---------------------------------------------------------------------------
+
+
+def qelt(x0=0, x1=0, x2=0, x3=0):
+    """Four rationals as an element tuple of Fractions."""
+    return (Fraction(x0), Fraction(x1), Fraction(x2), Fraction(x3))
+
+
+def qscale(c, x):
+    """The element c x for a rational c."""
+    c = Fraction(c)
+    return (c * x[0], c * x[1], c * x[2], c * x[3])
+
+
+def from_vectors(alg, vectors):
+    """The lattice spanned by rational quaternions."""
+    vectors = [[Fraction(x) for x in v] for v in vectors]
+    den = lcm(*(x.denominator for v in vectors for x in v))
+    return Lattice4.from_int_rows(
+        alg, den, [[x.numerator * (den // x.denominator) for x in v] for v in vectors]
+    )
+
+
+def basis(lat):
+    """The basis of a lattice as rational quaternions."""
+    return [tuple(Fraction(x, lat.den) for x in row) for row in lat.rows]
+
+
+# ---------------------------------------------------------------------------
 # Quaternion lattice algebra over Fractions: Gauss-Jordan inverses and
 # dual lattices, the route the library's integer Hermite-form operations
-# replaced.  Lattices enter and leave through the Fraction views
-# `Lattice4.from_vectors` and `Lattice4.basis`.
+# replaced.  Lattices enter and leave through the views above.
 # ---------------------------------------------------------------------------
 
 
@@ -384,12 +415,20 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
+def det_ref(lat):
+    """|det| of the rational basis matrix."""
+    return abs(mat_det(basis(lat)))
+
+
+def index_ref(L, sub):
+    """[L : sub] as a positive rational, from the basis determinants."""
+    return det_ref(sub) / det_ref(L)
+
+
 def intersect_ref(L, M):
     """L cap M as the dual lattice of the sum of the duals."""
-    dual = Lattice4.from_vectors(
-        L.alg, transpose(mat_inv(L.basis())) + transpose(mat_inv(M.basis()))
-    )
-    return Lattice4.from_vectors(L.alg, transpose(mat_inv(dual.basis())))
+    dual = from_vectors(L.alg, transpose(mat_inv(basis(L))) + transpose(mat_inv(basis(M))))
+    return from_vectors(L.alg, transpose(mat_inv(basis(dual))))
 
 
 def right_order_intersection_ref(lat):
@@ -410,21 +449,21 @@ def order_ref(lat, side):
     for every v in lat: the dual of the lattice of conditions."""
     alg = lat.alg
     std = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
-    Binv = mat_inv(lat.basis())
+    Binv = mat_inv(basis(lat))
     cond_vectors = []
-    for v in lat.basis():
+    for v in basis(lat):
         if side == "right":
             M = [list(alg.mul(v, e)) for e in std]
         else:
             M = [list(alg.mul(e, v)) for e in std]
         cond_vectors.extend(transpose(mat_mul(M, Binv)))
-    cond_lat = Lattice4.from_vectors(alg, cond_vectors)
-    return Lattice4.from_vectors(alg, transpose(mat_inv(cond_lat.basis())))
+    cond_lat = from_vectors(alg, cond_vectors)
+    return from_vectors(alg, transpose(mat_inv(basis(cond_lat))))
 
 
 def reduced_discriminant_ref(lat):
     """sqrt |det trd(b_i b_j)|, with an exact square root."""
-    bas = lat.basis()
+    bas = basis(lat)
     dd = abs(mat_det([[2 * lat.alg.mul(x, y)[0] for y in bas] for x in bas]))
     rn, rd = isqrt(dd.numerator), isqrt(dd.denominator)
     assert rn * rn == dd.numerator and rd * rd == dd.denominator
@@ -482,13 +521,24 @@ def left_kernel_ref(M):
 # ---------------------------------------------------------------------------
 
 
+def eichler_mass_ref(D, N):
+    """The mass phi(D) psi(N/D) / 12 of the class set for an order of
+    level N and ramification D, from the factorizations."""
+    mass = Fraction(1, 12)
+    for p in factorize(D):
+        mass *= p - 1
+    for p in factorize(N // D):
+        mass *= p + 1
+    return mass
+
+
 def ideal_classes_ref(order):
     """The left ideal classes in breadth-first discovery order, each
     neighbour tested for equivalence against all classes so far."""
-    from halfint.brandt import _neighbors, eichler_mass, equivalent_ideals
+    from halfint.brandt import _neighbors, equivalent_ideals
     from halfint.lattice import Order, right_order_lattice
 
-    target = eichler_mass(order.alg.discriminant, order.reduced_discriminant)
+    target = eichler_mass_ref(order.alg.discriminant, order.reduced_discriminant)
     classes, rights = [order.lattice], [order]
     mass = Fraction(2, order.unit_count)
     frontier = [0]
@@ -575,7 +625,7 @@ def neighbors_ref(ideal, right, p=2):
             [alg.mul(row, x) for row in ideal.rows]
             + [[p * rden * t for t in row] for row in ideal.rows],
         )
-        if ideal.index_over(J) == p * p and J not in out:
+        if index_ref(ideal, J) == p * p and J not in out:
             out.append(J)
     return out
 

@@ -7,14 +7,22 @@ exact integer equalities, floating-point diagnostics are compared to
 """
 
 import cmath
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from halfint.brandt import Eigenform, cuspidal_eigenlines, eichler_mass
+import oracles
+
+from halfint.brandt import Eigenform, _unit_mass, cuspidal_eigenlines
 from halfint.cli import JobConfig, cmd_basis, cmd_theta, main
 from halfint.errors import (
     EvenRootNumberError,
@@ -169,7 +177,8 @@ def test_criterion_5_property_suite(pipeline_runs):
                 assert _matmul(A, B) == _matmul(B, A)
 
         # (c) exact mass formula
-        assert class_set.mass == eichler_mass(class_set.alg.discriminant, level)
+        mass = Fraction(*_unit_mass(class_set.unit_counts))
+        assert mass == oracles.eichler_mass_ref(class_set.alg.discriminant, level)
 
         # (d) Hecke recursion on g and h at the smallest good prime
         p = next(q for q in (3, 5, 7, 11, 13) if level % q)
@@ -317,3 +326,46 @@ def test_criterion_7_negative_controls(tmp_path, monkeypatch, capsys):
         "(EvenRootNumber); synthetic zero eigenvector exits 2 (ZeroForm); "
         "the nonzero path is criterion 1"
     )
+
+
+# stdout digests of whole commands, each run as `python -m halfint` in a
+# fresh process with no cache directory: cold bases at the large levels
+# (JSON and text), degree matrices counted past degree 13 at N=67 and
+# N=105, theta series of trace-zero lattices with den > 1 at N=285, and
+# the float local-factor path in text and JSON
+PINNED_OUTPUTS = {
+    "basis --level 179 --prec 100 --format json":
+        "19370e2b2d787450410eb73c4dfe0c5208dd5c2dfa7099ec4b0efe4a8a43a702",
+    "basis --level 231 --prec 100 --format json":
+        "b3bb5c077d61efae403df91a64bf6ca04b1e987ec42ebf65490bd1ff7e879801",
+    "basis --level 285 --prec 100 --format json":
+        "cd27d0ce9c0c42ab036947aacdf4bb4a1df5feba9b267f030185681dfbb25937",
+    "basis --level 15 --prec 1000":
+        "9055290bea0f6714def812f36fbbe2d2213cd5bf716bc7c5578e788d3b58b4dc",
+    "basis --level 285 --prec 100":
+        "a8d0aede74dae73751dc222b933a6fba6729d5ef48eefad58fb9242e3d9354b9",
+    "brandt --level 67 --nmax 20 --format json":
+        "595f82b1a82f74f50a8822db01cb6a8aed15f780b9d365d0b0baee6be7f35564",
+    "brandt --level 105 --nmax 20 --format json":
+        "cad6d7b637cb664fce232971e53d7cae73c58b7d6ceb7507beab2b12f62ba703",
+    "theta --level 285 --prec 100 --format json":
+        "5964543c60a0fb7be42ef05e1b88ec9ede8abe7c4da00e7d7791d5bbdea506db",
+    "localfactors --level 15":
+        "44010653a74639499d8b8a124d66f6792ee0434189a9aaa51a3ccfa6b6cf0a70",
+    "localfactors --level 105 --format json":
+        "b3946ec729bd8b4e14d5a68dbd21ccc443bda9818eaf27c428c88f962d6e26b2",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_OUTPUTS))
+def test_pinned_outputs(argv):
+    env = {k: v for k, v in os.environ.items() if k != "HALFINT_CACHE_DIR"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "halfint", *argv.split()],
+        env=env,
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == PINNED_OUTPUTS[argv]

@@ -14,8 +14,11 @@ from halfint.brandt import (
     _class_key,
     _left_kernel,
     _pair_lattice,
+    _phi,
+    _psi,
+    _ratio_text,
+    _unit_mass,
     cuspidal_eigenlines,
-    eichler_mass,
     equivalent_ideals,
     ideal_classes,
     rational_eigenlines,
@@ -26,6 +29,7 @@ from halfint.errors import IrrationalEigenspaceError, MissingEigenvalueError
 from halfint.lattice import Lattice4, eichler_order
 from halfint.numth import prime_factors
 from halfint.quat import QuaternionAlgebra, algebra_ramified_at
+from oracles import basis, from_vectors, qelt
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +61,8 @@ def level33():
 def test_level15_class_data(level15):
     C = level15
     assert C.h == 2
-    assert C.mass == Fraction(4, 3)
+    assert _unit_mass(C.unit_counts) == (4, 3)
+    assert C.mass_text == "4/3"
     assert C.unit_counts == [2, 6]
     assert C.level == 15
 
@@ -65,15 +70,17 @@ def test_level15_class_data(level15):
 def test_level11_class_data(level11):
     C = level11
     assert C.h == 2
-    assert C.mass == Fraction(5, 6)
+    assert _unit_mass(C.unit_counts) == (5, 6)
+    assert C.mass_text == "5/6"
     assert sorted(C.unit_counts) == [4, 6]
 
 
 def test_mass_formula():
-    assert eichler_mass(5, 15) == Fraction(4, 3)
-    assert eichler_mass(11, 11) == Fraction(5, 6)
-    assert eichler_mass(37, 37) == 3
-    assert eichler_mass(11, 33) == Fraction(10, 3)
+    # the search's target phi(D) psi(N/D) / 12, in twelfths
+    for D, N, text in ((5, 15, "4/3"), (11, 11, "5/6"), (37, 37, "3"), (11, 33, "10/3")):
+        twelfths = _phi(D) * _psi(N // D)
+        assert _ratio_text(twelfths, 12) == text
+        assert Fraction(twelfths, 12) == oracles.eichler_mass_ref(D, N)
 
 
 def test_neighbors_structure(level15):
@@ -82,19 +89,17 @@ def test_neighbors_structure(level15):
     # the degree-2 graph is 3-regular
     assert len(neigh) == 3
     for J in neigh:
-        assert C.classes[0].index_over(J) == 4
+        assert oracles.index_ref(C.classes[0], J) == 4
         assert C.order.lattice.contains_lattice(J)
 
 
 def test_equivalence_relation(level15):
     C = level15
-    from halfint.quat import qelt
-
     alg = C.alg
     I = C.classes[0]
     # a principal twist stays equivalent
     x = qelt(1, 1, 1, 0)
-    Ix = Lattice4.from_vectors(alg, [alg.mul(b, x) for b in I.basis()])
+    Ix = from_vectors(alg, [alg.mul(b, x) for b in basis(I)])
     assert equivalent_ideals(I, Ix)
     assert equivalent_ideals(Ix, I)
     # distinct classes are not equivalent
@@ -109,7 +114,7 @@ def test_equivalence_relation(level15):
 def test_class_key_is_invariant_under_right_multiplication(level33, index, x):
     I = level33.classes[index]
     alg = I.alg
-    Ix = Lattice4.from_vectors(alg, [alg.mul(b, tuple(x)) for b in I.basis()])
+    Ix = from_vectors(alg, [alg.mul(b, tuple(x)) for b in basis(I)])
     assert _class_key(Ix) == _class_key(I)
 
 
@@ -159,8 +164,8 @@ def test_generators_pair_lattices_and_neighbors(level):
         for I, gens in zip(C.classes, C.gens):
             assert len(gens) == 2
             ys = [tuple(Fraction(x, I.den) for x in y) for y in gens]
-            assert Lattice4.from_vectors(
-                alg, [alg.mul(o, y) for o in O.basis() for y in ys]
+            assert from_vectors(
+                alg, [alg.mul(o, y) for o in basis(O.lattice) for y in ys]
             ) == I
         for j, I_j in enumerate(C.classes):
             conj_j = I_j.conjugate()

@@ -1,5 +1,6 @@
 """End-to-end and unit tests of the command-line front end."""
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -409,6 +410,11 @@ def test_main_config_errors(capsys):
                       ("-3", ["--selector=-3=1"])):
         assert main(["basis", "--level", "11", *argv]) == 3
         assert capsys.readouterr().err == f"error: selector key {key} is not a prime\n"
+    # a level past the trial-division bound is refused before it is factored
+    assert main(["basis", "--level", "4294967311", "--prec", "10"]) == 3
+    assert capsys.readouterr().err == (
+        "error: level 4294967311 exceeds the trial-division bound 4294967296\n"
+    )
 
 
 @pytest.mark.parametrize("key", ["1000000000000000003", "10007"])
@@ -878,6 +884,30 @@ def test_package_exports_resolve():
     assert all(name in namespace for name in halfint.__all__)
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         halfint.nonexistent
+
+
+def test_no_module_uses_fractions():
+    # the library is integer-only, a ratio being an integer pair: no module
+    # imports fractions at any depth, and none names Fraction
+    src = Path(__file__).resolve().parents[1] / "src" / "halfint"
+    paths = sorted(src.glob("*.py"))
+    assert len(paths) > 10
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            if {"fractions", "Fraction"} & set(names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 # ---------------------------------------------------------------------------

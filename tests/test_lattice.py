@@ -14,10 +14,11 @@ import oracles
 import halfint.lattice as lattice_module
 from halfint.brandt import _pair_lattice, ideal_classes
 from halfint.cli import _odd_subsets
-from halfint.errors import MaximalOrderNotFoundError
+from halfint.errors import IntegralityError, MaximalOrderNotFoundError
 from halfint.lattice import (
     Lattice4,
     Order,
+    _form_content,
     count_by_value,
     eichler_order,
     hnf_rows,
@@ -26,7 +27,8 @@ from halfint.lattice import (
     right_order_lattice,
 )
 from halfint.numth import is_squarefree, prime_factors
-from halfint.quat import ONE, QuaternionAlgebra, algebra_ramified_at, conj, qelt, qscale
+from halfint.quat import ONE, QuaternionAlgebra, algebra_ramified_at, conj
+from oracles import basis, from_vectors, qelt, qscale
 
 B25 = QuaternionAlgebra(2, 5)
 B11 = QuaternionAlgebra(1, 1)
@@ -280,7 +282,7 @@ def test_norm_counts_scale():
     # norms count in units of the content, so scaling the lattice keeps them
     L = _std(B25)  # nrd = x0^2 + 2 x1^2 + 5 x2^2 + 10 x3^2
     counts = {0: 1, 1: 2, 2: 2, 3: 4, 4: 2, 5: 2, 6: 8}
-    for lat in (L, L.scale(2), L.scale(Fraction(1, 3))):
+    for lat in (L, L.scale(2), _div(L, 3)):
         assert lat.norm_counts(6) == counts
 
 
@@ -314,6 +316,11 @@ def _std(alg):
     return Lattice4.standard_order(alg)
 
 
+def _div(lat, d):
+    """lat / d: the same integer rows over d times the denominator."""
+    return Lattice4.from_int_rows(lat.alg, d * lat.den, lat.rows)
+
+
 def test_canonical_form_and_equality():
     L1 = Lattice4.from_int_rows(
         B25, 1, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
@@ -327,23 +334,38 @@ def test_canonical_form_and_equality():
 
 def test_from_vectors_rejects_degenerate():
     with pytest.raises(ValueError):
-        Lattice4.from_vectors(B25, [qelt(1), qelt(2), qelt(0, 1), qelt(0, 0, 1)])
+        from_vectors(B25, [qelt(1), qelt(2), qelt(0, 1), qelt(0, 0, 1)])
+    with pytest.raises(ValueError):
+        Lattice4.from_int_rows(B25, 0, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
 def test_contains_and_index():
     L = _std(B25)
-    half = L.scale(Fraction(1, 2))
+    half = _div(L, 2)
     assert half.contains_lattice(L)
-    assert half.index_over(L) == 16
-    assert L.index_over(half) == Fraction(1, 16)
-    assert L.contains(qelt(3, -2, 1, 0))
-    assert not L.contains(qelt(Fraction(1, 2)))
+    assert not L.contains_lattice(half)
+    # [half : L] = 16 from the determinant pairs, as the oracle has it
+    (num, den), (sub_num, sub_den) = half._det_ratio(), L._det_ratio()
+    assert sub_num * den == 16 * sub_den * num
+    assert oracles.index_ref(half, L) == 16
+    assert oracles.index_ref(L, half) == Fraction(1, 16)
+    assert L.coordinates((3, -2, 1, 0)) == [3, -2, 1, 0]
+    assert L.coordinates((1, 0, 0, 0), 2) is None
+    assert half.coordinates((1, 0, 0, 0), 2) == [1, 0, 0, 0]
+
+
+def test_scale_takes_a_nonzero_int():
+    L = Lattice4.from_int_rows(B25, 2, [[1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+    for c in (3, -3):
+        assert L.scale(c) == from_vectors(B25, [qscale(c, v) for v in basis(L)])
+    with pytest.raises(ValueError):
+        L.scale(0)
 
 
 def test_add_intersect_duality():
     L = _std(B25)
-    M = L.scale(Fraction(3, 2))
-    assert L.add(M) == L.scale(Fraction(1, 2))
+    M = _div(L.scale(3), 2)
+    assert L.add(M) == _div(L, 2)
     assert L.intersect(M) == L.scale(3)
     # distributes around: (L + M) contains both, (L cap M) contained in both
     S, C = L.add(M), L.intersect(M)
@@ -358,7 +380,7 @@ def test_product_of_standard_order():
 
 
 def test_conjugate_involution():
-    L = Lattice4.from_vectors(
+    L = from_vectors(
         B25,
         [qelt(Fraction(1, 2), Fraction(1, 2)), qelt(0, 1), qelt(0, 0, 1), qelt(0, 0, 0, 1)],
     )
@@ -366,10 +388,10 @@ def test_conjugate_involution():
 
 
 def test_norm_content():
+    # the content of the norm form is that of int_gram over den^2
     L = _std(B25)
-    assert L.norm_content() == 1
-    assert L.scale(2).norm_content() == 4
-    assert L.scale(Fraction(1, 3)).norm_content() == Fraction(1, 9)
+    for lat, content in ((L, 1), (L.scale(2), 4), (_div(L, 3), Fraction(1, 9))):
+        assert Fraction(_form_content(lat.int_gram()), lat.den**2) == content
 
 
 @pytest.mark.parametrize("level", [15, 35])
@@ -381,7 +403,7 @@ def test_int_gram_matches_pairing(level):
         alg = algebra_ramified_at([ramified])
         class_set = ideal_classes(eichler_order(alg, level))
         for lat in class_set.classes:
-            bas = lat.basis()
+            bas = basis(lat)
             sq = lat.den * lat.den
             assert lat.int_gram() == [[sq * alg.pair(x, y) for y in bas] for x in bas]
 
@@ -413,7 +435,7 @@ def _lattice_pairs(draw):
         assume(oracles.mat_det(rows) != 0)
         den = draw(st.integers(1, 6))
         lat = Lattice4.from_int_rows(alg, den, rows)
-        assert lat == Lattice4.from_vectors(alg, [[Fraction(x, den) for x in r] for r in rows])
+        assert lat == from_vectors(alg, [[Fraction(x, den) for x in r] for r in rows])
         return lat
 
     return one(), one()
@@ -425,13 +447,19 @@ def test_integer_lattice_algebra_matches_fraction_oracles(pair):
     L, M = pair
     alg = L.alg
     assert L.intersect(M) == oracles.intersect_ref(L, M)
-    assert L.product(M) == Lattice4.from_vectors(
-        alg, [alg.mul(x, y) for x in L.basis() for y in M.basis()]
+    assert L.product(M) == from_vectors(
+        alg, [alg.mul(x, y) for x in basis(L) for y in basis(M)]
     )
     for lat in (L, M):
-        assert lat.conjugate() == Lattice4.from_vectors(alg, [conj(v) for v in lat.basis()])
+        assert lat.conjugate() == from_vectors(alg, [conj(v) for v in basis(lat)])
         assert oracles.right_order_intersection_ref(lat) == oracles.order_ref(lat, "right")
-        assert lat.reduced_discriminant() == oracles.reduced_discriminant_ref(lat)
+        assert Fraction(*lat._det_ratio()) == oracles.det_ref(lat)
+        disc = oracles.reduced_discriminant_ref(lat)
+        if disc.denominator == 1:
+            assert lat.reduced_discriminant() == disc
+        else:
+            with pytest.raises(IntegralityError):
+                lat.reduced_discriminant()
 
 
 def test_reduced_discriminant_standard():
@@ -447,7 +475,7 @@ def test_reduced_discriminant_standard():
 
 def test_standard_lattice_is_order():
     assert _std(B25).is_order()
-    assert not _std(B25).scale(Fraction(1, 2)).is_order()
+    assert not _div(_std(B25), 2).is_order()
 
 
 def test_right_order_of_order_is_itself():
@@ -476,7 +504,7 @@ def test_hurwitz_order():
     assert M.reduced_discriminant == 2
     # the Hurwitz order has 24 units
     assert M.unit_count == 24
-    assert M.lattice.contains(qelt(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)))
+    assert M.lattice.coordinates((1, 1, 1, 1), 2) is not None
 
 
 @pytest.mark.parametrize(
@@ -494,7 +522,7 @@ def test_maximal_orders(alg, disc):
     M = maximal_order(alg)
     assert M.reduced_discriminant == disc
     assert M.lattice.is_order()
-    assert M.lattice.contains(ONE)
+    assert M.lattice.coordinates(ONE) is not None
 
 
 def test_right_order_conjugation_covariance():
@@ -503,10 +531,10 @@ def test_right_order_conjugation_covariance():
     x = qelt(1, 1, 0, 1)
     nx = B25.nrd(x)
     xinv = qscale(1 / nx, conj(x))
-    ideal = Lattice4.from_vectors(B25, [B25.mul(b, x) for b in M.basis()])
+    ideal = from_vectors(B25, [B25.mul(b, x) for b in basis(M.lattice)])
     got = right_order_lattice(ideal)
-    want = Lattice4.from_vectors(
-        B25, [B25.mul(B25.mul(xinv, b), x) for b in M.basis()]
+    want = from_vectors(
+        B25, [B25.mul(B25.mul(xinv, b), x) for b in basis(M.lattice)]
     )
     assert got == want
     assert oracles.order_ref(ideal, "left") == M.lattice

@@ -19,11 +19,10 @@ from halfint.quat import (
     algebra_ramified_at,
     conj,
     qadd,
-    qelt,
-    qscale,
     qsub,
     trd,
 )
+from oracles import qelt, qscale
 
 B25 = QuaternionAlgebra(2, 5)  # ramified at {5}
 B11 = QuaternionAlgebra(1, 1)  # Hamilton's, ramified at {2}

@@ -1,5 +1,7 @@
 """Tests for trace-zero lattices and their theta series."""
 
+from fractions import Fraction
+
 import pytest
 
 import halfint.theta as theta_module
@@ -8,7 +10,7 @@ from halfint.errors import PrecisionError
 from halfint.lattice import Lattice4, Order, eichler_order
 from halfint.lift import LiftProfile
 from halfint.qexp import QExpansion
-from halfint.quat import QuaternionAlgebra, algebra_ramified_at, conj, qelt, qscale, trd
+from halfint.quat import QuaternionAlgebra, algebra_ramified_at, conj, trd
 from halfint.theta import (
     TernaryLattice,
     hecke_check,
@@ -16,6 +18,7 @@ from halfint.theta import (
     ternary_theta,
     trace_zero_lattice,
 )
+from oracles import basis, from_vectors, qelt, qscale
 
 # coefficients of the two class theta series at level 15 through q^95,
 # halved counts, constant term dropped; the principal class comes first
@@ -92,7 +95,8 @@ def test_gram_determinant_shape(level15, level11):
 
     for C, N in ((level15, 15), (level11, 11)):
         for order in C.rights:
-            ratio = trace_zero_lattice(order).det() / (2 * N) ** 2
+            R = trace_zero_lattice(order)
+            ratio = Fraction(R._int_det(), R.den**6 * (2 * N) ** 2)
             assert ratio > 0
             num, den = ratio.numerator, ratio.denominator
             assert isqrt(num) ** 2 == num
@@ -125,9 +129,7 @@ def test_theta_conjugation_invariant(level15):
     x = qelt(1, 1, 0, 0)
     xinv = qscale(1 / alg.nrd(x), conj(x))
     twisted = Order(
-        Lattice4.from_vectors(
-            alg, [alg.mul(alg.mul(xinv, b), x) for b in order.lattice.basis()]
-        )
+        from_vectors(alg, [alg.mul(alg.mul(xinv, b), x) for b in basis(order.lattice)])
     )
     a = ternary_theta(trace_zero_lattice(order), 60)
     b = ternary_theta(trace_zero_lattice(twisted), 60)
