@@ -278,8 +278,10 @@ class IdealClassSet:
         for n, mat in stored.items():
             _check_degree_matrix(int(n), mat, es, searched.level, ramified)
             mats[int(n)] = tuple(tuple(row) for row in mat)
-        if any(
-            _product(mats[m], mats[n]) != _product(mats[n], mats[m])
+        # with B E = E B^t for both (E = diag(es)), (A B) E = E (B A)^t, so
+        # A B is weighted-symmetric exactly when A B = B A
+        if not all(
+            _weighted_symmetric(_product(mats[m], mats[n]), es)
             for m, n in itertools.combinations(mats, 2)
         ):
             raise ValueError("cached degree matrices do not commute")
@@ -303,7 +305,7 @@ def _check_degree_matrix(
         raise ValueError(f"cached degree-{n} matrix has an entry that is not a count")
     if n == 1 and any(mat[i][j] != (i == j) for i in range(h) for j in range(h)):
         raise ValueError("cached degree-1 matrix is not the identity")
-    if any(es[j] * mat[i][j] != es[i] * mat[j][i] for i in range(h) for j in range(i)):
+    if not _weighted_symmetric(mat, es):
         raise ValueError(f"cached degree-{n} matrix breaks the weighted symmetry")
     if level % n and is_prime(n) and any(sum(row) != n + 1 for row in mat):
         raise ValueError(f"cached degree-{n} matrix has a row sum other than {n + 1}")
@@ -311,6 +313,12 @@ def _check_degree_matrix(
         raise ValueError(
             f"cached degree-{n} matrix at a ramified prime is not a permutation"
         )
+
+
+def _weighted_symmetric(mat, es: Sequence[int]) -> bool:
+    """Whether e_j M_ij = e_i M_ji for all i, j: M E = E M^t, E = diag(es)."""
+    h = len(es)
+    return all(es[j] * mat[i][j] == es[i] * mat[j][i] for i in range(h) for j in range(i))
 
 
 def ideal_classes(order: Order) -> IdealClassSet:

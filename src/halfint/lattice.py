@@ -26,20 +26,23 @@ The module also carries the exact positive-definite enumeration used
 everywhere counts of lattice points by norm are needed (theta series,
 Brandt counts, unit counts): `count_by_value`, a Fincke-Pohst enumerator
 that takes an integer Gram matrix and an integer bound and returns
-integer values with their counts.  The leading minors and eliminated
-rows come from fraction-free (Bareiss) elimination, and each
-coordinate's interval comes from isqrt of an integer budget, so neither
-floating point nor rational arithmetic enters the enumeration.  A form
-takes one value on c and -c, so the enumeration visits only the half
-space of vectors whose last nonzero coordinate is positive and counts
-each of them twice; the histogram comes back with its keys ascending.
+integer values with their counts.  Counts do not depend on the basis,
+and on a raw Hermite basis most intervals of the enumeration tree come
+out empty, so `count_by_value` first runs integral LLL on the matrix it
+is given and enumerates on the reduced basis.  That one fraction-free
+pass also leaves the leading minors and scaled Gram-Schmidt
+coefficients the enumeration needs, and each coordinate's interval
+comes from isqrt of an integer budget, so neither floating point nor
+rational arithmetic enters the enumeration.  A form takes one value on
+c and -c, so the enumeration visits only the half space of vectors
+whose last nonzero coordinate is positive and counts each of them
+twice; the histogram comes back with its keys ascending.
 `Lattice4.norm_counts` counts the reduced norm in units of the lattice's
-norm content, the gcd of the values of its integer Gram matrix.  Counts
-do not depend on the basis, so the counting callers (`norm_counts`, the
-ternary theta series) first reduce their integer Gram matrix with
-`lll_gram`: on a raw Hermite basis most intervals of the enumeration
-tree come out empty.  A `Lattice4` keeps its content and reduced Gram
-matrix after the first count, so each lattice object is reduced once.
+norm content, the gcd of the values of its integer Gram matrix.  A
+`Lattice4` keeps its content and `lll_gram`-reduced Gram matrix after
+the first count, and LLL leaves a reduced matrix as it is, so each
+lattice object is reduced once and every count on it enumerates the
+same basis.
 
 These kernels run mostly on matrices of rank 4, so their cost is
 interpreter overhead rather than integer arithmetic.  They are written
@@ -48,8 +51,9 @@ column on, LLL's size reduction inline, and the enumeration as an
 explicit loop over the levels of its tree rather than one generator
 frame per node.  The tests hold them to slower references with the same
 output: `hnf_rows_ref` (first nonzero pivot), `lll_gram_ref` (the LLL
-with a nested size reduction that the flat loop replaced) and
-`count_by_value_ref` (the rational recursion).
+with a nested size reduction that the flat loop replaced),
+`bareiss_ref` (the minors and coefficients of a reduced matrix by a
+second elimination) and `count_by_value_ref` (the rational recursion).
 """
 
 from __future__ import annotations
@@ -147,40 +151,24 @@ def hnf_rows(rows: Iterable[Sequence[int]]) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _bareiss(A):
-    """Fraction-free elimination of a symmetric integer matrix.
-
-    Returns the leading principal minors M_0 = 1, M_1, ..., M_n and the
-    eliminated matrix: right of the diagonal, its row i is M_{i+1} times
-    row i of the unit upper triangular U in A = U^t diag(M_{i+1}/M_i) U.
-    """
-    n = len(A)
-    A = [list(row) for row in A]
-    minors = [1]
-    for k in range(n):
-        Ak, prev = A[k], minors[k]
-        piv = Ak[k]
-        if piv <= 0:
-            raise ValueError("form is not positive definite")
-        for i in range(k + 1, n):
-            Ai = A[i]
-            aik = Ai[k]
-            for j in range(k + 1, n):
-                Ai[j] = (piv * Ai[j] - aik * Ak[j]) // prev
-        minors.append(piv)
-    return minors, A
-
-
 def lll_gram(gram: Sequence[Sequence[int]]) -> list[list[int]]:
     """The Gram matrix of an LLL-reduced basis (delta = 3/4) of the lattice
-    with positive-definite integer Gram matrix `gram`.
+    with positive-definite integer Gram matrix `gram`.  Raises ValueError
+    when the form is not positive definite."""
+    return _lll(gram)[0]
+
+
+def _lll(gram: Sequence[Sequence[int]]):
+    """(G, d, lam): the reduced Gram matrix of `lll_gram`, its leading
+    minors d[0] = 1, d[1], ..., d[n], and lam[k][j] = d[j+1] mu_kj for
+    j < k, its scaled Gram-Schmidt coefficients.
 
     Integral LLL on the Gram matrix alone (Cohen, GTM 138, Alg. 2.6.7,
-    after Lenstra-Lenstra-Lovasz, Math. Ann. 261, 1982): d[k] is the k-th
-    leading minor of the current basis and lam[k][j] = d[j+1] mu_kj its
-    scaled Gram-Schmidt coefficients, all integers, and every basis
-    change is applied to the Gram matrix as a row and a column operation.
-    Raises ValueError when the form is not positive definite.
+    after Lenstra-Lenstra-Lovasz, Math. Ann. 261, 1982): d and lam are
+    integers and kept for the current basis, and every basis change is
+    applied to the Gram matrix as a row and a column operation.  On a
+    reduced matrix the pass changes nothing, so it returns that matrix
+    with its own minors and coefficients.
     """
     n = len(gram)
     G = [list(row) for row in gram]
@@ -245,7 +233,7 @@ def lll_gram(gram: Sequence[Sequence[int]]) -> list[list[int]]:
                 break
         else:
             k += 1
-    return G
+    return G, d, lam
 
 
 def count_by_value(gram: Sequence[Sequence[int]], bound: int) -> dict[int, int]:
@@ -254,12 +242,15 @@ def count_by_value(gram: Sequence[Sequence[int]], bound: int) -> dict[int, int]:
     zero vector counts once, c and -c apart, and the keys come in
     ascending order.  Raises ValueError when G is not positive definite.
 
-    Integer-exact Fincke-Pohst enumeration (Math. Comp. 44, 1985).  With
-    M_k the leading minors of G (`_bareiss`),
+    Integer-exact Fincke-Pohst enumeration (Math. Comp. 44, 1985) on the
+    basis that one LLL pass (`_lll`) makes of G.  With M_k the leading
+    minors of that basis and l_ci = M_{i+1} mu_ci its scaled Gram-Schmidt
+    coefficients, both left by the pass,
 
         Q(c) = sum_i (M_{i+1} c_i + s_i)^2 / (M_i M_{i+1}),
 
-    where s_i is the eliminated row i dotted with the coordinates after i.
+    where s_i = sum_{c > i} l_ci c_c, the coordinates after i weighted by
+    the coefficients against vector i.
     Each term and the remaining budget are integers scaled by
     S = lcm_i(M_i M_{i+1}), so an integer key k stands for the value k / S.
     Coordinate i runs over the integers whose own term fits the budget
@@ -275,7 +266,9 @@ def count_by_value(gram: Sequence[Sequence[int]], bound: int) -> dict[int, int]:
     if bound < 0:
         return {}
     n = len(gram)
-    minors, rows = _bareiss(gram)
+    _, minors, lam = _lll(gram)
+    # rows[i][c] = l_ci: the coefficients against vector i, for c > i
+    rows = list(zip(*lam))
     scale = lcm(*(minors[i] * minors[i + 1] for i in range(n)))
     weights = [scale // (minors[i] * minors[i + 1]) for i in range(n)]
     top = scale * bound
@@ -445,9 +438,6 @@ class Lattice4:
                     target[t] -= c * self.rows[col][t]
         return coeffs
 
-    def contains_lattice(self, other: "Lattice4") -> bool:
-        return all(self.coordinates(row, other.den) is not None for row in other.rows)
-
     # -- lattice operations --------------------------------------------------
 
     def _common_rows(self, other: "Lattice4"):
@@ -591,17 +581,24 @@ class Order:
 
 
 def _close_to_order(L: Lattice4) -> Lattice4 | None:
-    """Smallest multiplicatively closed lattice containing L, or None if
-    the generated lattice keeps growing (not integral)."""
-    for _ in range(16):
+    """Smallest multiplicatively closed lattice containing L, or None when
+    no order contains it.
+
+    Every order lies in a maximal order, of reduced discriminant D, so a
+    lattice M inside an order has 4ab det(M) = D [O_max : M], a positive
+    multiple of D.  The lattices L, L + L L, ... grow strictly until one
+    is closed, so that value falls strictly; the first that is not a
+    multiple of D shows that no order contains L, and the loop ends.
+    """
+    four_ab, D = 4 * L.alg.a * L.alg.b, L.alg.discriminant
+    while True:
         M = L.add(L.product(L))
         if M == L:
             return L
         num, den = M._det_ratio()
-        if num * 10**9 < den:  # det(M) < 1e-9
-            return None  # runaway growth: the generators are not integral
+        if four_ab * num % (den * D):
+            return None
         L = M
-    return None
 
 
 def _saturate_brute(lat: Lattice4, p: int) -> Lattice4 | None:

@@ -2,7 +2,7 @@
 
 Valuations and p-parts, trial-division factorization, squarefree
 decompositions, discriminants of imaginary quadratic orders, Kronecker
-symbols, and Hilbert symbols over Q_2, Q_p and R in closed form.
+symbols, and Hilbert symbols over Q_2 and Q_p in closed form.
 
 Everything here is exact integer arithmetic; no floats.
 """
@@ -15,21 +15,6 @@ from .errors import FactorizationError
 
 #: Inputs to factorize() must stay below this (trial division only).
 TRIAL_BOUND = 1 << 32
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def valuation(n: int, p: int) -> int:
@@ -243,13 +228,6 @@ def hilbert_odd(a: int, b: int, p: int) -> int:
     if alpha % 2:
         value *= kronecker(t, p)
     return value
-
-
-def hilbert_real(a: int, b: int) -> int:
-    """Hilbert symbol over the reals: -1 iff both arguments negative."""
-    if a == 0 or b == 0:
-        raise ValueError("Hilbert symbol needs nonzero arguments")
-    return -1 if (a < 0 and b < 0) else 1
 
 
 def hilbert(a: int, b: int, p: int) -> int:

@@ -31,14 +31,6 @@ J: Quat = (0, 0, 1, 0)
 K: Quat = (0, 0, 0, 1)
 
 
-def qadd(x: Quat, y: Quat) -> Quat:
-    return (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3])
-
-
-def qsub(x: Quat, y: Quat) -> Quat:
-    return (x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3])
-
-
 def conj(x: Quat) -> Quat:
     """Standard involution: fixes 1, negates i, j, k."""
     return (x[0], -x[1], -x[2], -x[3])

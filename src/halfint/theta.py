@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .brandt import Eigenform
 from .errors import IntegralityError, PrecisionError
-from .lattice import Lattice4, Order, count_by_value, lll_gram
+from .lattice import Lattice4, Order, count_by_value
 from .numth import is_prime, kronecker, squarefree_part
 from .qexp import QExpansion
 from .quat import QuaternionAlgebra
@@ -92,7 +92,7 @@ def ternary_theta(lattice: TernaryLattice, prec: int) -> QExpansion:
         raise ValueError("precision must be nonnegative")
     sq = lattice.den * lattice.den
     coeffs: dict[int, int] = {}
-    for value, count in count_by_value(lll_gram(lattice.int_gram()), prec * sq).items():
+    for value, count in count_by_value(lattice.int_gram(), prec * sq).items():
         if value == 0:
             continue
         n, r = divmod(value, sq)

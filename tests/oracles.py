@@ -5,7 +5,9 @@ than the library (exhaustive searches, floating point, point counting,
 rational rather than integer elimination), so agreement between the two
 is evidence rather than tautology.  The exceptions are routines the
 library replaced by faster code with the same output (`hnf_rows_ref`,
-`lll_gram_ref`): they pin the replacement to what it replaced.
+`lll_gram_ref`, `bareiss_ref`): they pin the replacement to what it
+replaced.  The small helpers after them (`xgcd`, `hilbert_real`, `qadd`,
+`contains_lattice`) serve only the tests.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from halfint.errors import IntegralityError
 from halfint.lattice import Lattice4, combine
 from halfint.lift import kronecker_gate, power_sums
-from halfint.numth import divisors, factorize, hilbert, kronecker, squarefree_split, xgcd
+from halfint.numth import divisors, factorize, hilbert, kronecker, squarefree_split
 from halfint.quat import QuaternionAlgebra, _ramified, conj
 
 
@@ -322,6 +324,69 @@ def lll_gram_ref(gram):
                 reduce(k, l)
             k += 1
     return G
+
+
+def bareiss_ref(A):
+    """Fraction-free elimination of a symmetric integer matrix, the second
+    elimination the enumerator ran on LLL's output before it read LLL's
+    own minors and coefficients.
+
+    Returns the leading principal minors M_0 = 1, M_1, ..., M_n and the
+    eliminated matrix: right of the diagonal, its row i is M_{i+1} times
+    row i of the unit upper triangular U in A = U^t diag(M_{i+1}/M_i) U.
+    """
+    n = len(A)
+    A = [list(row) for row in A]
+    minors = [1]
+    for k in range(n):
+        Ak, prev = A[k], minors[k]
+        piv = Ak[k]
+        if piv <= 0:
+            raise ValueError("form is not positive definite")
+        for i in range(k + 1, n):
+            Ai = A[i]
+            aik = Ai[k]
+            for j in range(k + 1, n):
+                Ai[j] = (piv * Ai[j] - aik * Ak[j]) // prev
+        minors.append(piv)
+    return minors, A
+
+
+# ---------------------------------------------------------------------------
+# Small helpers that only the tests use.
+# ---------------------------------------------------------------------------
+
+
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return (g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def hilbert_real(a: int, b: int) -> int:
+    """Hilbert symbol over the reals: -1 iff both arguments negative."""
+    if a == 0 or b == 0:
+        raise ValueError("Hilbert symbol needs nonzero arguments")
+    return -1 if (a < 0 and b < 0) else 1
+
+
+def qadd(x, y):
+    """The sum of two elements."""
+    return (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3])
+
+
+def contains_lattice(lat, other):
+    """Whether the lattice `other` lies in `lat`."""
+    return all(lat.coordinates(row, other.den) is not None for row in other.rows)
 
 
 # ---------------------------------------------------------------------------

@@ -229,16 +229,17 @@ def _conic_modp2(a, b, p):
     """Primitive solvability of z^2 = a x^2 + b y^2 over Z/p^2, p odd."""
     p2 = p * p
     r = np.arange(p2, dtype=np.int64)
+    sq = r * r % p2
     squares = np.zeros(p2, dtype=bool)
-    squares[r * r % p2] = True
-    ax = (a % p2) * r * r % p2
-    by = (b % p2) * r * r % p2
+    squares[sq] = True
     unit = (r % p) != 0
-    c = (ax[unit][:, None] + by[None, :]) % p2
-    if squares[c].any():
+    # x a unit: each distinct value of a x^2 against each of b y^2
+    ax = np.unique((a % p2) * sq[unit] % p2)
+    by = np.unique((b % p2) * sq % p2)
+    if squares[(ax[:, None] + by[None, :]) % p2].any():
         return True
-    c = (ax[~unit][:, None] + by[unit][None, :]) % p2
-    return bool(squares[c].any())
+    # x = 0 mod p makes a x^2 = 0 mod p^2, so y must be a unit
+    return bool(squares[(b % p2) * sq[unit] % p2].any())
 
 
 def test_criterion_6_symbol_and_power_sum_oracles():
@@ -357,15 +358,94 @@ PINNED_OUTPUTS = {
 }
 
 
-@pytest.mark.parametrize("argv", list(PINNED_OUTPUTS))
-def test_pinned_outputs(argv):
+def _halfint(argv, **env_extra):
+    """`python -m halfint ARGV` in a fresh process, with no cache directory
+    in its environment and `env_extra` added to it."""
     env = {k: v for k, v in os.environ.items() if k != "HALFINT_CACHE_DIR"}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "halfint", *argv.split()],
-        env=env,
-        capture_output=True,
+    env.update(env_extra)
+    return subprocess.run(
+        [sys.executable, "-m", "halfint", *argv], env=env, capture_output=True
     )
+
+
+@pytest.mark.parametrize("argv", list(PINNED_OUTPUTS))
+def test_pinned_outputs(argv):
+    proc = _halfint(argv.split())
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == b""
     assert hashlib.sha256(proc.stdout).hexdigest() == PINNED_OUTPUTS[argv]
+
+
+# the large levels that have no basis: N=197 has no sign-compatible
+# eigenline (exit 3), and the form at N=255 vanishes (exit 2)
+FAILURE_LINES = {
+    197: (3, "error: no rational sign-compatible eigenline exists at this level"),
+    255: (2, "error: the theta eigenform vanishes identically: the selected newform "
+             "has central L-value zero and carries no Kohnen lift"),
+}
+
+
+@pytest.mark.parametrize("level", sorted(FAILURE_LINES))
+def test_failure_lines_at_the_large_levels(level):
+    proc = _halfint(["basis", "--level", str(level), "--prec", "100", "--format", "json"])
+    code, line = FAILURE_LINES[level]
+    assert (proc.returncode, proc.stdout) == (code, b"")
+    assert proc.stderr.decode() == line + "\n"
+
+
+# help text stays argparse's own at a fixed terminal width
+HELP_OUTPUTS = {
+    "--help": "b24e42a0c5d5644d42029608e6e05d1cac2e3661c8a56e0e6b175f8ad40bfe9a",
+    "basis --help": "28dd569fb247a8fccf74d8d2f4231af8698ef00de165a1cb970505457bfbcdd3",
+}
+
+
+@pytest.mark.parametrize("argv", list(HELP_OUTPUTS))
+def test_help_outputs(argv):
+    proc = _halfint(argv.split(), COLUMNS="80")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == HELP_OUTPUTS[argv]
+
+
+def test_usage_error_line():
+    proc = _halfint(["basis", "--level", "x"])
+    assert proc.returncode == 3
+    assert proc.stderr.decode().splitlines()[-1] == (
+        "error: argument --level: invalid int value: 'x'"
+    )
+
+
+CACHE_105 = {
+    "brandt_a1_b3_N105.json":
+        "2867e69cb94e59e74dcb6f94ca23e2c0e644641ef8abf2ecafb823b6d04c070e",
+    "brandt_a1_b7_N105.json":
+        "2a8c2f62ac730480ab9e1105e235a392e84224f05dac5cd0c7126337e3a88eea",
+    "brandt_a2_b5_N105.json":
+        "7cc3f260e43a8ea32e84a236a4867b2c7e67a81aea4d5f5d86d56a05f15159a5",
+    "brandt_a7_b15_N105.json":
+        "106ea7f90a26483e6e77d342fde631bc82cfc5282652011e8aab9138ff0dae32",
+}
+
+
+def test_cold_then_warm_cache_files_at_105(tmp_path):
+    # the warm run prints the cold stdout and rewrites no cache file: a
+    # rewrite replaces the file, so its inode or its mtime changes
+    cache = tmp_path / "cache"
+    argv = ["basis", "--level", "105", "--prec", "100", "--cache-dir", str(cache)]
+
+    def files():
+        return {
+            p.name: (hashlib.sha256(p.read_bytes()).hexdigest(),
+                     p.stat().st_ino, p.stat().st_mtime_ns)
+            for p in cache.iterdir()
+        }
+
+    cold = _halfint(argv)
+    assert cold.returncode == 0, cold.stderr
+    written = files()
+    assert {name: digest for name, (digest, _, _) in written.items()} == CACHE_105
+    warm = _halfint(argv)
+    assert warm.returncode == 0, warm.stderr
+    assert warm.stdout == cold.stdout
+    assert files() == written

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import halfint.brandt as brandt_module
@@ -15,9 +15,11 @@ from halfint.brandt import (
     _left_kernel,
     _pair_lattice,
     _phi,
+    _product,
     _psi,
     _ratio_text,
     _unit_mass,
+    _weighted_symmetric,
     cuspidal_eigenlines,
     equivalent_ideals,
     ideal_classes,
@@ -29,7 +31,7 @@ from halfint.errors import IrrationalEigenspaceError, MissingEigenvalueError
 from halfint.lattice import Lattice4, eichler_order
 from halfint.numth import prime_factors
 from halfint.quat import QuaternionAlgebra, algebra_ramified_at
-from oracles import basis, from_vectors, qelt
+from oracles import basis, contains_lattice, from_vectors, qelt
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +92,7 @@ def test_neighbors_structure(level15):
     assert len(neigh) == 3
     for J in neigh:
         assert oracles.index_ref(C.classes[0], J) == 4
-        assert C.order.lattice.contains_lattice(J)
+        assert contains_lattice(C.order.lattice, J)
 
 
 def test_equivalence_relation(level15):
@@ -211,6 +213,38 @@ def test_degree_matrices_commute(level15, level11):
         for A in mats:
             for B in mats:
                 assert matmul(A, B) == matmul(B, A)
+
+
+@st.composite
+def _weighted_symmetric_pairs(draw):
+    """(es, A, B): unit counts that are not all equal, A = E S with S
+    symmetric and E = diag(es), and B = E T with T symmetric or B = k A^2
+    + c A, which commutes with A."""
+    h = draw(st.integers(2, 4))
+    es = draw(st.lists(st.integers(1, 12), min_size=h, max_size=h))
+    assume(len(set(es)) > 1)
+
+    def weighted():
+        upper = draw(st.lists(st.integers(-4, 4), min_size=h * h, max_size=h * h))
+        sym = [[upper[min(i, j) * h + max(i, j)] for j in range(h)] for i in range(h)]
+        return [[es[i] * x for x in sym[i]] for i in range(h)]
+
+    A = weighted()
+    if draw(st.booleans()):
+        B = weighted()
+    else:
+        k, c = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        B = [[k * x + c * y for x, y in zip(r, s)] for r, s in zip(_product(A, A), A)]
+    return es, A, B
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weighted_symmetric_pairs())
+def test_product_of_weighted_symmetric_is_so_when_they_commute(pair):
+    es, A, B = pair
+    assert _weighted_symmetric(A, es) and _weighted_symmetric(B, es)
+    AB = _product(A, B)
+    assert _weighted_symmetric(AB, es) == (AB == _product(B, A))
 
 
 def test_height_symmetry(level15, level33):

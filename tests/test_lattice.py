@@ -18,7 +18,9 @@ from halfint.errors import IntegralityError, MaximalOrderNotFoundError
 from halfint.lattice import (
     Lattice4,
     Order,
+    _close_to_order,
     _form_content,
+    _lll,
     count_by_value,
     eichler_order,
     hnf_rows,
@@ -28,7 +30,7 @@ from halfint.lattice import (
 )
 from halfint.numth import is_squarefree, prime_factors
 from halfint.quat import ONE, QuaternionAlgebra, algebra_ramified_at, conj
-from oracles import basis, from_vectors, qelt, qscale
+from oracles import basis, contains_lattice, from_vectors, qelt, qscale
 
 B25 = QuaternionAlgebra(2, 5)
 B11 = QuaternionAlgebra(1, 1)
@@ -262,6 +264,20 @@ def test_lll_gram_matches_nested_reference(gram):
     assert lll_gram(gram) == oracles.lll_gram_ref(gram)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_definite_forms().map(lambda form: form[0]), _skewed_forms()))
+def test_lll_state_of_a_reduced_matrix_matches_bareiss(gram):
+    # a second pass leaves LLL's output as it is, and its minors and
+    # coefficients are what a second elimination of that output finds
+    reduced = lll_gram(gram)
+    G, d, lam = _lll(reduced)
+    assert G == reduced
+    minors, eliminated = oracles.bareiss_ref(reduced)
+    assert d == minors
+    n = len(gram)
+    assert all(lam[c][i] == eliminated[i][c] for i in range(n) for c in range(i + 1, n))
+
+
 def test_lll_gram_matches_nested_reference_on_pair_lattices():
     # every pair lattice conj(I_j) I_i, 0 < i < j, that a cold N=105 run
     # reduces before counting
@@ -342,8 +358,8 @@ def test_from_vectors_rejects_degenerate():
 def test_contains_and_index():
     L = _std(B25)
     half = _div(L, 2)
-    assert half.contains_lattice(L)
-    assert not L.contains_lattice(half)
+    assert contains_lattice(half, L)
+    assert not contains_lattice(L, half)
     # [half : L] = 16 from the determinant pairs, as the oracle has it
     (num, den), (sub_num, sub_den) = half._det_ratio(), L._det_ratio()
     assert sub_num * den == 16 * sub_den * num
@@ -370,8 +386,8 @@ def test_add_intersect_duality():
     # distributes around: (L + M) contains both, (L cap M) contained in both
     S, C = L.add(M), L.intersect(M)
     for X in (L, M):
-        assert S.contains_lattice(X)
-        assert X.contains_lattice(C)
+        assert contains_lattice(S, X)
+        assert contains_lattice(X, C)
 
 
 def test_product_of_standard_order():
@@ -505,6 +521,18 @@ def test_hurwitz_order():
     # the Hurwitz order has 24 units
     assert M.unit_count == 24
     assert M.lattice.coordinates((1, 1, 1, 1), 2) is not None
+
+
+def test_close_to_order_is_exact():
+    # Z<1,i,j,k> in (-1,-1) with i/2 added lies in no order: (i/2)^2 = -1/4;
+    # with (1+i+j+k)/2 added it is the Hurwitz order, already closed
+    std = _std(B11)
+    doubled = [[2 * x for x in row] for row in std.rows]
+    assert _close_to_order(Lattice4.from_int_rows(B11, 2, doubled + [[0, 1, 0, 0]])) is None
+    hurwitz = Lattice4.from_int_rows(B11, 2, doubled + [[1, 1, 1, 1]])
+    closed = _close_to_order(hurwitz)
+    assert closed == hurwitz == maximal_order(B11).lattice
+    assert closed.is_order() and closed.reduced_discriminant() == 2
 
 
 @pytest.mark.parametrize(

@@ -18,11 +18,9 @@ from halfint.quat import (
     QuaternionAlgebra,
     algebra_ramified_at,
     conj,
-    qadd,
-    qsub,
     trd,
 )
-from oracles import qelt, qscale
+from oracles import qadd, qelt, qscale
 
 B25 = QuaternionAlgebra(2, 5)  # ramified at {5}
 B11 = QuaternionAlgebra(1, 1)  # Hamilton's, ramified at {2}
