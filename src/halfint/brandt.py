@@ -23,7 +23,7 @@ diagonal need no pair lattice at all (`IdealClassSet._count`): counts
 are in units of the content, conj(I_j) O = conj(I_j) has the counts of
 I_j, and conj(I_j) I_j = nrd(I_j) O_j those of the right order O_j, so
 those pairs are counted on classes[j] and rights[j].lattice, which the
-class search has already reduced.
+class search has already built.
 
 Classes come only from the search (`ideal_classes`).  A cached state
 (`IdealClassSet.from_state`) contributes only its degree matrices, and
@@ -52,7 +52,7 @@ from .lattice import (
     hnf_rows,
     right_order_lattice,
 )
-from .numth import is_prime, prime_factors, primes
+from .numth import TRIAL_BOUND, divisors, is_prime, prime_factors, primes
 
 # degree up to which a class key counts norms (see `_class_key`)
 KEY_DEGREE = 6
@@ -195,8 +195,8 @@ class IdealClassSet:
         The raw counts are symmetric: conj(I_i) I_j is the conjugate lattice
         of conj(I_j) I_i, and conjugation keeps the reduced norm.  The pairs
         (0, j) are counted on classes[j] and the pairs (j, j) on
-        rights[j].lattice (module docstring); only the pairs 0 < i < j build
-        a lattice.
+        rights[j].lattice, which have the same counts (module docstring); only
+        the pairs 0 < i < j build a lattice.
         """
         classes, rights = self.classes, self.rights
         for j in range(self.h):
@@ -293,22 +293,24 @@ class IdealClassSet:
 def _check_degree_matrix(
     n: int, mat, es: list[int], level: int, ramified: Sequence[int]
 ) -> None:
-    """Raise ValueError unless `mat` can be the degree-n matrix: h x h
-    with non-negative integer entries, the identity at n = 1, symmetric
-    after weighting (e_j B_ij = e_i B_ji), with row sums n + 1 at primes
-    n prime to the level, and a single 1 in every row at ramified primes
-    (with the symmetry, the permutation matrix of an involution)."""
+    """Raise ValueError unless `mat` can be the degree-n matrix: n from 1
+    to the trial-division bound (the row-sum check factors n), h x h with
+    non-negative integer entries, the identity at n = 1, symmetric after
+    weighting (e_j B_ij = e_i B_ji), with row sums sigma(n) (the sum of
+    the divisors of n) at every n prime to the level, and a single 1 in
+    every row at ramified primes (with the symmetry, the permutation
+    matrix of an involution)."""
     h = len(es)
-    if n < 1 or len(mat) != h or any(len(row) != h for row in mat):
-        raise ValueError(f"cached degree-{n} matrix has the wrong shape")
+    if not 1 <= n <= TRIAL_BOUND or len(mat) != h or any(len(row) != h for row in mat):
+        raise ValueError(f"cached degree-{n} matrix has the wrong degree or shape")
     if any(type(x) is not int or x < 0 for row in mat for x in row):
         raise ValueError(f"cached degree-{n} matrix has an entry that is not a count")
     if n == 1 and any(mat[i][j] != (i == j) for i in range(h) for j in range(h)):
         raise ValueError("cached degree-1 matrix is not the identity")
     if not _weighted_symmetric(mat, es):
         raise ValueError(f"cached degree-{n} matrix breaks the weighted symmetry")
-    if level % n and is_prime(n) and any(sum(row) != n + 1 for row in mat):
-        raise ValueError(f"cached degree-{n} matrix has a row sum other than {n + 1}")
+    if gcd(n, level) == 1 and {sum(row) for row in mat} != {sum(divisors(n))}:
+        raise ValueError(f"cached degree-{n} matrix has a row sum other than sigma({n})")
     if n in ramified and any(sorted(row) != [0] * (h - 1) + [1] for row in mat):
         raise ValueError(
             f"cached degree-{n} matrix at a ramified prime is not a permutation"

@@ -274,6 +274,8 @@ def _parse_prefix(selector: str, level: int) -> dict[int, int]:
             )
         if not is_prime(p):
             raise ConfigurationError(f"selector key {p} is not a prime")
+        if p in out and out[p] != v:
+            raise ConfigurationError(f"selector has conflicting values at {p}")
         out[p] = v
     if not out:
         raise ConfigurationError(f"empty selector {selector!r}")

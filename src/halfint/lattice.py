@@ -38,11 +38,9 @@ c and -c, so the enumeration visits only the half space of vectors
 whose last nonzero coordinate is positive and counts each of them
 twice; the histogram comes back with its keys ascending.
 `Lattice4.norm_counts` counts the reduced norm in units of the lattice's
-norm content, the gcd of the values of its integer Gram matrix.  A
-`Lattice4` keeps its content and `lll_gram`-reduced Gram matrix after
-the first count, and LLL leaves a reduced matrix as it is, so each
-lattice object is reduced once and every count on it enumerates the
-same basis.
+norm content, the gcd of the values of its integer Gram matrix, and
+hands the raw Gram matrix to `count_by_value`, so each count is one LLL
+pass and a lattice keeps nothing but its rows.
 
 These kernels run mostly on matrices of rank 4, so their cost is
 interpreter overhead rather than integer arithmetic.  They are written
@@ -50,8 +48,9 @@ as flat loops over integers: row operations in place from the pivot
 column on, LLL's size reduction inline, and the enumeration as an
 explicit loop over the levels of its tree rather than one generator
 frame per node.  The tests hold them to slower references with the same
-output: `hnf_rows_ref` (first nonzero pivot), `lll_gram_ref` (the LLL
-with a nested size reduction that the flat loop replaced),
+output: `hnf_rows_ref` (first nonzero pivot), `lll_gram_ref` (the
+reduced Gram matrix of `_lll`, by an LLL with a nested size reduction
+that the flat loop replaced),
 `bareiss_ref` (the minors and coefficients of a reduced matrix by a
 second elimination) and `count_by_value_ref` (the rational recursion).
 """
@@ -151,17 +150,12 @@ def hnf_rows(rows: Iterable[Sequence[int]]) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def lll_gram(gram: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The Gram matrix of an LLL-reduced basis (delta = 3/4) of the lattice
-    with positive-definite integer Gram matrix `gram`.  Raises ValueError
-    when the form is not positive definite."""
-    return _lll(gram)[0]
-
-
 def _lll(gram: Sequence[Sequence[int]]):
-    """(G, d, lam): the reduced Gram matrix of `lll_gram`, its leading
-    minors d[0] = 1, d[1], ..., d[n], and lam[k][j] = d[j+1] mu_kj for
-    j < k, its scaled Gram-Schmidt coefficients.
+    """(G, d, lam): the Gram matrix G of an LLL-reduced basis (delta = 3/4)
+    of the lattice with positive-definite integer Gram matrix `gram`, its
+    leading minors d[0] = 1, d[1], ..., d[n], and lam[k][j] = d[j+1] mu_kj
+    for j < k, its scaled Gram-Schmidt coefficients.  Raises ValueError
+    when the form is not positive definite.
 
     Integral LLL on the Gram matrix alone (Cohen, GTM 138, Alg. 2.6.7,
     after Lenstra-Lenstra-Lovasz, Math. Ann. 261, 1982): d and lam are
@@ -350,11 +344,10 @@ class Lattice4:
 
     rows/den is the canonical Hermite basis: basis vector r is
     (rows[r][0] + rows[r][1] i + rows[r][2] j + rows[r][3] k) / den.
-    Immutable, equal by (alg, den, rows) and hashable; the private slot
-    `_form` only caches what `norm_counts` derives from those fields.
+    Immutable, equal by (alg, den, rows) and hashable.
     """
 
-    __slots__ = ("alg", "den", "rows", "_form")
+    __slots__ = ("alg", "den", "rows")
 
     def __init__(
         self, alg: QuaternionAlgebra, den: int, rows: tuple[tuple[int, int, int, int], ...]
@@ -362,7 +355,6 @@ class Lattice4:
         object.__setattr__(self, "alg", alg)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_form", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Lattice4 is immutable: cannot set {name!r}")
@@ -501,17 +493,14 @@ class Lattice4:
 
     def norm_counts(self, bound: int) -> dict[int, int]:
         """#{x in L : nrd(x) = n * content} for n <= bound, where content
-        generates the values of nrd on L; counted on the LLL-reduced
-        integer Gram matrix, which is computed once per lattice object."""
+        generates the values of nrd on L."""
         # nrd(x) = n * content exactly when x^t G x = n * unit, G = int_gram,
         # and unit divides every value of the form
-        if self._form is None:
-            gram = self.int_gram()
-            object.__setattr__(self, "_form", (_form_content(gram), lll_gram(gram)))
-        unit, reduced = self._form
+        gram = self.int_gram()
+        unit = _form_content(gram)
         return {
             val // unit: count
-            for val, count in count_by_value(reduced, bound * unit).items()
+            for val, count in count_by_value(gram, bound * unit).items()
         }
 
     # -- order-related -------------------------------------------------------

@@ -127,7 +127,11 @@ def fundamental_discriminant(t: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division (desk-scale inputs)."""
+    """Deterministic primality by trial division (desk-scale inputs).
+    Raises ValueError if n exceeds TRIAL_BOUND, the bound `factorize`
+    keeps, rather than dividing for minutes."""
+    if n > TRIAL_BOUND:
+        raise ValueError(f"{n} exceeds the trial-division bound {TRIAL_BOUND}")
     if n < 2:
         return False
     if n < 4:

@@ -203,6 +203,11 @@ def test_select_contract():
     for selector in ("61=1", "2=-1,67=1", "100=1", "1000000000000000003=1"):
         with pytest.raises(ConfigurationError, match="is above 60 and does not divide"):
             _select(cands, selector, 15)
+    # a prime given twice must have one value, as in a newform file
+    assert _select(cands, "2=-1,3=1,3=1", 15) == (0, cands[0])
+    for selector in ("2=1,2=-1", "3=1,2=-1,3=-1"):
+        with pytest.raises(ConfigurationError, match="conflicting values at"):
+            _select(cands, selector, 15)
     with_67 = [_StubLine({2: -1, 67: 1}), _StubLine({2: -1, 67: -1})]
     assert _select(with_67, "67=-1", 67) == (1, with_67[1])
 
@@ -295,6 +300,21 @@ def test_ingest_conflicting_duplicate(tmp_path):
     bad.write_text("2 -1\n2 1\n")
     with pytest.raises(NewformFileError):
         ingest_newform(str(bad))
+
+
+def test_newform_key_above_the_trial_bound_exits_3_at_once(tmp_path, capsys):
+    # this prime used to hang the run in trial division
+    nf = tmp_path / "nf.txt"
+    nf.write_text("1000000000000000009 1\n")
+    start = time.perf_counter()
+    assert main(["basis", "--level", "15", "--prec", "10", "--newform-file", str(nf)]) == 3
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: malformed eigenvalue file {nf}: 1000000000000000009 exceeds "
+        "the trial-division bound 4294967296\n"
+    )
 
 
 def test_empty_newform_file_falls_back_to_index(tmp_path):
@@ -415,6 +435,14 @@ def test_main_config_errors(capsys):
     assert capsys.readouterr().err == (
         "error: level 4294967311 exceeds the trial-division bound 4294967296\n"
     )
+
+
+def test_selector_repeat_with_another_value_exits_3(capsys):
+    # 2=-1 alone picks a line at N=15; 2=1 first must not be overridden
+    assert main(["basis", "--level", "15", "--selector", "2=1,2=-1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: selector has conflicting values at 2\n"
 
 
 @pytest.mark.parametrize("key", ["1000000000000000003", "10007"])
@@ -586,6 +614,23 @@ def _permute_classes(state):
         state["brandt"][n] = [row[::-1] for row in B[::-1]]
 
 
+def _huge_degree_key(state):
+    # B(1) = I stored at degree 10**18 keeps every invariant but the bound
+    # on the degree; checking its row sum would factor 10**18
+    h = len(state["unit_counts"])
+    state["brandt"][str(10**18)] = [[int(i == j) for j in range(h)] for i in range(h)]
+
+
+def _b4_as_b2_squared(state):
+    # B(2)^2 = B(4) + 2 B(1) commutes with everything and is weighted-
+    # symmetric; only the row sum sigma(4) = 7 catches it
+    B = state["brandt"]["2"]
+    h = len(B)
+    state["brandt"]["4"] = [
+        [sum(B[i][k] * B[k][j] for k in range(h)) for j in range(h)] for i in range(h)
+    ]
+
+
 def _brandt_as_list(state):
     state["brandt"] = []
 
@@ -619,6 +664,8 @@ def _assert_tampering_is_recomputed(cache, capsys, level, name, tamper):
         _add_wrong_b1,
         _swap_unit_counts,
         _permute_classes,
+        _huge_degree_key,
+        _b4_as_b2_squared,
         _brandt_as_list,
         _brandt_as_string,
     ],

@@ -24,7 +24,6 @@ from halfint.lattice import (
     count_by_value,
     eichler_order,
     hnf_rows,
-    lll_gram,
     maximal_order,
     right_order_lattice,
 )
@@ -226,9 +225,9 @@ def test_lll_gram_reduces_and_keeps_counts(form):
     # Sylvester: positive definite iff every leading minor is positive
     if any(oracles.mat_det([row[:k] for row in gram[:k]]) <= 0 for k in range(1, n + 1)):
         with pytest.raises(ValueError):
-            lll_gram(gram)
+            _lll(gram)
         return
-    reduced = lll_gram(gram)
+    reduced = _lll(gram)[0]
     assert all(type(x) is int for row in reduced for x in row)
     assert oracles.mat_det(reduced) == oracles.mat_det(gram)
     assert oracles.is_lll_reduced_ref(reduced)
@@ -261,7 +260,7 @@ def _skewed_forms(draw):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(_definite_forms().map(lambda form: form[0]), _skewed_forms()))
 def test_lll_gram_matches_nested_reference(gram):
-    assert lll_gram(gram) == oracles.lll_gram_ref(gram)
+    assert _lll(gram)[0] == oracles.lll_gram_ref(gram)
 
 
 @settings(max_examples=150, deadline=None)
@@ -269,7 +268,7 @@ def test_lll_gram_matches_nested_reference(gram):
 def test_lll_state_of_a_reduced_matrix_matches_bareiss(gram):
     # a second pass leaves LLL's output as it is, and its minors and
     # coefficients are what a second elimination of that output finds
-    reduced = lll_gram(gram)
+    reduced = _lll(gram)[0]
     G, d, lam = _lll(reduced)
     assert G == reduced
     minors, eliminated = oracles.bareiss_ref(reduced)
@@ -291,7 +290,7 @@ def test_lll_gram_matches_nested_reference_on_pair_lattices():
                 grams.append(P.int_gram())
     assert len(grams) == 134
     for gram in grams:
-        assert lll_gram(gram) == oracles.lll_gram_ref(gram)
+        assert _lll(gram)[0] == oracles.lll_gram_ref(gram)
 
 
 def test_norm_counts_scale():
@@ -302,25 +301,25 @@ def test_norm_counts_scale():
         assert lat.norm_counts(6) == counts
 
 
-def test_norm_counts_reduces_each_lattice_once(monkeypatch):
-    # the reduced Gram matrix is kept on the lattice object: a second count
-    # on it runs no LLL, while an equal but new object reduces its own
+def test_norm_counts_runs_one_lll_pass_per_count(monkeypatch):
+    # a lattice keeps no reduced form: every count reduces the raw Gram
+    # matrix once, inside count_by_value, and a repeated count repeats it
     want = _std(B25).norm_counts(9)
-    reductions = []
+    passes = []
+    lll = lattice_module._lll
 
     def counted(gram):
-        reductions.append(gram)
-        return lll_gram(gram)
+        passes.append([list(row) for row in gram])
+        return lll(gram)
 
-    monkeypatch.setattr(lattice_module, "lll_gram", counted)
+    monkeypatch.setattr(lattice_module, "_lll", counted)
     L = _std(B25).scale(3)
     first = L.norm_counts(6)
-    assert len(reductions) == 1
+    assert passes == [L.int_gram()]
     assert L.norm_counts(9) == want
     assert L.norm_counts(6) == first
-    assert len(reductions) == 1
-    twin = Lattice4(L.alg, L.den, L.rows)
-    assert twin.norm_counts(6) == first and len(reductions) == 2
+    assert len(passes) == 3 and all(gram == L.int_gram() for gram in passes)
+    assert Lattice4.__slots__ == ("alg", "den", "rows")
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,15 @@ def test_factorize_bound():
         numth.factorize((1 << 40) + 1)
 
 
+def test_is_prime_bound():
+    # primality is trial division, so it keeps the bound factorize keeps
+    # rather than dividing for minutes
+    assert numth.is_prime(4294967291) and not numth.is_prime(numth.TRIAL_BOUND)
+    for n in (numth.TRIAL_BOUND + 1, 1000000000000000009):
+        with pytest.raises(ValueError, match="exceeds the trial-division bound 4294967296"):
+            numth.is_prime(n)
+
+
 def test_divisors():
     assert numth.divisors(36) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
     assert numth.divisors(1) == [1]

@@ -66,12 +66,11 @@ def test_value_semantics(level15):
     alg = QuaternionAlgebra(R.alg.a, R.alg.b)
     assert alg == R.alg and hash(alg) == hash(R.alg)
     assert Lattice4(R.alg, R.den, R.rows) != R and R != Lattice4(R.alg, R.den, R.rows)
-    # a lattice that has cached its reduced form equals and hashes like a
-    # fresh one, and still refuses assignment, to the cache slot too
+    # a lattice that has been counted equals and hashes like a fresh one,
+    # and still refuses assignment
     counted = level15.classes[1]
     counted.norm_counts(3)
     fresh = Lattice4(counted.alg, counted.den, counted.rows)
-    assert counted._form is not None and fresh._form is None
     assert fresh == counted and hash(fresh) == hash(counted)
     profile = LiftProfile(15, {2: 0, 3: -1, 5: 1})
     assert profile == LiftProfile(15, {2: 0, 3: -1, 5: 1})
@@ -79,7 +78,6 @@ def test_value_semantics(level15):
     frozen = [
         (alg, "a"),
         (counted, "rows"),
-        (counted, "_form"),
         (R, "den"),
         (QExpansion(4, {3: 1}), "coeffs"),
         (profile, "eigen"),
