@@ -21,9 +21,12 @@ left order O).  So the 8 products of conj(I_j)'s rows with y1, y2 span
 the same lattice as the 16 products of the two bases.  Row 0 and the
 diagonal need no pair lattice at all (`IdealClassSet._count`): counts
 are in units of the content, conj(I_j) O = conj(I_j) has the counts of
-I_j, and conj(I_j) I_j = nrd(I_j) O_j those of the right order O_j, so
-those pairs are counted on classes[j] and rights[j].lattice, which the
-class search has already built.
+I_j, and conj(I_j) I_j = nrd(I_j) O_j those of the right order O_j.
+The class search counts each class (its key) and each right order (its
+unit count) to KEY_DEGREE, the largest degree the refinement plans at
+most levels, and those counts serve as the pairs (0, j) and (j, j) of
+every pass up to that degree; a deeper pass counts them on classes[j]
+and rights[j].lattice, which the class search has already counted.
 
 Classes come only from the search (`ideal_classes`).  A cached state
 (`IdealClassSet.from_state`) contributes only its degree matrices, and
@@ -54,12 +57,14 @@ from .lattice import (
 )
 from .numth import TRIAL_BOUND, divisors, is_prime, prime_factors, primes
 
-# degree up to which a class key counts norms (see `_class_key`)
-KEY_DEGREE = 6
-
 # eigenlines are ordered by their eigenvalues at these primes, so every
 # searched class set has these degree matrices built
 ORDER_PRIMES = (2, 3, 5, 7, 11, 13)
+
+# degree up to which the class search counts each class (its key, see
+# `_class_key`) and each right order: the degree of every counting pass
+# whose pinned primes are at most max(ORDER_PRIMES)
+KEY_DEGREE = max(ORDER_PRIMES)
 
 # eigenlines are refined under the degree matrices at the primes up to
 # this bound (and at the primes dividing the level)
@@ -133,28 +138,42 @@ def _pair_lattice(conj_j: Lattice4, I: Lattice4, gens) -> Lattice4:
 
 
 def _class_key(I: Lattice4) -> tuple[int, ...]:
-    """The numbers of x in I with nrd(x) = n * content(I), n = 1..KEY_DEGREE.
+    """The numbers of x in I with nrd(x) = n * content(I), n = 0..KEY_DEGREE.
 
     I x has content nrd(x) content(I) and the same counts, so this is a
-    class invariant: ideals with different keys are not equivalent.
+    class invariant: ideals with different keys are not equivalent.  The
+    key of I_j holds the counts of the Brandt pair (0, j) (`_key_counts`).
     """
     counts = I.norm_counts(KEY_DEGREE)
-    return tuple(counts.get(n, 0) for n in range(1, KEY_DEGREE + 1))
+    return tuple(counts.get(n, 0) for n in range(KEY_DEGREE + 1))
+
+
+def _key_counts(key: tuple[int, ...]) -> dict[int, int]:
+    """The key read back as the `norm_counts` it was made from."""
+    return {n: count for n, count in enumerate(key) if count}
 
 
 class IdealClassSet:
     """The left ideal classes of a definite order, with cached counts."""
 
     def __init__(
-        self, order: Order, classes: list[Lattice4], rights: list[Order], gens: list
+        self,
+        order: Order,
+        classes: list[Lattice4],
+        rights: list[Order],
+        gens: list,
+        counts: dict[tuple[int, int], dict[int, int]] | None = None,
     ):
         self.order = order
         self.classes = classes
         self.rights = rights
         # gens[i] generate classes[i] as a left ideal (`_left_generators`)
         self.gens = gens
-        # raw counts per unordered pair (i <= j), complete up to degree _counted
-        self._counts: dict[tuple[int, int], dict[int, int]] = {}
+        # raw counts per unordered pair (i <= j), complete up to degree
+        # _counted; the pairs in _seeded (from `counts`, made by the class
+        # search) are complete up to KEY_DEGREE at least
+        self._counts = dict(counts or {})
+        self._seeded = frozenset(self._counts)
         self._counted = 0
         self._planned = 0
         self._matrices: dict[int, tuple[tuple[int, ...], ...]] = {}
@@ -193,16 +212,20 @@ class IdealClassSet:
         """Count every unordered pair of classes up to degree nmax.
 
         The raw counts are symmetric: conj(I_i) I_j is the conjugate lattice
-        of conj(I_j) I_i, and conjugation keeps the reduced norm.  The pairs
-        (0, j) are counted on classes[j] and the pairs (j, j) on
-        rights[j].lattice, which have the same counts (module docstring); only
-        the pairs 0 < i < j build a lattice.
+        of conj(I_j) I_i, and conjugation keeps the reduced norm.  Up to
+        KEY_DEGREE the seeded pairs keep the counts the class search made;
+        otherwise the pairs (0, j) are counted on classes[j] and the pairs
+        (j, j) on rights[j].lattice, which have the same counts (module
+        docstring).  Only the pairs 0 < i < j build a lattice.
         """
         classes, rights = self.classes, self.rights
+        seeded = self._seeded if nmax <= KEY_DEGREE else ()
         for j in range(self.h):
             if j > 1:
                 conj_j = classes[j].conjugate()
             for i in range(j + 1):
+                if (i, j) in seeded:
+                    continue
                 if i == 0:
                     P = classes[j]
                 elif i == j:
@@ -285,7 +308,8 @@ class IdealClassSet:
             for m, n in itertools.combinations(mats, 2)
         ):
             raise ValueError("cached degree matrices do not commute")
-        out = cls(searched.order, searched.classes, searched.rights, searched.gens)
+        seeds = {pair: searched._counts[pair] for pair in searched._seeded}
+        out = cls(searched.order, searched.classes, searched.rights, searched.gens, seeds)
         out._matrices = mats
         return out
 
@@ -343,9 +367,12 @@ def ideal_classes(order: Order) -> IdealClassSet:
     )
     classes = [order.lattice]
     keys = [_class_key(order.lattice)]
+    # the pairs (0, j) and (j, j), counted to KEY_DEGREE (module docstring);
+    # I_0 = O is its own right order, and keys[0][1] its unit count
+    counts = {(0, 0): _key_counts(keys[0])}
     gens = [_left_generators(order, order.lattice)]
-    rights = [order]
-    num, den = _unit_mass([order.unit_count])
+    rights = [Order(order.lattice, keys[0][1])]
+    num, den = _unit_mass([rights[0].unit_count])
     # (class, the class it was found as a neighbour of)
     frontier = [(0, None)]
     while 12 * num < twelfths * den and frontier:
@@ -362,12 +389,16 @@ def ideal_classes(order: Order) -> IdealClassSet:
                     _is_principal(_pair_lattice(conj_J, classes[i], gens[i])) for i in same
                 ):
                     continue
+            j = len(classes)
             classes.append(J)
             keys.append(key)
             gens.append(_left_generators(order, J))
-            rights.append(Order(right_order_lattice(J)))
+            right = right_order_lattice(J)
+            counts[0, j] = _key_counts(key)
+            counts[j, j] = right.norm_counts(KEY_DEGREE)
+            rights.append(Order(right, counts[j, j].get(1, 0)))
             num, den = _unit_mass([r.unit_count for r in rights])
-            frontier.append((len(classes) - 1, idx))
+            frontier.append((j, idx))
             if 12 * num >= twelfths * den:
                 break
     if 12 * num != twelfths * den:
@@ -375,7 +406,7 @@ def ideal_classes(order: Order) -> IdealClassSet:
             f"class search ended with mass {_ratio_text(num, den)}, "
             f"expected {_ratio_text(twelfths, 12)}"
         )
-    return IdealClassSet(order, classes, rights, gens)
+    return IdealClassSet(order, classes, rights, gens, counts)
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,22 @@ def ingest_newform(path: str) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
+def _reachable_entries(newform_map: dict[int, int], level: int) -> dict[int, int]:
+    """The entries of a newform file at the primes the refinement reaches:
+    at most PRIME_BOUND or dividing the level.  An entry at any other
+    prime p is only held to the Hasse bound b_p^2 <= 4p and then left out,
+    so it never costs a degree-p matrix."""
+    out = {}
+    for p, v in newform_map.items():
+        if p <= PRIME_BOUND or level % p == 0:
+            out[p] = v
+        elif v * v > 4 * p:
+            raise NewformFileError(
+                f"eigenvalue {_excerpt(str(v))} at {p} breaks the Hasse bound b_p^2 <= 4p"
+            )
+    return out
+
+
 def _odd_subsets(ps: list[int]) -> list[tuple[int, ...]]:
     """Odd-cardinality subsets, ordered by product then lexicographically."""
     subsets = [c for k in range(1, len(ps) + 1, 2) for c in itertools.combinations(ps, k)]
@@ -351,14 +367,15 @@ def _build_profile(line: Eigenform, pmax: int) -> LiftProfile:
 def _run(config: JobConfig, stage: Callable[[dict], dict], pmax: int = 0) -> dict:
     """The pipeline of every subcommand.
 
-    Check the signs a newform file pins, search, keep the lines the file
-    allows, select one, and build its profile at the primes up to
-    max(pmax, ORDER_PRIMES).  The run {"line", "selector_index",
-    "profile"} is then extended by the dict `stage` returns, and the
-    selected class set is stored with every degree the run built.
+    Check the signs a newform file pins, search, keep the lines that the
+    file's reachable entries allow (`_reachable_entries`), select one, and
+    build its profile at the primes up to max(pmax, ORDER_PRIMES).  The
+    run {"line", "selector_index", "profile"} is then extended by the dict
+    `stage` returns, and the selected class set is stored with every
+    degree the run built.
     """
-    newform_map = (
-        ingest_newform(config.newform_file) if config.newform_file else {}
+    newform_map = _reachable_entries(
+        ingest_newform(config.newform_file) if config.newform_file else {}, config.level
     )
     restrict = _pinned_subset(config.level, newform_map)
     cache_dir = _cache_dir(config)

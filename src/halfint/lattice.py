@@ -398,12 +398,30 @@ class Lattice4:
         return rows[0][0] * rows[1][1] * rows[2][2] * rows[3][3], self.den**4
 
     def int_gram(self) -> list[list[int]]:
-        """den^2 times the Gram matrix: rows diag(1, a, b, ab) rows^t."""
+        """den^2 times the Gram matrix: rows diag(1, a, b, ab) rows^t, its
+        10 entries on and above the diagonal as plain sums, mirrored."""
         a, b = self.alg.a, self.alg.b
-        weighted = [(x0, a * x1, b * x2, a * b * x3) for x0, x1, x2, x3 in self.rows]
+        ab = a * b
+        (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3), (s0, s1, s2, s3) = self.rows
+        # each row weighted by diag(1, a, b, ab)
+        u1, u2, u3 = a * p1, b * p2, ab * p3
+        v1, v2, v3 = a * q1, b * q2, ab * q3
+        w1, w2, w3 = a * r1, b * r2, ab * r3
+        g00 = p0 * p0 + u1 * p1 + u2 * p2 + u3 * p3
+        g01 = p0 * q0 + u1 * q1 + u2 * q2 + u3 * q3
+        g02 = p0 * r0 + u1 * r1 + u2 * r2 + u3 * r3
+        g03 = p0 * s0 + u1 * s1 + u2 * s2 + u3 * s3
+        g11 = q0 * q0 + v1 * q1 + v2 * q2 + v3 * q3
+        g12 = q0 * r0 + v1 * r1 + v2 * r2 + v3 * r3
+        g13 = q0 * s0 + v1 * s1 + v2 * s2 + v3 * s3
+        g22 = r0 * r0 + w1 * r1 + w2 * r2 + w3 * r3
+        g23 = r0 * s0 + w1 * s1 + w2 * s2 + w3 * s3
+        g33 = s0 * s0 + a * s1 * s1 + b * s2 * s2 + ab * s3 * s3
         return [
-            [sum(x * y for x, y in zip(w, row)) for row in self.rows]
-            for w in weighted
+            [g00, g01, g02, g03],
+            [g01, g11, g12, g13],
+            [g02, g12, g22, g23],
+            [g03, g13, g23, g33],
         ]
 
     # -- membership and comparison -----------------------------------------
@@ -538,11 +556,13 @@ class Order:
     """An order (unital subring that is a full lattice), with cached
     unit count and discriminant."""
 
-    def __init__(self, lattice: Lattice4):
+    def __init__(self, lattice: Lattice4, unit_count: int | None = None):
+        """`unit_count`, when the caller has already counted the lattice's
+        norms, is its count at norm 1; otherwise it is counted on demand."""
         if not lattice.is_order():
             raise ValueError("lattice is not an order")
         self.lattice = lattice
-        self._units: int | None = None
+        self._units = unit_count
 
     @property
     def alg(self) -> QuaternionAlgebra:

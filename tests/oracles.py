@@ -326,6 +326,14 @@ def lll_gram_ref(gram):
     return G
 
 
+def int_gram_ref(lat):
+    """den^2 times the Gram matrix of a lattice, by the comprehension the
+    flat `Lattice4.int_gram` replaced: rows diag(1, a, b, ab) rows^t."""
+    a, b = lat.alg.a, lat.alg.b
+    weighted = [(x0, a * x1, b * x2, a * b * x3) for x0, x1, x2, x3 in lat.rows]
+    return [[sum(x * y for x, y in zip(w, row)) for row in lat.rows] for w in weighted]
+
+
 def bareiss_ref(A):
     """Fraction-free elimination of a symmetric integer matrix, the second
     elimination the enumerator ran on LLL's output before it read LLL's

@@ -317,6 +317,31 @@ def test_newform_key_above_the_trial_bound_exits_3_at_once(tmp_path, capsys):
     )
 
 
+def test_newform_prime_the_refinement_does_not_reach_is_left_out(tmp_path, capsys):
+    # b_10007 = 1 is possible, but no line is asked for the degree-10007
+    # matrix: the run used to hang counting it
+    nf = tmp_path / "nf.txt"
+    nf.write_text("10007 1\n")
+    argv = ["basis", "--level", "11", "--prec", "10"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    start = time.perf_counter()
+    assert main(argv + ["--newform-file", str(nf)]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr() == plain
+
+
+def test_newform_value_above_the_hasse_bound_exits_3(tmp_path, capsys):
+    # 201^2 = 40401 > 4 * 10007
+    nf = tmp_path / "nf.txt"
+    nf.write_text("10007 201\n")
+    argv = ["basis", "--level", "11", "--prec", "10", "--newform-file", str(nf)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: eigenvalue 201 at 10007 breaks the Hasse bound b_p^2 <= 4p\n"
+
+
 def test_empty_newform_file_falls_back_to_index(tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("")
@@ -530,6 +555,30 @@ def test_cold_run_counts_each_class_set_once(tmp_path, monkeypatch, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert len(passes) == len(set(passes)) == len(_odd_subsets(prime_factors(105)))
+
+
+def test_cold_run_counts_each_lattice_once(tmp_path, monkeypatch, capsys):
+    # the class search counts each class and right order to KEY_DEGREE, and
+    # those counts serve as the Brandt pairs (0, j) and (j, j); the only
+    # lattices counted twice are the degree-1 equivalence tests conj(J) I_i
+    # whose neighbour J became the class j, counted again as the pair (i, j)
+    best = {}
+    recounts = []
+    original = Lattice4.norm_counts
+
+    def counted(self, bound):
+        if self in best:
+            recounts.append((bound, best[self]))
+        best[self] = max(best.get(self, 0), bound)
+        return original(self, bound)
+
+    monkeypatch.setattr(Lattice4, "norm_counts", counted)
+    argv = ["basis", "--level", "105", "--prec", "100", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert not [pair for pair in recounts if pair[0] <= pair[1]]
+    assert len(recounts) <= 6
+    assert all(before == 1 for _, before in recounts)
 
 
 def test_cache_env_variable(tmp_path, monkeypatch, capsys):

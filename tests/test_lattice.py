@@ -322,6 +322,23 @@ def test_norm_counts_runs_one_lll_pass_per_count(monkeypatch):
     assert Lattice4.__slots__ == ("alg", "den", "rows")
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 10**6),
+    st.integers(1, 10**6),
+    st.lists(
+        st.lists(st.integers(-10**9, 10**9), min_size=4, max_size=4),
+        min_size=4,
+        max_size=4,
+    ),
+)
+def test_int_gram_matches_reference(a, b, rows):
+    # the rows need not be a Hermite basis: int_gram is the Gram matrix of
+    # whatever rows the lattice holds
+    lat = Lattice4(QuaternionAlgebra(a, b), 1, tuple(map(tuple, rows)))
+    assert lat.int_gram() == oracles.int_gram_ref(lat)
+
+
 # ---------------------------------------------------------------------------
 # lattice basics
 # ---------------------------------------------------------------------------
