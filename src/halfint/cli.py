@@ -186,7 +186,17 @@ def ingest_newform(path: str) -> dict[int, int]:
         return out
     try:
         if stripped.startswith("{"):
-            items = list(json.loads(stripped).items())
+            # the pairs in file order, so that a repeated key reaches the
+            # conflict check below; the top-level object is decoded last,
+            # and nested ones stay dicts, which an error quotes as written
+            objects = []
+
+            def keep_pairs(pairs):
+                objects.append(pairs)
+                return dict(pairs)
+
+            json.loads(stripped, object_pairs_hook=keep_pairs)
+            items = objects[-1]
         else:
             items = []
             for line in stripped.splitlines():
@@ -335,15 +345,16 @@ def _select(
 
 def _pinned_subset(level: int, newform_map: dict[int, int]) -> tuple[int, ...] | None:
     """The ramification subset fixed by file signs at every prime dividing
-    the level, or None when some such prime is not pinned."""
+    the level, or None when some such prime is not pinned.  Each sign the
+    file does pin must be ±1, checked before any search."""
     bad_primes = prime_factors(level)
-    if not all(p in newform_map for p in bad_primes):
-        return None
     for p in bad_primes:
-        if newform_map[p] not in (1, -1):
+        if p in newform_map and newform_map[p] not in (1, -1):
             raise NewformFileError(
                 f"eigenvalue at {p} must be ±1 for a prime dividing the level"
             )
+    if not all(p in newform_map for p in bad_primes):
+        return None
     chosen = tuple(p for p in bad_primes if newform_map[p] == 1)
     if len(chosen) % 2 == 0:
         raise EvenRootNumberError(

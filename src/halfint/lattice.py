@@ -64,6 +64,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import IntegralityError, MaximalOrderNotFoundError
 from .numth import prime_factors
 from .quat import QuaternionAlgebra, conj
+from .value import Value
 
 # deterministic neighbor prime: levels are odd and ramification sets
 # consist of odd primes, so 2 always splits and is prime to the level
@@ -339,7 +340,7 @@ def combine(rows: Sequence[Sequence[int]], coeffs: Sequence[int]) -> tuple[int, 
     return v
 
 
-class Lattice4:
+class Lattice4(Value):
     """Full rank-4 lattice in a definite quaternion algebra.
 
     rows/den is the canonical Hermite basis: basis vector r is
@@ -355,17 +356,6 @@ class Lattice4:
         object.__setattr__(self, "alg", alg)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Lattice4 is immutable: cannot set {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.alg, self.den, self.rows) == (other.alg, other.den, other.rows)
-
-    def __hash__(self):
-        return hash((self.alg, self.den, self.rows))
 
     # -- construction ------------------------------------------------------
 

@@ -30,6 +30,7 @@ from .numth import (
     squarefree_split,
 )
 from .qexp import QExpansion
+from .value import Value
 
 __all__ = [
     "LiftProfile",
@@ -39,7 +40,7 @@ __all__ = [
 ]
 
 
-class LiftProfile:
+class LiftProfile(Value):
     """The eigenvalues of one eigenline, which is all the local factors read.
 
     `eigen` maps each prime to its degree-matrix eigenvalue b_p: 2, every
@@ -48,10 +49,12 @@ class LiftProfile:
     sign w_p = -b_p (`involution_sign`), and these signs multiply to -1.
     `bad`, the primes dividing the level in increasing order, is derived
     once here.  The weight is fixed at 3/2 for the whole pipeline.
-    Immutable and equal by (level, eigen).
+    Immutable and equal by (level, eigen, bad); unhashable, since `eigen`
+    is a dict.
     """
 
     __slots__ = ("level", "eigen", "bad")
+    __hash__ = None
 
     def __init__(self, level: int, eigen: dict[int, int]):
         if level < 3 or level % 2 == 0 or not is_squarefree(level):
@@ -66,14 +69,6 @@ class LiftProfile:
                 raise ValueError(f"eigenvalue at the level prime {p} is not a sign")
         if math.prod(self.involution_sign(p) for p in self.bad) != -1:
             raise ValueError("involution signs multiply to +1 (even root number)")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"LiftProfile is immutable: cannot set {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.level, self.eigen) == (other.level, other.eigen)
 
     def eigenvalue(self, p: int) -> int:
         if p not in self.eigen:

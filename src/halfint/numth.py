@@ -43,17 +43,17 @@ def padic_split(n: int, p: int) -> PAdicSplit:
     return PAdicSplit(n // p**h, h)
 
 
-def factorize(n: int, bound: int = TRIAL_BOUND) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 by trial division.
 
-    Raises FactorizationError if n exceeds `bound`; everything this
+    Raises FactorizationError if n exceeds TRIAL_BOUND; everything this
     package actually factors is tiny, the bound only guards against
     mistaken huge inputs looping for minutes.
     """
     if n < 1:
         raise ValueError("factorize needs n >= 1")
-    if n > bound:
-        raise FactorizationError(f"{n} exceeds the trial-division bound {bound}")
+    if n > TRIAL_BOUND:
+        raise FactorizationError(f"{n} exceeds the trial-division bound {TRIAL_BOUND}")
     out: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:

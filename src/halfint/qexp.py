@@ -13,6 +13,7 @@ from __future__ import annotations
 import operator
 
 from .errors import PrecisionError
+from .value import Value
 
 
 def _normalize(coeffs) -> dict[int, int]:
@@ -27,16 +28,17 @@ def _normalize(coeffs) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-class QExpansion:
+class QExpansion(Value):
     """Finitely many integer coefficients, valid through q^prec.
 
     `kohnen` marks a series claimed to live in the plus subspace for
     weight 3/2, where coefficients may only sit at n ≡ 0, 3 mod 4; the
     claim is validated on construction.  Immutable and equal by
-    (prec, coeffs, kohnen).
+    (prec, coeffs, kohnen); unhashable, since `coeffs` is a dict.
     """
 
     __slots__ = ("prec", "coeffs", "kohnen")
+    __hash__ = None
 
     def __init__(self, prec: int, coeffs: dict[int, int] | None = None, kohnen: bool = False):
         coeffs = _normalize(coeffs or {})
@@ -50,14 +52,6 @@ class QExpansion:
         object.__setattr__(self, "prec", prec)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "kohnen", kohnen)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"QExpansion is immutable: cannot set {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.prec, self.coeffs, self.kohnen) == (other.prec, other.coeffs, other.kohnen)
 
     def __getitem__(self, n: int) -> int:
         if n < 0:

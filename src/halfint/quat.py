@@ -19,6 +19,7 @@ from typing import Iterable
 
 from .errors import EvenRootNumberError, SearchExhaustedError
 from .numth import divisors, hilbert, hilbert_support, is_prime
+from .value import Value
 
 # (x0, x1, x2, x3), integer coordinates in the basis (1, i, j, k)
 Quat = tuple
@@ -48,7 +49,7 @@ def _ramified(a: int, b: int) -> tuple[int, ...]:
     )
 
 
-class QuaternionAlgebra:
+class QuaternionAlgebra(Value):
     """B = (-a, -b) over Q, with a, b > 0 (definite).  Immutable, equal by
     (a, b) and hashable."""
 
@@ -59,17 +60,6 @@ class QuaternionAlgebra:
             raise ValueError("definite algebras need a, b > 0")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"QuaternionAlgebra is immutable: cannot set {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
 
     def mul(self, x: Quat, y: Quat) -> Quat:
         a, b = self.a, self.b

@@ -20,6 +20,7 @@ from .lattice import Lattice4, Order, count_by_value
 from .numth import is_prime, kronecker, squarefree_part
 from .qexp import QExpansion
 from .quat import QuaternionAlgebra
+from .value import Value
 
 __all__ = [
     "TernaryLattice",
@@ -30,7 +31,7 @@ __all__ = [
 ]
 
 
-class TernaryLattice:
+class TernaryLattice(Value):
     """Rank-3 lattice of trace-zero quaternions: basis vector r is
     (rows[r][0] + rows[r][1] i + rows[r][2] j + rows[r][3] k) / den.
     Immutable, equal by (alg, den, rows) and hashable."""
@@ -48,17 +49,6 @@ class TernaryLattice:
                 raise ValueError(f"basis vector {row} / {den} has nonzero trace")
         if self._int_det() <= 0:
             raise ValueError("Gram matrix is not positive definite")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"TernaryLattice is immutable: cannot set {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.alg, self.den, self.rows) == (other.alg, other.den, other.rows)
-
-    def __hash__(self):
-        return hash((self.alg, self.den, self.rows))
 
     def int_gram(self) -> list[list[int]]:
         """den^2 times the Gram matrix of the norm form on the basis."""

@@ -295,11 +295,22 @@ def test_main_newform_file_not_utf8_exit_3(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
-def test_ingest_conflicting_duplicate(tmp_path):
-    bad = tmp_path / "dup.txt"
-    bad.write_text("2 -1\n2 1\n")
-    with pytest.raises(NewformFileError):
-        ingest_newform(str(bad))
+def test_ingest_conflicting_duplicate(tmp_path, capsys):
+    # a prime given two values is refused in either format; JSON keys are
+    # read in file order, so the decoder does not merge them first
+    for name, text in (("dup.txt", "2 -1\n2 1\n"), ("dup.json", '{"2": 1, "2": -1}')):
+        bad = tmp_path / name
+        bad.write_text(text)
+        with pytest.raises(NewformFileError):
+            ingest_newform(str(bad))
+        assert main(["basis", "--level", "15", "--prec", "10", "--newform-file", str(bad)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: malformed eigenvalue file {bad}: conflicting values at 2\n"
+    # a repeat with the same value stays accepted
+    same = tmp_path / "same.json"
+    same.write_text('{"2": -1, "2": -1}')
+    assert ingest_newform(str(same)) == {2: -1}
 
 
 def test_newform_key_above_the_trial_bound_exits_3_at_once(tmp_path, capsys):
@@ -374,6 +385,24 @@ def test_even_root_number_rejected_before_any_work(tmp_path):
         for run in (kohnen_basis, cmd_brandt, cmd_theta, cmd_localfactors):
             with pytest.raises(EvenRootNumberError):
                 run(config)
+    assert not cache.exists()
+
+
+def test_level_sign_not_pm1_rejected_before_any_work(tmp_path, capsys):
+    # one level prime pinned to a value that is no sign: the search used to
+    # run every subset before exiting with a vague conflict
+    nf = tmp_path / "nf.txt"
+    nf.write_text("3 5\n")
+    cache = tmp_path / "cache"
+    config = JobConfig(level=105, prec=12, newform_file=str(nf), cache_dir=str(cache))
+    for run in (kohnen_basis, cmd_brandt, cmd_theta, cmd_localfactors):
+        with pytest.raises(NewformFileError):
+            run(config)
+    assert main(["basis", "--level", "105", "--newform-file", str(nf),
+                 "--cache-dir", str(cache)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: eigenvalue at 3 must be ±1 for a prime dividing the level\n"
     assert not cache.exists()
 
 

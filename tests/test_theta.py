@@ -1,6 +1,8 @@
 """Tests for trace-zero lattices and their theta series."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -75,16 +77,59 @@ def test_value_semantics(level15):
     profile = LiftProfile(15, {2: 0, 3: -1, 5: 1})
     assert profile == LiftProfile(15, {2: 0, 3: -1, 5: 1})
     assert profile != LiftProfile(15, {2: 1, 3: -1, 5: 1})
+    series = QExpansion(4, {3: 1})
     frozen = [
         (alg, "a"),
         (counted, "rows"),
         (R, "den"),
-        (QExpansion(4, {3: 1}), "coeffs"),
+        (series, "coeffs"),
         (profile, "eigen"),
     ]
     for obj, name in frozen:
-        with pytest.raises(AttributeError):
+        cls = type(obj).__name__
+        with pytest.raises(AttributeError, match=f"^{cls} is immutable: cannot set '{name}'$"):
             setattr(obj, name, None)
+        with pytest.raises(AttributeError, match=f"^{cls} is immutable: cannot delete '{name}'$"):
+            delattr(obj, name)
+        assert getattr(obj, name) is not None
+    # the two holding a dict are unhashable, by declaration
+    for obj in (series, profile):
+        assert type(obj).__hash__ is None
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(obj)
+
+
+def test_value_dunders_are_written_once():
+    # the immutable classes derive from value.Value, the one place that
+    # defines assignment, deletion, equality and hashing; only the two
+    # holding a dict opt out of hashing
+    src = Path(theta_module.__file__).parent
+    dunders = {"__setattr__", "__delattr__", "__eq__", "__hash__"}
+
+    def defined(path, class_name):
+        tree = ast.parse((src / path).read_text())
+        (node,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == class_name]
+        names = {}
+        for stmt in node.body:
+            if isinstance(stmt, ast.FunctionDef):
+                names[stmt.name] = "def"
+            elif isinstance(stmt, ast.Assign):
+                for target in stmt.targets:
+                    names[ast.unparse(target)] = ast.unparse(stmt.value)
+        bases = [ast.unparse(b) for b in node.bases]
+        return bases, {k: v for k, v in names.items() if k in dunders}
+
+    assert defined("value.py", "Value") == ([], dict.fromkeys(dunders, "def"))
+    for path, class_name in (
+        ("quat.py", "QuaternionAlgebra"),
+        ("lattice.py", "Lattice4"),
+        ("theta.py", "TernaryLattice"),
+        ("qexp.py", "QExpansion"),
+        ("lift.py", "LiftProfile"),
+    ):
+        unhashable = class_name in ("QExpansion", "LiftProfile")
+        expected = {"__hash__": "None"} if unhashable else {}
+        assert defined(path, class_name) == (["Value"], expected), class_name
 
 
 def test_gram_determinant_shape(level15, level11):
