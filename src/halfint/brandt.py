@@ -30,8 +30,10 @@ and rights[j].lattice, which the class search has already counted.
 
 Classes come only from the search (`ideal_classes`).  A cached state
 (`IdealClassSet.from_state`) contributes only its degree matrices, and
-only when its classes and unit counts are exactly the searched ones, so
-the classes and their order never depend on a cache file.
+only when its classes and unit counts are exactly the searched ones and
+each stored degree up to KEY_DEGREE has the searched counts in row 0 and
+on the diagonal, so the classes and their order never depend on a cache
+file.
 """
 
 from __future__ import annotations
@@ -137,20 +139,15 @@ def _pair_lattice(conj_j: Lattice4, I: Lattice4, gens) -> Lattice4:
     return Lattice4.from_int_rows(I.alg, conj_j.den * I.den, products)
 
 
-def _class_key(I: Lattice4) -> tuple[int, ...]:
-    """The numbers of x in I with nrd(x) = n * content(I), n = 0..KEY_DEGREE.
+def _class_key(I: Lattice4) -> dict[int, int]:
+    """The numbers of x in I with nrd(x) = n * content(I), n = 0..KEY_DEGREE,
+    as `norm_counts` gives them.
 
     I x has content nrd(x) content(I) and the same counts, so this is a
     class invariant: ideals with different keys are not equivalent.  The
-    key of I_j holds the counts of the Brandt pair (0, j) (`_key_counts`).
+    key of I_j is the count of the Brandt pair (0, j).
     """
-    counts = I.norm_counts(KEY_DEGREE)
-    return tuple(counts.get(n, 0) for n in range(KEY_DEGREE + 1))
-
-
-def _key_counts(key: tuple[int, ...]) -> dict[int, int]:
-    """The key read back as the `norm_counts` it was made from."""
-    return {n: count for n, count in enumerate(key) if count}
+    return I.norm_counts(KEY_DEGREE)
 
 
 class IdealClassSet:
@@ -161,12 +158,15 @@ class IdealClassSet:
         order: Order,
         classes: list[Lattice4],
         rights: list[Order],
+        unit_counts: list[int],
         gens: list,
         counts: dict[tuple[int, int], dict[int, int]] | None = None,
     ):
         self.order = order
         self.classes = classes
         self.rights = rights
+        # unit_counts[j] is e_j, the unit count of rights[j]
+        self.unit_counts = unit_counts
         # gens[i] generate classes[i] as a left ideal (`_left_generators`)
         self.gens = gens
         # raw counts per unordered pair (i <= j), complete up to degree
@@ -191,10 +191,6 @@ class IdealClassSet:
     @property
     def alg(self):
         return self.order.alg
-
-    @property
-    def unit_counts(self) -> list[int]:
-        return [r.unit_count for r in self.rights]
 
     @property
     def mass_text(self) -> str:
@@ -283,7 +279,9 @@ class IdealClassSet:
 
         Raises ValueError when the stored classes or unit counts are not
         those of `searched`, when a stored matrix breaks an invariant of
-        the degree matrices (see `_check_degree_matrix`) or when two stored
+        the degree matrices (see `_check_degree_matrix`), when a stored
+        degree up to KEY_DEGREE has a row 0 or a diagonal other than the
+        counts the search made (module docstring) or when two stored
         matrices do not commute.  The stored classes are only compared,
         never built into lattices; `searched` is left untouched.
         """
@@ -297,10 +295,19 @@ class IdealClassSet:
         stored = state.get("brandt", {})
         if not isinstance(stored, dict):
             raise ValueError("cached degree matrices are not a JSON object")
+        seeds = {pair: searched._counts[pair] for pair in searched._seeded}
         mats = {}
         for n, mat in stored.items():
-            _check_degree_matrix(int(n), mat, es, searched.level, ramified)
-            mats[int(n)] = tuple(tuple(row) for row in mat)
+            n = int(n)
+            _check_degree_matrix(n, mat, es, searched.level, ramified)
+            # up to KEY_DEGREE, row 0 and the diagonal are the search's counts
+            if n <= KEY_DEGREE and any(
+                mat[i][j] * es[j] != seeds[i, j].get(n, 0)
+                for j in range(len(es))
+                for i in (0, j)
+            ):
+                raise ValueError(f"cached degree-{n} matrix differs from the searched counts")
+            mats[n] = tuple(tuple(row) for row in mat)
         # with B E = E B^t for both (E = diag(es)), (A B) E = E (B A)^t, so
         # A B is weighted-symmetric exactly when A B = B A
         if not all(
@@ -308,8 +315,7 @@ class IdealClassSet:
             for m, n in itertools.combinations(mats, 2)
         ):
             raise ValueError("cached degree matrices do not commute")
-        seeds = {pair: searched._counts[pair] for pair in searched._seeded}
-        out = cls(searched.order, searched.classes, searched.rights, searched.gens, seeds)
+        out = cls(searched.order, searched.classes, searched.rights, es, searched.gens, seeds)
         out._matrices = mats
         return out
 
@@ -366,13 +372,14 @@ def ideal_classes(order: Order) -> IdealClassSet:
         order.reduced_discriminant // order.alg.discriminant
     )
     classes = [order.lattice]
-    keys = [_class_key(order.lattice)]
-    # the pairs (0, j) and (j, j), counted to KEY_DEGREE (module docstring);
-    # I_0 = O is its own right order, and keys[0][1] its unit count
-    counts = {(0, 0): _key_counts(keys[0])}
+    # the pairs (0, j) and (j, j), counted to KEY_DEGREE (module docstring):
+    # counts[0, j] is the key of classes[j], and counts[j, j][1] the unit
+    # count of rights[j]; I_0 = O is its own right order
+    counts = {(0, 0): _class_key(order.lattice)}
     gens = [_left_generators(order, order.lattice)]
-    rights = [Order(order.lattice, keys[0][1])]
-    num, den = _unit_mass([rights[0].unit_count])
+    rights = [order]
+    unit_counts = [counts[0, 0].get(1, 0)]
+    num, den = _unit_mass(unit_counts)
     # (class, the class it was found as a neighbour of)
     frontier = [(0, None)]
     while 12 * num < twelfths * den and frontier:
@@ -382,7 +389,7 @@ def ideal_classes(order: Order) -> IdealClassSet:
             if J == back:
                 continue
             key = _class_key(J)
-            same = [i for i, k in enumerate(keys) if k == key]
+            same = [i for i in range(len(classes)) if counts[0, i] == key]
             if same:
                 conj_J = J.conjugate()
                 if any(
@@ -391,13 +398,13 @@ def ideal_classes(order: Order) -> IdealClassSet:
                     continue
             j = len(classes)
             classes.append(J)
-            keys.append(key)
             gens.append(_left_generators(order, J))
             right = right_order_lattice(J)
-            counts[0, j] = _key_counts(key)
+            counts[0, j] = key
             counts[j, j] = right.norm_counts(KEY_DEGREE)
-            rights.append(Order(right, counts[j, j].get(1, 0)))
-            num, den = _unit_mass([r.unit_count for r in rights])
+            rights.append(Order(right))
+            unit_counts.append(counts[j, j].get(1, 0))
+            num, den = _unit_mass(unit_counts)
             frontier.append((j, idx))
             if 12 * num >= twelfths * den:
                 break
@@ -406,7 +413,7 @@ def ideal_classes(order: Order) -> IdealClassSet:
             f"class search ended with mass {_ratio_text(num, den)}, "
             f"expected {_ratio_text(twelfths, 12)}"
         )
-    return IdealClassSet(order, classes, rights, gens, counts)
+    return IdealClassSet(order, classes, rights, unit_counts, gens, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -443,14 +450,6 @@ def _normalize_primitive(vec: Sequence[int]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # simultaneous rational eigenlines
 # ---------------------------------------------------------------------------
-
-
-class _Block:
-    __slots__ = ("rows", "eigs")
-
-    def __init__(self, rows: list[tuple[int, ...]], eigs: dict[int, int]):
-        self.rows = rows  # integer basis of the invariant subspace
-        self.eigs = eigs
 
 
 class Eigenform:
@@ -497,18 +496,20 @@ def _refine(class_set: IdealClassSet, signs: dict[int, int] | None) -> list[Eige
     """Rational simultaneous eigenlines by successive refinement under the
     degree-p matrices, unsorted.
 
-    A block is an integer basis `rows` of a subspace that the commuting
-    degree matrices keep.  At p it splits into the eigenspaces spanned by
-    the k rows with k in the integer left kernel of rows B(p) - lam rows,
-    that is with (k rows) B(p) = lam (k rows), one per integer lam.  What
-    lies outside them is discarded: no line there has a rational
-    eigenvalue at p.  With `signs`, the pinned primes are refined first
-    and only the eigenspace of the pinned eigenvalue is kept there.
+    A block is a list of integer rows, a basis of a subspace that the
+    commuting degree matrices keep.  At p it splits into the eigenspaces
+    spanned by the rows k block, for k in the integer left kernel of
+    block B(p) - lam block, that is with (k block) B(p) = lam (k block),
+    one per integer lam.  What lies outside them is discarded: no line
+    there has a rational eigenvalue at p.  With `signs`, the pinned primes
+    are refined first and only the eigenspace of the pinned eigenvalue is
+    kept there.  A finished line computes its eigenvalues from its vector,
+    at the primes it was refined at as at every other.
     """
     signs = signs or {}
     H = class_set.h
-    pending = [_Block([tuple(int(i == j) for j in range(H)) for i in range(H)], {})]
-    finished: list[_Block] = []
+    pending = [[tuple(int(i == j) for j in range(H)) for i in range(H)]]
+    finished: list[list[tuple[int, ...]]] = []
 
     default_order = sorted(
         set(prime_factors(class_set.level))
@@ -530,29 +531,20 @@ def _refine(class_set: IdealClassSet, signs: dict[int, int] | None) -> list[Eige
             # and B is non-negative, so it is bounded by its largest row sum
             bound = max(sum(row) for row in B)
             roots = range(-bound, bound + 1)
-        next_pending: list[_Block] = []
+        next_pending = []
         for block in pending:
-            T = _product(block.rows, B)
+            T = _product(block, B)
             for lam in roots:
                 shifted = [
-                    [t - lam * x for t, x in zip(trow, row)]
-                    for trow, row in zip(T, block.rows)
+                    [t - lam * x for t, x in zip(trow, row)] for trow, row in zip(T, block)
                 ]
                 kernel = _left_kernel(shifted)
-                if not kernel:
-                    continue
-                rows = [combine(block.rows, k) for k in kernel]
-                child = _Block(rows, dict(block.eigs) | {p: lam})
-                if len(rows) == 1:
-                    finished.append(child)
-                else:
-                    next_pending.append(child)
+                if kernel:
+                    child = [combine(block, k) for k in kernel]
+                    (finished if len(child) == 1 else next_pending).append(child)
         pending = next_pending
 
-    lines = [
-        Eigenform(class_set, _normalize_primitive(block.rows[0]), block.eigs)
-        for block in finished
-    ]
+    lines = [Eigenform(class_set, _normalize_primitive(block[0])) for block in finished]
     # a line finished before every pinned prime was reached is checked there
     return [f for f in lines if all(f.eigenvalue(p) == s for p, s in signs.items())]
 

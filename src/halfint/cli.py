@@ -175,9 +175,10 @@ def _file_int(value) -> int:
 
 
 def ingest_newform(path: str) -> dict[int, int]:
-    """Parse a "p b_p" two-column text file or a JSON map of the same."""
+    """Parse a "p b_p" two-column text file or a JSON map of the same,
+    UTF-8 with or without a byte-order mark."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise NewformFileError(f"cannot read {path}: {exc}") from exc
     stripped = text.strip()

@@ -542,17 +542,16 @@ def right_order_lattice(lat: Lattice4) -> Lattice4:
 # ---------------------------------------------------------------------------
 
 
-class Order:
-    """An order (unital subring that is a full lattice), with cached
-    unit count and discriminant."""
+class Order(Value):
+    """An order (unital subring that is a full lattice).  Immutable, equal
+    by its lattice and hashable."""
 
-    def __init__(self, lattice: Lattice4, unit_count: int | None = None):
-        """`unit_count`, when the caller has already counted the lattice's
-        norms, is its count at norm 1; otherwise it is counted on demand."""
+    __slots__ = ("lattice",)
+
+    def __init__(self, lattice: Lattice4):
         if not lattice.is_order():
             raise ValueError("lattice is not an order")
-        self.lattice = lattice
-        self._units = unit_count
+        object.__setattr__(self, "lattice", lattice)
 
     @property
     def alg(self) -> QuaternionAlgebra:
@@ -565,18 +564,7 @@ class Order:
     @property
     def unit_count(self) -> int:
         """Number of elements of reduced norm 1 (both signs counted)."""
-        if self._units is None:
-            self._units = self.lattice.norm_counts(1).get(1, 0)
-        return self._units
-
-    def __eq__(self, other):
-        return isinstance(other, Order) and self.lattice == other.lattice
-
-    def __hash__(self):
-        return hash(self.lattice)
-
-    def __repr__(self):
-        return f"Order({self.lattice.rows}, den={self.lattice.den})"
+        return self.lattice.norm_counts(1).get(1, 0)
 
 
 def _close_to_order(L: Lattice4) -> Lattice4 | None:

@@ -18,6 +18,7 @@ which `LiftProfile.involution_sign` alone computes.
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 
 from .errors import MissingEigenvalueError, PrecisionError
 from .numth import (
@@ -49,8 +50,9 @@ class LiftProfile(Value):
     sign w_p = -b_p (`involution_sign`), and these signs multiply to -1.
     `bad`, the primes dividing the level in increasing order, is derived
     once here.  The weight is fixed at 3/2 for the whole pipeline.
-    Immutable and equal by (level, eigen, bad); unhashable, since `eigen`
-    is a dict.
+    Immutable, `eigen` being a read-only view of a private copy of the
+    caller's dict, and equal by (level, eigen, bad); unhashable, since
+    `eigen` is a mapping.
     """
 
     __slots__ = ("level", "eigen", "bad")
@@ -62,7 +64,7 @@ class LiftProfile(Value):
         if 2 not in eigen:
             raise ValueError("no eigenvalue stored at 2")
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "eigen", eigen)
+        object.__setattr__(self, "eigen", MappingProxyType(dict(eigen)))
         object.__setattr__(self, "bad", tuple(prime_factors(level)))
         for p in self.bad:
             if eigen.get(p) not in (1, -1):

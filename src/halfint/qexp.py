@@ -11,12 +11,15 @@ an int (a Fraction, a float, a "num/den" string) is rejected.
 from __future__ import annotations
 
 import operator
+from types import MappingProxyType
 
 from .errors import PrecisionError
 from .value import Value
 
 
-def _normalize(coeffs) -> dict[int, int]:
+def _normalize(coeffs) -> MappingProxyType:
+    """A read-only view of a private copy: the nonzero coefficients as
+    int -> int, n ascending."""
     out = {}
     for n, c in coeffs.items():
         n = int(n)
@@ -25,7 +28,7 @@ def _normalize(coeffs) -> dict[int, int]:
         c = operator.index(c)
         if c:
             out[n] = c
-    return dict(sorted(out.items()))
+    return MappingProxyType(dict(sorted(out.items())))
 
 
 class QExpansion(Value):
@@ -33,8 +36,9 @@ class QExpansion(Value):
 
     `kohnen` marks a series claimed to live in the plus subspace for
     weight 3/2, where coefficients may only sit at n ≡ 0, 3 mod 4; the
-    claim is validated on construction.  Immutable and equal by
-    (prec, coeffs, kohnen); unhashable, since `coeffs` is a dict.
+    claim is validated on construction.  Immutable, `coeffs` being a
+    read-only view of a private dict, and equal by (prec, coeffs, kohnen);
+    unhashable, since `coeffs` is a mapping.
     """
 
     __slots__ = ("prec", "coeffs", "kohnen")

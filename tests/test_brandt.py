@@ -261,7 +261,9 @@ def test_height_symmetry(level15, level33):
 def test_one_pass_counts_match_per_degree_recounts(level33, monkeypatch):
     # a planned class set counts each unordered pair once, up to the planned
     # degree, and its matrices agree with recounting every ordered pair
-    C = IdealClassSet(level33.order, level33.classes, level33.rights, level33.gens)
+    C = IdealClassSet(
+        level33.order, level33.classes, level33.rights, level33.unit_counts, level33.gens
+    )
     assert C.h >= 3
     passes = []
     original = Lattice4.norm_counts
@@ -299,6 +301,17 @@ def test_reused_pair_counts_match_built_pair_lattices(level):
                 P = _pair_lattice(conj_j, C.classes[i], C.gens[i])
                 want = list(P.norm_counts(13).items())
                 assert list(C._counts[i, j].items()) == want, (ramified, i, j)
+
+
+@pytest.mark.parametrize("level", [15, 35, 37, 67, 105])
+def test_class_set_holds_the_searched_order_and_unit_counts(level):
+    # the Eichler order is the first right order itself, and each unit count
+    # read from the search's (j, j) count is the right order's own count
+    for ramified in _odd_subsets(prime_factors(level)):
+        order = eichler_order(algebra_ramified_at(list(ramified)), level)
+        C = ideal_classes(order)
+        assert C.rights[0] is order
+        assert C.unit_counts == [right.unit_count for right in C.rights], ramified
 
 
 def test_brandt_rejects_bad_degree(level15):
@@ -464,7 +477,7 @@ def test_state_roundtrip_with_equal_keys(level):
     # tests that must all come out false, and a fresh search must find the
     # stored classes again in the same order
     C = ideal_classes(eichler_order(algebra_ramified_at([level]), level))
-    assert len(set(map(_class_key, C.classes))) < C.h
+    assert len({tuple(_class_key(I).items()) for I in C.classes}) < C.h
     C.brandt(2)
     C2 = IdealClassSet.from_state(ideal_classes(C.order), C.to_state())
     assert C2.classes == C.classes

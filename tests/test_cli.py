@@ -295,6 +295,25 @@ def test_main_newform_file_not_utf8_exit_3(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_ingest_accepts_a_byte_order_mark(tmp_path, capsys):
+    # editors that write a UTF-8 byte-order mark give the same run as without
+    argv = ["basis", "--level", "15", "--prec", "20", "--newform-file"]
+    runs = []
+    for name, text in (("nf.txt", "2 -1\n"), ("nf.json", '{"2": -1}')):
+        for mark in ("", "\ufeff"):
+            nf = tmp_path / f"{len(mark)}{name}"
+            nf.write_text(mark + text, encoding="utf-8")
+            assert ingest_newform(str(nf)) == {2: -1}
+            assert main(argv + [str(nf)]) == 0
+            runs.append(capsys.readouterr())
+    assert all(run == runs[0] for run in runs) and runs[0].err == ""
+    # bytes after the mark that are not UTF-8 are still refused
+    nf = tmp_path / "bad.txt"
+    nf.write_bytes(b"\xef\xbb\xbf2 \xff\n")
+    assert main(argv + [str(nf)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot read {nf}: ")
+
+
 def test_ingest_conflicting_duplicate(tmp_path, capsys):
     # a prime given two values is refused in either format; JSON keys are
     # read in file order, so the decoder does not merge them first
@@ -571,19 +590,20 @@ def test_cache_cold_and_warm_byte_identical(tmp_path, capsys):
 
 def test_cold_run_counts_each_class_set_once(tmp_path, monkeypatch, capsys):
     # the refinement plans the pinned primes and ORDER_PRIMES together, so
-    # one counting pass serves every degree a cold basis run asks for
+    # one counting pass serves every degree a cold basis run asks for; the
+    # class sets are held, so no two of them can share an id
     passes = []
     original = IdealClassSet._count
 
     def counted(self, nmax):
-        passes.append(id(self))
+        passes.append(self)
         return original(self, nmax)
 
     monkeypatch.setattr(IdealClassSet, "_count", counted)
     argv = ["basis", "--level", "105", "--prec", "100", "--cache-dir", str(tmp_path)]
     assert main(argv) == 0
     capsys.readouterr()
-    assert len(passes) == len(set(passes)) == len(_odd_subsets(prime_factors(105)))
+    assert len(passes) == len(set(map(id, passes))) == len(_odd_subsets(prime_factors(105)))
 
 
 def test_cold_run_counts_each_lattice_once(tmp_path, monkeypatch, capsys):
@@ -820,11 +840,29 @@ def _non_permutation_b37(state):
         row[i] += 1
 
 
+def _identity_at(state, q):
+    # at a prime dividing the level there is no row-sum check, and the
+    # identity is a weighted-symmetric permutation commuting with every
+    # degree; only the searched counts of row 0 and the diagonal catch it
+    h = len(state["unit_counts"])
+    state["brandt"][str(q)] = [[int(i == j) for j in range(h)] for i in range(h)]
+
+
+def _identity_b3(state):
+    _identity_at(state, 3)
+
+
+def _identity_b5(state):
+    _identity_at(state, 5)
+
+
 @pytest.mark.parametrize(
     "level, name, tamper",
     [
         (67, "brandt_a1_b67_N67.json", _non_commuting_b2),
         (37, "brandt_a2_b37_N37.json", _non_permutation_b37),
+        (57, "brandt_a1_b3_N57.json", _identity_b3),
+        (105, "brandt_a2_b5_N105.json", _identity_b5),
     ],
 )
 def test_tampered_cache_matrices_are_recomputed(tmp_path, capsys, level, name, tamper):

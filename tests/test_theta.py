@@ -78,12 +78,17 @@ def test_value_semantics(level15):
     assert profile == LiftProfile(15, {2: 0, 3: -1, 5: 1})
     assert profile != LiftProfile(15, {2: 1, 3: -1, 5: 1})
     series = QExpansion(4, {3: 1})
+    # an order is equal and hashes by its lattice alone
+    order = level15.rights[1]
+    assert Order(order.lattice) == order and hash(order) == hash(order.lattice)
+    assert order != level15.rights[0] and order != order.lattice
     frozen = [
         (alg, "a"),
         (counted, "rows"),
         (R, "den"),
         (series, "coeffs"),
         (profile, "eigen"),
+        (order, "lattice"),
     ]
     for obj, name in frozen:
         cls = type(obj).__name__
@@ -97,12 +102,24 @@ def test_value_semantics(level15):
         assert type(obj).__hash__ is None
         with pytest.raises(TypeError, match="unhashable"):
             hash(obj)
+    # and the dict is a read-only copy: no write reaches a validated series,
+    # and no later write to the caller's dict reaches a profile
+    plus = QExpansion(10, {3: 1}, kohnen=True)
+    with pytest.raises(TypeError):
+        plus.coeffs[1] = 5
+    assert plus.coeffs == {3: 1}
+    eigen = {2: 0, 3: -1, 5: 1}
+    profile = LiftProfile(15, eigen)
+    eigen[3] = 7
+    assert profile.eigenvalue(3) == -1
+    with pytest.raises(TypeError):
+        profile.eigen[3] = 7
 
 
 def test_value_dunders_are_written_once():
     # the immutable classes derive from value.Value, the one place that
     # defines assignment, deletion, equality and hashing; only the two
-    # holding a dict opt out of hashing
+    # holding a dict opt out of hashing, and Order keeps no repr of its own
     src = Path(theta_module.__file__).parent
     dunders = {"__setattr__", "__delattr__", "__eq__", "__hash__"}
 
@@ -126,10 +143,12 @@ def test_value_dunders_are_written_once():
         ("theta.py", "TernaryLattice"),
         ("qexp.py", "QExpansion"),
         ("lift.py", "LiftProfile"),
+        ("lattice.py", "Order"),
     ):
         unhashable = class_name in ("QExpansion", "LiftProfile")
         expected = {"__hash__": "None"} if unhashable else {}
         assert defined(path, class_name) == (["Value"], expected), class_name
+    assert "__repr__" not in vars(Order)
 
 
 def test_gram_determinant_shape(level15, level11):
