@@ -274,8 +274,8 @@ class IdealClassSet:
 
     @classmethod
     def from_state(cls, searched: "IdealClassSet", state: dict) -> "IdealClassSet":
-        """The class set `searched` (from `ideal_classes`) with the degree
-        matrices of `to_state` output attached, checked first.
+        """`searched` itself (from `ideal_classes`), with the degree matrices
+        of `to_state` output attached once they pass every check.
 
         Raises ValueError when the stored classes or unit counts are not
         those of `searched`, when a stored matrix breaks an invariant of
@@ -283,7 +283,8 @@ class IdealClassSet:
         degree up to KEY_DEGREE has a row 0 or a diagonal other than the
         counts the search made (module docstring) or when two stored
         matrices do not commute.  The stored classes are only compared,
-        never built into lattices; `searched` is left untouched.
+        never built into lattices, and a failed load leaves `searched` as
+        it was.
         """
         expected = searched.to_state()
         if (
@@ -295,14 +296,13 @@ class IdealClassSet:
         stored = state.get("brandt", {})
         if not isinstance(stored, dict):
             raise ValueError("cached degree matrices are not a JSON object")
-        seeds = {pair: searched._counts[pair] for pair in searched._seeded}
         mats = {}
         for n, mat in stored.items():
             n = int(n)
             _check_degree_matrix(n, mat, es, searched.level, ramified)
             # up to KEY_DEGREE, row 0 and the diagonal are the search's counts
             if n <= KEY_DEGREE and any(
-                mat[i][j] * es[j] != seeds[i, j].get(n, 0)
+                mat[i][j] * es[j] != searched._counts[i, j].get(n, 0)
                 for j in range(len(es))
                 for i in (0, j)
             ):
@@ -315,9 +315,8 @@ class IdealClassSet:
             for m, n in itertools.combinations(mats, 2)
         ):
             raise ValueError("cached degree matrices do not commute")
-        out = cls(searched.order, searched.classes, searched.rights, es, searched.gens, seeds)
-        out._matrices = mats
-        return out
+        searched._matrices = mats
+        return searched
 
 
 def _check_degree_matrix(

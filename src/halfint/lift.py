@@ -4,10 +4,10 @@ it reads.
 The quotient of a half-integral coefficient by the corresponding theta
 coefficient factors as a product of local terms, one per prime.  This
 module assembles the second basis vector h from g exactly, in integers,
-through a three-tier recursion (square-free indices, square parts
-supported at 2 and the bad primes, then degree-p² Hecke extensions at
-the remaining primes).  The floating-complex evaluation of the same
-local terms, a diagnostic for small tables, is `halfint.localfactors`.
+by one recursion that peels the largest odd prime off the square part
+of each index, down to a square part 2^s that the power sums at 2
+handle.  The floating-complex evaluation of the same local terms, a
+diagnostic for small tables, is `halfint.localfactors`.
 
 Both read one number per prime from a `LiftProfile`: the eigenvalue b_p
 of the degree-p matrix on the eigenline.  At a prime dividing the level
@@ -108,12 +108,17 @@ def kronecker_gate(profile: LiftProfile, t: int) -> bool:
 def assemble_h(g: QExpansion, profile: LiftProfile, prec: int) -> QExpansion:
     """Exact companion form h = √2(f₁ + f₂), built from g's coefficients.
 
-    Indices are handled in three tiers: square-free n directly from g;
-    square parts supported at 2 and the bad primes through the integer
-    power sums T_s; remaining square parts through the degree-p² Hecke
-    recursion at the largest good prime.  Indices failing the gate
-    vanish.  Every tier multiplies coefficients of g, or of h at smaller
-    indices, by integers, so h is integral because g is.
+    Write each index as n = core·y² with core square-free; indices whose
+    core fails the gate vanish.  When y = 2^s (s = 0 included), h_n is
+    g_core·(T_{s+1} − (2, core)₂·T_s) for core ≡ 3 mod 4 and T_s·g_{4·core}
+    otherwise, with the power sums T_s of b₂.  Otherwise let p be the
+    largest odd prime of y and m = n/p²: h_n = b_p·h_m when p divides the
+    level, and the degree-p² Hecke step h_m·(b_p − (−m|p)) − p·h_{n/p⁴}
+    when it does not.  Each step multiplies coefficients of g,
+    or of h at smaller indices, by integers, so h is integral because g
+    is.  The result is a product of one factor per prime of y, each read
+    from core and that prime's exponent alone, so the peeling order does
+    not change it.
     """
     if g.prec < 4 * prec:
         raise PrecisionError(
@@ -126,34 +131,19 @@ def assemble_h(g: QExpansion, profile: LiftProfile, prec: int) -> QExpansion:
         core, y = squarefree_split(n)
         if not kronecker_gate(profile, core):
             continue
-        if y == 1:
-            if n % 4 == 3:
-                value = g[n] * (b2 - 2 * hilbert(2, n, 2))
+        support = factorize(y)
+        p = max(support, default=2)
+        if p == 2:
+            s = support.get(2, 0)
+            if core % 4 == 3:
+                value = g[core] * (ts[s + 1] - hilbert(2, core, 2) * ts[s])
             else:
-                value = 2 * g[4 * n]
+                value = ts[s] * g[4 * core]  # T_0 = 2: h_core = 2·g[4·core]
         else:
-            square_support = factorize(y)
-            good = [p for p in square_support if p != 2 and p not in profile.bad]
-            if not good:
-                s = square_support.get(2, 0)
-                bad_scale = 1
-                for p, e in square_support.items():
-                    if p in profile.bad:
-                        bad_scale *= profile.eigenvalue(p) ** e
-                if core % 4 == 3:
-                    value = (
-                        g[core]
-                        * (ts[s + 1] - hilbert(2, core, 2) * ts[s])
-                        * bad_scale
-                    )
-                else:
-                    # core is square-free and passes the same gate, so
-                    # it was stored at tier one as 2·g[4·core]; half of
-                    # that times T_s is exact
-                    value = ts[s] * g[4 * core] * bad_scale
+            m = n // (p * p)
+            if p in profile.bad:
+                value = profile.eigenvalue(p) * coeffs.get(m, 0)
             else:
-                p = max(good)
-                m = n // (p * p)
                 value = coeffs.get(m, 0) * (profile.eigenvalue(p) - kronecker(-m, p))
                 if n % p**4 == 0:
                     value -= p * coeffs.get(n // p**4, 0)

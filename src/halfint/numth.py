@@ -127,23 +127,12 @@ def fundamental_discriminant(t: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division (desk-scale inputs).
+    """Deterministic primality by `factorize`'s trial division.
     Raises ValueError if n exceeds TRIAL_BOUND, the bound `factorize`
     keeps, rather than dividing for minutes."""
     if n > TRIAL_BOUND:
         raise ValueError(f"{n} exceeds the trial-division bound {TRIAL_BOUND}")
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    d = 5
-    while d * d <= n:
-        if n % d == 0 or n % (d + 2) == 0:
-            return False
-        d += 6
-    return True
+    return n > 1 and factorize(n) == {n: 1}
 
 
 def primes() -> Iterator[int]:

@@ -74,8 +74,7 @@ class QuaternionAlgebra(Value):
 
     def nrd(self, x: Quat) -> int:
         """Reduced norm x * conj(x)."""
-        a, b = self.a, self.b
-        return x[0] ** 2 + a * x[1] ** 2 + b * x[2] ** 2 + a * b * x[3] ** 2
+        return self.pair(x, x)
 
     def pair(self, x: Quat, y: Quat) -> int:
         """Polarization of the norm form: trd(x * conj(y)) / 2."""

@@ -302,7 +302,7 @@ def lift_cases(draw):
     """A random integer g deep enough for the drawn precision, and a valid
     profile: odd square-free level, sign eigenvalues b_p there whose
     involution signs -b_p multiply to -1, an eigenvalue at 2, and
-    eigenvalues at every odd good prime the Hecke tier may reach."""
+    eigenvalues at every odd good prime the Hecke step may reach."""
     odd_primes = st.sampled_from([3, 5, 7, 11, 13])
     primes = draw(st.lists(odd_primes, min_size=1, max_size=3, unique=True))
     level = math.prod(primes)
@@ -329,9 +329,20 @@ def test_h_halving_exact_for_every_integer_g(case):
     assert assemble_h(g, profile, prec).coeffs == oracles.assemble_h_ref(g, profile, prec)
 
 
+def test_h_level_prime_above_good_prime_matches_reference():
+    # a dense g and square parts 15 and 21, where a level prime (5, 7)
+    # sits above the good prime 3: the recursion peels the level prime
+    # first, the reference takes the Hecke step at 3 first
+    profile = LiftProfile(35, {2: -1, 3: 2, 5: -1, 7: 1, 11: -4, 13: 2, 17: -2, 19: 0})
+    g = QExpansion(2000, {n: 7919 * n % 23 - 11 for n in range(1, 2001)})
+    h = assemble_h(g, profile, 500)
+    assert h.coeffs == oracles.assemble_h_ref(g, profile, 500)
+    assert (h[225], h[441]) == (36, -36)
+
+
 def test_h_examples_by_hand():
     h = assemble_h(LEVEL15_G, LEVEL15_PROFILE, 25)
-    # square part 4, core 3 mod 4: power-sum tier
+    # square part 4, core 3 mod 4: power-sum branch
     assert h[12] == LEVEL15_G[3] * (-3 - 1) == -4
     # square-free index 17 reads the theta coefficient at 68, which vanishes
     assert h[17] == 2 * LEVEL15_G[68] == 0
