@@ -6,9 +6,9 @@ entries above each pivot, and den is the common denominator after
 removing content.  Canonical form makes equality, hashing and caching
 trivial.  Every lattice is built by `Lattice4.from_int_rows` (Hermite
 form, then the content divided out), and every operation works on
-integer rows: products multiply rows over den_x * den_y, sums and
-intersections bring both lattices to one denominator, and the right
-order of an invertible lattice is the one product conj(L) L / nrd(L).
+integer rows: products multiply rows over den_x * den_y, sums bring
+both lattices to one denominator, and the right order of an invertible
+lattice is the one product conj(L) L / nrd(L).
 A lattice is integer rows over a denominator and nothing else: an
 element is tested as an integer row over a denominator (`coordinates`),
 a rational invariant is an integer pair (the determinant `_det_ratio`
@@ -440,30 +440,12 @@ class Lattice4(Value):
 
     # -- lattice operations --------------------------------------------------
 
-    def _common_rows(self, other: "Lattice4"):
-        """(den, A, B): both lattices' rows over one common denominator."""
+    def add(self, other: "Lattice4") -> "Lattice4":
         if self.alg != other.alg:
             raise ValueError("lattices live in different algebras")
         den = lcm(self.den, other.den)
-        return (
-            den,
-            [[x * (den // self.den) for x in row] for row in self.rows],
-            [[x * (den // other.den) for x in row] for row in other.rows],
-        )
-
-    def add(self, other: "Lattice4") -> "Lattice4":
-        den, A, B = self._common_rows(other)
-        return Lattice4.from_int_rows(self.alg, den, A + B)
-
-    def intersect(self, other: "Lattice4") -> "Lattice4":
-        # rows (uA + vB | uA) with uA + vB = 0 are exactly the (0 | w) with
-        # w in both lattices, and an echelon basis spans those by its rows
-        # whose first half is zero
-        den, A, B = self._common_rows(other)
-        echelon = hnf_rows([a + a for a in A] + [b + [0, 0, 0, 0] for b in B])
-        return Lattice4.from_int_rows(
-            self.alg, den, [row[4:] for row in echelon if not any(row[:4])]
-        )
+        rows = [[x * (den // L.den) for x in row] for L in (self, other) for row in L.rows]
+        return Lattice4.from_int_rows(self.alg, den, rows)
 
     def product(self, other: "Lattice4") -> "Lattice4":
         """Lattice generated by all pairwise products."""
@@ -642,10 +624,11 @@ def maximal_order(alg: QuaternionAlgebra) -> Order:
 def _neighbors(ideal: Lattice4, right: Order, p: int = NEIGHBOR_PRIME) -> Iterator[Lattice4]:
     """Distinct index-p^2 subideals I x + p I over rank-one residues x of
     the right order mod p (the p+1 neighbors in the Brandt graph), for p
-    prime to the reduced discriminant of the right order."""
+    prime to the reduced discriminant of the right order.  That order is
+    M_2(Z_p) at p, so every nonzero residue of norm 0 mod p has rank one
+    and gives a subideal of index exactly p^2."""
     alg = ideal.alg
     rden, rrows = right.lattice.den, right.lattice.rows
-    I_num, I_den = ideal._det_ratio()
     seen = set()
     # p is prime to the level, so the scan stops after the p+1 neighbours
     for coeffs in itertools.product(range(p), repeat=4):
@@ -660,10 +643,6 @@ def _neighbors(ideal: Lattice4, right: Order, p: int = NEIGHBOR_PRIME) -> Iterat
             [alg.mul(row, x) for row in ideal.rows]
             + [[p * rden * t for t in row] for row in ideal.rows],
         )
-        # [I : J] = det(J) / det(I) is p^2 unless x vanished mod p against I
-        J_num, J_den = J._det_ratio()
-        if J_num * I_den != p * p * I_num * J_den:
-            continue
         key = (J.den, J.rows)
         if key in seen:
             continue
@@ -675,8 +654,11 @@ def _neighbors(ideal: Lattice4, right: Order, p: int = NEIGHBOR_PRIME) -> Iterat
 
 def eichler_order(alg: QuaternionAlgebra, level: int) -> Order:
     """An order of reduced discriminant `level` inside a maximal order M:
-    M intersected with the right orders of the first neighbour of M at
-    each prime of the cofactor.
+    Z + c M + sum_p (c/p) J_p over the primes p of the cofactor c, with
+    J_p the first neighbour of M at p.  That is M cap O_R(J_p) over all p:
+    Z + J_p is a ring (J_p J_p lies in M J_p = J_p) of index p in M inside
+    M cap O_R(J_p), which also has index p, and at each p the sum is
+    Z + J_p while at every other prime it is M.
 
     level must be a multiple of the algebra discriminant with squarefree
     cofactor prime to it.
@@ -688,13 +670,13 @@ def eichler_order(alg: QuaternionAlgebra, level: int) -> Order:
     if gcd(cofactor, D) != 1:
         raise ValueError(f"level {level} is not squarefree relative to {D}")
     M = maximal_order(alg)
-    lat = M.lattice
+    lat = M.lattice.scale(cofactor)
     for p in prime_factors(cofactor):
         J = next(_neighbors(M.lattice, M, p), None)
         if J is None:
             raise MaximalOrderNotFoundError(f"no index-{p}^2 ideal found")
-        lat = lat.intersect(right_order_lattice(J))
-    order = Order(lat)
+        lat = lat.add(J.scale(cofactor // p))
+    order = Order(Lattice4.from_int_rows(alg, lat.den, lat.rows + ((lat.den, 0, 0, 0),)))
     if order.reduced_discriminant != level:
         raise MaximalOrderNotFoundError(
             f"order has discriminant {order.reduced_discriminant}, wanted {level}"

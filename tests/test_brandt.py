@@ -28,7 +28,7 @@ from halfint.brandt import (
 )
 from halfint.cli import _odd_subsets
 from halfint.errors import IrrationalEigenspaceError, MissingEigenvalueError
-from halfint.lattice import Lattice4, eichler_order
+from halfint.lattice import Lattice4, eichler_order, maximal_order
 from halfint.numth import prime_factors
 from halfint.quat import QuaternionAlgebra, algebra_ramified_at
 from oracles import basis, contains_lattice, from_vectors, qelt
@@ -93,6 +93,10 @@ def test_neighbors_structure(level15):
     for J in neigh:
         assert oracles.index_ref(C.classes[0], J) == 4
         assert contains_lattice(C.order.lattice, J)
+    # eichler_order takes the neighbours of a maximal order at odd p
+    M = maximal_order(algebra_ramified_at([11]))
+    for p in (3, 5, 7):
+        assert list(_neighbors(M.lattice, M, p)) == oracles.neighbors_ref(M.lattice, M, p)
 
 
 def test_equivalence_relation(level15):

