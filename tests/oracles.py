@@ -5,9 +5,9 @@ than the library (exhaustive searches, floating point, point counting,
 rational rather than integer elimination), so agreement between the two
 is evidence rather than tautology.  The exceptions are routines the
 library replaced by faster code with the same output (`hnf_rows_ref`,
-`lll_gram_ref`, `bareiss_ref`, `eichler_order_ref`): they pin the
-replacement to what it replaced.  The small helpers after them (`xgcd`,
-`hilbert_real`, `qadd`, `contains_lattice`) serve only the tests.
+`lll_gram_ref`, `bareiss_ref`): they pin the replacement to what it
+replaced.  The small helpers after them (`xgcd`, `hilbert_real`, `qadd`,
+`contains_lattice`) serve only the tests.
 """
 
 from __future__ import annotations
@@ -21,13 +21,7 @@ import itertools
 import numpy as np
 
 from halfint.errors import IntegralityError
-from halfint.lattice import (
-    Lattice4,
-    _neighbors,
-    combine,
-    maximal_order,
-    right_order_lattice,
-)
+from halfint.lattice import Lattice4, combine
 from halfint.lift import kronecker_gate, power_sums
 from halfint.numth import divisors, factorize, hilbert, kronecker, squarefree_split
 from halfint.quat import QuaternionAlgebra, _ramified, conj
@@ -521,17 +515,6 @@ def right_order_intersection_ref(lat):
         for r in lat.rows
     )
     return functools.reduce(intersect_ref, parts)
-
-
-def eichler_order_ref(alg, level):
-    """The lattice of the level-`level` Eichler order as the library built
-    it before `Z + J`: the maximal order M intersected with the right
-    order of the first neighbour of M at each prime of the cofactor."""
-    M = maximal_order(alg)
-    lat = M.lattice
-    for p in factorize(level // alg.discriminant):
-        lat = intersect_ref(lat, right_order_lattice(next(_neighbors(M.lattice, M, p))))
-    return lat
 
 
 def order_ref(lat, side):

@@ -604,14 +604,6 @@ def test_eichler_orders(signs, level, a_b):
     assert E.lattice.is_order()
 
 
-def test_eichler_order_is_the_intersection():
-    # Z + c M + sum (c/p) J_p is M cap O_R(J_p) over the primes p of c
-    for N in _odd_squarefree_levels(400):
-        for S in _odd_subsets(prime_factors(N)):
-            alg = algebra_ramified_at(list(S))
-            assert eichler_order(alg, N).lattice == oracles.eichler_order_ref(alg, N)
-
-
 def test_eichler_rejects_bad_level():
     with pytest.raises(ValueError):
         eichler_order(B25, 7)  # not a multiple of disc 5

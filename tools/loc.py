@@ -4,9 +4,7 @@ A code line is a non-blank line that is not a comment and does not lie
 in a module, class or function docstring; lines of any other string
 count.  Standard library only:
 
-    python3 tools/loc.py [DIR]
-
-DIR defaults to the package directory next to this script.
+    python3 tools/loc.py
 """
 
 from __future__ import annotations
@@ -55,10 +53,9 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else PACKAGE
+def main() -> int:
     total = 0
-    for path in sorted(root.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{path.name:16} {count:5}")
@@ -67,4 +64,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
