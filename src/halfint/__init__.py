@@ -37,6 +37,7 @@ from .qexp import QExpansion
 from .quat import Quat, QuaternionAlgebra, algebra_ramified_at
 from .theta import (
     TernaryLattice,
+    deep_coefficients,
     hecke_check,
     kohnen_form,
     ternary_theta,
@@ -72,6 +73,7 @@ __all__ = [
     "algebra_ramified_at",
     "assemble_h",
     "cuspidal_eigenlines",
+    "deep_coefficients",
     "eichler_order",
     "equivalent_ideals",
     "f1_f2_diagnostic",

@@ -3,7 +3,7 @@
 Every subcommand runs one pipeline, `_run`: check the signs a newform
 file pins, search the odd ramification subsets of the level for the
 admissible eigenlines (`eigenline_candidates`), filter them by the file,
-select one, build its profile, then run the subcommand's stage: {g, h}
+select one, build its profile, then run the subcommand's stage: {g, g4, h}
 for `basis` (the library's `kohnen_basis`), degree matrices for
 `brandt`, class theta series for `theta`, local products for
 `localfactors`.  The selected class set is then cached with every degree
@@ -41,8 +41,9 @@ from .errors import (
 from .lattice import Order, eichler_order
 from .lift import LiftProfile, assemble_h
 from .numth import TRIAL_BOUND, is_prime, is_squarefree, prime_factors, primes
+from .qexp import QExpansion
 from .quat import algebra_ramified_at
-from .theta import kohnen_form, ternary_theta, trace_zero_lattice
+from .theta import deep_coefficients, kohnen_form, ternary_theta, trace_zero_lattice
 
 if TYPE_CHECKING:
     import argparse
@@ -412,14 +413,27 @@ def _run(config: JobConfig, stage: Callable[[dict], dict], pmax: int = 0) -> dic
 
 
 def _basis_pair(run: dict, prec: int) -> dict:
+    """g, g4 and h through prec.  g is counted through prec, and g4 (its
+    coefficients at 4m, which h reads) through prec on the trace-zero
+    parts of the orders, both signed by g's leading coefficient.  When g
+    vanishes through prec, one count through 4·prec gives the sign, the
+    zero test and g4."""
     line = run["line"]
-    deep_g = kohnen_form(line, 4 * prec).sign_normalized()
-    if not deep_g:
-        raise ZeroFormError(
-            "the theta eigenform vanishes identically: the selected newform "
-            "has central L-value zero and carries no Kohnen lift"
-        )
-    return {"g": deep_g.truncate(prec), "h": assemble_h(deep_g, run["profile"], prec)}
+    g = kohnen_form(line, prec)
+    if g:
+        sign = 1 if g.leading()[1] > 0 else -1
+        g4 = deep_coefficients(line, prec).scale(sign)
+        g = g.scale(sign)
+    else:
+        deep_g = kohnen_form(line, 4 * prec).sign_normalized()
+        if not deep_g:
+            raise ZeroFormError(
+                "the theta eigenform vanishes identically: the selected newform "
+                "has central L-value zero and carries no Kohnen lift"
+            )
+        g = deep_g.truncate(prec)
+        g4 = QExpansion(prec, {n // 4: c for n, c in deep_g.coeffs.items() if n % 4 == 0})
+    return {"g": g, "g4": g4, "h": assemble_h(g, g4, run["profile"], prec)}
 
 
 def kohnen_basis(config: JobConfig) -> dict:

@@ -9,6 +9,13 @@ of each index, down to a square part 2^s that the power sums at 2
 handle.  The floating-complex evaluation of the same local terms, a
 diagnostic for small tables, is `halfint.localfactors`.
 
+h through q^prec reads g at the square-free cores t <= prec: g_t when
+t ≡ 3 mod 4, and g_{4t} otherwise.  The second comes from g4, the series
+m ↦ g_{4m} through the same precision (`theta.deep_coefficients`), so no
+series is needed past prec.  `assemble_h` visits each square-free core
+once, from a sieve: it runs the gate once per core and then walks the
+indices core·y² in increasing y, factoring only y, each y <= √prec once.
+
 Both read one number per prime from a `LiftProfile`: the eigenvalue b_p
 of the degree-p matrix on the eigenline.  At a prime dividing the level
 b_p is a sign, and the level involution there has sign w_p = -b_p,
@@ -28,7 +35,6 @@ from .numth import (
     is_squarefree,
     kronecker,
     prime_factors,
-    squarefree_split,
 )
 from .qexp import QExpansion
 from .value import Value
@@ -105,12 +111,13 @@ def kronecker_gate(profile: LiftProfile, t: int) -> bool:
     return True
 
 
-def assemble_h(g: QExpansion, profile: LiftProfile, prec: int) -> QExpansion:
+def assemble_h(g: QExpansion, g4: QExpansion, profile: LiftProfile, prec: int) -> QExpansion:
     """Exact companion form h = √2(f₁ + f₂), built from g's coefficients.
 
-    Write each index as n = core·y² with core square-free; indices whose
-    core fails the gate vanish.  When y = 2^s (s = 0 included), h_n is
-    g_core·(T_{s+1} − (2, core)₂·T_s) for core ≡ 3 mod 4 and T_s·g_{4·core}
+    `g4` holds g's coefficients at multiples of 4: g4_m = g_{4m}.  Write
+    each index as n = core·y² with core square-free; indices whose core
+    fails the gate vanish.  When y = 2^s (s = 0 included), h_n is
+    g_core·(T_{s+1} − (2, core)₂·T_s) for core ≡ 3 mod 4 and T_s·g4_core
     otherwise, with the power sums T_s of b₂.  Otherwise let p be the
     largest odd prime of y and m = n/p²: h_n = b_p·h_m when p divides the
     level, and the degree-p² Hecke step h_m·(b_p − (−m|p)) − p·h_{n/p⁴}
@@ -118,35 +125,43 @@ def assemble_h(g: QExpansion, profile: LiftProfile, prec: int) -> QExpansion:
     or of h at smaller indices, by integers, so h is integral because g
     is.  The result is a product of one factor per prime of y, each read
     from core and that prime's exponent alone, so the peeling order does
-    not change it.
+    not change it.  h_m and h_{n/p⁴} have the core of n and a smaller y,
+    so walking each core's indices in increasing y meets them first.
     """
-    if g.prec < 4 * prec:
-        raise PrecisionError(
-            f"need theta coefficients through {4 * prec}, have {g.prec}"
-        )
+    for series in (g, g4):
+        if series.prec < prec:
+            raise PrecisionError(
+                f"need theta coefficients through {prec}, have {series.prec}"
+            )
     b2 = profile.eigenvalue(2)
     ts = power_sums(b2, prec.bit_length() // 2 + 2)
+    root = math.isqrt(prec)
+    # largest[y]: the largest prime of y, and 2 when y is a power of 2
+    largest = [2] + [max(factorize(y), default=2) for y in range(1, root + 1)]
+    squarefree = bytearray([1]) * (prec + 1)
+    for d in range(2, root + 1):
+        squarefree[d * d :: d * d] = bytes(prec // (d * d))
     coeffs: dict[int, int] = {}
-    for n in range(1, prec + 1):
-        core, y = squarefree_split(n)
-        if not kronecker_gate(profile, core):
+    for core in range(1, prec + 1):
+        if not squarefree[core] or not kronecker_gate(profile, core):
             continue
-        support = factorize(y)
-        p = max(support, default=2)
-        if p == 2:
-            s = support.get(2, 0)
-            if core % 4 == 3:
-                value = g[core] * (ts[s + 1] - hilbert(2, core, 2) * ts[s])
+        at_core = core % 4 == 3  # h reads g at the core, else g4 there
+        base = g[core] if at_core else g4[core]  # T_0 = 2: h_core = 2·g4_core
+        eps = hilbert(2, core, 2) if at_core else 0
+        for y in range(1, math.isqrt(prec // core) + 1):
+            n = core * y * y
+            p = largest[y]
+            if p == 2:
+                s = y.bit_length() - 1
+                value = base * (ts[s + 1] - eps * ts[s]) if at_core else ts[s] * base
             else:
-                value = ts[s] * g[4 * core]  # T_0 = 2: h_core = 2·g[4·core]
-        else:
-            m = n // (p * p)
-            if p in profile.bad:
-                value = profile.eigenvalue(p) * coeffs.get(m, 0)
-            else:
-                value = coeffs.get(m, 0) * (profile.eigenvalue(p) - kronecker(-m, p))
-                if n % p**4 == 0:
-                    value -= p * coeffs.get(n // p**4, 0)
-        if value:
-            coeffs[n] = value
+                m = n // (p * p)
+                if p in profile.bad:
+                    value = profile.eigenvalue(p) * coeffs.get(m, 0)
+                else:
+                    value = coeffs.get(m, 0) * (profile.eigenvalue(p) - kronecker(-m, p))
+                    if n % p**4 == 0:
+                        value -= p * coeffs.get(n // p**4, 0)
+            if value:
+                coeffs[n] = value
     return QExpansion(prec, coeffs)

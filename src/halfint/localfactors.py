@@ -146,35 +146,35 @@ def local_K(profile: LiftProfile, which: str, n: int) -> complex:
     return value
 
 
-def global_factor(profile: LiftProfile, g: QExpansion, t: int) -> float:
+def global_factor(profile: LiftProfile, g: QExpansion, g4: QExpansion, t: int) -> float:
     """A-value at a square-free index passing the gate, normalized r = 1.
 
-    Reads the theta-side coefficient at |Δ_{−t}| and multiplies by the
+    Reads the theta-side coefficient at |Δ_{−t}|: g_t when Δ_{−t} = −t,
+    and g4_t = g_{4t} when Δ_{−t} = −4t.  It multiplies that by the
     discriminant and dyadic normalizations.
     """
     if not kronecker_gate(profile, t):
         raise ValueError(f"local sign condition fails at {t}")
     disc = fundamental_discriminant(t)
     uncovered = sum(1 for p in profile.bad if disc % p != 0)
-    return (
-        2.0 ** (-uncovered / 2)
-        * abs(disc) ** (-0.25)
-        * float(g[abs(disc)])
-    )
+    coefficient = g[t] if disc == -t else g4[t]
+    return 2.0 ** (-uncovered / 2) * abs(disc) ** (-0.25) * float(coefficient)
 
 
 def f1_f2_diagnostic(
-    g: QExpansion, profile: LiftProfile, prec: int
+    g: QExpansion, g4: QExpansion, profile: LiftProfile, prec: int
 ) -> tuple[dict[int, complex], dict[int, complex]]:
     """Floating coefficients of the two-element basis, normalized r = 1.
 
+    `g4` holds g's coefficients at multiples of 4, as for `assemble_h`.
     Every index whose square-free part fails the gate gets 0; the rest
     combine the global factor with the local products.
     """
-    if g.prec < 4 * prec:
-        raise PrecisionError(
-            f"need theta coefficients through {4 * prec}, have {g.prec}"
-        )
+    for series in (g, g4):
+        if series.prec < prec:
+            raise PrecisionError(
+                f"need theta coefficients through {prec}, have {series.prec}"
+            )
     f1: dict[int, complex] = {}
     f2: dict[int, complex] = {}
     for n in range(1, prec + 1):
@@ -182,7 +182,7 @@ def f1_f2_diagnostic(
         if not kronecker_gate(profile, core):
             f1[n] = f2[n] = 0j
             continue
-        base = global_factor(profile, g, core) * n**0.25
+        base = global_factor(profile, g, g4, core) * n**0.25
         f1[n] = base * local_K(profile, "K1", n)
         f2[n] = base * local_K(profile, "K2", n)
     return f1, f2

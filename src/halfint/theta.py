@@ -10,6 +10,14 @@ attached to the rational eigenline.
 R_i is kept as integer rows over a denominator den, and its series is
 counted on den^2 times the Gram matrix, an integer matrix: a norm n is
 the integer value n den^2 of that form.
+
+The coefficients of R_i at multiples of 4 are those of the smaller
+trace-zero part O_i⁰ of O_i itself: r_R(4m) = r_{O⁰}(m).  Proof: R_i is
+{2x − trd x : x ∈ O_i} and nrd(2x − trd x) = 4·nrd(x) − trd(x)², so 4
+divides the norm exactly when trd x = 2s is even, and then
+2x − trd x = 2(x − s) with x − s ∈ O_i⁰; so the vectors of R_i of norm
+divisible by 4 are 2·O_i⁰.  `deep_coefficients` counts g's coefficient
+at 4m on O_i⁰ up to m, a fourth of the norm bound that R_i would need.
 """
 
 from __future__ import annotations
@@ -25,8 +33,10 @@ from .value import Value
 __all__ = [
     "TernaryLattice",
     "trace_zero_lattice",
+    "trace_zero_part",
     "ternary_theta",
     "kohnen_form",
+    "deep_coefficients",
     "hecke_check",
 ]
 
@@ -72,6 +82,14 @@ def trace_zero_lattice(order: Order) -> TernaryLattice:
     return TernaryLattice(sub.alg, sub.den, sub.rows[1:])
 
 
+def trace_zero_part(order: Order) -> TernaryLattice:
+    """O⁰, the trace-zero elements of O: 2·O⁰ is the part of
+    `trace_zero_lattice(order)` whose norms are divisible by 4."""
+    lat = order.lattice
+    # as in `trace_zero_lattice`: the last three Hermite rows
+    return TernaryLattice(lat.alg, lat.den, lat.rows[1:])
+
+
 def ternary_theta(lattice: TernaryLattice, prec: int) -> QExpansion:
     """Theta series of the trace-zero lattice through q^prec.
 
@@ -94,20 +112,33 @@ def ternary_theta(lattice: TernaryLattice, prec: int) -> QExpansion:
     return QExpansion(prec, coeffs)
 
 
+def _combine(eigenform: Eigenform, prec: int, lattice_of) -> dict[int, int]:
+    """The eigenvector combination through q^prec of the theta series of
+    `lattice_of(O_i)` over the right orders O_i."""
+    total: dict[int, int] = {}
+    for weight, order in zip(eigenform.vector, eigenform.class_set.rights):
+        if not weight:
+            continue  # a class of weight 0 adds nothing: skip its theta series
+        theta = ternary_theta(lattice_of(order), prec)
+        for n, count in theta.coeffs.items():
+            total[n] = total.get(n, 0) + weight * count
+    return total
+
+
 def kohnen_form(eigenform: Eigenform, prec: int) -> QExpansion:
     """Eigenvector combination of the class theta series.
 
     The zero series is a legal output: it signals a vanishing central
     L-value for the newform behind the eigenline.
     """
-    total: dict[int, int] = {}
-    for weight, order in zip(eigenform.vector, eigenform.class_set.rights):
-        if not weight:
-            continue  # a class of weight 0 adds nothing: skip its theta series
-        theta = ternary_theta(trace_zero_lattice(order), prec)
-        for n, count in theta.coeffs.items():
-            total[n] = total.get(n, 0) + weight * count
-    return QExpansion(prec, total, kohnen=True)
+    return QExpansion(prec, _combine(eigenform, prec, trace_zero_lattice), kohnen=True)
+
+
+def deep_coefficients(eigenform: Eigenform, prec: int) -> QExpansion:
+    """The series m ↦ g_{4m} through q^prec, for g = kohnen_form(eigenform, ·):
+    the same combination over the trace-zero parts O_i⁰, since
+    r_R(4m) = r_{O⁰}(m) (module docstring)."""
+    return QExpansion(prec, _combine(eigenform, prec, trace_zero_part))
 
 
 def hecke_check(g: QExpansion, eigenform: Eigenform, p: int) -> bool:

@@ -128,10 +128,10 @@ def test_criterion_3_local_factor_table(level15_run):
 
 
 def test_criterion_4_global_factor_structure(level15_run):
-    g = level15_run["g"]
+    g, g4 = level15_run["g"], level15_run["g4"]
     profile = level15_run["profile"]
-    assert global_factor(profile, g, 17) == 0.0
-    signs = [global_factor(profile, g, t) for t in (2, 3, 5, 15, 23)]
+    assert global_factor(profile, g, g4, 17) == 0.0
+    signs = [global_factor(profile, g, g4, t) for t in (2, 3, 5, 15, 23)]
     pattern = ["-" if value < 0 else "+" for value in signs]
     assert pattern == ["-", "+", "+", "-", "+"]
     print(
@@ -331,9 +331,11 @@ def test_criterion_7_negative_controls(tmp_path, monkeypatch, capsys):
 
 # stdout digests of whole commands, each run as `python -m halfint` in a
 # fresh process with no cache directory: cold bases at the large levels
-# (JSON and text), degree matrices counted past degree 13 at N=67 and
-# N=105, theta series of trace-zero lattices with den > 1 at N=285, and
-# the float local-factor path in text and JSON
+# (JSON and text), bases at precision 1000 whose h reads g4 (g at 4m,
+# counted on the trace-zero parts of the orders) at N=15, 35 and 105,
+# degree matrices counted past degree 13 at N=67 and N=105, theta series
+# of trace-zero lattices with den > 1 at N=285, and the float
+# local-factor path in text and JSON
 PINNED_OUTPUTS = {
     "basis --level 179 --prec 100 --format json":
         "19370e2b2d787450410eb73c4dfe0c5208dd5c2dfa7099ec4b0efe4a8a43a702",
@@ -343,6 +345,10 @@ PINNED_OUTPUTS = {
         "cd27d0ce9c0c42ab036947aacdf4bb4a1df5feba9b267f030185681dfbb25937",
     "basis --level 15 --prec 1000":
         "9055290bea0f6714def812f36fbbe2d2213cd5bf716bc7c5578e788d3b58b4dc",
+    "basis --level 35 --prec 1000 --format json":
+        "fbe39120b3e3a4436045f0e0f90ce2ab4874a001d76954b460d96c2a8edbfa61",
+    "basis --level 105 --prec 1000 --format json":
+        "fe4e6cbd9a10b60a6a3bd2572af7a8deb704d95cf0d83cb2a79d4076036e13d8",
     "basis --level 285 --prec 100":
         "a8d0aede74dae73751dc222b933a6fba6729d5ef48eefad58fb9242e3d9354b9",
     "brandt --level 67 --nmax 20 --format json":

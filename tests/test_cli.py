@@ -560,6 +560,55 @@ def test_main_zero_form_exit_2(monkeypatch, capsys):
     assert "zero" in capsys.readouterr().err.lower()
 
 
+# exit codes and stdout digests of `basis --prec 1` and `--prec 2`, where
+# g vanishes through the precision; N=105 at 1 exits 2 with no stdout
+FALLBACK_OUTPUTS = {
+    (11, 1): (0, "223af3a4ccc1fec31baf5759162549d6f13d5d575799d02b4f9cbc1c726eda28"),
+    (11, 2): (0, "223af3a4ccc1fec31baf5759162549d6f13d5d575799d02b4f9cbc1c726eda28"),
+    (15, 1): (0, "9f1b87193c6d26ceff8ec6ba2e41cc33f22177bb56ebf85c62c4d71d21cc7b73"),
+    (15, 2): (0, "61d3678894741f8aef2e443684fff2e28a6791363bcf119ad1eb68379c9aa080"),
+    (105, 1): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (105, 2): (0, "f77440bbcf808296c7b1b9df98fa98a5d6965ab96d5834e607abcc963cfe509c"),
+}
+
+
+def _record_theta_counts(monkeypatch):
+    """The precisions `_basis_pair` asks of kohnen_form and of
+    deep_coefficients, in call order."""
+    import halfint.cli as cli_mod
+
+    calls = []
+    for name in ("kohnen_form", "deep_coefficients"):
+        original = getattr(cli_mod, name)
+
+        def recorded(eigenform, prec, name=name, original=original):
+            calls.append((name, prec))
+            return original(eigenform, prec)
+
+        monkeypatch.setattr(cli_mod, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("level, prec", sorted(FALLBACK_OUTPUTS))
+def test_basis_counts_through_4_prec_only_when_g_vanishes(level, prec, monkeypatch, capsys):
+    # g vanishes through prec, so one count of g through 4·prec gives the
+    # sign, the zero test and g4, and deep_coefficients is never called
+    calls = _record_theta_counts(monkeypatch)
+    code, digest = FALLBACK_OUTPUTS[level, prec]
+    assert main(["basis", "--level", str(level), "--prec", str(prec)]) == code
+    assert calls == [("kohnen_form", prec), ("kohnen_form", 4 * prec)]
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_basis_counts_g4_on_the_trace_zero_parts(monkeypatch, capsys):
+    # g is nonzero through 24, so both series are counted through 24 only
+    calls = _record_theta_counts(monkeypatch)
+    assert main(["basis", "--level", "15", "--prec", "24"]) == 0
+    assert calls == [("kohnen_form", 24), ("deep_coefficients", 24)]
+    assert capsys.readouterr().out == BASIS_15_TEXT
+
+
 def test_workers_flag_accepted(capsys):
     assert main(["basis", "--level", "15", "--prec", "24", "--workers", "4"]) == 0
     assert capsys.readouterr().out == BASIS_15_TEXT

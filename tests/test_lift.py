@@ -40,6 +40,17 @@ LEVEL15_G = QExpansion(
     kohnen=True,
 )
 
+
+def deep_split(g):
+    """(g, g4) through a fourth of g's precision: g4_m = g_{4m}, the
+    series `assemble_h` reads beside g."""
+    prec = g.prec // 4
+    return g.truncate(prec), QExpansion(prec, {n // 4: c for n, c in g.coeffs.items() if n % 4 == 0})
+
+
+# g4 of the level-15 theta eigenform, through 25
+LEVEL15_G4 = deep_split(LEVEL15_G)[1]
+
 # local products for n = 2..23 at level 15, exact radicals
 TABLE_K1 = {
     2: 2, 3: (1 + 1j * SQRT7) / 2, 4: 0, 5: SQRT2, 6: 0, 7: 0,
@@ -224,7 +235,7 @@ def test_gate_forces_zero_products():
 def test_global_factors():
     g = LEVEL15_G
     prof = LEVEL15_PROFILE
-    values = {t: global_factor(prof, g, t) for t in (2, 3, 5, 15, 17, 23)}
+    values = {t: global_factor(prof, g, LEVEL15_G4, t) for t in (2, 3, 5, 15, 17, 23)}
     assert abs(values[2] - (-(8 ** -0.25))) < 1e-9
     assert abs(values[3] - 2**-0.5 * 3**-0.25) < 1e-9
     assert abs(values[5] - 5**-0.25) < 1e-9
@@ -234,7 +245,7 @@ def test_global_factors():
     signs = [1 if values[t] > 0 else -1 for t in (2, 3, 5, 15, 23)]
     assert signs == [-1, 1, 1, -1, 1]
     with pytest.raises(ValueError):
-        global_factor(prof, g, 7)
+        global_factor(prof, g, LEVEL15_G4, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +254,8 @@ def test_global_factors():
 
 
 def test_diagnostic_pair_structure():
-    f1, f2 = f1_f2_diagnostic(LEVEL15_G, LEVEL15_PROFILE, 25)
-    h = assemble_h(LEVEL15_G, LEVEL15_PROFILE, 25)
+    f1, f2 = f1_f2_diagnostic(LEVEL15_G, LEVEL15_G4, LEVEL15_PROFILE, 25)
+    h = assemble_h(LEVEL15_G, LEVEL15_G4, LEVEL15_PROFILE, 25)
     ratio = None
     for n in range(1, 26):
         diff = f2[n] - f1[n]
@@ -260,7 +271,7 @@ def test_diagnostic_pair_structure():
 
 
 def test_diagnostic_difference_in_plus_space():
-    f1, f2 = f1_f2_diagnostic(LEVEL15_G, LEVEL15_PROFILE, 25)
+    f1, f2 = f1_f2_diagnostic(LEVEL15_G, LEVEL15_G4, LEVEL15_PROFILE, 25)
     for n in range(1, 26):
         if n % 4 in (1, 2):
             assert abs(f1[n] - f2[n]) < 1e-12
@@ -269,7 +280,7 @@ def test_diagnostic_difference_in_plus_space():
 def test_ratio_identity():
     # at a square-free index r = 3 mod 4 and its quadruple, the
     # coefficient ratios differ exactly by one alpha quotient
-    f1, f2 = f1_f2_diagnostic(LEVEL15_G, LEVEL15_PROFILE, 12)
+    f1, f2 = f1_f2_diagnostic(LEVEL15_G, LEVEL15_G4, LEVEL15_PROFILE, 12)
     a, ap = alpha_pair(LEVEL15_PROFILE)
     lhs = f1[12] / f2[12]
     rhs = (a / ap) * (f1[3] / f2[3])
@@ -283,7 +294,7 @@ def test_ratio_identity():
 
 def test_diagnostic_requires_deep_theta():
     with pytest.raises(PrecisionError):
-        f1_f2_diagnostic(LEVEL15_G, LEVEL15_PROFILE, 26)
+        f1_f2_diagnostic(LEVEL15_G, LEVEL15_G4, LEVEL15_PROFILE, 26)
 
 
 # ---------------------------------------------------------------------------
@@ -292,32 +303,39 @@ def test_diagnostic_requires_deep_theta():
 
 
 def test_level15_h_gold():
-    h = assemble_h(LEVEL15_G, LEVEL15_PROFILE, 25)
+    h = assemble_h(LEVEL15_G, LEVEL15_G4, LEVEL15_PROFILE, 25)
     assert h.coeffs == LEVEL15_H
     assert all(type(v) is int for v in h.coeffs.values())
 
 
 @st.composite
-def lift_cases(draw):
+def lift_cases(draw, max_prec=80, dense=False):
     """A random integer g deep enough for the drawn precision, and a valid
     profile: odd square-free level, sign eigenvalues b_p there whose
     involution signs -b_p multiply to -1, an eigenvalue at 2, and
-    eigenvalues at every odd good prime the Hecke step may reach."""
+    eigenvalues at every odd good prime the Hecke step may reach.  g has
+    at most 40 nonzero coefficients, or with `dense` one at every index."""
     odd_primes = st.sampled_from([3, 5, 7, 11, 13])
     primes = draw(st.lists(odd_primes, min_size=1, max_size=3, unique=True))
     level = math.prod(primes)
     signs = [draw(st.sampled_from([1, -1])) for _ in primes[1:]]
     signs.insert(0, -math.prod(signs))
-    prec = draw(st.integers(1, 80))
+    prec = draw(st.integers(1, max_prec))
     eigen = {p: -w for p, w in zip(primes, signs)}
     eigen |= {
         p: draw(st.integers(-9, 9))
-        for p in (3, 5, 7)
+        for p in (3, 5, 7, 11, 13, 17, 19)
         if p * p <= prec and p not in eigen
     }
     eigen[2] = draw(st.integers(-6, 6))
     profile = LiftProfile(level=level, eigen=eigen)
-    coeffs = draw(st.dictionaries(st.integers(1, 4 * prec), st.integers(-20, 20), max_size=40))
+    if dense:
+        rng = draw(st.randoms(use_true_random=False))
+        coeffs = {n: rng.randint(-20, 20) for n in range(1, 4 * prec + 1)}
+    else:
+        coeffs = draw(
+            st.dictionaries(st.integers(1, 4 * prec), st.integers(-20, 20), max_size=40)
+        )
     return QExpansion(4 * prec, coeffs), profile, prec
 
 
@@ -326,7 +344,19 @@ def test_h_halving_exact_for_every_integer_g(case):
     # the Fraction oracle halves at the power-sum tier and scans for a
     # non-integer; agreement shows that halving is exact for any integer g
     g, profile, prec = case
-    assert assemble_h(g, profile, prec).coeffs == oracles.assemble_h_ref(g, profile, prec)
+    assert assemble_h(*deep_split(g), profile, prec).coeffs == oracles.assemble_h_ref(
+        g, profile, prec
+    )
+
+
+@given(lift_cases(max_prec=400, dense=True))
+def test_h_from_g_and_g4_matches_reference_on_dense_series(case):
+    # every index of every core carries a coefficient, so the core walk
+    # meets every branch: the power sums, level primes and Hecke steps
+    g, profile, prec = case
+    assert assemble_h(*deep_split(g), profile, prec).coeffs == oracles.assemble_h_ref(
+        g, profile, prec
+    )
 
 
 def test_h_level_prime_above_good_prime_matches_reference():
@@ -335,23 +365,23 @@ def test_h_level_prime_above_good_prime_matches_reference():
     # first, the reference takes the Hecke step at 3 first
     profile = LiftProfile(35, {2: -1, 3: 2, 5: -1, 7: 1, 11: -4, 13: 2, 17: -2, 19: 0})
     g = QExpansion(2000, {n: 7919 * n % 23 - 11 for n in range(1, 2001)})
-    h = assemble_h(g, profile, 500)
+    h = assemble_h(*deep_split(g), profile, 500)
     assert h.coeffs == oracles.assemble_h_ref(g, profile, 500)
     assert (h[225], h[441]) == (36, -36)
 
 
 def test_h_examples_by_hand():
-    h = assemble_h(LEVEL15_G, LEVEL15_PROFILE, 25)
+    h = assemble_h(LEVEL15_G, LEVEL15_G4, LEVEL15_PROFILE, 25)
     # square part 4, core 3 mod 4: power-sum branch
     assert h[12] == LEVEL15_G[3] * (-3 - 1) == -4
     # square-free index 17 reads the theta coefficient at 68, which vanishes
-    assert h[17] == 2 * LEVEL15_G[68] == 0
+    assert h[17] == 2 * LEVEL15_G4[17] == 2 * LEVEL15_G[68] == 0
 
 
 def test_h_gate_vanishing():
     from halfint.numth import squarefree_split
 
-    h = assemble_h(LEVEL15_G, LEVEL15_PROFILE, 25)
+    h = assemble_h(LEVEL15_G, LEVEL15_G4, LEVEL15_PROFILE, 25)
     for n in range(1, 26):
         core, _ = squarefree_split(n)
         if not kronecker_gate(LEVEL15_PROFILE, core):
@@ -372,14 +402,16 @@ def test_tier_consistency_at_s_zero():
 
 def test_h_precision_guard():
     with pytest.raises(PrecisionError):
-        assemble_h(LEVEL15_G, LEVEL15_PROFILE, 26)
+        assemble_h(LEVEL15_G, LEVEL15_G4, LEVEL15_PROFILE, 26)
+    with pytest.raises(PrecisionError):
+        assemble_h(LEVEL15_G.truncate(24), LEVEL15_G4, LEVEL15_PROFILE, 25)
 
 
 def test_h_missing_eigenvalue():
     prof = LiftProfile(level=15, eigen={2: -1, 3: -1, 5: 1})
     g = QExpansion(400, dict(LEVEL15_G.coeffs))
     with pytest.raises(MissingEigenvalueError):
-        assemble_h(g, prof, 100)
+        assemble_h(*deep_split(g), prof, 100)
 
 
 def test_h_deeper_indices_use_hecke_tier():
@@ -387,7 +419,7 @@ def test_h_deeper_indices_use_hecke_tier():
     # (the theta series is padded with zeros past 100 purely to let the
     # assembly run; the asserted relations only touch honest data)
     g = QExpansion(400, dict(LEVEL15_G.coeffs))
-    h = assemble_h(g, LEVEL15_PROFILE, 100)
+    h = assemble_h(*deep_split(g), LEVEL15_PROFILE, 100)
     assert h[49] == h[1] * (0 - (-1))  # kronecker(-1, 7) = -1
     assert h[98] == h[2] * (0 - (-1))
     assert h[2] == -4 and h[98] == -4

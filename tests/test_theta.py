@@ -13,12 +13,16 @@ from halfint.lattice import Lattice4, Order, eichler_order
 from halfint.lift import LiftProfile
 from halfint.qexp import QExpansion
 from halfint.quat import QuaternionAlgebra, algebra_ramified_at, conj, trd
+from halfint.cli import _odd_subsets
+from halfint.numth import prime_factors
 from halfint.theta import (
     TernaryLattice,
+    deep_coefficients,
     hecke_check,
     kohnen_form,
     ternary_theta,
     trace_zero_lattice,
+    trace_zero_part,
 )
 from oracles import basis, from_vectors, qelt, qscale
 
@@ -196,6 +200,28 @@ def test_theta_conjugation_invariant(level15):
     a = ternary_theta(trace_zero_lattice(order), 60)
     b = ternary_theta(trace_zero_lattice(twisted), 60)
     assert a == b
+
+
+@pytest.mark.parametrize("level", [11, 15, 21, 33, 35, 37, 57, 67, 105, 231, 285])
+def test_theta_at_4m_counts_the_trace_zero_part(level):
+    # nrd(2x − trd x) = 4·nrd(x) − trd(x)², so the norms of R are 0 or 3
+    # mod 4, and its vectors of norm 4m are twice those of O⁰ of norm m
+    for ramified in _odd_subsets(prime_factors(level)):
+        C = ideal_classes(eichler_order(algebra_ramified_at(list(ramified)), level))
+        for order in C.rights:
+            R = ternary_theta(trace_zero_lattice(order), 1200)
+            assert all(n % 4 in (0, 3) for n in R.support())
+            part = ternary_theta(trace_zero_part(order), 300)
+            assert {m: R[4 * m] for m in range(1, 301) if R[4 * m]} == part.coeffs
+
+
+def test_deep_coefficients_are_g_at_4m(level15, level11):
+    for C in (level15, level11):
+        for line in cuspidal_eigenlines(C):
+            g = kohnen_form(line, 400)
+            g4 = deep_coefficients(line, 100)
+            assert g4.coeffs == {m: g[4 * m] for m in range(1, 101) if g[4 * m]}
+            assert g4.prec == 100 and not g4.kohnen
 
 
 def test_level15_kohnen_form(level15):
