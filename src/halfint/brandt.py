@@ -43,6 +43,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import (
+    ComputationError,
     IntegralityError,
     IrrationalEigenspaceError,
     MassMismatchError,
@@ -570,3 +571,27 @@ def cuspidal_eigenlines(
     """
     lines = _refine(class_set, signs)
     return _by_small_eigenvalues([f for f in lines if f.is_cuspidal()])
+
+
+def matching_eigenline(line: Eigenform, class_set: IdealClassSet) -> Eigenform:
+    """The cuspidal line of `class_set` (of the same level) that carries the
+    eigenvalues of `line`: refined with `line`'s signs at the primes of the
+    level, compared at ORDER_PRIMES first, which both class sets have
+    counted, then at the next primes up to PRIME_BOUND only while more
+    than one line is left.  Raises ComputationError unless exactly one
+    line is left."""
+    signs = {p: line.eigenvalue(p) for p in prime_factors(class_set.level)}
+    matches = cuspidal_eigenlines(class_set, signs=signs)
+    later = itertools.takewhile(lambda p: p <= PRIME_BOUND, primes())
+    for group in [ORDER_PRIMES, *((p,) for p in later if p > max(ORDER_PRIMES))]:
+        matches = [
+            m for m in matches if all(m.eigenvalue(p) == line.eigenvalue(p) for p in group)
+        ]
+        if len(matches) <= 1:
+            break
+    if len(matches) != 1:
+        raise ComputationError(
+            f"{len(matches)} eigenlines of the algebra ramified at "
+            f"{','.join(map(str, class_set.alg.ramified))} match the selected newform"
+        )
+    return matches[0]

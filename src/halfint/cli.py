@@ -3,11 +3,20 @@
 Every subcommand runs one pipeline, `_run`: check the signs a newform
 file pins, search the odd ramification subsets of the level for the
 admissible eigenlines (`eigenline_candidates`), filter them by the file,
-select one, build its profile, then run the subcommand's stage: {g, g4, h}
-for `basis` (the library's `kohnen_basis`), degree matrices for
-`brandt`, class theta series for `theta`, local products for
-`localfactors`.  The selected class set is then cached with every degree
-matrix the run built, and `_render` prints metadata and stage output.
+select one, move it to the class set of its own algebra
+(`matching_eigenline`), build its profile, then run the subcommand's
+stage: {g, g4, h} for `basis` (the library's `kohnen_basis`), degree
+matrices for `brandt`, class theta series for `theta`, local products
+for `localfactors`.  The selected class set is then cached with every
+degree matrix the run built, and `_render` prints metadata and stage
+output.
+
+Which class sets a run builds: at a level with an odd number of primes,
+unless a newform file pins every sign, the search builds one, the
+maximal order of discriminant N, which holds every newform of level N
+once; the selected line then needs a second set only when its algebra
+is ramified at fewer primes.  Otherwise (a prime level, an even number
+of primes, or every sign pinned) each searched subset has its own set.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from .brandt import (
     IdealClassSet,
     cuspidal_eigenlines,
     ideal_classes,
+    matching_eigenline,
 )
 from .errors import (
     AmbiguousSelectorError,
@@ -252,6 +262,13 @@ def _odd_subsets(ps: list[int]) -> list[tuple[int, ...]]:
     return sorted(subsets, key=lambda chosen: (prod(chosen), chosen))
 
 
+def _class_set(level: int, ramified: tuple[int, ...], cache_dir: Path | None) -> IdealClassSet:
+    """The class set of the level-N Eichler order in the algebra ramified
+    at `ramified`, with the degree matrices a valid cache file holds."""
+    order = eichler_order(algebra_ramified_at(list(ramified)), level)
+    return _load_class_set(order, cache_dir)
+
+
 def eigenline_candidates(
     level: int,
     cache_dir: Path | None = None,
@@ -259,20 +276,39 @@ def eigenline_candidates(
 ) -> list[Eigenform]:
     """Admissible eigenlines over all odd ramification subsets.
 
-    A line qualifies when its eigenvalue at every prime dividing the
-    level is +1 at the ramified primes and -1 at the others.  The
-    refinement keeps only that sign pattern, so lines whose bad
+    A line qualifies for the subset S when its eigenvalue at every prime
+    dividing the level is +1 at the primes of S and -1 at the others.
+    The refinement keeps only that sign pattern, so lines whose bad
     eigenvalues are not signs (transfers from lower level) never appear.
+
+    Each host class set (`_class_set`) is built, refined for the subsets
+    it hosts and stored in turn.  When the level has an odd number of
+    primes and `restrict` is None, one host serves every subset: the
+    reference, the maximal order of discriminant N, in the algebra
+    ramified at every prime of N.  Its rational cuspidal lines are the
+    rational newforms of level N, each once, and no old form; on each,
+    the permutation B(q) at q | N has the newform's eigenvalue a_q, which
+    is +1 exactly at the primes of the subset whose own class set holds
+    the newform (Jacquet–Langlands, made explicit for Brandt matrices by
+    Pizer, J. Algebra 64, 1980, and Gross, "Heights and special values of
+    L-series", 1987).  So the reference refined with S's signs gives S's
+    lines, ordered as on S's own class set, and `_run` moves only the
+    selected line there (`matching_eigenline`).  Otherwise (an even
+    number of primes, where no order of discriminant N exists, or the one
+    subset `restrict` pins) each subset is its own host, as at a prime
+    level.
     """
     bad_primes = prime_factors(level)
+    reference = tuple(bad_primes) if restrict is None and len(bad_primes) % 2 else None
+    hosted: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for ramified in _odd_subsets(bad_primes) if restrict is None else [restrict]:
+        hosted.setdefault(reference or ramified, []).append(ramified)
     out: list[Eigenform] = []
-    for ramified in _odd_subsets(bad_primes):
-        if restrict is not None and ramified != restrict:
-            continue
-        order = eichler_order(algebra_ramified_at(list(ramified)), level)
-        class_set = _load_class_set(order, cache_dir)
-        signs = {p: 1 if p in ramified else -1 for p in bad_primes}
-        out += cuspidal_eigenlines(class_set, signs=signs)
+    for host, subsets in hosted.items():
+        class_set = _class_set(level, host, cache_dir)
+        for ramified in subsets:
+            signs = {p: 1 if p in ramified else -1 for p in bad_primes}
+            out += cuspidal_eigenlines(class_set, signs=signs)
         _store_class_set(class_set, cache_dir)
     return out
 
@@ -381,11 +417,13 @@ def _run(config: JobConfig, stage: Callable[[dict], dict], pmax: int = 0) -> dic
     """The pipeline of every subcommand.
 
     Check the signs a newform file pins, search, keep the lines that the
-    file's reachable entries allow (`_reachable_entries`), select one, and
-    build its profile at the primes up to max(pmax, ORDER_PRIMES).  The
-    run {"line", "selector_index", "profile"} is then extended by the dict
-    `stage` returns, and the selected class set is stored with every
-    degree the run built.
+    file's reachable entries allow (`_reachable_entries`), select one, move
+    it to the class set of its host, the algebra ramified where its
+    eigenvalue is +1, when the search found it on another
+    (`matching_eigenline`), and build its profile at the primes up to
+    max(pmax, ORDER_PRIMES).  The run {"line", "selector_index",
+    "profile"} is then extended by the dict `stage` returns, and the
+    selected class set is stored with every degree the run built.
     """
     newform_map = _reachable_entries(
         ingest_newform(config.newform_file) if config.newform_file else {}, config.level
@@ -404,6 +442,9 @@ def _run(config: JobConfig, stage: Callable[[dict], dict], pmax: int = 0) -> dic
                 "external eigenvalues conflict with every computed eigenline"
             )
     index, line = _select(lines, config.selector, config.level)
+    host = tuple(p for p in prime_factors(config.level) if line.eigenvalue(p) == 1)
+    if host != line.class_set.alg.ramified:
+        line = matching_eigenline(line, _class_set(config.level, host, cache_dir))
     pmax = max(pmax, *ORDER_PRIMES)
     line.class_set.plan(pmax)
     run = {"line": line, "selector_index": index, "profile": _build_profile(line, pmax)}

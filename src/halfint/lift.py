@@ -13,7 +13,8 @@ h through q^prec reads g at the square-free cores t <= prec: g_t when
 t ≡ 3 mod 4, and g_{4t} otherwise.  The second comes from g4, the series
 m ↦ g_{4m} through the same precision (`theta.deep_coefficients`), so no
 series is needed past prec.  `assemble_h` visits each square-free core
-once, from a sieve: it runs the gate once per core and then walks the
+once, from a sieve: it runs the gate once per core, on the discriminant
+of the sieved core (no second square-free test), and then walks the
 indices core·y² in increasing y, factoring only y, each y <= √prec once.
 
 Both read one number per prime from a `LiftProfile`: the eigenvalue b_p
@@ -104,7 +105,12 @@ def power_sums(b2: int, smax: int) -> list[int]:
 
 def kronecker_gate(profile: LiftProfile, t: int) -> bool:
     """Local sign condition at the bad primes for a square-free index."""
-    disc = fundamental_discriminant(t)
+    return _gate(profile, fundamental_discriminant(t))
+
+
+def _gate(profile: LiftProfile, disc: int) -> bool:
+    """`kronecker_gate` at the index whose fundamental discriminant is
+    `disc`, for a caller that knows the index is square-free."""
     for p in profile.bad:
         if disc % p != 0 and kronecker(disc, p) != profile.involution_sign(p):
             return False
@@ -143,9 +149,11 @@ def assemble_h(g: QExpansion, g4: QExpansion, profile: LiftProfile, prec: int) -
         squarefree[d * d :: d * d] = bytes(prec // (d * d))
     coeffs: dict[int, int] = {}
     for core in range(1, prec + 1):
-        if not squarefree[core] or not kronecker_gate(profile, core):
+        if not squarefree[core]:
             continue
         at_core = core % 4 == 3  # h reads g at the core, else g4 there
+        if not _gate(profile, -core if at_core else -4 * core):
+            continue
         base = g[core] if at_core else g4[core]  # T_0 = 2: h_core = 2·g4_core
         eps = hilbert(2, core, 2) if at_core else 0
         for y in range(1, math.isqrt(prec // core) + 1):

@@ -5,9 +5,9 @@ than the library (exhaustive searches, floating point, point counting,
 rational rather than integer elimination), so agreement between the two
 is evidence rather than tautology.  The exceptions are routines the
 library replaced by faster code with the same output (`hnf_rows_ref`,
-`lll_gram_ref`, `bareiss_ref`): they pin the replacement to what it
-replaced.  The small helpers after them (`xgcd`, `hilbert_real`, `qadd`,
-`contains_lattice`) serve only the tests.
+`lll_gram_ref`, `bareiss_ref`, `eigenline_candidates_ref`): they pin the
+replacement to what it replaced.  The small helpers after them (`xgcd`,
+`hilbert_real`, `qadd`, `contains_lattice`) serve only the tests.
 """
 
 from __future__ import annotations
@@ -784,3 +784,29 @@ def assemble_h_ref(g, profile, prec):
         if v.denominator != 1:
             raise IntegralityError(f"non-integral coefficient {v} at index {n}")
     return coeffs
+
+
+# ---------------------------------------------------------------------------
+# The eigenline search with one class set per odd ramification subset, the
+# search that one reference class set replaced at levels with an odd
+# number of primes.
+# ---------------------------------------------------------------------------
+
+
+def eigenline_candidates_ref(level):
+    """The admissible eigenlines of every odd ramification subset, in
+    `_odd_subsets` order, each refined with its signs on the class set of
+    the level-N Eichler order in its own algebra."""
+    from halfint.brandt import cuspidal_eigenlines, ideal_classes
+    from halfint.cli import _odd_subsets
+    from halfint.lattice import eichler_order
+    from halfint.numth import prime_factors
+    from halfint.quat import algebra_ramified_at
+
+    bad = prime_factors(level)
+    out = []
+    for ramified in _odd_subsets(bad):
+        order = eichler_order(algebra_ramified_at(list(ramified)), level)
+        signs = {p: 1 if p in ramified else -1 for p in bad}
+        out += cuspidal_eigenlines(ideal_classes(order), signs=signs)
+    return out

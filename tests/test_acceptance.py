@@ -383,12 +383,14 @@ def test_pinned_outputs(argv):
     assert hashlib.sha256(proc.stdout).hexdigest() == PINNED_OUTPUTS[argv]
 
 
-# the large levels that have no basis: N=197 has no sign-compatible
-# eigenline (exit 3), and the form at N=255 vanishes (exit 2)
+# the large levels that have no basis: N=197, 255 and 465 have no rational
+# newform whose signs admit an algebra (exit 3).  At 255 and 465 a 3-old
+# line has admissible signs on its subset's own class set, but the maximal
+# order of discriminant N, which the search refines, holds no old form
 FAILURE_LINES = {
     197: (3, "error: no rational sign-compatible eigenline exists at this level"),
-    255: (2, "error: the theta eigenform vanishes identically: the selected newform "
-             "has central L-value zero and carries no Kohnen lift"),
+    255: (3, "error: no rational sign-compatible eigenline exists at this level"),
+    465: (3, "error: no rational sign-compatible eigenline exists at this level"),
 }
 
 
@@ -398,6 +400,47 @@ def test_failure_lines_at_the_large_levels(level):
     code, line = FAILURE_LINES[level]
     assert (proc.returncode, proc.stdout) == (code, b"")
     assert proc.stderr.decode() == line + "\n"
+
+
+# N = 231 has one rational newform; the 3-old line with the same signs on
+# the class set of the algebra ramified at 11 is no candidate
+def test_old_line_at_231_is_no_candidate():
+    proc = _halfint(["basis", "--level", "231", "--prec", "100", "--selector", "1"])
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr.decode() == "error: selector index 1 out of range 0..0\n"
+
+
+# every line at N = 195, digests recorded from a search that refined each
+# subset on its own class set: the hosts are {3}, {5}, {3, 5, 13} and
+# {3, 5, 13}, so two lines move off the reference class set and two stay
+SELECTED_195 = [
+    "21b47a750ba706959ba319f262bbbe0ab6f244bf0938272f1d46fa0edb95c28e",
+    "daabc64712674c44717772c1aa9412726c55f0ee36336e3c61b87d6ba50a8121",
+    "338668464ed86165726a2166e042ed0c64cbf50c2df0b08d89df636f0fba65f2",
+    "78ccd849f04311fe08a7bdd6867039b6fb54e43dc5308e0f21dbb23c26107f7f",
+]
+
+
+@pytest.mark.parametrize("index", range(len(SELECTED_195)))
+def test_every_line_at_195(index):
+    proc = _halfint(["basis", "--level", "195", "--prec", "100", "--format", "json",
+                     "--selector", str(index)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == SELECTED_195[index]
+
+
+def test_two_cold_runs_at_195_agree(tmp_path):
+    # stdout and every cache byte are the same in two fresh processes, the
+    # move of the line to its host included
+    outputs = []
+    for run in ("a", "b"):
+        cache = tmp_path / run
+        proc = _halfint(["basis", "--level", "195", "--prec", "100", "--cache-dir", str(cache)])
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((proc.stdout, {p.name: p.read_bytes() for p in cache.iterdir()}))
+    assert outputs[0] == outputs[1]
+    assert sorted(outputs[0][1]) == ["brandt_a13_b15_N195.json", "brandt_a1_b3_N195.json"]
 
 
 # help text stays argparse's own at a fixed terminal width
@@ -422,13 +465,9 @@ def test_usage_error_line():
     )
 
 
+# a cold run at N = 105 builds only the reference class set, the algebra
+# ramified at 3, 5 and 7, which hosts the level's one line
 CACHE_105 = {
-    "brandt_a1_b3_N105.json":
-        "2867e69cb94e59e74dcb6f94ca23e2c0e644641ef8abf2ecafb823b6d04c070e",
-    "brandt_a1_b7_N105.json":
-        "2a8c2f62ac730480ab9e1105e235a392e84224f05dac5cd0c7126337e3a88eea",
-    "brandt_a2_b5_N105.json":
-        "7cc3f260e43a8ea32e84a236a4867b2c7e67a81aea4d5f5d86d56a05f15159a5",
     "brandt_a7_b15_N105.json":
         "106ea7f90a26483e6e77d342fde631bc82cfc5282652011e8aab9138ff0dae32",
 }

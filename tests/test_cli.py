@@ -15,7 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfint.brandt import IdealClassSet, cuspidal_eigenlines, ideal_classes
+import oracles
+from halfint import brandt, cli
+from halfint.brandt import (
+    ORDER_PRIMES,
+    IdealClassSet,
+    cuspidal_eigenlines,
+    ideal_classes,
+    matching_eigenline,
+)
 from halfint.cli import (
     JobConfig,
     _odd_subsets,
@@ -640,8 +648,11 @@ def test_cache_cold_and_warm_byte_identical(tmp_path, capsys):
 def test_cold_run_counts_each_class_set_once(tmp_path, monkeypatch, capsys):
     # the refinement plans the pinned primes and ORDER_PRIMES together, so
     # one counting pass serves every degree a cold basis run asks for; the
-    # class sets are held, so no two of them can share an id
+    # class sets are held, so no two of them can share an id.  N = 105 has
+    # three primes, and its only line lies on the reference class set (the
+    # algebra ramified at 3, 5 and 7), so that is the one set searched
     passes = []
+    searched = []
     original = IdealClassSet._count
 
     def counted(self, nmax):
@@ -649,10 +660,64 @@ def test_cold_run_counts_each_class_set_once(tmp_path, monkeypatch, capsys):
         return original(self, nmax)
 
     monkeypatch.setattr(IdealClassSet, "_count", counted)
+    monkeypatch.setattr(cli, "ideal_classes", lambda order: searched.append(order)
+                        or ideal_classes(order))
     argv = ["basis", "--level", "105", "--prec", "100", "--cache-dir", str(tmp_path)]
     assert main(argv) == 0
     capsys.readouterr()
-    assert len(passes) == len(set(map(id, passes))) == len(_odd_subsets(prime_factors(105)))
+    assert len(passes) == len(set(map(id, passes))) == 1
+    assert [order.alg.ramified for order in searched] == [(3, 5, 7)]
+    assert [p.name for p in tmp_path.iterdir()] == ["brandt_a7_b15_N105.json"]
+
+
+def test_cold_run_at_195_builds_the_reference_and_the_host(tmp_path, monkeypatch, capsys):
+    # the default line at N = 195 is hosted by the algebra ramified at 3:
+    # the search builds the reference set, and the selected line moves to
+    # its host's set, so exactly two class sets are built
+    searched = []
+    monkeypatch.setattr(cli, "ideal_classes", lambda order: searched.append(order)
+                        or ideal_classes(order))
+    argv = ["basis", "--level", "195", "--prec", "100", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("level 195\nalgebra a=1 b=3 ramified 3\n")
+    assert [order.alg.ramified for order in searched] == [(3, 5, 13), (3,)]
+
+
+def test_a_line_its_host_does_not_hold_exits_4(monkeypatch, capsys):
+    # the host's refinement must hold exactly one line with the selected
+    # line's eigenvalues; anything else is an internal failure, never a
+    # silent pick
+    original = brandt.cuspidal_eigenlines
+
+    def hostless(class_set, signs=None):
+        lines = original(class_set, signs=signs)
+        return lines if class_set.alg.ramified == (3, 5, 13) else []
+
+    monkeypatch.setattr(brandt, "cuspidal_eigenlines", hostless)
+    assert main(["basis", "--level", "195", "--prec", "10"]) == 4
+    assert capsys.readouterr().err == (
+        "error: 0 eigenlines of the algebra ramified at 3 match the selected newform\n"
+    )
+
+
+@pytest.mark.parametrize("level", [105, 165, 195, 273])
+def test_reference_search_matches_the_per_subset_search(level):
+    # the reference class set names the same lines, in the same order, as
+    # a search of every subset's own class set; moved to its host, each is
+    # that subset's line
+    bad = prime_factors(level)
+
+    def summary(line, host):
+        return host, [line.eigenvalue(p) for p in (*ORDER_PRIMES, *bad)]
+
+    want = oracles.eigenline_candidates_ref(level)
+    got = eigenline_candidates(level)
+    assert all(line.class_set.alg.ramified == tuple(bad) for line in got)
+    assert [
+        summary(line, tuple(p for p in bad if line.eigenvalue(p) == 1)) for line in got
+    ] == [summary(line, line.class_set.alg.ramified) for line in want]
+    for line, old in zip(got, want):
+        assert matching_eigenline(line, old.class_set).vector == old.vector
 
 
 def test_cold_run_counts_each_lattice_once(tmp_path, monkeypatch, capsys):
@@ -911,7 +976,7 @@ def _identity_b5(state):
         (67, "brandt_a1_b67_N67.json", _non_commuting_b2),
         (37, "brandt_a2_b37_N37.json", _non_permutation_b37),
         (57, "brandt_a1_b3_N57.json", _identity_b3),
-        (105, "brandt_a2_b5_N105.json", _identity_b5),
+        (195, "brandt_a1_b3_N195.json", _identity_b5),
     ],
 )
 def test_tampered_cache_matrices_are_recomputed(tmp_path, capsys, level, name, tamper):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from halfint import lift
 from halfint.errors import MissingEigenvalueError, PrecisionError
 from halfint.lift import LiftProfile, assemble_h, kronecker_gate, power_sums
 from halfint.localfactors import (
@@ -230,6 +231,16 @@ def test_gate_forces_zero_products():
         core = oracles.squarefree_part_ref(n)
         if not kronecker_gate(LEVEL15_PROFILE, core):
             assert abs(local_K(LEVEL15_PROFILE, "K1", n)) < 1e-12
+
+
+def test_h_gates_each_core_without_a_second_square_free_test(monkeypatch):
+    # the sieve already knows each core is square-free, so assemble_h hands
+    # the gate the core's discriminant; only outside callers pay the check
+    def refuse(t):
+        raise AssertionError(f"square-free test of the sieved core {t}")
+
+    monkeypatch.setattr(lift, "fundamental_discriminant", refuse)
+    assert assemble_h(LEVEL15_G, LEVEL15_G4, LEVEL15_PROFILE, 25).coeffs == LEVEL15_H
 
 
 def test_global_factors():
