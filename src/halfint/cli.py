@@ -11,12 +11,11 @@ for `localfactors`.  The selected class set is then cached with every
 degree matrix the run built, and `_render` prints metadata and stage
 output.
 
-Which class sets a run builds: at a level with an odd number of primes,
-unless a newform file pins every sign, the search builds one, the
-maximal order of discriminant N, which holds every newform of level N
-once; the selected line then needs a second set only when its algebra
-is ramified at fewer primes.  Otherwise (a prime level, an even number
-of primes, or every sign pinned) each searched subset has its own set.
+Which class sets a run builds: at a level with an odd number of primes
+the search builds one, the maximal order of discriminant N, which holds
+every newform of level N once; the selected line then needs a second
+set only when its algebra is ramified at fewer primes.  At an even
+number of primes each searched subset has its own set.
 """
 
 from __future__ import annotations
@@ -281,9 +280,10 @@ def eigenline_candidates(
     The refinement keeps only that sign pattern, so lines whose bad
     eigenvalues are not signs (transfers from lower level) never appear.
 
-    Each host class set (`_class_set`) is built, refined for the subsets
-    it hosts and stored in turn.  When the level has an odd number of
-    primes and `restrict` is None, one host serves every subset: the
+    The subsets searched are all odd ones, or only `restrict`, the one a
+    newform file pins.  Each host class set (`_class_set`) is built,
+    refined for the subsets it hosts and stored in turn.  When the level
+    has an odd number of primes, one host serves every subset: the
     reference, the maximal order of discriminant N, in the algebra
     ramified at every prime of N.  Its rational cuspidal lines are the
     rational newforms of level N, each once, and no old form; on each,
@@ -292,14 +292,15 @@ def eigenline_candidates(
     the newform (Jacquet–Langlands, made explicit for Brandt matrices by
     Pizer, J. Algebra 64, 1980, and Gross, "Heights and special values of
     L-series", 1987).  So the reference refined with S's signs gives S's
-    lines, ordered as on S's own class set, and `_run` moves only the
-    selected line there (`matching_eigenline`).  Otherwise (an even
-    number of primes, where no order of discriminant N exists, or the one
-    subset `restrict` pins) each subset is its own host, as at a prime
-    level.
+    lines, sorted by their eigenvalues at ORDER_PRIMES, and `_run` moves
+    only the selected line there (`matching_eigenline`).  Lines that tie
+    at every ORDER_PRIME keep the order in which the refinement of the
+    reference finished them.  At an even number of primes no order of
+    discriminant N exists, and each subset is its own host, as at a
+    prime level.
     """
     bad_primes = prime_factors(level)
-    reference = tuple(bad_primes) if restrict is None and len(bad_primes) % 2 else None
+    reference = tuple(bad_primes) if len(bad_primes) % 2 else None
     hosted: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for ramified in _odd_subsets(bad_primes) if restrict is None else [restrict]:
         hosted.setdefault(reference or ramified, []).append(ramified)

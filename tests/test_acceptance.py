@@ -410,6 +410,19 @@ def test_old_line_at_231_is_no_candidate():
     assert proc.stderr.decode() == "error: selector index 1 out of range 0..0\n"
 
 
+# a newform file that pins the old line's signs searches the same reference
+# class set, so it finds no line there either
+def test_old_line_at_231_is_not_found_by_pinning_its_signs(tmp_path):
+    nf = tmp_path / "old.txt"
+    nf.write_text("3 -1\n7 -1\n11 1\n")
+    argv = ["basis", "--level", "231", "--prec", "100", "--newform-file", str(nf)]
+    proc = _halfint(argv)
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr.decode() == (
+        "error: external eigenvalues conflict with every computed eigenline\n"
+    )
+
+
 # every line at N = 195, digests recorded from a search that refined each
 # subset on its own class set: the hosts are {3}, {5}, {3, 5, 13} and
 # {3, 5, 13}, so two lines move off the reference class set and two stay
