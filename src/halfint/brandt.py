@@ -327,9 +327,10 @@ def _check_degree_matrix(
     to the trial-division bound (the row-sum check factors n), h x h with
     non-negative integer entries, the identity at n = 1, symmetric after
     weighting (e_j B_ij = e_i B_ji), with row sums sigma(n) (the sum of
-    the divisors of n) at every n prime to the level, and a single 1 in
-    every row at ramified primes (with the symmetry, the permutation
-    matrix of an involution)."""
+    the divisors of n) at every n prime to the level and 2n + 1 (the
+    Eisenstein a_n + n·w_n) at a prime n dividing the level but not the
+    discriminant, and a single 1 in every row at ramified primes (with
+    the symmetry, the permutation matrix of an involution)."""
     h = len(es)
     if not 1 <= n <= TRIAL_BOUND or len(mat) != h or any(len(row) != h for row in mat):
         raise ValueError(f"cached degree-{n} matrix has the wrong degree or shape")
@@ -339,8 +340,10 @@ def _check_degree_matrix(
         raise ValueError("cached degree-1 matrix is not the identity")
     if not _weighted_symmetric(mat, es):
         raise ValueError(f"cached degree-{n} matrix breaks the weighted symmetry")
-    if gcd(n, level) == 1 and {sum(row) for row in mat} != {sum(divisors(n))}:
-        raise ValueError(f"cached degree-{n} matrix has a row sum other than sigma({n})")
+    coprime = gcd(n, level) == 1
+    row_sum = sum(divisors(n)) if coprime else 2 * n + 1
+    if (coprime or n not in ramified and is_prime(n)) and {sum(r) for r in mat} != {row_sum}:
+        raise ValueError(f"cached degree-{n} matrix has a row sum other than {row_sum}")
     if n in ramified and any(sorted(row) != [0] * (h - 1) + [1] for row in mat):
         raise ValueError(
             f"cached degree-{n} matrix at a ramified prime is not a permutation"

@@ -11,11 +11,12 @@ for `localfactors`.  The selected class set is then cached with every
 degree matrix the run built, and `_render` prints metadata and stage
 output.
 
-Which class sets a run builds: at a level with an odd number of primes
-the search builds one, the maximal order of discriminant N, which holds
-every newform of level N once; the selected line then needs a second
-set only when its algebra is ramified at fewer primes.  At an even
-number of primes each searched subset has its own set.
+Which class sets a run builds: the search builds one at every level,
+the Eichler order of level N in the algebra ramified at the largest
+odd-sized prefix of N's sorted primes (all of them when their number is
+odd, all but the largest otherwise), which holds every newform of level
+N once and no old form that the sign filter lets through.  The selected
+line needs a second set only when its own algebra is another.
 """
 
 from __future__ import annotations
@@ -273,44 +274,40 @@ def eigenline_candidates(
     cache_dir: Path | None = None,
     restrict: tuple[int, ...] | None = None,
 ) -> list[Eigenform]:
-    """Admissible eigenlines over all odd ramification subsets.
+    """Admissible eigenlines over all odd ramification subsets, or only
+    `restrict`, the one a newform file pins.
 
     A line qualifies for the subset S when its eigenvalue at every prime
     dividing the level is +1 at the primes of S and -1 at the others.
-    The refinement keeps only that sign pattern, so lines whose bad
-    eigenvalues are not signs (transfers from lower level) never appear.
-
-    The subsets searched are all odd ones, or only `restrict`, the one a
-    newform file pins.  Each host class set (`_class_set`) is built,
-    refined for the subsets it hosts and stored in turn.  When the level
-    has an odd number of primes, one host serves every subset: the
-    reference, the maximal order of discriminant N, in the algebra
-    ramified at every prime of N.  Its rational cuspidal lines are the
-    rational newforms of level N, each once, and no old form; on each,
-    the permutation B(q) at q | N has the newform's eigenvalue a_q, which
-    is +1 exactly at the primes of the subset whose own class set holds
-    the newform (Jacquet–Langlands, made explicit for Brandt matrices by
-    Pizer, J. Algebra 64, 1980, and Gross, "Heights and special values of
-    L-series", 1987).  So the reference refined with S's signs gives S's
-    lines, sorted by their eigenvalues at ORDER_PRIMES, and `_run` moves
-    only the selected line there (`matching_eigenline`).  Lines that tie
-    at every ORDER_PRIME keep the order in which the refinement of the
-    reference finished them.  At an even number of primes no order of
-    discriminant N exists, and each subset is its own host, as at a
-    prime level.
+    Every subset is refined with its signs on one class set, the search
+    set: the Eichler order of level N in the algebra ramified at the
+    largest odd-sized prefix D of N's sorted primes, built
+    (`_class_set`), refined and stored once.  Its rational cuspidal lines
+    are the rational forms of level N that are new at D, each once
+    (Jacquet–Langlands, made explicit for Brandt matrices by Pizer,
+    J. Algebra 64, 1980, and Gross, "Heights and special values of
+    L-series", 1987); on a newform, the degree matrix at q | N has
+    eigenvalue a_q, which is +1 exactly at the primes of the subset whose
+    own class set holds it.  With an odd number of primes D = N, the
+    maximal order of discriminant N, which holds no old form.  With an
+    even number D = N/q for the largest prime q, and the set also holds
+    the q-old forms of level N/q; such a line has B(q)-eigenvalue
+    a_q + q·w_q, a sign only when a_q = ±(q - 1), which the Hasse bound
+    |a_q| <= 2√q allows only for q <= 5, that is N = 15, and level 3 has
+    no cusp form.  So each subset's signs give that subset's lines,
+    sorted by their eigenvalues at ORDER_PRIMES, and `_run` moves only
+    the selected line to its host (`matching_eigenline`).  Lines that tie
+    at every ORDER_PRIME keep the order in which the refinement finished
+    them.
     """
     bad_primes = prime_factors(level)
-    reference = tuple(bad_primes) if len(bad_primes) % 2 else None
-    hosted: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for ramified in _odd_subsets(bad_primes) if restrict is None else [restrict]:
-        hosted.setdefault(reference or ramified, []).append(ramified)
+    search = tuple(bad_primes[: len(bad_primes) - 1 + len(bad_primes) % 2])
+    class_set = _class_set(level, search, cache_dir)
     out: list[Eigenform] = []
-    for host, subsets in hosted.items():
-        class_set = _class_set(level, host, cache_dir)
-        for ramified in subsets:
-            signs = {p: 1 if p in ramified else -1 for p in bad_primes}
-            out += cuspidal_eigenlines(class_set, signs=signs)
-        _store_class_set(class_set, cache_dir)
+    for ramified in _odd_subsets(bad_primes) if restrict is None else [restrict]:
+        signs = {p: 1 if p in ramified else -1 for p in bad_primes}
+        out += cuspidal_eigenlines(class_set, signs=signs)
+    _store_class_set(class_set, cache_dir)
     return out
 
 

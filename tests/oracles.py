@@ -5,9 +5,10 @@ than the library (exhaustive searches, floating point, point counting,
 rational rather than integer elimination), so agreement between the two
 is evidence rather than tautology.  The exceptions are routines the
 library replaced by faster code with the same output (`hnf_rows_ref`,
-`lll_gram_ref`, `bareiss_ref`, `eigenline_candidates_ref`): they pin the
-replacement to what it replaced.  The small helpers after them (`xgcd`,
-`hilbert_real`, `qadd`, `contains_lattice`) serve only the tests.
+`lll_gram_ref`, `bareiss_ref`, `eigenline_candidates_ref`,
+`unpruned_candidates`): they pin the replacement to what it replaced.
+The small helpers after them (`xgcd`, `hilbert_real`, `qadd`,
+`contains_lattice`) serve only the tests.
 """
 
 from __future__ import annotations
@@ -788,8 +789,8 @@ def assemble_h_ref(g, profile, prec):
 
 # ---------------------------------------------------------------------------
 # The eigenline search with one class set per odd ramification subset, the
-# search that one reference class set replaced at levels with an odd
-# number of primes.
+# search that one search class set replaced at every level, and that
+# search before it pruned by sign.
 # ---------------------------------------------------------------------------
 
 
@@ -809,4 +810,26 @@ def eigenline_candidates_ref(level):
         order = eichler_order(algebra_ramified_at(list(ramified)), level)
         signs = {p: 1 if p in ramified else -1 for p in bad}
         out += cuspidal_eigenlines(ideal_classes(order), signs=signs)
+    return out
+
+
+def unpruned_candidates(level):
+    """The search without sign pruning: every subset fully refined, then
+    the lines with the wrong bad-prime signs dropped."""
+    from halfint.brandt import cuspidal_eigenlines, ideal_classes
+    from halfint.cli import _odd_subsets
+    from halfint.lattice import eichler_order
+    from halfint.numth import prime_factors
+    from halfint.quat import algebra_ramified_at
+
+    bad = prime_factors(level)
+    out = []
+    for ramified in _odd_subsets(bad):
+        order = eichler_order(algebra_ramified_at(list(ramified)), level)
+        for line in cuspidal_eigenlines(ideal_classes(order)):
+            signs = {p: line.eigenvalue(p) for p in bad}
+            if not all(s in (1, -1) for s in signs.values()):
+                continue
+            if all((signs[p] == 1) == (p in ramified) for p in bad):
+                out.append((ramified, line))
     return out

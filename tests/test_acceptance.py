@@ -351,6 +351,10 @@ PINNED_OUTPUTS = {
         "fe4e6cbd9a10b60a6a3bd2572af7a8deb704d95cf0d83cb2a79d4076036e13d8",
     "basis --level 285 --prec 100":
         "a8d0aede74dae73751dc222b933a6fba6729d5ef48eefad58fb9242e3d9354b9",
+    # the newform of level 339, which a 3-old line hid by default while
+    # each subset was searched on its own class set
+    "basis --level 339 --prec 100":
+        "5d6fbc4217fba68dc582d4d7d574d7d8203470fe7f3cc6022e0fd1b6c6aef768",
     "brandt --level 67 --nmax 20 --format json":
         "595f82b1a82f74f50a8822db01cb6a8aed15f780b9d365d0b0baee6be7f35564",
     "brandt --level 105 --nmax 20 --format json":
@@ -423,9 +427,28 @@ def test_old_line_at_231_is_not_found_by_pinning_its_signs(tmp_path):
     )
 
 
+# at two primes the search set is ramified at the smaller one, and holds
+# no 3-old line: a newform file with the newform's signs at N = 339 selects
+# it (stdout as the pinned default run), and N = 267 keeps two lines
+def test_newform_file_at_339_selects_the_newform(tmp_path):
+    nf = tmp_path / "new.txt"
+    nf.write_text("3 -1\n113 1\n")
+    proc = _halfint(["basis", "--level", "339", "--prec", "100", "--newform-file", str(nf)])
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == PINNED_OUTPUTS[
+        "basis --level 339 --prec 100"
+    ]
+
+
+def test_old_line_at_267_is_no_candidate():
+    proc = _halfint(["basis", "--level", "267", "--prec", "100", "--selector", "2"])
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr.decode() == "error: selector index 2 out of range 0..1\n"
+
+
 # every line at N = 195, digests recorded from a search that refined each
 # subset on its own class set: the hosts are {3}, {5}, {3, 5, 13} and
-# {3, 5, 13}, so two lines move off the reference class set and two stay
+# {3, 5, 13}, so two lines move off the search class set and two stay
 SELECTED_195 = [
     "21b47a750ba706959ba319f262bbbe0ab6f244bf0938272f1d46fa0edb95c28e",
     "daabc64712674c44717772c1aa9412726c55f0ee36336e3c61b87d6ba50a8121",
@@ -478,7 +501,7 @@ def test_usage_error_line():
     )
 
 
-# a cold run at N = 105 builds only the reference class set, the algebra
+# a cold run at N = 105 builds only the search class set, the algebra
 # ramified at 3, 5 and 7, which hosts the level's one line
 CACHE_105 = {
     "brandt_a7_b15_N105.json":

@@ -20,13 +20,11 @@ from halfint import brandt, cli
 from halfint.brandt import (
     ORDER_PRIMES,
     IdealClassSet,
-    cuspidal_eigenlines,
     ideal_classes,
     matching_eigenline,
 )
 from halfint.cli import (
     JobConfig,
-    _odd_subsets,
     _parse_plain,
     _select,
     build_parser,
@@ -46,9 +44,9 @@ from halfint.errors import (
     NewformFileError,
     SelectorNotFoundError,
 )
-from halfint.lattice import Lattice4, eichler_order
+from halfint.lattice import Lattice4
 from halfint.numth import prime_factors
-from halfint.quat import QuaternionAlgebra, algebra_ramified_at
+from halfint.quat import QuaternionAlgebra
 from halfint.qexp import QExpansion
 
 LEVEL15_G = {3: 1, 8: -2, 15: -1, 20: 2, 23: 2}
@@ -441,37 +439,25 @@ def test_pinned_odd_signs_restrict_the_search(tmp_path, capsys):
             "--newform-file", str(nf), "--cache-dir", str(cache)]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["ramified_set"] == [5]
-    assert sorted(p.name for p in cache.iterdir()) == ["brandt_a2_b5_N15.json"]
-
-
-def _unpruned_candidates(level):
-    """The search without sign pruning: every subset fully refined, then
-    the lines with the wrong bad-prime signs dropped."""
-    bad = prime_factors(level)
-    out = []
-    for ramified in _odd_subsets(bad):
-        order = eichler_order(algebra_ramified_at(list(ramified)), level)
-        for line in cuspidal_eigenlines(ideal_classes(order)):
-            signs = {p: line.eigenvalue(p) for p in bad}
-            if not all(s in (1, -1) for s in signs.values()):
-                continue
-            if all((signs[p] == 1) == (p in ramified) for p in bad):
-                out.append((ramified, line))
-    return out
+    # the search set (ramified at 3) and the line's host
+    assert sorted(p.name for p in cache.iterdir()) == [
+        "brandt_a1_b3_N15.json", "brandt_a2_b5_N15.json"
+    ]
 
 
 @pytest.mark.parametrize("level", [11, 15, 21, 33, 35, 37])
 def test_pruned_search_matches_unpruned_filter(level):
-    small = (2, 3, 5, 7, 11, 13)
-    want = [
-        (ramified, line.vector, [line.eigenvalue(p) for p in small])
-        for ramified, line in _unpruned_candidates(level)
-    ]
-    got = [
-        (c.class_set.alg.ramified, c.vector, [c.eigenvalue(p) for p in small])
-        for c in eigenline_candidates(level)
-    ]
-    assert got == want
+    # each candidate, moved to its host, is the unpruned search's line
+    bad = prime_factors(level)
+    want = oracles.unpruned_candidates(level)
+    got = eigenline_candidates(level)
+    assert len(got) == len(want)
+    for c, (ramified, line) in zip(got, want):
+        assert tuple(p for p in bad if c.eigenvalue(p) == 1) == ramified
+        assert [c.eigenvalue(p) for p in ORDER_PRIMES] == [
+            line.eigenvalue(p) for p in ORDER_PRIMES
+        ]
+        assert matching_eigenline(c, line.class_set).vector == line.vector
 
 
 def test_deeply_nested_newform_file_exits_3(tmp_path, capsys):
@@ -649,7 +635,7 @@ def test_cold_run_counts_each_class_set_once(tmp_path, monkeypatch, capsys):
     # the refinement plans the pinned primes and ORDER_PRIMES together, so
     # one counting pass serves every degree a cold basis run asks for; the
     # class sets are held, so no two of them can share an id.  N = 105 has
-    # three primes, and its only line lies on the reference class set (the
+    # three primes, and its only line lies on the search class set (the
     # algebra ramified at 3, 5 and 7), so that is the one set searched
     passes = []
     searched = []
@@ -700,24 +686,35 @@ def test_a_line_its_host_does_not_hold_exits_4(monkeypatch, capsys):
     )
 
 
-@pytest.mark.parametrize("level", [105, 165, 195, 273])
+@pytest.mark.parametrize("level", [15, 21, 33, 35, 85, 105, 165, 195, 221, 273])
 def test_reference_search_matches_the_per_subset_search(level):
-    # the reference class set names the same lines, in the same order, as
-    # a search of every subset's own class set; moved to its host, each is
-    # that subset's line
+    # the search class set, ramified at the largest odd-sized prefix of the
+    # level's primes, names the same lines, in the same order, as a search
+    # of every subset's own class set; moved to its host, each is that
+    # subset's line
     bad = prime_factors(level)
+    search = tuple(bad[: len(bad) - 1 + len(bad) % 2])
 
     def summary(line, host):
         return host, [line.eigenvalue(p) for p in (*ORDER_PRIMES, *bad)]
 
     want = oracles.eigenline_candidates_ref(level)
     got = eigenline_candidates(level)
-    assert all(line.class_set.alg.ramified == tuple(bad) for line in got)
+    assert all(line.class_set.alg.ramified == search for line in got)
     assert [
         summary(line, tuple(p for p in bad if line.eigenvalue(p) == 1)) for line in got
     ] == [summary(line, line.class_set.alg.ramified) for line in want]
     for line, old in zip(got, want):
         assert matching_eigenline(line, old.class_set).vector == old.vector
+
+
+@pytest.mark.parametrize("level", [11, 15, 21, 105, 195])
+def test_search_builds_one_class_set(level, monkeypatch):
+    searched = []
+    monkeypatch.setattr(cli, "ideal_classes", lambda order: searched.append(order)
+                        or ideal_classes(order))
+    eigenline_candidates(level)
+    assert len(searched) == 1
 
 
 def test_cold_run_counts_each_lattice_once(tmp_path, monkeypatch, capsys):
@@ -955,9 +952,10 @@ def _non_permutation_b37(state):
 
 
 def _identity_at(state, q):
-    # at a prime dividing the level there is no row-sum check, and the
-    # identity is a weighted-symmetric permutation commuting with every
-    # degree; only the searched counts of row 0 and the diagonal catch it
+    # the identity is a weighted-symmetric permutation commuting with every
+    # degree; at a ramified q only the searched counts of row 0 and the
+    # diagonal catch it, and at an unramified q dividing the level the row
+    # sum 2q + 1 does
     h = len(state["unit_counts"])
     state["brandt"][str(q)] = [[int(i == j) for j in range(h)] for i in range(h)]
 
@@ -970,12 +968,18 @@ def _identity_b5(state):
     _identity_at(state, 5)
 
 
+def _identity_b19(state):
+    # 19 > KEY_DEGREE, so no searched count covers it
+    _identity_at(state, 19)
+
+
 @pytest.mark.parametrize(
     "level, name, tamper",
     [
         (67, "brandt_a1_b67_N67.json", _non_commuting_b2),
         (37, "brandt_a2_b37_N37.json", _non_permutation_b37),
         (57, "brandt_a1_b3_N57.json", _identity_b3),
+        (57, "brandt_a1_b3_N57.json", _identity_b19),
         (195, "brandt_a1_b3_N195.json", _identity_b5),
     ],
 )
