@@ -282,10 +282,11 @@ class IdealClassSet:
         those of `searched`, when a stored matrix breaks an invariant of
         the degree matrices (see `_check_degree_matrix`), when a stored
         degree up to KEY_DEGREE has a row 0 or a diagonal other than the
-        counts the search made (module docstring) or when two stored
-        matrices do not commute.  The stored classes are only compared,
-        never built into lattices, and a failed load leaves `searched` as
-        it was.
+        counts the search made (module docstring), when two stored
+        matrices do not commute or when a stored B(mk) is not B(m) B(k)
+        for stored coprime degrees m, k > 1.  The stored classes are only
+        compared, never built into lattices, and a failed load leaves
+        `searched` as it was.
         """
         expected = searched.to_state()
         if (
@@ -316,6 +317,14 @@ class IdealClassSet:
             for m, n in itertools.combinations(mats, 2)
         ):
             raise ValueError("cached degree matrices do not commute")
+        # B(mk) = B(m) B(k) for coprime m, k > 1 whose matrices are both
+        # stored; prime powers are not checked (at p | N/D their recursion
+        # needs the Atkin-Lehner permutation W_p)
+        for m, n in itertools.permutations(mats, 2):
+            k, r = divmod(n, m)
+            if not r and 1 < m < k and gcd(m, k) == 1 and k in mats:
+                if tuple(_product(mats[m], mats[k])) != mats[n]:
+                    raise ValueError(f"cached degree-{n} matrix is not B({m}) B({k})")
         searched._matrices = mats
         return searched
 

@@ -17,6 +17,11 @@ odd-sized prefix of N's sorted primes (all of them when their number is
 odd, all but the largest otherwise), which holds every newform of level
 N once and no old form that the sign filter lets through.  The selected
 line needs a second set only when its own algebra is another.
+
+The zero test: `basis` raises ZeroFormError (exit 2, a central L-value
+zero) only when g vanishes through the Sturm bound `theta.sturm_bound(N)`
+as well as through the precision (`_basis_pair`), so a small `--prec`
+never reports a nonzero g as zero.
 """
 
 from __future__ import annotations
@@ -51,9 +56,14 @@ from .errors import (
 from .lattice import Order, eichler_order
 from .lift import LiftProfile, assemble_h
 from .numth import TRIAL_BOUND, is_prime, is_squarefree, prime_factors, primes
-from .qexp import QExpansion
 from .quat import algebra_ramified_at
-from .theta import deep_coefficients, kohnen_form, ternary_theta, trace_zero_lattice
+from .theta import (
+    deep_coefficients,
+    kohnen_form,
+    sturm_bound,
+    ternary_theta,
+    trace_zero_lattice,
+)
 
 if TYPE_CHECKING:
     import argparse
@@ -454,24 +464,21 @@ def _run(config: JobConfig, stage: Callable[[dict], dict], pmax: int = 0) -> dic
 def _basis_pair(run: dict, prec: int) -> dict:
     """g, g4 and h through prec.  g is counted through prec, and g4 (its
     coefficients at 4m, which h reads) through prec on the trace-zero
-    parts of the orders, both signed by g's leading coefficient.  When g
-    vanishes through prec, one count through 4·prec gives the sign, the
-    zero test and g4."""
+    parts of the orders, both signed by g's first nonzero coefficient.
+    When g vanishes through prec < B = `sturm_bound(level)`, g is counted
+    once more through B for that coefficient; g vanishing through
+    max(prec, B) certifies g = 0, a central L-value zero."""
     line = run["line"]
     g = kohnen_form(line, prec)
-    if g:
-        sign = 1 if g.leading()[1] > 0 else -1
-        g4 = deep_coefficients(line, prec).scale(sign)
-        g = g.scale(sign)
-    else:
-        deep_g = kohnen_form(line, 4 * prec).sign_normalized()
-        if not deep_g:
-            raise ZeroFormError(
-                "the theta eigenform vanishes identically: the selected newform "
-                "has central L-value zero and carries no Kohnen lift"
-            )
-        g = deep_g.truncate(prec)
-        g4 = QExpansion(prec, {n // 4: c for n, c in deep_g.coeffs.items() if n % 4 == 0})
+    bound = sturm_bound(line.class_set.level)
+    lead = g.leading() or (prec < bound and kohnen_form(line, bound).leading())
+    if not lead:
+        raise ZeroFormError(
+            "the theta eigenform vanishes identically: the selected newform "
+            "has central L-value zero and carries no Kohnen lift"
+        )
+    sign = 1 if lead[1] > 0 else -1
+    g, g4 = g.scale(sign), deep_coefficients(line, prec).scale(sign)
     return {"g": g, "g4": g4, "h": assemble_h(g, g4, run["profile"], prec)}
 
 

@@ -106,13 +106,6 @@ class QExpansion(Value):
             return n, v
         return None
 
-    def sign_normalized(self) -> "QExpansion":
-        """This series or its negative, whichever has positive leading term."""
-        lead = self.leading()
-        if lead is None or lead[1] > 0:
-            return self
-        return self.scale(-1)
-
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:

@@ -22,7 +22,7 @@ at 4m on O_i⁰ up to m, a fourth of the norm bound that R_i would need.
 
 from __future__ import annotations
 
-from .brandt import Eigenform
+from .brandt import Eigenform, _psi
 from .errors import IntegralityError, PrecisionError
 from .lattice import Lattice4, Order, count_by_value
 from .numth import is_prime, kronecker, squarefree_part
@@ -37,6 +37,7 @@ __all__ = [
     "ternary_theta",
     "kohnen_form",
     "deep_coefficients",
+    "sturm_bound",
     "hecke_check",
 ]
 
@@ -128,8 +129,9 @@ def _combine(eigenform: Eigenform, prec: int, lattice_of) -> dict[int, int]:
 def kohnen_form(eigenform: Eigenform, prec: int) -> QExpansion:
     """Eigenvector combination of the class theta series.
 
-    The zero series is a legal output: it signals a vanishing central
-    L-value for the newform behind the eigenline.
+    The zero series is a legal output.  It means that the newform behind
+    the eigenline has central L-value zero only when it is counted through
+    `sturm_bound(level)` at least; below that bound g may still be nonzero.
     """
     return QExpansion(prec, _combine(eigenform, prec, trace_zero_lattice), kohnen=True)
 
@@ -139,6 +141,22 @@ def deep_coefficients(eigenform: Eigenform, prec: int) -> QExpansion:
     the same combination over the trace-zero parts O_i⁰, since
     r_R(4m) = r_{O⁰}(m) (module docstring)."""
     return QExpansion(prec, _combine(eigenform, prec, trace_zero_part))
+
+
+def sturm_bound(level: int) -> int:
+    """B(N) = ⌈3ψ(N)/4⌉ with ψ(N) = ∏_{p|N}(p + 1), for odd square-free N:
+    a theta eigenform g of level N whose coefficients vanish through q^B
+    is zero.
+
+    g lies in M_{3/2}(Γ₀(4N)) (its constant term Σ v_i/2 is zero on a
+    cuspidal line), so g⁴ lies in M₆(Γ₀(4N)), and [SL₂(ℤ) : Γ₀(4N)] =
+    4N·∏_{p|4N}(1 + 1/p) = 6ψ(N).  Sturm's theorem (J. Sturm, LNM 1240,
+    1987): a form of weight k on a subgroup of index μ whose order at ∞
+    exceeds kμ/12 is zero, and here kμ/12 = 6·6ψ(N)/12 = 3ψ(N).  If g
+    vanishes through q^B then ord g⁴ ≥ 4(B + 1) > 3ψ(N), so g⁴ = 0 and
+    g = 0.
+    """
+    return -(-3 * _psi(level) // 4)
 
 
 def hecke_check(g: QExpansion, eigenform: Eigenform, p: int) -> bool:

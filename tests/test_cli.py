@@ -48,6 +48,7 @@ from halfint.lattice import Lattice4
 from halfint.numth import prime_factors
 from halfint.quat import QuaternionAlgebra
 from halfint.qexp import QExpansion
+from halfint.theta import sturm_bound
 
 LEVEL15_G = {3: 1, 8: -2, 15: -1, 20: 2, 23: 2}
 LEVEL15_H = {2: -4, 3: 1, 5: 4, 8: 2, 12: -4, 15: 3, 18: 4, 20: -2, 23: -6}
@@ -554,15 +555,15 @@ def test_main_zero_form_exit_2(monkeypatch, capsys):
     assert "zero" in capsys.readouterr().err.lower()
 
 
-# exit codes and stdout digests of `basis --prec 1` and `--prec 2`, where
-# g vanishes through the precision; N=105 at 1 exits 2 with no stdout
-FALLBACK_OUTPUTS = {
-    (11, 1): (0, "223af3a4ccc1fec31baf5759162549d6f13d5d575799d02b4f9cbc1c726eda28"),
-    (11, 2): (0, "223af3a4ccc1fec31baf5759162549d6f13d5d575799d02b4f9cbc1c726eda28"),
-    (15, 1): (0, "9f1b87193c6d26ceff8ec6ba2e41cc33f22177bb56ebf85c62c4d71d21cc7b73"),
-    (15, 2): (0, "61d3678894741f8aef2e443684fff2e28a6791363bcf119ad1eb68379c9aa080"),
-    (105, 1): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    (105, 2): (0, "f77440bbcf808296c7b1b9df98fa98a5d6965ab96d5834e607abcc963cfe509c"),
+# stdout digests of `basis --prec 1` and `--prec 2`, where g vanishes
+# through the precision but not through the Sturm bound
+STURM_OUTPUTS = {
+    (11, 1): "223af3a4ccc1fec31baf5759162549d6f13d5d575799d02b4f9cbc1c726eda28",
+    (11, 2): "223af3a4ccc1fec31baf5759162549d6f13d5d575799d02b4f9cbc1c726eda28",
+    (15, 1): "9f1b87193c6d26ceff8ec6ba2e41cc33f22177bb56ebf85c62c4d71d21cc7b73",
+    (15, 2): "61d3678894741f8aef2e443684fff2e28a6791363bcf119ad1eb68379c9aa080",
+    (105, 1): "f77440bbcf808296c7b1b9df98fa98a5d6965ab96d5834e607abcc963cfe509c",
+    (105, 2): "f77440bbcf808296c7b1b9df98fa98a5d6965ab96d5834e607abcc963cfe509c",
 }
 
 
@@ -583,16 +584,56 @@ def _record_theta_counts(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("level, prec", sorted(FALLBACK_OUTPUTS))
-def test_basis_counts_through_4_prec_only_when_g_vanishes(level, prec, monkeypatch, capsys):
-    # g vanishes through prec, so one count of g through 4·prec gives the
-    # sign, the zero test and g4, and deep_coefficients is never called
+@pytest.mark.parametrize("level, prec", sorted(STURM_OUTPUTS))
+def test_basis_counts_through_the_sturm_bound_only_when_g_vanishes(
+    level, prec, monkeypatch, capsys
+):
+    # g vanishes through prec < B, so g is counted once more through B for
+    # its sign, and g4 is counted through prec as always
     calls = _record_theta_counts(monkeypatch)
-    code, digest = FALLBACK_OUTPUTS[level, prec]
-    assert main(["basis", "--level", str(level), "--prec", str(prec)]) == code
-    assert calls == [("kohnen_form", prec), ("kohnen_form", 4 * prec)]
+    assert main(["basis", "--level", str(level), "--prec", str(prec)]) == 0
+    bound = sturm_bound(level)
+    assert prec < bound
+    assert calls == [("kohnen_form", prec), ("kohnen_form", bound), ("deep_coefficients", prec)]
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert hashlib.sha256(out.encode()).hexdigest() == STURM_OUTPUTS[level, prec]
+
+
+def _basis_json(level, prec, cache):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(
+            ["basis", "--level", str(level), "--prec", str(prec), "--format", "json",
+             "--cache-dir", str(cache)]
+        )
+    return code, json.loads(out.getvalue()) if code == 0 else None
+
+
+@pytest.mark.parametrize("level, prec", [(37, 1), (85, 2), (105, 1), (141, 3), (345, 3)])
+def test_low_precision_basis_is_the_deep_basis_truncated(level, prec, tmp_path):
+    # g vanishes through prec but not through the Sturm bound: the run
+    # exits 0, and its metadata, g and h are those of --prec 100
+    code, deep = _basis_json(level, 100, tmp_path)
+    assert code == 0
+    code, low = _basis_json(level, prec, tmp_path)
+    assert code == 0
+    assert not low["g"]["coeffs"]
+    for key in ("g", "h"):
+        coeffs = {n: a for n, a in deep.pop(key)["coeffs"].items() if int(n) <= prec}
+        assert low.pop(key) == {"prec": prec, "coeffs": coeffs}
+    assert low == deep
+
+
+def test_g_vanishing_through_the_sturm_bound_exits_2(capsys):
+    # the rank-2 newform of level 389 has central L-value zero, and g
+    # vanishes through B(389) = 293
+    assert main(["basis", "--level", "389", "--prec", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the theta eigenform vanishes identically: the selected newform "
+        "has central L-value zero and carries no Kohnen lift\n"
+    )
 
 
 def test_basis_counts_g4_on_the_trace_zero_parts(monkeypatch, capsys):
@@ -848,10 +889,12 @@ def _brandt_as_string(state):
     state["brandt"] = "x"
 
 
-def _assert_tampering_is_recomputed(cache, capsys, level, name, tamper):
-    """A cold run, `tamper` applied to the cache file `name`, then a warm
-    run: same stdout, and the file rewritten to the cold bytes."""
-    argv = ["basis", "--level", str(level), "--prec", "24", "--cache-dir", str(cache)]
+def _assert_tampering_is_recomputed(
+    cache, capsys, level, name, tamper, command=("basis", "--prec", "24")
+):
+    """A cold run of `command`, `tamper` applied to the cache file `name`,
+    then a warm run: same stdout, and the file rewritten to the cold bytes."""
+    argv = [*command, "--level", str(level), "--cache-dir", str(cache)]
     assert main(argv) == 0
     cold_out = capsys.readouterr().out
     path = cache / name
@@ -985,6 +1028,20 @@ def _identity_b19(state):
 )
 def test_tampered_cache_matrices_are_recomputed(tmp_path, capsys, level, name, tamper):
     _assert_tampering_is_recomputed(tmp_path / "cache", capsys, level, name, tamper)
+
+
+def _b2_as_b18(state):
+    # 18 = 2 * 9 shares the prime 3 with the level, so no row sum is known
+    # there, and B(2) commutes with every degree and is weighted-symmetric;
+    # only B(18) = B(2) B(9) catches it
+    state["brandt"]["18"] = state["brandt"]["2"]
+
+
+def test_tampered_composite_degree_is_recomputed(tmp_path, capsys):
+    _assert_tampering_is_recomputed(
+        tmp_path / "cache", capsys, 15, "brandt_a2_b5_N15.json", _b2_as_b18,
+        command=("brandt", "--nmax", "20"),
+    )
 
 
 def test_warm_run_rewrites_no_cache_file(tmp_path, capsys, monkeypatch):

@@ -76,10 +76,8 @@ def test_kohnen_flag_propagates():
 def test_leading_and_sign():
     f = QExpansion(10, {8: -2, 3: -1})
     assert f.leading() == (3, -1)
-    g = f.sign_normalized()
-    assert g[3] == 1 and g[8] == 2
-    assert g.sign_normalized() is g
-    assert QExpansion(5, {}).sign_normalized().support() == []
+    assert f.scale(-1).leading() == (3, 1)
+    assert QExpansion(5, {}).leading() is None
 
 
 def test_non_int_coefficients_rejected():
