@@ -504,7 +504,7 @@ class Eigenform:
         return sum(self.vector) == 0
 
 
-def _refine(class_set: IdealClassSet, signs: dict[int, int] | None) -> list[Eigenform]:
+def _refine(class_set: IdealClassSet, pins: dict[int, int] | None) -> list[Eigenform]:
     """Rational simultaneous eigenlines by successive refinement under the
     degree-p matrices, unsorted.
 
@@ -513,31 +513,31 @@ def _refine(class_set: IdealClassSet, signs: dict[int, int] | None) -> list[Eige
     spanned by the rows k block, for k in the integer left kernel of
     block B(p) - lam block, that is with (k block) B(p) = lam (k block),
     one per integer lam.  What lies outside them is discarded: no line
-    there has a rational eigenvalue at p.  With `signs`, the pinned primes
-    are refined first and only the eigenspace of the pinned eigenvalue is
-    kept there.  A finished line computes its eigenvalues from its vector,
-    at the primes it was refined at as at every other.
+    there has a rational eigenvalue at p.  The primes dividing the level
+    are refined first, then the other primes up to PRIME_BOUND, each in
+    increasing order.  `pins` maps primes to eigenvalues: at a pinned
+    prime only the eigenspace of the pinned eigenvalue is kept, so the
+    lines returned are exactly the unpinned ones with those eigenvalues,
+    in the same relative order.  A finished line computes its eigenvalues
+    from its vector, at the primes it was refined at as at every other.
     """
-    signs = signs or {}
+    pins = pins or {}
     H = class_set.h
     pending = [[tuple(int(i == j) for j in range(H)) for i in range(H)]]
     finished: list[list[tuple[int, ...]]] = []
 
-    default_order = sorted(
-        set(prime_factors(class_set.level))
-        | set(itertools.takewhile(lambda q: q <= PRIME_BOUND, primes()))
-    )
-    refine_primes = sorted(signs) + [p for p in default_order if p not in signs]
-    # one counting pass serves the pinned primes refined first and the
-    # ORDER_PRIMES that `_by_small_eigenvalues` asks for afterwards
-    class_set.plan(max([*signs, *ORDER_PRIMES]))
+    bad = prime_factors(class_set.level)
+    good = itertools.takewhile(lambda q: q <= PRIME_BOUND, primes())
+    # one counting pass serves the pinned primes and the ORDER_PRIMES that
+    # `_by_small_eigenvalues` asks for afterwards
+    class_set.plan(max([*pins, *ORDER_PRIMES]))
 
-    for p in refine_primes:
+    for p in [*bad, *(q for q in good if q not in bad)]:
         if not pending:
             break
         B = class_set.brandt(p)
-        if p in signs:
-            roots = [signs[p]]
+        if p in pins:
+            roots = [pins[p]]
         else:
             # a rational eigenvalue of the integer matrix B is an integer,
             # and B is non-negative, so it is bounded by its largest row sum
@@ -558,7 +558,7 @@ def _refine(class_set: IdealClassSet, signs: dict[int, int] | None) -> list[Eige
 
     lines = [Eigenform(class_set, _normalize_primitive(block[0])) for block in finished]
     # a line finished before every pinned prime was reached is checked there
-    return [f for f in lines if all(f.eigenvalue(p) == s for p, s in signs.items())]
+    return [f for f in lines if all(f.eigenvalue(p) == v for p, v in pins.items())]
 
 
 def _by_small_eigenvalues(lines: list[Eigenform]) -> list[Eigenform]:
@@ -573,34 +573,32 @@ def rational_eigenlines(class_set: IdealClassSet) -> list[Eigenform]:
 
 
 def cuspidal_eigenlines(
-    class_set: IdealClassSet, signs: dict[int, int] | None = None
+    class_set: IdealClassSet, pins: dict[int, int] | None = None
 ) -> list[Eigenform]:
     """The cuspidal lines of `rational_eigenlines`, in the same order.
 
-    `signs` optionally pins the eigenvalue at primes dividing the level
-    (+1 at a ramified prime, -1 otherwise); only lines with those
-    eigenvalues are then refined and returned.
+    `pins` optionally maps primes to the eigenvalues the lines must have
+    there; only lines with those eigenvalues are then refined (`_refine`)
+    and returned.
     """
-    lines = _refine(class_set, signs)
+    lines = _refine(class_set, pins)
     return _by_small_eigenvalues([f for f in lines if f.is_cuspidal()])
 
 
 def matching_eigenline(line: Eigenform, class_set: IdealClassSet) -> Eigenform:
     """The cuspidal line of `class_set` (of the same level) that carries the
-    eigenvalues of `line`: refined with `line`'s signs at the primes of the
-    level, compared at ORDER_PRIMES first, which both class sets have
-    counted, then at the next primes up to PRIME_BOUND only while more
-    than one line is left.  Raises ComputationError unless exactly one
-    line is left."""
-    signs = {p: line.eigenvalue(p) for p in prime_factors(class_set.level)}
-    matches = cuspidal_eigenlines(class_set, signs=signs)
-    later = itertools.takewhile(lambda p: p <= PRIME_BOUND, primes())
-    for group in [ORDER_PRIMES, *((p,) for p in later if p > max(ORDER_PRIMES))]:
-        matches = [
-            m for m in matches if all(m.eigenvalue(p) == line.eigenvalue(p) for p in group)
-        ]
+    eigenvalues of `line`: refined with `line`'s eigenvalues pinned at the
+    primes of the level and at ORDER_PRIMES, which both class sets have
+    counted, then compared at the next primes up to PRIME_BOUND only while
+    more than one line is left.  Raises ComputationError unless exactly
+    one line is left."""
+    pins = {p: line.eigenvalue(p) for p in (*prime_factors(class_set.level), *ORDER_PRIMES)}
+    matches = cuspidal_eigenlines(class_set, pins)
+    # the pinned primes compare equal already
+    for p in itertools.takewhile(lambda p: p <= PRIME_BOUND, primes()):
         if len(matches) <= 1:
             break
+        matches = [m for m in matches if m.eigenvalue(p) == line.eigenvalue(p)]
     if len(matches) != 1:
         raise ComputationError(
             f"{len(matches)} eigenlines of the algebra ramified at "

@@ -1,15 +1,15 @@
 """Command-line front end: configuration, caching, and serialization.
 
-Every subcommand runs one pipeline, `_run`: check the signs a newform
-file pins, search the odd ramification subsets of the level for the
-admissible eigenlines (`eigenline_candidates`), filter them by the file,
-select one, move it to the class set of its own algebra
-(`matching_eigenline`), build its profile, then run the subcommand's
-stage: {g, g4, h} for `basis` (the library's `kohnen_basis`), degree
-matrices for `brandt`, class theta series for `theta`, local products
-for `localfactors`.  The selected class set is then cached with every
-degree matrix the run built, and `_render` prints metadata and stage
-output.
+Every subcommand runs one pipeline, `_run`: check a newform file and
+take its entries as pins (`_newform_pins`), search the odd ramification
+subsets of the level for the admissible eigenlines with those
+eigenvalues (`eigenline_candidates`), select one, move it to the class
+set of its own algebra (`matching_eigenline`), build its profile, then
+run the subcommand's stage: {g, g4, h} for `basis` (the library's
+`kohnen_basis`), degree matrices for `brandt`, class theta series for
+`theta`, local products for `localfactors`.  The selected class set is
+then cached with every degree matrix the run built, and `_render`
+prints metadata and stage output.
 
 Which class sets a run builds: the search builds one at every level,
 the Eichler order of level N in the algebra ramified at the largest
@@ -250,20 +250,33 @@ def ingest_newform(path: str) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _reachable_entries(newform_map: dict[int, int], level: int) -> dict[int, int]:
+def _newform_pins(newform_map: dict[int, int], level: int) -> dict[int, int]:
     """The entries of a newform file at the primes the refinement reaches:
-    at most PRIME_BOUND or dividing the level.  An entry at any other
-    prime p is only held to the Hasse bound b_p^2 <= 4p and then left out,
-    so it never costs a degree-p matrix."""
-    out = {}
+    at most PRIME_BOUND or dividing the level.  Checked before any search,
+    in this order: an entry at any other prime p is only held to the
+    Hasse bound b_p^2 <= 4p and then left out, so it never costs a
+    degree-p matrix; each entry at a level prime must be ±1; and signs
+    pinned at every level prime must make the root number odd."""
+    pins = {}
     for p, v in newform_map.items():
         if p <= PRIME_BOUND or level % p == 0:
-            out[p] = v
+            pins[p] = v
         elif v * v > 4 * p:
             raise NewformFileError(
                 f"eigenvalue {_excerpt(str(v))} at {p} breaks the Hasse bound b_p^2 <= 4p"
             )
-    return out
+    bad_primes = prime_factors(level)
+    for p in bad_primes:
+        if pins.get(p, 1) not in (1, -1):
+            raise NewformFileError(
+                f"eigenvalue at {p} must be ±1 for a prime dividing the level"
+            )
+    if all(p in pins for p in bad_primes) and sum(pins[p] == 1 for p in bad_primes) % 2 == 0:
+        raise EvenRootNumberError(
+            "the supplied signs make every functional equation even; "
+            "no quaternion algebra is ramified at this configuration"
+        )
+    return pins
 
 
 def _odd_subsets(ps: list[int]) -> list[tuple[int, ...]]:
@@ -282,14 +295,15 @@ def _class_set(level: int, ramified: tuple[int, ...], cache_dir: Path | None) ->
 def eigenline_candidates(
     level: int,
     cache_dir: Path | None = None,
-    restrict: tuple[int, ...] | None = None,
+    pins: dict[int, int] | None = None,
 ) -> list[Eigenform]:
-    """Admissible eigenlines over all odd ramification subsets, or only
-    `restrict`, the one a newform file pins.
+    """Admissible eigenlines over the odd ramification subsets, with the
+    eigenvalues `pins` gives (a newform file's reachable entries).
 
     A line qualifies for the subset S when its eigenvalue at every prime
     dividing the level is +1 at the primes of S and -1 at the others.
-    Every subset is refined with its signs on one class set, the search
+    Every subset whose signs agree with the pins at the level primes is
+    refined with its signs and the pins on one class set, the search
     set: the Eichler order of level N in the algebra ramified at the
     largest odd-sized prefix D of N's sorted primes, built
     (`_class_set`), refined and stored once.  Its rational cuspidal lines
@@ -308,15 +322,17 @@ def eigenline_candidates(
     sorted by their eigenvalues at ORDER_PRIMES, and `_run` moves only
     the selected line to its host (`matching_eigenline`).  Lines that tie
     at every ORDER_PRIME keep the order in which the refinement finished
-    them.
+    them, and the pins only drop lines from that order.
     """
+    pins = pins or {}
     bad_primes = prime_factors(level)
     search = tuple(bad_primes[: len(bad_primes) - 1 + len(bad_primes) % 2])
     class_set = _class_set(level, search, cache_dir)
     out: list[Eigenform] = []
-    for ramified in _odd_subsets(bad_primes) if restrict is None else [restrict]:
+    for ramified in _odd_subsets(bad_primes):
         signs = {p: 1 if p in ramified else -1 for p in bad_primes}
-        out += cuspidal_eigenlines(class_set, signs=signs)
+        if all(pins.get(p, s) == s for p, s in signs.items()):
+            out += cuspidal_eigenlines(class_set, signs | pins)
     _store_class_set(class_set, cache_dir)
     return out
 
@@ -389,27 +405,6 @@ def _select(
     return matches[0]
 
 
-def _pinned_subset(level: int, newform_map: dict[int, int]) -> tuple[int, ...] | None:
-    """The ramification subset fixed by file signs at every prime dividing
-    the level, or None when some such prime is not pinned.  Each sign the
-    file does pin must be ±1, checked before any search."""
-    bad_primes = prime_factors(level)
-    for p in bad_primes:
-        if p in newform_map and newform_map[p] not in (1, -1):
-            raise NewformFileError(
-                f"eigenvalue at {p} must be ±1 for a prime dividing the level"
-            )
-    if not all(p in newform_map for p in bad_primes):
-        return None
-    chosen = tuple(p for p in bad_primes if newform_map[p] == 1)
-    if len(chosen) % 2 == 0:
-        raise EvenRootNumberError(
-            "the supplied signs make every functional equation even; "
-            "no quaternion algebra is ramified at this configuration"
-        )
-    return chosen
-
-
 # ---------------------------------------------------------------------------
 # the pipeline
 # ---------------------------------------------------------------------------
@@ -424,31 +419,22 @@ def _build_profile(line: Eigenform, pmax: int) -> LiftProfile:
 def _run(config: JobConfig, stage: Callable[[dict], dict], pmax: int = 0) -> dict:
     """The pipeline of every subcommand.
 
-    Check the signs a newform file pins, search, keep the lines that the
-    file's reachable entries allow (`_reachable_entries`), select one, move
-    it to the class set of its host, the algebra ramified where its
-    eigenvalue is +1, when the search found it on another
-    (`matching_eigenline`), and build its profile at the primes up to
-    max(pmax, ORDER_PRIMES).  The run {"line", "selector_index",
+    Check a newform file and take its reachable entries as pins
+    (`_newform_pins`), search for the lines with those eigenvalues,
+    select one, move it to the class set of its host, the algebra
+    ramified where its eigenvalue is +1, when the search found it on
+    another (`matching_eigenline`), and build its profile at the primes
+    up to max(pmax, ORDER_PRIMES).  The run {"line", "selector_index",
     "profile"} is then extended by the dict `stage` returns, and the
     selected class set is stored with every degree the run built.
     """
-    newform_map = _reachable_entries(
+    pins = _newform_pins(
         ingest_newform(config.newform_file) if config.newform_file else {}, config.level
     )
-    restrict = _pinned_subset(config.level, newform_map)
     cache_dir = _cache_dir(config)
-    lines = eigenline_candidates(config.level, cache_dir, restrict)
-    if newform_map:
-        lines = [
-            line
-            for line in lines
-            if all(line.eigenvalue(p) == v for p, v in newform_map.items())
-        ]
-        if not lines:
-            raise NewformFileError(
-                "external eigenvalues conflict with every computed eigenline"
-            )
+    lines = eigenline_candidates(config.level, cache_dir, pins)
+    if pins and not lines:
+        raise NewformFileError("external eigenvalues conflict with every computed eigenline")
     index, line = _select(lines, config.selector, config.level)
     host = tuple(p for p in prime_factors(config.level) if line.eigenvalue(p) == 1)
     if host != line.class_set.alg.ramified:

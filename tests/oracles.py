@@ -6,7 +6,8 @@ rational rather than integer elimination), so agreement between the two
 is evidence rather than tautology.  The exceptions are routines the
 library replaced by faster code with the same output (`hnf_rows_ref`,
 `lll_gram_ref`, `bareiss_ref`, `eigenline_candidates_ref`,
-`unpruned_candidates`): they pin the replacement to what it replaced.
+`unpruned_candidates`, `filtered_candidates`): they pin the replacement
+to what it replaced.
 The small helpers after them (`xgcd`, `hilbert_real`, `qadd`,
 `contains_lattice`) serve only the tests.
 """
@@ -789,8 +790,9 @@ def assemble_h_ref(g, profile, prec):
 
 # ---------------------------------------------------------------------------
 # The eigenline search with one class set per odd ramification subset, the
-# search that one search class set replaced at every level, and that
-# search before it pruned by sign.
+# search that one search class set replaced at every level, that search
+# before it pruned by sign, and the filter by a newform file's entries
+# that pins inside the refinement replaced.
 # ---------------------------------------------------------------------------
 
 
@@ -809,7 +811,7 @@ def eigenline_candidates_ref(level):
     for ramified in _odd_subsets(bad):
         order = eichler_order(algebra_ramified_at(list(ramified)), level)
         signs = {p: 1 if p in ramified else -1 for p in bad}
-        out += cuspidal_eigenlines(ideal_classes(order), signs=signs)
+        out += cuspidal_eigenlines(ideal_classes(order), pins=signs)
     return out
 
 
@@ -833,3 +835,15 @@ def unpruned_candidates(level):
             if all((signs[p] == 1) == (p in ramified) for p in bad):
                 out.append((ramified, line))
     return out
+
+
+def filtered_candidates(level, pins):
+    """The search with no pins, then the lines with the pinned
+    eigenvalues: a newform file's entries applied after the search."""
+    from halfint.cli import eigenline_candidates
+
+    return [
+        line
+        for line in eigenline_candidates(level)
+        if all(line.eigenvalue(p) == v for p, v in pins.items())
+    ]

@@ -461,6 +461,55 @@ def test_pruned_search_matches_unpruned_filter(level):
         assert matching_eigenline(c, line.class_set).vector == line.vector
 
 
+@pytest.mark.parametrize("level", [15, 21, 33, 105, 195, 221, 231, 285])
+def test_pinned_search_matches_the_filtered_search(level):
+    # pins inside the refinement keep exactly the lines that a filter after
+    # the unpinned search keeps, in the same order and on the same class set
+    bad = prime_factors(level)
+
+    def summary(line):
+        host = tuple(p for p in bad if line.eigenvalue(p) == 1)
+        return line.vector, line.class_set.alg.ramified, host
+
+    for c in oracles.filtered_candidates(level, {}):
+        signs = {p: c.eigenvalue(p) for p in bad}
+        for pins in (
+            signs,
+            signs | {2: c.eigenvalue(2), 3: c.eigenvalue(3)},
+            {2: c.eigenvalue(2)},
+            {bad[0]: signs[bad[0]], 59: c.eigenvalue(59)},
+            signs | {2: c.eigenvalue(2) + 1},
+        ):
+            want = oracles.filtered_candidates(level, pins)
+            got = eigenline_candidates(level, pins=pins)
+            assert list(map(summary, got)) == list(map(summary, want)), pins
+
+
+def test_deep_pin_counts_the_search_set_once(tmp_path, monkeypatch, capsys):
+    # an entry at 59 is pinned inside the search: the search set (ramified
+    # at 3) counts its class pairs once, to 59, and its cache file keeps
+    # B(59), while stdout is the run's without the file
+    argv = ["basis", "--level", "15", "--prec", "30"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    passes = []
+    original = IdealClassSet._count
+
+    def counted(self, nmax):
+        passes.append((self.alg.ramified, nmax))
+        return original(self, nmax)
+
+    monkeypatch.setattr(IdealClassSet, "_count", counted)
+    nf = tmp_path / "nf.txt"
+    nf.write_text("3 -1\n59 -4\n")
+    cache = tmp_path / "cache"
+    assert main(argv + ["--newform-file", str(nf), "--cache-dir", str(cache)]) == 0
+    assert capsys.readouterr() == plain
+    assert [nmax for ramified, nmax in passes if ramified == (3,)] == [59]
+    state = json.loads((cache / "brandt_a1_b3_N15.json").read_text())
+    assert "59" in state["brandt"]
+
+
 def test_deeply_nested_newform_file_exits_3(tmp_path, capsys):
     nf = tmp_path / "deep.json"
     nf.write_text('{"2": ' + "[" * 200000 + "]" * 200000 + "}")
@@ -716,8 +765,8 @@ def test_a_line_its_host_does_not_hold_exits_4(monkeypatch, capsys):
     # silent pick
     original = brandt.cuspidal_eigenlines
 
-    def hostless(class_set, signs=None):
-        lines = original(class_set, signs=signs)
+    def hostless(class_set, pins=None):
+        lines = original(class_set, pins=pins)
         return lines if class_set.alg.ramified == (3, 5, 13) else []
 
     monkeypatch.setattr(brandt, "cuspidal_eigenlines", hostless)

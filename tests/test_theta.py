@@ -262,7 +262,7 @@ def test_kohnen_form_skips_classes_of_weight_zero(monkeypatch):
     # the N=67 line weights two of its six classes by 0; their theta
     # series add nothing, so only the other four are enumerated
     alg = algebra_ramified_at([67])
-    line = cuspidal_eigenlines(ideal_classes(eichler_order(alg, 67)), signs={67: 1})[0]
+    line = cuspidal_eigenlines(ideal_classes(eichler_order(alg, 67)), pins={67: 1})[0]
     assert line.vector == (1, 1, 0, 0, -1, -1)
     full = QExpansion(80, {})
     for weight, order in zip(line.vector, line.class_set.rights):
