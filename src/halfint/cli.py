@@ -436,10 +436,13 @@ def _run(config: JobConfig, stage: Callable[[dict], dict], pmax: int = 0) -> dic
     if pins and not lines:
         raise NewformFileError("external eigenvalues conflict with every computed eigenline")
     index, line = _select(lines, config.selector, config.level)
+    pmax = max(pmax, *ORDER_PRIMES)
     host = tuple(p for p in prime_factors(config.level) if line.eigenvalue(p) == 1)
     if host != line.class_set.alg.ramified:
-        line = matching_eigenline(line, _class_set(config.level, host, cache_dir))
-    pmax = max(pmax, *ORDER_PRIMES)
+        # one counting pass on the host serves the match and the profile
+        host_set = _class_set(config.level, host, cache_dir)
+        host_set.plan(pmax)
+        line = matching_eigenline(line, host_set)
     line.class_set.plan(pmax)
     run = {"line": line, "selector_index": index, "profile": _build_profile(line, pmax)}
     run |= stage(run)

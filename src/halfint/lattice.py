@@ -36,7 +36,13 @@ comes from isqrt of an integer budget, so neither floating point nor
 rational arithmetic enters the enumeration.  A form takes one value on
 c and -c, so the enumeration visits only the half space of vectors
 whose last nonzero coordinate is positive and counts each of them
-twice; the histogram comes back with its keys ascending.
+twice.  The count is kept in a list indexed by the value in units of
+the form's content (the gcd of its values), and each innermost line of
+the enumeration is walked by second differences in those units, which
+are small integers: every step is a difference of values, so a
+multiple of the content, and no division is inexact.  The list has
+bound / content + 1 entries, which is the degree or the precision the
+caller asks for, and the histogram comes back with its keys ascending.
 `Lattice4.norm_counts` counts the reduced norm in units of the lattice's
 norm content, the gcd of the values of its integer Gram matrix, and
 hands the raw Gram matrix to `count_by_value`, so each count is one LLL
@@ -245,13 +251,27 @@ def count_by_value(gram: Sequence[Sequence[int]], bound: int) -> dict[int, int]:
         Q(c) = sum_i (M_{i+1} c_i + s_i)^2 / (M_i M_{i+1}),
 
     where s_i = sum_{c > i} l_ci c_c, the coordinates after i weighted by
-    the coefficients against vector i.
-    Each term and the remaining budget are integers scaled by
-    S = lcm_i(M_i M_{i+1}), so an integer key k stands for the value k / S.
+    the coefficients against vector i.  The budget is the integer
+    S bound, S = lcm_i(M_i M_{i+1}), and each term is an integer
+    w_i y_i^2 with w_i = S / (M_i M_{i+1}) and y_i = M_{i+1} c_i + s_i.
     Coordinate i runs over the integers whose own term fits the budget
-    left by the coordinates after it, last coordinate slowest, one level
-    of an explicit loop per coordinate; the first coordinate's run is
-    tallied as one line of keys.
+    left by the coordinates after it, last coordinate slowest: one level
+    of an explicit loop per coordinate from the last to the third, then
+    a plain loop over the second, and the first coordinate's run as one
+    line.
+
+    The count goes into a list indexed by Q(c) / u, where u is the
+    content of G (the gcd of its values), so it takes O(bound / u)
+    memory: for the callers u is the unit of the norm and bound / u is
+    the degree or the precision asked for.  A line is walked by second
+    differences in units of u.  With `used` the sum of the terms of the
+    coordinates after the first, its first vector (y_0 = y) has the value
+    (used / w_0 + y^2) / M_1, one step (y_0 += M_1) adds 2 y_0 + M_1,
+    and each step adds 2 M_1 more.  Every division is exact.  `used` is
+    S Q(c) - w_0 y^2, a multiple of w_0, since w_0 divides S.  The first
+    value Q(c), a step Q(c + b_0) - Q(c) and its growth 2 M_1 = 2 Q(b_0)
+    are values of lattice vectors or differences of them, so multiples
+    of u.
 
     c and -c have one value, so only the nonzero vectors whose last
     nonzero coordinate is positive are visited, and each counts twice:
@@ -262,32 +282,69 @@ def count_by_value(gram: Sequence[Sequence[int]], bound: int) -> dict[int, int]:
         return {}
     n = len(gram)
     _, minors, lam = _lll(gram)
-    # rows[i][c] = l_ci: the coefficients against vector i, for c > i
-    rows = list(zip(*lam))
-    scale = lcm(*(minors[i] * minors[i + 1] for i in range(n)))
-    weights = [scale // (minors[i] * minors[i + 1]) for i in range(n)]
-    top = scale * bound
-    m0, w0 = minors[1], weights[0]
-    tally: dict[int, int] = {}
+    unit = _form_content(gram)
+    cnt = [0] * (bound // unit + 1)
+    m0 = minors[1]
     if n == 1:
-        for y in range(m0, isqrt(top // w0) + 1, m0):
-            tally[w0 * y * y] = 1
+        # Q(c) = m0 c^2 and u = m0
+        for c in range(1, isqrt(bound // m0) + 1):
+            cnt[c * c] += 1
     else:
-        # level i >= 1: coordinate x[i], running up to hi[i], with shift
+        # rows[i][c] = l_ci: the coefficients against vector i, for c > i
+        rows = list(zip(*lam))
+        scale = lcm(*(minors[i] * minors[i + 1] for i in range(n)))
+        weights = [scale // (minors[i] * minors[i + 1]) for i in range(n)]
+        top = scale * bound
+        w0, w1, m1, row0 = weights[0], weights[1], minors[2], rows[0]
+        r01, mu, dd = row0[1], m0 * unit, 2 * m0 // unit
+        # level i >= 2: coordinate x[i], running up to hi[i], with shift
         # s[i], the budget rem[i] left by the coordinates after i, and
-        # zero[i] whether those are all 0
+        # zero[i] whether those are all 0; hi[1] = -1 marks the run of the
+        # second coordinate as done once it has been walked
         x, hi, s, rem, zero = [0] * n, [0] * n, [0] * n, [0] * n, [False] * n
-        i = n - 1
-        rem[i], zero[i], hi[i] = top, True, isqrt(top // weights[i]) // minors[n]
+        hi[1] = -1
+        # the run of coordinate j = n - 1, with nothing after it
+        j, t, left, z = n - 1, 0, top, True
+        lo, up = 0, isqrt(top // weights[j]) // minors[n]
         while True:
-            xi = x[i]
-            if xi > hi[i]:
-                # level i is done: advance the coordinate after it
+            if j > 1:
+                s[j], rem[j], zero[j], hi[j], x[j] = t, left, z, up, lo
+                i = j
+            else:
+                # the second coordinate runs over lo..up with shift t,
+                # budget left and zero flag z; t0 is the first
+                # coordinate's shift from the coordinates after the second
+                t0 = 0
+                for c in range(2, n):
+                    t0 += row0[c] * x[c]
+                for x1 in range(lo, up + 1):
+                    y1 = m1 * x1 + t
+                    left1 = left - w1 * y1 * y1
+                    ymax = isqrt(left1 // w0)
+                    if z and not x1:
+                        a, b = 1, ymax // m0
+                        y = m0
+                    else:
+                        t1 = t0 + r01 * x1
+                        a, b = -((ymax + t1) // m0), (ymax - t1) // m0
+                        y = m0 * a + t1
+                    # the line x[0] = a..b, as values Q(c) / u
+                    v = ((top - left1) // w0 + y * y) // mu
+                    d = (2 * y + m0) // unit
+                    for _ in range(a, b + 1):
+                        cnt[v] += 1
+                        v += d
+                        d += dd
+                i = 1
+            # climb to the next level whose run is not done, advancing it
+            while x[i] > hi[i]:
                 i += 1
                 if i == n:
                     break
                 x[i] += 1
-                continue
+            if i == n:
+                break
+            xi = x[i]
             y = minors[i + 1] * xi + s[i]
             left = rem[i] - weights[i] * y * y
             j, row, m = i - 1, rows[i - 1], minors[i]
@@ -297,24 +354,14 @@ def count_by_value(gram: Sequence[Sequence[int]], bound: int) -> dict[int, int]:
             ymax = isqrt(left // weights[j])
             z = zero[i] and not xi
             if z:
-                lo, up = (0 if j else 1), ymax // m
+                lo, up = 0, ymax // m
             else:
                 lo, up = -((ymax + t) // m), (ymax - t) // m
-            if j:
-                s[j], rem[j], zero[j], hi[j], x[j] = t, left, z, up, lo
-                i = j
-                continue
-            # the line x[0] = lo..up: the vector's value is used + w0 y^2
-            used = top - left
-            for y in range(m0 * lo + t, m0 * up + t + 1, m0):
-                key = used + w0 * y * y
-                tally[key] = tally.get(key, 0) + 1
-            x[i] = xi + 1
-    # every key is S times an integer value, and the zero vector is not in
-    # the half space
+    # the zero vector is not in the half space
     counts = {0: 1}
-    for key, count in sorted(tally.items()):
-        counts[key // scale] = 2 * count
+    for k in range(1, len(cnt)):
+        if cnt[k]:
+            counts[k * unit] = 2 * cnt[k]
     return counts
 
 

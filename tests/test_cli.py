@@ -746,6 +746,25 @@ def test_cold_run_counts_each_class_set_once(tmp_path, monkeypatch, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["brandt_a7_b15_N105.json"]
 
 
+def test_deep_run_counts_the_host_once(tmp_path, monkeypatch, capsys):
+    # at --prec 1000 the profile reaches 31 > KEY_DEGREE: the host (the
+    # algebra ramified at 5) is planned to 31 before the match, so the
+    # match and the profile share one counting pass
+    passes = []
+    original = IdealClassSet._count
+
+    def counted(self, nmax):
+        passes.append(self)
+        return original(self, nmax)
+
+    monkeypatch.setattr(IdealClassSet, "_count", counted)
+    argv = ["basis", "--level", "15", "--prec", "1000", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("level 15\nalgebra a=2 b=5 ramified 5\n")
+    assert passes
+    assert len(passes) == len(set(map(id, passes)))
+
+
 def test_cold_run_at_195_builds_the_reference_and_the_host(tmp_path, monkeypatch, capsys):
     # the default line at N = 195 is hosted by the algebra ramified at 3:
     # the search builds the reference set, and the selected line moves to

@@ -132,6 +132,9 @@ def _brute_counts(gram, bound, box):
         ([[1, 0, 0], [0, 2, 1], [0, 1, 3]], 10, 6),
         ([[2, 0, 1, 0], [0, 3, 0, 1], [1, 0, 4, 0], [0, 1, 0, 5]], 9, 5),
         ([[3, 1], [1, 10]], 7, 8),
+        # content 2 and 3, bounds that are not multiples of it
+        ([[2, 0, 2], [0, 4, 2], [2, 2, 6]], 15, 4),
+        ([[6, 0, 3, 0], [0, 9, 0, 3], [3, 0, 12, 0], [0, 3, 0, 15]], 28, 3),
     ],
 )
 def test_short_vectors_match_brute_force(gram, bound, box):
@@ -171,21 +174,24 @@ def test_short_vectors_rejects_indefinite():
 
 @st.composite
 def _definite_forms(draw):
-    """Integer Gram matrices d ((B^t B) / d + s I) = B^t B + d s I of rank
-    1-4, with d in {1, 2, 3, 6}, and bounds floor(d t) for t a fraction
-    up to 12 with denominator at most 3."""
+    """Integer Gram matrices k d ((B^t B) / d + s I) = k (B^t B + d s I)
+    of rank 1-4, with d in {1, 2, 3, 6} and a content factor k in
+    {1, 2, 3, 8}, and bounds floor(k d t) + r for t a fraction up to 12
+    with denominator at most 3 and r drawn from 0..k-1, so that the bound
+    is often not a multiple of the content."""
     n = draw(st.integers(1, 4))
     B = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
                       min_size=n, max_size=n))
     d = draw(st.sampled_from([1, 2, 3, 6]))
     s = draw(st.integers(0, 2))
+    k = draw(st.sampled_from([1, 2, 3, 8]))
     gram = [
-        [sum(B[k][i] * B[k][j] for k in range(n)) + d * s * (i == j) for j in range(n)]
+        [k * (sum(B[m][i] * B[m][j] for m in range(n)) + d * s * (i == j)) for j in range(n)]
         for i in range(n)
     ]
     assume(oracles.mat_det(gram) > 0)
     bound = draw(st.fractions(min_value=0, max_value=12, max_denominator=3))
-    return gram, int(d * bound)
+    return gram, int(k * d * bound) + draw(st.integers(0, k - 1))
 
 
 @settings(max_examples=80, deadline=None)
@@ -200,6 +206,20 @@ def test_short_vectors_match_ldl_oracle(form):
     box = max(isqrt(int(bound * inv[i][i])) for i in range(len(gram)))
     assume(box <= 4)
     assert count_by_value(gram, bound) == _brute_counts(gram, bound, box)
+
+
+def test_level37_pair_lattice_matches_ldl_oracle():
+    # a real rank-4 pair lattice conj(I_2) I_1 of the maximal order of
+    # discriminant 37, whose norm form has content 64, counted to degree 37
+    class_set = ideal_classes(eichler_order(algebra_ramified_at([37]), 37))
+    classes = class_set.classes
+    P = _pair_lattice(classes[2].conjugate(), classes[1], class_set.gens[1])
+    gram = P.int_gram()
+    unit = _form_content(gram)
+    assert unit > 1
+    got = count_by_value(gram, 37 * unit)
+    assert list(got.items()) == sorted(oracles.count_by_value_ref(gram, 37 * unit).items())
+    assert P.norm_counts(37) == {val // unit: count for val, count in got.items()}
 
 
 @st.composite
