@@ -58,7 +58,7 @@ from .lattice import (
     hnf_rows,
     right_order_lattice,
 )
-from .numth import TRIAL_BOUND, divisors, is_prime, prime_factors, primes
+from .numth import TRIAL_BOUND, divisors, factorize, is_prime, prime_factors, primes
 
 # eigenlines are ordered by their eigenvalues at these primes, so every
 # searched class set has these degree matrices built
@@ -283,10 +283,11 @@ class IdealClassSet:
         the degree matrices (see `_check_degree_matrix`), when a stored
         degree up to KEY_DEGREE has a row 0 or a diagonal other than the
         counts the search made (module docstring), when two stored
-        matrices do not commute or when a stored B(mk) is not B(m) B(k)
-        for stored coprime degrees m, k > 1.  The stored classes are only
-        compared, never built into lattices, and a failed load leaves
-        `searched` as it was.
+        prime-power degrees do not commute, or when a stored degree with two
+        or more primes is not the product of its prime-power degrees, or
+        one of those is not stored.  The stored classes are only compared,
+        never built into lattices, and a failed load leaves `searched` as
+        it was.
         """
         expected = searched.to_state()
         if (
@@ -310,21 +311,29 @@ class IdealClassSet:
             ):
                 raise ValueError(f"cached degree-{n} matrix differs from the searched counts")
             mats[n] = tuple(tuple(row) for row in mat)
-        # with B E = E B^t for both (E = diag(es)), (A B) E = E (B A)^t, so
-        # A B is weighted-symmetric exactly when A B = B A
+        # B(mk) = B(m) B(k) for coprime m, k, so a degree with two or more
+        # primes must be the product of its stored prime-power degrees;
+        # products of commuting matrices commute, so only the prime powers
+        # are tested for commutativity.  With B E = E B^t for both
+        # (E = diag(es)), (A B) E = E (B A)^t, so A B is weighted-symmetric
+        # exactly when A B = B A
+        factors = {n: [p**k for p, k in factorize(n).items()] for n in mats}
+        powers = [n for n in mats if len(factors[n]) == 1]
         if not all(
             _weighted_symmetric(_product(mats[m], mats[n]), es)
-            for m, n in itertools.combinations(mats, 2)
+            for m, n in itertools.combinations(powers, 2)
         ):
             raise ValueError("cached degree matrices do not commute")
-        # B(mk) = B(m) B(k) for coprime m, k > 1 whose matrices are both
-        # stored; prime powers are not checked (at p | N/D their recursion
-        # needs the Atkin-Lehner permutation W_p)
-        for m, n in itertools.permutations(mats, 2):
-            k, r = divmod(n, m)
-            if not r and 1 < m < k and gcd(m, k) == 1 and k in mats:
-                if tuple(_product(mats[m], mats[k])) != mats[n]:
-                    raise ValueError(f"cached degree-{n} matrix is not B({m}) B({k})")
+        for n, parts in factors.items():
+            if len(parts) < 2:
+                continue
+            if any(k not in mats for k in parts):
+                raise ValueError(f"cached degree-{n} matrix comes without its prime-power factors")
+            product = mats[parts[0]]
+            for k in parts[1:]:
+                product = _product(product, mats[k])
+            if tuple(product) != mats[n]:
+                raise ValueError(f"cached degree-{n} matrix is not the product of its prime powers")
         searched._matrices = mats
         return searched
 

@@ -8,8 +8,10 @@ combination of the class theta series is the half-integral form
 attached to the rational eigenline.
 
 R_i is kept as integer rows over a denominator den, and its series is
-counted on den^2 times the Gram matrix, an integer matrix: a norm n is
-the integer value n den^2 of that form.
+counted on den^2 times the Gram matrix, an integer matrix, in units of
+that form's content u: the norms are integers exactly when den^2
+divides u, and a norm n is the value n den^2, counted under the key
+n den^2 / u.
 
 The coefficients of R_i at multiples of 4 are those of the smaller
 trace-zero part O_i⁰ of O_i itself: r_R(4m) = r_{O⁰}(m).  Proof: R_i is
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from .brandt import Eigenform, _psi
 from .errors import IntegralityError, PrecisionError
-from .lattice import Lattice4, Order, count_by_value
+from .lattice import Lattice4, Order, _form_content, count_by_value
 from .numth import is_prime, kronecker, squarefree_part
 from .qexp import QExpansion
 from .quat import QuaternionAlgebra
@@ -95,21 +97,25 @@ def ternary_theta(lattice: TernaryLattice, prec: int) -> QExpansion:
     """Theta series of the trace-zero lattice through q^prec.
 
     Coefficients are half the representation numbers; the constant term
-    is dropped, so the result is the cuspidal-side expansion.
+    is dropped, so the result is the cuspidal-side expansion.  Raises
+    IntegralityError, at any precision, when the norms on the lattice are
+    not all integers, and when a representation number is odd.
     """
     if prec < 0:
         raise ValueError("precision must be nonnegative")
-    sq = lattice.den * lattice.den
+    gram = lattice.int_gram()
+    # the norms are the values of gram over den^2: multiples of step
+    content, sq = _form_content(gram), lattice.den * lattice.den
+    step, r = divmod(content, sq)
+    if r:
+        raise IntegralityError(f"theta lattice has non-integral norms: content {content}/{sq}")
     coeffs: dict[int, int] = {}
-    for value, count in count_by_value(lattice.int_gram(), prec * sq).items():
-        if value == 0:
+    for k, count in count_by_value(gram, prec // step).items():
+        if k == 0:
             continue
-        n, r = divmod(value, sq)
-        if r:
-            raise IntegralityError(f"non-integral norm {value}/{sq} on a theta lattice")
         if count % 2:
-            raise IntegralityError(f"odd representation count at norm {n}")
-        coeffs[n] = count // 2
+            raise IntegralityError(f"odd representation count at norm {k * step}")
+        coeffs[k * step] = count // 2
     return QExpansion(prec, coeffs)
 
 

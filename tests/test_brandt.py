@@ -475,6 +475,20 @@ def test_state_roundtrip(level15):
     assert f.vector == (1, -1)
 
 
+def test_state_with_a_composite_degree_needs_its_prime_powers():
+    # B(6) is checked as B(2) B(3), so it loads only with both factors
+    C = ideal_classes(eichler_order(algebra_ramified_at([5]), 15))
+    for n in (2, 6):
+        C.brandt(n)
+    state = C.to_state()
+    assert sorted(state["brandt"]) == ["2", "6"]
+    with pytest.raises(ValueError, match="degree-6 matrix comes without its prime-power"):
+        IdealClassSet.from_state(ideal_classes(C.order), state)
+    C.brandt(3)
+    loaded = IdealClassSet.from_state(ideal_classes(C.order), C.to_state())
+    assert loaded.brandt(6) == C.brandt(6)
+
+
 @pytest.mark.parametrize("level", [37, 67])
 def test_state_roundtrip_with_equal_keys(level):
     # distinct classes share a key here, so the search runs equivalence

@@ -116,13 +116,25 @@ def test_hnf_matches_euclidean_reference(rows):
 
 
 def _brute_counts(gram, bound, box):
+    """{Q(c) / u: count} over the c in the box with Q(c) <= bound u, where
+    u is the content of Q: `count_by_value`'s contract."""
     n = len(gram)
+    unit = _form_content(gram)
     out = {}
     for c in itertools.product(range(-box, box + 1), repeat=n):
         q = sum(gram[i][j] * c[i] * c[j] for i in range(n) for j in range(n))
-        if q <= bound:
-            out[q] = out.get(q, 0) + 1
+        assert q % unit == 0
+        if q <= bound * unit:
+            out[q // unit] = out.get(q // unit, 0) + 1
     return out
+
+
+def _ref_counts(gram, bound):
+    """`oracles.count_by_value_ref` (raw values, raw bound) with its bound
+    and keys in units of the content u, keys ascending."""
+    unit = _form_content(gram)
+    ref = oracles.count_by_value_ref(gram, bound * unit)
+    return sorted((val // unit, count) for val, count in ref.items())
 
 
 @pytest.mark.parametrize(
@@ -138,8 +150,10 @@ def _brute_counts(gram, bound, box):
     ],
 )
 def test_short_vectors_match_brute_force(gram, bound, box):
-    got = count_by_value(gram, bound)
-    want = _brute_counts(gram, bound, box)
+    # the bound is on the values, and count_by_value takes it in units of u
+    units = bound // _form_content(gram)
+    got = count_by_value(gram, units)
+    want = _brute_counts(gram, units, box)
     assert got == want
 
 
@@ -150,21 +164,23 @@ def test_short_vectors_includes_zero_and_signs():
 
 
 def test_short_vectors_deterministic():
+    # content 2: the values up to 8
     gram = [[2, 1], [1, 4]]
-    assert list(count_by_value(gram, 9).items()) == list(count_by_value(gram, 9).items())
+    assert list(count_by_value(gram, 4).items()) == list(count_by_value(gram, 4).items())
 
 
 def test_short_vectors_edge_forms():
-    # rank 1: the zero vector once, then each +-c
-    assert list(count_by_value([[3]], 12).items()) == [(0, 1), (3, 2), (12, 2)]
-    assert list(count_by_value([[3]], 11).items()) == [(0, 1), (3, 2)]
+    # rank 1, content 3: the zero vector once, then each +-c, as Q(c) / 3
+    assert list(count_by_value([[3]], 4).items()) == [(0, 1), (1, 2), (4, 2)]
+    assert list(count_by_value([[3]], 3).items()) == [(0, 1), (1, 2)]
     # bound 0 leaves the zero vector only
     assert count_by_value([[3]], 0) == {0: 1}
     assert count_by_value([[2, 1], [1, 2]], 0) == {0: 1}
-    # only the top coordinate 0 fits: Q >= (99/2) c_2^2 > 20 for c_2 != 0
-    got = count_by_value([[2, 1], [1, 50]], 20)
-    assert list(got.items()) == [(0, 1), (2, 2), (8, 2), (18, 2)]
-    assert got == _brute_counts([[2, 1], [1, 50]], 20, 4)
+    # content 2, values up to 20: only the top coordinate 0 fits, since
+    # Q >= (99/2) c_2^2 > 20 for c_2 != 0
+    got = count_by_value([[2, 1], [1, 50]], 10)
+    assert list(got.items()) == [(0, 1), (1, 2), (4, 2), (9, 2)]
+    assert got == _brute_counts([[2, 1], [1, 50]], 10, 4)
 
 
 def test_short_vectors_rejects_indefinite():
@@ -176,9 +192,10 @@ def test_short_vectors_rejects_indefinite():
 def _definite_forms(draw):
     """Integer Gram matrices k d ((B^t B) / d + s I) = k (B^t B + d s I)
     of rank 1-4, with d in {1, 2, 3, 6} and a content factor k in
-    {1, 2, 3, 8}, and bounds floor(k d t) + r for t a fraction up to 12
-    with denominator at most 3 and r drawn from 0..k-1, so that the bound
-    is often not a multiple of the content."""
+    {1, 2, 3, 8}, and bounds floor(k d t) + r on the values for t a
+    fraction up to 12 with denominator at most 3 and r drawn from 0..k-1,
+    so that the bound on the values is often not a multiple of the
+    content."""
     n = draw(st.integers(1, 4))
     B = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
                       min_size=n, max_size=n))
@@ -198,14 +215,16 @@ def _definite_forms(draw):
 @given(_definite_forms())
 def test_short_vectors_match_ldl_oracle(form):
     gram, bound = form
-    got = count_by_value(gram, bound)
+    # the values up to bound are those up to bound // u in units of u
+    units = bound // _form_content(gram)
+    got = count_by_value(gram, units)
     assert all(type(k) is int for k in got)
-    assert list(got.items()) == sorted(oracles.count_by_value_ref(gram, bound).items())
+    assert list(got.items()) == _ref_counts(gram, units)
     # every vector with Q(c) <= bound has |c_i| <= sqrt(bound * (gram^-1)_ii)
     inv = oracles.mat_inv(gram)
     box = max(isqrt(int(bound * inv[i][i])) for i in range(len(gram)))
     assume(box <= 4)
-    assert count_by_value(gram, bound) == _brute_counts(gram, bound, box)
+    assert count_by_value(gram, units) == _brute_counts(gram, units, box)
 
 
 def test_level37_pair_lattice_matches_ldl_oracle():
@@ -215,11 +234,10 @@ def test_level37_pair_lattice_matches_ldl_oracle():
     classes = class_set.classes
     P = _pair_lattice(classes[2].conjugate(), classes[1], class_set.gens[1])
     gram = P.int_gram()
-    unit = _form_content(gram)
-    assert unit > 1
-    got = count_by_value(gram, 37 * unit)
-    assert list(got.items()) == sorted(oracles.count_by_value_ref(gram, 37 * unit).items())
-    assert P.norm_counts(37) == {val // unit: count for val, count in got.items()}
+    assert _form_content(gram) == 64
+    got = count_by_value(gram, 37)
+    assert list(got.items()) == _ref_counts(gram, 37)
+    assert P.norm_counts(37) == got
 
 
 @st.composite
@@ -251,13 +269,13 @@ def test_lll_gram_reduces_and_keeps_counts(form):
     assert all(type(x) is int for row in reduced for x in row)
     assert oracles.mat_det(reduced) == oracles.mat_det(gram)
     assert oracles.is_lll_reduced_ref(reduced)
-    assert list(count_by_value(gram, bound).items()) == sorted(
-        oracles.count_by_value_ref(gram, bound).items()
-    )
+    # the bound is on the values; count_by_value takes it in units of u
+    units = bound // _form_content(gram)
+    assert list(count_by_value(gram, units).items()) == _ref_counts(gram, units)
     inv = oracles.mat_inv(gram)
     box = max(isqrt(int(bound * inv[i][i])) for i in range(n))
     assume(box <= 4)
-    assert count_by_value(reduced, bound) == _brute_counts(gram, bound, box)
+    assert count_by_value(reduced, units) == _brute_counts(gram, units, box)
 
 
 @st.composite
@@ -468,11 +486,13 @@ def test_level15_ternary_histograms_match_ldl_oracle():
     class_set = ideal_classes(eichler_order(alg, 15))
     for right in class_set.rights:
         R = trace_zero_lattice(right)
-        sq = R.den * R.den
+        gram, sq = R.int_gram(), R.den * R.den
+        # the norm n is the value n den^2 of gram, the key n den^2 / u
+        unit = _form_content(gram)
         bas = [[Fraction(x, R.den) for x in row] for row in R.rows]
         want = oracles.count_by_value_ref([[alg.pair(x, y) for y in bas] for x in bas], 4000)
-        got = count_by_value(R.int_gram(), 4000 * sq)
-        assert [(Fraction(k, sq), c) for k, c in got.items()] == sorted(want.items())
+        got = count_by_value(gram, 4000 * sq // unit)
+        assert [(Fraction(k * unit, sq), c) for k, c in got.items()] == sorted(want.items())
 
 
 @st.composite

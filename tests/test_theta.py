@@ -8,7 +8,7 @@ import pytest
 
 import halfint.theta as theta_module
 from halfint.brandt import Eigenform, cuspidal_eigenlines, ideal_classes
-from halfint.errors import PrecisionError
+from halfint.errors import IntegralityError, PrecisionError
 from halfint.lattice import Lattice4, Order, eichler_order
 from halfint.lift import LiftProfile
 from halfint.qexp import QExpansion
@@ -186,6 +186,17 @@ def test_theta_support_mod4(level15, level11):
 def test_theta_zero_precision(level15):
     th = ternary_theta(trace_zero_lattice(level15.rights[0]), 0)
     assert th.prec == 0 and not th
+
+
+@pytest.mark.parametrize("prec", [0, 1, 30])
+def test_theta_rejects_non_integral_norms(prec):
+    # i/2, j/2, k/2 in (-2, -5) have norms 2/4, 5/4 and 10/4: the form's
+    # content 1 is not divisible by den^2 = 4, so no norm bound matters
+    lat = TernaryLattice(
+        QuaternionAlgebra(2, 5), 2, ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    )
+    with pytest.raises(IntegralityError, match="non-integral norm"):
+        ternary_theta(lat, prec)
 
 
 def test_theta_conjugation_invariant(level15):
