@@ -55,7 +55,6 @@ from .lattice import (
     Order,
     _neighbors,
     combine,
-    hnf_rows,
     right_order_lattice,
 )
 from .numth import TRIAL_BOUND, divisors, factorize, is_prime, prime_factors, primes
@@ -438,7 +437,8 @@ def ideal_classes(order: Order) -> IdealClassSet:
 
 
 # ---------------------------------------------------------------------------
-# integer linear algebra for the eigen decomposition (row convention)
+# integer linear algebra for the eigen decomposition (row convention): each
+# eigenspace is one forward elimination, and only its span over Q is used
 # ---------------------------------------------------------------------------
 
 
@@ -449,15 +449,6 @@ def _product(
     return [combine(B, row) for row in A]
 
 
-def _left_kernel(M: Sequence[Sequence[int]]) -> list[list[int]]:
-    """A basis of the integer vectors k with k M = 0, for an integer d x H
-    matrix M: the rows of the Hermite form of [M | I] whose M half is zero
-    (Cohen, GTM 138, Sec. 2.4.3)."""
-    d, H = len(M), len(M[0])
-    echelon = hnf_rows(list(M[r]) + [int(r == c) for c in range(d)] for r in range(d))
-    return [row[H:] for row in echelon if not any(row[:H])]
-
-
 def _normalize_primitive(vec: Sequence[int]) -> tuple[int, ...]:
     """Divide out the content, with positive first nonzero entry."""
     g = gcd(*vec)
@@ -466,6 +457,32 @@ def _normalize_primitive(vec: Sequence[int]) -> tuple[int, ...]:
     if next(x for x in vec if x) < 0:
         g = -g
     return tuple(x // g for x in vec)
+
+
+def _eigenspace(T, block, lam: int) -> list[tuple[int, ...]]:
+    """Integer rows spanning {k block : k T = lam k block} over Q, for a
+    block of integer rows of full row rank and T = block B.
+
+    Forward elimination over Z of the rows [T - lam block | block]
+    (Cohen, GTM 138, Sec. 2.3): the pivot in column c is the first
+    remaining row nonzero there, and every other remaining row nonzero
+    there becomes pivot[c] row - row[c] pivot, made primitive.  Each row
+    is k [T - lam block | block] for some k != 0, so its block half is
+    not zero, and the rows never taken as pivots in the first H columns
+    end as [0 | k block].
+    """
+    H = len(block[0])
+    rows = [[t - lam * x for t, x in zip(tr, br)] + list(br) for tr, br in zip(T, block)]
+    for c in range(H):
+        i = next((i for i, row in enumerate(rows) if row[c]), None)
+        if i is not None:
+            pivot = rows.pop(i)
+            for r, row in enumerate(rows):
+                if row[c]:
+                    rows[r] = _normalize_primitive(
+                        [pivot[c] * s - row[c] * t for s, t in zip(row, pivot)]
+                    )
+    return [tuple(row[H:]) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -519,16 +536,16 @@ def _refine(class_set: IdealClassSet, pins: dict[int, int] | None) -> list[Eigen
 
     A block is a list of integer rows, a basis of a subspace that the
     commuting degree matrices keep.  At p it splits into the eigenspaces
-    spanned by the rows k block, for k in the integer left kernel of
-    block B(p) - lam block, that is with (k block) B(p) = lam (k block),
-    one per integer lam.  What lies outside them is discarded: no line
-    there has a rational eigenvalue at p.  The primes dividing the level
-    are refined first, then the other primes up to PRIME_BOUND, each in
-    increasing order.  `pins` maps primes to eigenvalues: at a pinned
-    prime only the eigenspace of the pinned eigenvalue is kept, so the
-    lines returned are exactly the unpinned ones with those eigenvalues,
-    in the same relative order.  A finished line computes its eigenvalues
-    from its vector, at the primes it was refined at as at every other.
+    spanned by the rows k block with (k block) B(p) = lam (k block), one
+    per integer lam (`_eigenspace`).  What lies outside them is
+    discarded: no line there has a rational eigenvalue at p.  The primes
+    dividing the level are refined first, then the other primes up to
+    PRIME_BOUND, each in increasing order.  `pins` maps primes to
+    eigenvalues: at a pinned prime only the eigenspace of the pinned
+    eigenvalue is kept, so the lines returned are exactly the unpinned
+    ones with those eigenvalues, in the same relative order.  A finished
+    line computes its eigenvalues from its vector, at the primes it was
+    refined at as at every other.
     """
     pins = pins or {}
     H = class_set.h
@@ -556,12 +573,8 @@ def _refine(class_set: IdealClassSet, pins: dict[int, int] | None) -> list[Eigen
         for block in pending:
             T = _product(block, B)
             for lam in roots:
-                shifted = [
-                    [t - lam * x for t, x in zip(trow, row)] for trow, row in zip(T, block)
-                ]
-                kernel = _left_kernel(shifted)
-                if kernel:
-                    child = [combine(block, k) for k in kernel]
+                child = _eigenspace(T, block, lam)
+                if child:
                     (finished if len(child) == 1 else next_pending).append(child)
         pending = next_pending
 

@@ -14,9 +14,10 @@ element is tested as an integer row over a denominator (`coordinates`),
 a rational invariant is an integer pair (the determinant `_det_ratio`
 is the pivot product over den^4), and `reduced_discriminant` is an int.
 
-`hnf_rows` brings each column to echelon form around the row whose entry
-there has the smallest nonzero absolute value.  A row whose entry that
-pivot divides is cleared by one row subtraction; any other row is
+`hnf_rows`, whose one caller is `Lattice4.from_int_rows`, brings each
+column to echelon form around the row whose entry there has the
+smallest nonzero absolute value.  A row whose entry that pivot divides
+is cleared by one row subtraction; any other row is
 combined with the pivot row by the Bezout coefficients of the two
 entries, taken from `math.gcd` and a modular inverse (`pow(x, -1, m)`),
 and the pivot becomes their gcd.  The Hermite form is unique, so the
@@ -48,7 +49,8 @@ integer Gram matrix, whose content is den^2 times the lattice's norm
 content, so each count is one LLL pass, its keys are the reduced norms
 in units of the norm content, and a lattice keeps nothing but its rows.
 
-These kernels run mostly on matrices of rank 4, so their cost is
+These kernels run only on matrices of rank 4 (LLL and the enumeration
+also on the ternary forms of the theta series), so their cost is
 interpreter overhead rather than integer arithmetic.  They are written
 as flat loops over integers: row operations in place from the pivot
 column on and LLL's size reduction inline.  The enumeration is one
@@ -152,8 +154,6 @@ def hnf_rows(rows: Iterable[Sequence[int]]) -> list[list[int]]:
                 for c in range(col, ncols):
                     row[c] -= q * prow[c]
         pivot_row += 1
-        if pivot_row == nrows:
-            break
     # each of these rows has a positive pivot, so none is zero
     return mat[:pivot_row]
 

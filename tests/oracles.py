@@ -546,8 +546,8 @@ def reduced_discriminant_ref(lat):
 
 
 # ---------------------------------------------------------------------------
-# Left kernels by Gauss-Jordan over Fractions, the route the library's
-# integer Hermite-form kernel replaced.
+# Left kernels by Gauss-Jordan over Fractions, the reference for the
+# library's eigenspaces by integer forward elimination.
 # ---------------------------------------------------------------------------
 
 

@@ -12,7 +12,7 @@ from halfint.brandt import (
     Eigenform,
     IdealClassSet,
     _class_key,
-    _left_kernel,
+    _eigenspace,
     _pair_lattice,
     _phi,
     _product,
@@ -28,7 +28,7 @@ from halfint.brandt import (
 )
 from halfint.cli import _odd_subsets
 from halfint.errors import IrrationalEigenspaceError, MissingEigenvalueError
-from halfint.lattice import Lattice4, eichler_order, maximal_order
+from halfint.lattice import Lattice4, combine, eichler_order, maximal_order
 from halfint.numth import prime_factors
 from halfint.quat import QuaternionAlgebra, algebra_ramified_at
 from oracles import basis, contains_lattice, from_vectors, qelt
@@ -511,22 +511,46 @@ def test_apply_is_row_action(level15):
 
 
 @st.composite
-def _integer_matrices(draw):
-    """d x H integer matrices A C with inner dimension r, so that r below
-    d or H gives rank-deficient ones (the zero matrix included)."""
-    d, H, r = (draw(st.integers(1, 6)) for _ in range(3))
+def _eigenspace_cases(draw):
+    """(block, B, lam): a d x H integer block of full row rank, 1 <= d <= H,
+    a square integer B and an integer lam.
+
+    B = U^-1 A U for a unimodular U and an integer A whose first d rows
+    are zero from column d on and lower triangular before it, so the first
+    d rows of U span a subspace that B keeps, with A's first d diagonal
+    entries as its eigenvalues.  The block is a basis of that subspace or
+    d rows drawn freely; lam is one of those diagonal entries or any
+    small integer, so it is a true eigenvalue in some draws only."""
+    H = draw(st.integers(1, 5))
+    d = draw(st.sampled_from(sorted({1, H, draw(st.integers(1, H))})))
     entries = st.integers(-3, 3)
-    A = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=d, max_size=d))
-    C = draw(st.lists(st.lists(entries, min_size=H, max_size=H), min_size=r, max_size=r))
-    return oracles.mat_mul(A, C)
+    U = [[int(i == j) for j in range(H)] for i in range(H)]
+    ops = st.tuples(st.integers(0, H - 1), st.integers(0, H - 1), entries)
+    for i, j, c in draw(st.lists(ops, max_size=8)):
+        if i != j:
+            U[i] = [x + c * y for x, y in zip(U[i], U[j])]
+    A = [[draw(entries) if j <= i or i >= d else 0 for j in range(H)] for i in range(H)]
+    B = oracles.mat_mul(oracles.mat_inv(U), oracles.mat_mul(A, U))
+    B = [[int(x) for x in row] for row in B]
+    if draw(st.booleans()):
+        W = draw(st.lists(st.lists(entries, min_size=d, max_size=d), min_size=d, max_size=d))
+        block = oracles.mat_mul(W, U[:d])
+    else:
+        block = draw(st.lists(st.lists(entries, min_size=H, max_size=H), min_size=d, max_size=d))
+    assume(len(oracles.rref(block)[0]) == d)
+    lam = draw(st.one_of(st.sampled_from([A[i][i] for i in range(d)]), st.integers(-6, 6)))
+    return block, B, lam
 
 
-@settings(max_examples=150, deadline=None)
-@given(_integer_matrices())
-def test_left_kernel_matches_fraction_oracle(M):
-    kernel = _left_kernel(M)
-    assert all(type(x) is int for k in kernel for x in k)
-    assert all(not any(oracles.mat_mul([k], M)[0]) for k in kernel)
-    ref = oracles.left_kernel_ref(M)
-    assert len(kernel) == len(ref)
-    assert oracles.rref(kernel) == oracles.rref(ref)
+@settings(max_examples=200, deadline=None)
+@given(_eigenspace_cases())
+def test_eigenspace_matches_fraction_oracle(case):
+    block, B, lam = case
+    T = _product(block, B)
+    rows = _eigenspace(T, block, lam)
+    assert all(type(x) is int for r in rows for x in r)
+    assert all(oracles.mat_mul([r], B)[0] == [lam * x for x in r] for r in rows)
+    shifted = [[t - lam * x for t, x in zip(trow, brow)] for trow, brow in zip(T, block)]
+    ref = [combine(block, k) for k in oracles.left_kernel_ref(shifted)]
+    assert len(rows) == len(ref)
+    assert oracles.rref(rows) == oracles.rref(ref)

@@ -17,7 +17,8 @@ each level it runs against FILE, the printed output of an earlier sweep
 at the same `--prec` (lines starting with `#` are skipped, and so are the
 wall time and the class number), and exits 1 naming every level that
 differs or that FILE does not list; any sub-range of FILE can be checked.
-`tools/sweep_reference.txt` is the sweep of 3 <= N < 400 at `--prec 30`.
+`tools/sweep_reference.txt` is the sweep of 3 <= N < 1100 at `--prec 30`,
+in which no level took 16 s, two levels at a time on two cores.
 """
 
 from __future__ import annotations
