@@ -43,7 +43,7 @@ from .theta import (
     ternary_theta,
     trace_zero_lattice,
 )
-from .cli import JobConfig, ingest_newform, kohnen_basis, main
+from .cli import JobConfig, kohnen_basis, main
 
 __version__ = "0.1.0"
 
@@ -93,7 +93,8 @@ __all__ = [
     "trace_zero_lattice",
 ]
 
-# the float diagnostics, loaded on first use: a basis job never needs them
+# loaded on first use, since a basis job needs neither: the float
+# diagnostics and the newform-file parser
 _LOCALFACTORS = ("f1_f2_diagnostic", "global_factor", "local_K")
 
 
@@ -102,4 +103,8 @@ def __getattr__(name: str):
         from . import localfactors
 
         return getattr(localfactors, name)
+    if name == "ingest_newform":
+        from .pins import ingest_newform
+
+        return ingest_newform
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

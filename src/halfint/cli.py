@@ -1,8 +1,9 @@
-"""Command-line front end: configuration, caching, and serialization.
+"""Command-line front end: configuration, caching, the pipeline, the
+`basis` subcommand and serialization.
 
 Every subcommand runs one pipeline, `_run`: check a newform file and
-take its entries as pins (`_newform_pins`), search the odd ramification
-subsets of the level for the admissible eigenlines with those
+take its entries as pins (`pins._newform_pins`), search the odd
+ramification subsets of the level for the admissible eigenlines with those
 eigenvalues (`eigenline_candidates`), select one, move it to the class
 set of its own algebra (`matching_eigenline`), build its profile, then
 run the subcommand's stage: {g, g4, h} for `basis` (the library's
@@ -10,6 +11,12 @@ run the subcommand's stage: {g, g4, h} for `basis` (the library's
 `theta`, local products for `localfactors`.  The selected class set is
 then cached with every degree matrix the run built, and `_render`
 prints metadata and stage output.
+
+Start-up: every job is a fresh process that compiles what it imports,
+so what a `basis` job never runs loads on first use.  `main` imports
+`commands` for the other subcommands and for an argv that only
+argparse handles; `_run` and `_select` import `pins` for a newform file
+and a p=value selector.
 
 Which class sets a run builds: the search builds one at every level,
 the Eichler order of level N in the algebra ramified at the largest
@@ -33,11 +40,10 @@ import os
 import sys
 from math import isqrt, prod
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .brandt import (
     ORDER_PRIMES,
-    PRIME_BOUND,
     Eigenform,
     IdealClassSet,
     cuspidal_eigenlines,
@@ -47,7 +53,6 @@ from .brandt import (
 from .errors import (
     AmbiguousSelectorError,
     ConfigurationError,
-    EvenRootNumberError,
     HalfIntError,
     NewformFileError,
     SelectorNotFoundError,
@@ -55,28 +60,15 @@ from .errors import (
 )
 from .lattice import Order, eichler_order
 from .lift import LiftProfile, assemble_h
-from .numth import TRIAL_BOUND, is_prime, is_squarefree, prime_factors, primes
+from .numth import TRIAL_BOUND, is_squarefree, prime_factors, primes
 from .quat import algebra_ramified_at
-from .theta import (
-    deep_coefficients,
-    kohnen_form,
-    sturm_bound,
-    ternary_theta,
-    trace_zero_lattice,
-)
-
-if TYPE_CHECKING:
-    import argparse
+from .theta import deep_coefficients, kohnen_form, sturm_bound
 
 __all__ = [
     "JobConfig",
-    "ingest_newform",
     "eigenline_candidates",
     "kohnen_basis",
     "cmd_basis",
-    "cmd_brandt",
-    "cmd_theta",
-    "cmd_localfactors",
     "main",
 ]
 
@@ -172,111 +164,8 @@ def _store_class_set(class_set: IdealClassSet, directory: Path | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# external eigenvalue files
-# ---------------------------------------------------------------------------
-
-
-# the longest piece of an eigenvalue file that an error message quotes
-EXCERPT_CHARS = 40
-
-
-def _excerpt(text: str) -> str:
-    """`text`, or its first EXCERPT_CHARS characters marked as cut, so an
-    error line stays short whatever the file holds."""
-    if len(text) <= EXCERPT_CHARS:
-        return text
-    return f"{text[:EXCERPT_CHARS]}... ({len(text)} characters)"
-
-
-def _file_int(value) -> int:
-    """A JSON integer (not a bool) or a decimal-integer string as an int."""
-    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
-        return int(value)
-    raise ValueError(f"expected an integer, got {_excerpt(json.dumps(value))}")
-
-
-def ingest_newform(path: str) -> dict[int, int]:
-    """Parse a "p b_p" two-column text file or a JSON map of the same,
-    UTF-8 with or without a byte-order mark."""
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise NewformFileError(f"cannot read {path}: {exc}") from exc
-    stripped = text.strip()
-    out: dict[int, int] = {}
-    if not stripped:
-        return out
-    try:
-        if stripped.startswith("{"):
-            # the pairs in file order, so that a repeated key reaches the
-            # conflict check below; the top-level object is decoded last,
-            # and nested ones stay dicts, which an error quotes as written
-            objects = []
-
-            def keep_pairs(pairs):
-                objects.append(pairs)
-                return dict(pairs)
-
-            json.loads(stripped, object_pairs_hook=keep_pairs)
-            items = objects[-1]
-        else:
-            items = []
-            for line in stripped.splitlines():
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise ValueError(f"expected 'p b_p', got {_excerpt(repr(line))}")
-                items.append((parts[0], parts[1]))
-        for key, value in items:
-            p, v = _file_int(key), _file_int(value)
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            if p in out and out[p] != v:
-                raise ValueError(f"conflicting values at {p}")
-            out[p] = v
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise NewformFileError(f"malformed eigenvalue file {path}: {exc}") from exc
-    except RecursionError:
-        raise NewformFileError(
-            f"malformed eigenvalue file {path}: JSON nested too deeply"
-        ) from None
-    return out
-
-
-# ---------------------------------------------------------------------------
 # eigenline search
 # ---------------------------------------------------------------------------
-
-
-def _newform_pins(newform_map: dict[int, int], level: int) -> dict[int, int]:
-    """The entries of a newform file at the primes the refinement reaches:
-    at most PRIME_BOUND or dividing the level.  Checked before any search,
-    in this order: an entry at any other prime p is only held to the
-    Hasse bound b_p^2 <= 4p and then left out, so it never costs a
-    degree-p matrix; each entry at a level prime must be ±1; and signs
-    pinned at every level prime must make the root number odd."""
-    pins = {}
-    for p, v in newform_map.items():
-        if p <= PRIME_BOUND or level % p == 0:
-            pins[p] = v
-        elif v * v > 4 * p:
-            raise NewformFileError(
-                f"eigenvalue {_excerpt(str(v))} at {p} breaks the Hasse bound b_p^2 <= 4p"
-            )
-    bad_primes = prime_factors(level)
-    for p in bad_primes:
-        if pins.get(p, 1) not in (1, -1):
-            raise NewformFileError(
-                f"eigenvalue at {p} must be ±1 for a prime dividing the level"
-            )
-    if all(p in pins for p in bad_primes) and sum(pins[p] == 1 for p in bad_primes) % 2 == 0:
-        raise EvenRootNumberError(
-            "the supplied signs make every functional equation even; "
-            "no quaternion algebra is ramified at this configuration"
-        )
-    return pins
 
 
 def _odd_subsets(ps: list[int]) -> list[tuple[int, ...]]:
@@ -337,39 +226,6 @@ def eigenline_candidates(
     return out
 
 
-def _parse_prefix(selector: str, level: int) -> dict[int, int]:
-    """The p=value pairs of a selector.  A key must be a prime, and one of
-    those that refinement reaches: at most PRIME_BOUND or dividing the
-    level.  Lines distinct there need no other key, and a larger key
-    would cost a degree-p matrix (or a long primality test) to read."""
-    out = {}
-    for chunk in selector.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" not in chunk:
-            raise ConfigurationError(
-                f"selector {selector!r} is neither an index nor p=value pairs"
-            )
-        p, v = chunk.split("=", 1)
-        try:
-            p, v = int(p), int(v)
-        except ValueError as exc:
-            raise ConfigurationError(f"bad selector entry {chunk!r}") from exc
-        if p > PRIME_BOUND and level % p:
-            raise ConfigurationError(
-                f"selector key {p} is above {PRIME_BOUND} and does not divide the level"
-            )
-        if not is_prime(p):
-            raise ConfigurationError(f"selector key {p} is not a prime")
-        if p in out and out[p] != v:
-            raise ConfigurationError(f"selector has conflicting values at {p}")
-        out[p] = v
-    if not out:
-        raise ConfigurationError(f"empty selector {selector!r}")
-    return out
-
-
 def _select(
     lines: list[Eigenform], selector: str | None, level: int
 ) -> tuple[int, Eigenform]:
@@ -390,6 +246,8 @@ def _select(
                 f"selector index {index} out of range 0..{len(lines) - 1}"
             )
         return index, lines[index]
+    from .pins import _parse_prefix
+
     prefix = _parse_prefix(selector, level)
     matches = [
         (i, line)
@@ -420,7 +278,7 @@ def _run(config: JobConfig, stage: Callable[[dict], dict], pmax: int = 0) -> dic
     """The pipeline of every subcommand.
 
     Check a newform file and take its reachable entries as pins
-    (`_newform_pins`), search for the lines with those eigenvalues,
+    (`pins._newform_pins`), search for the lines with those eigenvalues,
     select one, move it to the class set of its host, the algebra
     ramified where its eigenvalue is +1, when the search found it on
     another (`matching_eigenline`), and build its profile at the primes
@@ -428,9 +286,11 @@ def _run(config: JobConfig, stage: Callable[[dict], dict], pmax: int = 0) -> dic
     "profile"} is then extended by the dict `stage` returns, and the
     selected class set is stored with every degree the run built.
     """
-    pins = _newform_pins(
-        ingest_newform(config.newform_file) if config.newform_file else {}, config.level
-    )
+    pins = {}  # without a file nothing is pinned, and nothing is there to check
+    if config.newform_file:
+        from .pins import _newform_pins, ingest_newform
+
+        pins = _newform_pins(ingest_newform(config.newform_file), config.level)
     cache_dir = _cache_dir(config)
     lines = eigenline_candidates(config.level, cache_dir, pins)
     if pins and not lines:
@@ -547,85 +407,6 @@ def cmd_basis(config: JobConfig) -> str:
     )
 
 
-def cmd_brandt(config: JobConfig, nmax: int = 10) -> str:
-    if nmax < 1:
-        raise ConfigurationError(f"need nmax >= 1, got {nmax}")
-
-    def degree_matrices(run: dict) -> dict:
-        class_set = run["line"].class_set
-        class_set.plan(nmax)
-        return {"brandt": {n: class_set.brandt(n) for n in range(1, nmax + 1)}}
-
-    run = _run(config, degree_matrices)
-    matrices = run["brandt"]
-    return _render(
-        config,
-        run,
-        lambda: {
-            "brandt": {str(n): [list(row) for row in mat] for n, mat in matrices.items()}
-        },
-        lambda: [
-            line
-            for n, mat in matrices.items()
-            for line in [f"B({n})"] + [" ".join(str(x) for x in row) for row in mat]
-        ],
-    )
-
-
-def cmd_theta(config: JobConfig) -> str:
-    def class_thetas(run: dict) -> dict:
-        rights = run["line"].class_set.rights
-        return {"thetas": [ternary_theta(trace_zero_lattice(o), config.prec) for o in rights]}
-
-    run = _run(config, class_thetas)
-    thetas = run["thetas"]
-    return _render(
-        config,
-        run,
-        lambda: {"thetas": [t.to_json_dict() for t in thetas]},
-        lambda: [
-            line
-            for i, t in enumerate(thetas, start=1)
-            for line in (f"theta {i}", t.to_text())
-        ],
-    )
-
-
-def _clean(z: complex) -> complex:
-    """z with any negative zero part made positive."""
-    return complex(z.real if z.real != 0 else 0.0, z.imag if z.imag != 0 else 0.0)
-
-
-def cmd_localfactors(config: JobConfig, lo: int = 2, hi: int = 23) -> str:
-    if not 1 <= lo <= hi:
-        raise ConfigurationError(f"bad index range {lo}:{hi}")
-    from .localfactors import local_K
-
-    def local_products(run: dict) -> dict:
-        profile = run["profile"]
-        return {
-            "rows": [
-                (n, _clean(local_K(profile, "K1", n)), _clean(local_K(profile, "K2", n)))
-                for n in range(lo, hi + 1)
-            ]
-        }
-
-    run = _run(config, local_products, isqrt(hi))
-    rows = run["rows"]
-    return _render(
-        config,
-        run,
-        lambda: {
-            "local_factors": [
-                {"n": n, "K1": [k1.real, k1.imag], "K2": [k2.real, k2.imag]}
-                for n, k1, k2 in rows
-            ]
-        },
-        lambda: ["n K1_re K1_im K2_re K2_im"]
-        + [f"{n} {k1.real!r} {k1.imag!r} {k2.real!r} {k2.imag!r}" for n, k1, k2 in rows],
-    )
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
@@ -662,31 +443,12 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse parser of the command line; its usage errors exit 3."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        def error(self, message):
-            self.print_usage(sys.stderr)
-            self.exit(3, f"error: {message}\n")
-
-    parser = _Parser(prog="halfint",
-                     description="Exact weight-3/2 bases from quaternionic theta series")
-    commands = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, options) in _SUBCOMMANDS.items():
-        sub = commands.add_parser(name, help=help_line)
-        for option, spec in options:
-            sub.add_argument(option, **spec)
-    return parser
-
-
 def _parse_plain(argv: list[str]) -> dict | None:
-    """vars(build_parser().parse_args(argv)) for an argv of the plain form
-    SUBCOMMAND --option value ...: exact option names, each at most once,
-    no value starting with "-", every value valid.  None for any other
-    argv (help, a usage error, an abbreviation, --option=value), which
-    only argparse handles.
+    """vars(commands.build_parser().parse_args(argv)) for an argv of the
+    plain form SUBCOMMAND --option value ...: exact option names, each at
+    most once, no value starting with "-", every value valid.  None for
+    any other argv (help, a usage error, an abbreviation, --option=value),
+    which only argparse handles.
 
     Every job would otherwise import argparse (and gettext and locale
     through it) and build the four-subcommand parser before its run.
@@ -720,6 +482,8 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _parse_plain(argv)
     if args is None:
+        from .commands import build_parser
+
         args = vars(build_parser().parse_args(argv))
     try:
         config = JobConfig(
@@ -731,26 +495,25 @@ def main(argv: list[str] | None = None) -> int:
             newform_file=args["newform_file"],
             workers=args["workers"],
         )
-        command = args["command"]
-        if command == "basis":
+        if args["command"] == "basis":
             out = cmd_basis(config)
-        elif command == "brandt":
-            out = cmd_brandt(config, nmax=args["nmax"])
-        elif command == "theta":
-            out = cmd_theta(config)
         else:
-            index_range = args["index_range"]
-            try:
-                lo, hi = (int(x) for x in index_range.split(":", 1))
-            except ValueError:
-                raise ConfigurationError(
-                    f"range must look like LO:HI, got {index_range!r}"
-                ) from None
-            out = cmd_localfactors(config, lo, hi)
+            from .commands import run_subcommand
+
+            out = run_subcommand(config, args)
+        try:
+            sys.stdout.write(out)
+            sys.stdout.flush()
+        except OSError as exc:
+            # a closed pipe or a full disk: the interpreter's own flush at
+            # exit would fail again, so what is left goes to os.devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise ConfigurationError(f"cannot write output: {exc.strerror or exc}") from None
     except HalfIntError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    sys.stdout.write(out)
     return 0
 
 

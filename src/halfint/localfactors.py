@@ -10,8 +10,9 @@ the two floating basis elements they combine into.  Nothing here enters
 a published coefficient; the exact h comes from `lift.assemble_h`.
 
 Every basis job imports the package but never evaluates these terms, so
-this module is left out of that import: `cli.cmd_localfactors` imports
-it when it runs, and the package exports its public names on first use.
+this module is left out of that import: `commands.cmd_localfactors`
+imports it when it runs, and the package exports its public names on
+first use.
 """
 
 from __future__ import annotations

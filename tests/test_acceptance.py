@@ -23,7 +23,8 @@ import pytest
 import oracles
 
 from halfint.brandt import Eigenform, _unit_mass, cuspidal_eigenlines
-from halfint.cli import JobConfig, cmd_basis, cmd_theta, main
+from halfint.cli import JobConfig, cmd_basis, main
+from halfint.commands import cmd_theta
 from halfint.errors import (
     EvenRootNumberError,
     PrecisionError,

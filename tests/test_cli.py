@@ -27,16 +27,12 @@ from halfint.cli import (
     JobConfig,
     _parse_plain,
     _select,
-    build_parser,
     cmd_basis,
-    cmd_brandt,
-    cmd_localfactors,
-    cmd_theta,
     eigenline_candidates,
-    ingest_newform,
     kohnen_basis,
     main,
 )
+from halfint.commands import build_parser, cmd_brandt, cmd_localfactors, cmd_theta
 from halfint.errors import (
     AmbiguousSelectorError,
     ConfigurationError,
@@ -46,6 +42,7 @@ from halfint.errors import (
 )
 from halfint.lattice import Lattice4
 from halfint.numth import prime_factors
+from halfint.pins import ingest_newform
 from halfint.quat import QuaternionAlgebra
 from halfint.qexp import QExpansion
 from halfint.theta import sturm_bound
@@ -1245,11 +1242,38 @@ def test_package_invocation_subprocess():
     assert proc.stdout.startswith("level 11\n")
 
 
+@pytest.mark.parametrize("target", ["closed pipe", "/dev/full"])
+def test_unwritable_stdout_exits_3_without_a_traceback(target):
+    # a pipe whose reader is gone fails the write with EPIPE, a full device
+    # with ENOSPC; either is one error line, and the exit flush stays quiet
+    if target == "closed pipe":
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+        reason = "Broken pipe"
+    else:
+        if not Path(target).exists():
+            pytest.skip(f"no {target} here")
+        stdout = os.open(target, os.O_WRONLY)
+        reason = "No space left on device"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "halfint", "basis", "--level", "15", "--prec", "20"],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: cannot write output: {reason}\n"
+
+
 # modules a basis job must not load: the import, the argv parse and the
 # run pay for each of them in every fresh process
 HEAVY_MODULES = (
     "dataclasses", "inspect", "fractions", "decimal", "numbers", "argparse",
-    "gettext", "locale", "halfint.localfactors",
+    "gettext", "locale", "halfint.localfactors", "halfint.commands", "halfint.pins",
 )
 
 IMPORT_PROBE = f"""
@@ -1262,6 +1286,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(code, sorted(heavy & set(sys.modules)))
 import halfint
 print(halfint.local_K.__module__, halfint.f1_f2_diagnostic.__module__)
+print(halfint.ingest_newform.__module__)
 """
 
 
@@ -1278,7 +1303,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
-        "[]\n0 []\nhalfint.localfactors halfint.localfactors\n"
+        "[]\n0 []\nhalfint.localfactors halfint.localfactors\nhalfint.pins\n"
     )
 
 
