@@ -78,7 +78,7 @@ CACHE_ENV = "HALFINT_CACHE_DIR"
 class JobConfig:
     """Validated options shared by every subcommand."""
 
-    __slots__ = ("level", "selector", "prec", "fmt", "cache_dir", "newform_file", "workers")
+    __slots__ = ("level", "selector", "prec", "fmt", "cache_dir", "newform_file")
 
     def __init__(
         self,
@@ -88,7 +88,6 @@ class JobConfig:
         fmt: str = "text",
         cache_dir: str | None = None,
         newform_file: str | None = None,
-        workers: int = 1,
     ):
         # checked first: is_squarefree factors the level by trial division
         if level > TRIAL_BOUND:
@@ -103,15 +102,12 @@ class JobConfig:
             raise ConfigurationError(f"precision must be >= 1, got {prec}")
         if fmt not in ("text", "json"):
             raise ConfigurationError(f"unknown output format {fmt!r}")
-        if workers < 1:
-            raise ConfigurationError(f"worker count must be >= 1, got {workers}")
         self.level = level
         self.selector = selector
         self.prec = prec
         self.fmt = fmt
         self.cache_dir = cache_dir
         self.newform_file = newform_file
-        self.workers = workers
 
 
 # ---------------------------------------------------------------------------
@@ -127,18 +123,6 @@ def _cache_dir(config: JobConfig) -> Path | None:
 def _cache_path(directory: Path, order: Order) -> Path:
     alg = order.alg
     return directory / f"brandt_a{alg.a}_b{alg.b}_N{order.reduced_discriminant}.json"
-
-
-def _load_class_set(order: Order, directory: Path | None) -> IdealClassSet:
-    searched = ideal_classes(order)
-    if directory is not None:
-        path = _cache_path(directory, order)
-        if path.is_file():
-            try:
-                return IdealClassSet.from_state(searched, json.loads(path.read_text()))
-            except (OSError, ValueError, KeyError, TypeError, RecursionError):
-                pass  # unreadable, too deep, incomplete or inconsistent: a miss, overwritten
-    return searched
 
 
 def _store_class_set(class_set: IdealClassSet, directory: Path | None) -> None:
@@ -176,9 +160,19 @@ def _odd_subsets(ps: list[int]) -> list[tuple[int, ...]]:
 
 def _class_set(level: int, ramified: tuple[int, ...], cache_dir: Path | None) -> IdealClassSet:
     """The class set of the level-N Eichler order in the algebra ramified
-    at `ramified`, with the degree matrices a valid cache file holds."""
+    at `ramified`, searched, with the degree matrices a valid cache file
+    holds.  A file that cannot be read or fails a check is a miss, and the
+    next store overwrites it."""
     order = eichler_order(algebra_ramified_at(list(ramified)), level)
-    return _load_class_set(order, cache_dir)
+    searched = ideal_classes(order)
+    if cache_dir is not None:
+        path = _cache_path(cache_dir, order)
+        if path.is_file():
+            try:
+                return IdealClassSet.from_state(searched, json.loads(path.read_text()))
+            except (OSError, ValueError, KeyError, TypeError, RecursionError):
+                pass  # unreadable, too deep, incomplete or inconsistent: a miss, overwritten
+    return searched
 
 
 def eigenline_candidates(
@@ -282,9 +276,12 @@ def _run(config: JobConfig, stage: Callable[[dict], dict], pmax: int = 0) -> dic
     select one, move it to the class set of its host, the algebra
     ramified where its eigenvalue is +1, when the search found it on
     another (`matching_eigenline`), and build its profile at the primes
-    up to max(pmax, ORDER_PRIMES).  The run {"line", "selector_index",
-    "profile"} is then extended by the dict `stage` returns, and the
-    selected class set is stored with every degree the run built.
+    up to max(pmax, ORDER_PRIMES), `pmax` being the largest degree the
+    stage reads.  The selected class set is planned to that degree before
+    the match counts it, so one pass serves the match, the profile and the
+    stage.  The run {"line", "selector_index", "profile"} is then extended
+    by the dict `stage` returns, and the selected class set is stored with
+    every degree the run built.
     """
     pins = {}  # without a file nothing is pinned, and nothing is there to check
     if config.newform_file:
@@ -426,8 +423,6 @@ _COMMON_OPTIONS = (
                      "help": f"Brandt cache directory (default ${CACHE_ENV})"}),
     ("--newform-file", {"default": None,
                         "help": "optional 'p b_p' text or JSON eigenvalue file"}),
-    ("--workers", {"type": int, "default": 1,
-                   "help": "parallelism cap (results never depend on it)"}),
 )
 
 # subcommand -> (its help line, its options)
@@ -493,7 +488,6 @@ def main(argv: list[str] | None = None) -> int:
             fmt=args["fmt"],
             cache_dir=args["cache_dir"],
             newform_file=args["newform_file"],
-            workers=args["workers"],
         )
         if args["command"] == "basis":
             out = cmd_basis(config)

@@ -28,10 +28,9 @@ def cmd_brandt(config: JobConfig, nmax: int = 10) -> str:
 
     def degree_matrices(run: dict) -> dict:
         class_set = run["line"].class_set
-        class_set.plan(nmax)
         return {"brandt": {n: class_set.brandt(n) for n in range(1, nmax + 1)}}
 
-    run = _run(config, degree_matrices)
+    run = _run(config, degree_matrices, nmax)
     matrices = run["brandt"]
     return _render(
         config,

@@ -57,16 +57,12 @@ column on and LLL's size reduction inline.  The enumeration is one
 recursive function, one plain call per node of its tree and at most
 three calls deep; no call builds a tuple or a generator per child.
 Each call costs little against the big-integer isqrt and divisions
-that every line needs anyway, so the recursion costs about what the
-explicit-stack loop it replaced did: the 1255 counts of a cold N=503
-run took 1.34 s against 1.35 s, and the 14 of a warm N=15 run to
-precision 1000 took 5.7 against 5.4 ms (medians in process, on a shared
-2-core VM).  The tests hold them to slower references with the same
-output: `hnf_rows_ref` (first nonzero pivot), `lll_gram_ref` (the
-reduced Gram matrix of `_lll`, by an LLL with a nested size reduction
-that the flat loop replaced),
-`bareiss_ref` (the minors and coefficients of a reduced matrix by a
-second elimination) and `count_by_value_ref` (the rational recursion).
+that every line needs anyway.  The tests hold them to slower references
+with the same output: `hnf_rows_ref` (first nonzero pivot),
+`lll_gram_ref` (the reduced Gram matrix of `_lll`, by an LLL with a
+nested size reduction that the flat loop replaced), `bareiss_ref` (the
+minors and coefficients of a reduced matrix by a second elimination)
+and `count_by_value_ref` (the rational recursion).
 """
 
 from __future__ import annotations

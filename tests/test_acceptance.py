@@ -482,7 +482,10 @@ def test_two_cold_runs_at_195_agree(tmp_path):
 # help text stays argparse's own at a fixed terminal width
 HELP_OUTPUTS = {
     "--help": "b24e42a0c5d5644d42029608e6e05d1cac2e3661c8a56e0e6b175f8ad40bfe9a",
-    "basis --help": "28dd569fb247a8fccf74d8d2f4231af8698ef00de165a1cb970505457bfbcdd3",
+    "basis --help": "f4f49317a2efd559353fc2b0305810e7ccfbf129f6166bb2041bf26370fa02f7",
+    "brandt --help": "92f35e3edf83f7247d66072baf4e2b7765324d16510bed3a6da9fcff7e6ca1d6",
+    "theta --help": "40763ba726e7218a63c324ce4c3a4564ef22a657ad0bf43abf989a85a2798c18",
+    "localfactors --help": "3974af7fa608d3b5726f0f37a25c7af72950732f27273c3a308629d5c60c79f5",
 }
 
 

@@ -101,8 +101,6 @@ def test_config_rejects_bad_options():
         JobConfig(level=15, prec=0)
     with pytest.raises(ConfigurationError):
         JobConfig(level=15, fmt="yaml")
-    with pytest.raises(ConfigurationError):
-        JobConfig(level=15, workers=0)
 
 
 # ---------------------------------------------------------------------------
@@ -690,9 +688,15 @@ def test_basis_counts_g4_on_the_trace_zero_parts(monkeypatch, capsys):
     assert capsys.readouterr().out == BASIS_15_TEXT
 
 
-def test_workers_flag_accepted(capsys):
-    assert main(["basis", "--level", "15", "--prec", "24", "--workers", "4"]) == 0
-    assert capsys.readouterr().out == BASIS_15_TEXT
+def test_workers_flag_is_refused(capsys):
+    # no option of any subcommand: argparse refuses it with a usage error
+    with pytest.raises(SystemExit) as info:
+        main(["basis", "--level", "15", "--workers", "2"])
+    assert info.value.code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[1:] == ["error: unrecognized arguments: --workers 2"]
 
 
 # ---------------------------------------------------------------------------
@@ -743,23 +747,27 @@ def test_cold_run_counts_each_class_set_once(tmp_path, monkeypatch, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["brandt_a7_b15_N105.json"]
 
 
-def test_deep_run_counts_the_host_once(tmp_path, monkeypatch, capsys):
-    # at --prec 1000 the profile reaches 31 > KEY_DEGREE: the host (the
-    # algebra ramified at 5) is planned to 31 before the match, so the
-    # match and the profile share one counting pass
+@pytest.mark.parametrize("argv, degree", [
+    (["basis", "--level", "15", "--prec", "1000"], 31),
+    (["brandt", "--level", "15", "--nmax", "20"], 20),
+], ids=["basis", "brandt"])
+def test_deep_run_counts_the_host_once(argv, degree, tmp_path, monkeypatch, capsys):
+    # the stage's degree (31 for the profile at --prec 1000, 20 for B(20))
+    # exceeds KEY_DEGREE: the host (the algebra ramified at 5) is planned to
+    # it before the match, so the match and the stage share one counting pass
     passes = []
     original = IdealClassSet._count
 
     def counted(self, nmax):
-        passes.append(self)
+        passes.append((self, nmax))
         return original(self, nmax)
 
     monkeypatch.setattr(IdealClassSet, "_count", counted)
-    argv = ["basis", "--level", "15", "--prec", "1000", "--cache-dir", str(tmp_path)]
-    assert main(argv) == 0
+    assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
     assert capsys.readouterr().out.startswith("level 15\nalgebra a=2 b=5 ramified 5\n")
-    assert passes
-    assert len(passes) == len(set(map(id, passes)))
+    assert len(passes) == len({id(class_set) for class_set, _ in passes})
+    host = [nmax for class_set, nmax in passes if class_set.alg.ramified == (5,)]
+    assert host == [degree]
 
 
 def test_cold_run_at_195_builds_the_reference_and_the_host(tmp_path, monkeypatch, capsys):
@@ -1345,7 +1353,9 @@ def test_no_module_uses_fractions():
 # the direct argv parse against argparse
 # ---------------------------------------------------------------------------
 
-# option -> (values argparse takes, values it refuses or that start with -)
+# option -> (values argparse takes, values it refuses or that start with -);
+# --workers is no option of any subcommand, so both parsers refuse every
+# argv that carries it
 _OPTION_VALUES = {
     "--level": (["15", "11", " 7 ", "1_5"], ["x", "", "-15", "15.0"]),
     "--selector": (["0", "2=-1,3=1", "", "a b", "basis"], ["-1"]),
@@ -1412,7 +1422,7 @@ def test_direct_parse_agrees_with_argparse(argv):
 def test_direct_parse_takes_the_plain_form():
     assert _parse_plain(["basis", "--prec", "20", "--level", "15"]) == {
         "command": "basis", "level": 15, "selector": None, "prec": 20, "fmt": "text",
-        "cache_dir": None, "newform_file": None, "workers": 1,
+        "cache_dir": None, "newform_file": None,
     }
     assert _parse_plain(["localfactors", "--level", "15", "--range", "3:5"])["index_range"] == "3:5"
     assert _parse_plain(["brandt", "--level", "15"])["nmax"] == 10
