@@ -277,7 +277,9 @@ def _run(config: JobConfig, stage: Callable[[dict], dict], pmax: int = 0) -> dic
     ramified where its eigenvalue is +1, when the search found it on
     another (`matching_eigenline`), and build its profile at the primes
     up to max(pmax, ORDER_PRIMES), `pmax` being the largest degree the
-    stage reads.  The selected class set is planned to that degree before
+    stage reads.  A stage that reads no profile past ORDER_PRIMES (`brandt`)
+    still gets one to pmax: one `apply` per prime, on matrices the stage
+    builds anyway.  The selected class set is planned to that degree before
     the match counts it, so one pass serves the match, the profile and the
     stage.  The run {"line", "selector_index", "profile"} is then extended
     by the dict `stage` returns, and the selected class set is stored with
