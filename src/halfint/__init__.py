@@ -13,9 +13,7 @@ from .brandt import (
     Eigenform,
     IdealClassSet,
     cuspidal_eigenlines,
-    equivalent_ideals,
     ideal_classes,
-    rational_eigenlines,
 )
 from .errors import (
     AmbiguousSelectorError,
@@ -75,7 +73,6 @@ __all__ = [
     "cuspidal_eigenlines",
     "deep_coefficients",
     "eichler_order",
-    "equivalent_ideals",
     "f1_f2_diagnostic",
     "global_factor",
     "hecke_check",
@@ -88,7 +85,6 @@ __all__ = [
     "main",
     "maximal_order",
     "power_sums",
-    "rational_eigenlines",
     "ternary_theta",
     "trace_zero_lattice",
 ]

@@ -113,11 +113,6 @@ def _is_principal(lat: Lattice4) -> bool:
     return lat.norm_counts(1).get(1, 0) > 0
 
 
-def equivalent_ideals(I: Lattice4, J: Lattice4) -> bool:
-    """Left ideals are isomorphic iff conj(I) J is principal."""
-    return _is_principal(I.conjugate().product(J))
-
-
 def _left_generators(order: Order, I: Lattice4) -> tuple[tuple[int, ...], ...]:
     """Integer rows y over I.den with I = sum of the O y, O = `order`: the
     first pair (rows[0], rows[r]), r = 1, 2, 3, that generates I, else
@@ -588,20 +583,17 @@ def _by_small_eigenvalues(lines: list[Eigenform]) -> list[Eigenform]:
     return sorted(lines, key=lambda f: tuple(f.eigenvalue(p) for p in ORDER_PRIMES))
 
 
-def rational_eigenlines(class_set: IdealClassSet) -> list[Eigenform]:
-    """All one-dimensional simultaneous rational eigenlines, by successive
-    refinement under the degree-p matrices up to `PRIME_BOUND`."""
-    return _by_small_eigenvalues(_refine(class_set, None))
-
-
 def cuspidal_eigenlines(
     class_set: IdealClassSet, pins: dict[int, int] | None = None
 ) -> list[Eigenform]:
-    """The cuspidal lines of `rational_eigenlines`, in the same order.
+    """The one-dimensional simultaneous rational eigenlines of the class
+    set that are cuspidal, found by successive refinement under the
+    degree-p matrices up to `PRIME_BOUND` (`_refine`) and ordered by their
+    eigenvalues at ORDER_PRIMES.
 
     `pins` optionally maps primes to the eigenvalues the lines must have
-    there; only lines with those eigenvalues are then refined (`_refine`)
-    and returned.
+    there; only lines with those eigenvalues are then refined and
+    returned.
     """
     lines = _refine(class_set, pins)
     return _by_small_eigenvalues([f for f in lines if f.is_cuspidal()])

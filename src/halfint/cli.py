@@ -74,9 +74,13 @@ __all__ = [
 
 CACHE_ENV = "HALFINT_CACHE_DIR"
 
+# series precision of `basis` and `theta` when --prec is not given
+DEFAULT_PREC = 100
+
 
 class JobConfig:
-    """Validated options shared by every subcommand."""
+    """Validated options of a run; `prec` is read only by `basis` and
+    `theta`."""
 
     __slots__ = ("level", "selector", "prec", "fmt", "cache_dir", "newform_file")
 
@@ -84,7 +88,7 @@ class JobConfig:
         self,
         level: int,
         selector: str | None = None,
-        prec: int = 100,
+        prec: int = DEFAULT_PREC,
         fmt: str = "text",
         cache_dir: str | None = None,
         newform_file: str | None = None,
@@ -418,7 +422,6 @@ _COMMON_OPTIONS = (
     ("--level", {"type": int, "required": True, "help": "odd square-free level"}),
     ("--selector", {"default": None,
                     "help": "eigenline index or comma list of p=value pairs"}),
-    ("--prec", {"type": int, "default": 100, "help": "series precision"}),
     ("--format", {"dest": "fmt", "choices": ("text", "json"), "default": "text",
                   "help": "output format"}),
     ("--cache-dir", {"default": None,
@@ -427,13 +430,19 @@ _COMMON_OPTIONS = (
                         "help": "optional 'p b_p' text or JSON eigenvalue file"}),
 )
 
-# subcommand -> (its help line, its options)
+# the options of the stages that count series: --prec after --selector
+_SERIES_OPTIONS = _COMMON_OPTIONS[:2] + (
+    ("--prec", {"type": int, "default": DEFAULT_PREC, "help": "series precision"}),
+) + _COMMON_OPTIONS[2:]
+
+# subcommand -> (its help line, its options): each lists exactly the
+# options its stage reads
 _SUBCOMMANDS = {
-    "basis": ("compute the basis pair {g, h}", _COMMON_OPTIONS),
+    "basis": ("compute the basis pair {g, h}", _SERIES_OPTIONS),
     "brandt": ("ideal-class and degree-matrix data", _COMMON_OPTIONS + (
         ("--nmax", {"type": int, "default": 10, "help": "largest degree matrix to print"}),
     )),
-    "theta": ("class theta series", _COMMON_OPTIONS),
+    "theta": ("class theta series", _SERIES_OPTIONS),
     "localfactors": ("diagnostic local products", _COMMON_OPTIONS + (
         ("--range", {"dest": "index_range", "default": "2:23", "help": "index range LO:HI"}),
     )),
@@ -483,14 +492,8 @@ def main(argv: list[str] | None = None) -> int:
 
         args = vars(build_parser().parse_args(argv))
     try:
-        config = JobConfig(
-            level=args["level"],
-            selector=args["selector"],
-            prec=args["prec"],
-            fmt=args["fmt"],
-            cache_dir=args["cache_dir"],
-            newform_file=args["newform_file"],
-        )
+        # `brandt` and `localfactors` take no --prec: their config keeps the default
+        config = JobConfig(**{k: args[k] for k in JobConfig.__slots__ if k in args})
         if args["command"] == "basis":
             out = cmd_basis(config)
         else:

@@ -553,11 +553,6 @@ class Order(Value):
     def reduced_discriminant(self) -> int:
         return self.lattice.reduced_discriminant()
 
-    @property
-    def unit_count(self) -> int:
-        """Number of elements of reduced norm 1 (both signs counted)."""
-        return self.lattice.norm_counts(1).get(1, 0)
-
 
 def _close_to_order(L: Lattice4) -> Lattice4 | None:
     """Smallest multiplicatively closed lattice containing L, or None when

@@ -66,20 +66,6 @@ class QExpansion(Value):
             )
         return self.coeffs.get(n, 0)
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __add__(self, other: "QExpansion") -> "QExpansion":
-        prec = min(self.prec, other.prec)
-        out = {}
-        for n in set(self.coeffs) | set(other.coeffs):
-            if n <= prec:
-                out[n] = self.coeffs.get(n, 0) + other.coeffs.get(n, 0)
-        return QExpansion(prec, out, kohnen=self.kohnen and other.kohnen)
-
-    def __sub__(self, other: "QExpansion") -> "QExpansion":
-        return self + other.scale(-1)
-
     def scale(self, c: int) -> "QExpansion":
         c = operator.index(c)
         return QExpansion(
@@ -87,18 +73,6 @@ class QExpansion(Value):
             {n: c * v for n, v in self.coeffs.items()},
             kohnen=self.kohnen,
         )
-
-    def truncate(self, prec: int) -> "QExpansion":
-        if prec > self.prec:
-            raise PrecisionError(f"cannot extend {self.prec} to {prec} by truncation")
-        return QExpansion(
-            prec,
-            {n: v for n, v in self.coeffs.items() if n <= prec},
-            kohnen=self.kohnen,
-        )
-
-    def support(self) -> list[int]:
-        return list(self.coeffs)
 
     def leading(self) -> tuple[int, int] | None:
         """(n, a_n) at the smallest n with a_n != 0, or None."""
@@ -111,10 +85,6 @@ class QExpansion(Value):
     def to_json_dict(self) -> dict:
         """{"prec": prec, "coeffs": {str(n): a_n}}, n ascending."""
         return {"prec": self.prec, "coeffs": {str(n): v for n, v in self.coeffs.items()}}
-
-    @classmethod
-    def from_json_dict(cls, data: dict, kohnen: bool = False) -> "QExpansion":
-        return cls(int(data["prec"]), data["coeffs"], kohnen=kohnen)
 
     def to_text(self) -> str:
         """Two-column 'n a_n' lines, nonzero coefficients, n ascending."""

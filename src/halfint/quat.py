@@ -25,21 +25,9 @@ from .value import Value
 Quat = tuple
 
 
-ZERO: Quat = (0, 0, 0, 0)
-ONE: Quat = (1, 0, 0, 0)
-I: Quat = (0, 1, 0, 0)
-J: Quat = (0, 0, 1, 0)
-K: Quat = (0, 0, 0, 1)
-
-
 def conj(x: Quat) -> Quat:
     """Standard involution: fixes 1, negates i, j, k."""
     return (x[0], -x[1], -x[2], -x[3])
-
-
-def trd(x: Quat) -> int:
-    """Reduced trace x + conj(x)."""
-    return 2 * x[0]
 
 
 @lru_cache(maxsize=64)

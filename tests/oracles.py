@@ -8,8 +8,9 @@ library replaced by faster code with the same output (`hnf_rows_ref`,
 `lll_gram_ref`, `bareiss_ref`, `eigenline_candidates_ref`,
 `unpruned_candidates`, `filtered_candidates`): they pin the replacement
 to what it replaced.
-The small helpers after them (`xgcd`, `hilbert_real`, `qadd`,
-`contains_lattice`) serve only the tests.
+The small helpers after them (`xgcd`, `hilbert_real`, `qadd`, `trd`,
+`contains_lattice`, `unit_count`, `series_sum`, `equivalent_ideals`)
+serve only the tests.
 """
 
 from __future__ import annotations
@@ -399,6 +400,32 @@ def contains_lattice(lat, other):
     return all(lat.coordinates(row, other.den) is not None for row in other.rows)
 
 
+def trd(x):
+    """Reduced trace x + conj(x)."""
+    return 2 * x[0]
+
+
+def unit_count(order):
+    """Number of elements of reduced norm 1 of an order (both signs)."""
+    return order.lattice.norm_counts(1).get(1, 0)
+
+
+def series_sum(weighted):
+    """The nonzero coefficients of the sum of w·f over the pairs (w, f) of
+    an integer and a QExpansion, as a dict n -> coefficient."""
+    out = {}
+    for w, f in weighted:
+        for n, c in f.coeffs.items():
+            out[n] = out.get(n, 0) + w * c
+    return {n: c for n, c in out.items() if c}
+
+
+def equivalent_ideals(I, J):
+    """Left ideals are isomorphic iff conj(I) J is principal: its norm
+    form represents its content."""
+    return I.conjugate().product(J).norm_counts(1).get(1, 0) > 0
+
+
 # ---------------------------------------------------------------------------
 # Rational views.  The library keeps elements and lattices as integer rows
 # over a denominator; the tests state rational elements and lattices with
@@ -610,12 +637,12 @@ def eichler_mass_ref(D, N):
 def ideal_classes_ref(order):
     """The left ideal classes in breadth-first discovery order, each
     neighbour tested for equivalence against all classes so far."""
-    from halfint.brandt import _neighbors, equivalent_ideals
+    from halfint.brandt import _neighbors
     from halfint.lattice import Order, right_order_lattice
 
     target = eichler_mass_ref(order.alg.discriminant, order.reduced_discriminant)
     classes, rights = [order.lattice], [order]
-    mass = Fraction(2, order.unit_count)
+    mass = Fraction(2, unit_count(order))
     frontier = [0]
     while mass < target and frontier:
         idx = frontier.pop(0)
@@ -624,7 +651,7 @@ def ideal_classes_ref(order):
                 continue
             classes.append(J)
             rights.append(Order(right_order_lattice(J)))
-            mass += Fraction(2, rights[-1].unit_count)
+            mass += Fraction(2, unit_count(rights[-1]))
             frontier.append(len(classes) - 1)
             if mass >= target:
                 break

@@ -20,10 +20,10 @@ from halfint.brandt import (
     _ratio_text,
     _unit_mass,
     _weighted_symmetric,
+    _by_small_eigenvalues,
+    _refine,
     cuspidal_eigenlines,
-    equivalent_ideals,
     ideal_classes,
-    rational_eigenlines,
     _neighbors,
 )
 from halfint.cli import _odd_subsets
@@ -31,7 +31,13 @@ from halfint.errors import IrrationalEigenspaceError, MissingEigenvalueError
 from halfint.lattice import Lattice4, combine, eichler_order, maximal_order
 from halfint.numth import prime_factors
 from halfint.quat import QuaternionAlgebra, algebra_ramified_at
-from oracles import basis, contains_lattice, from_vectors, qelt
+from oracles import basis, contains_lattice, equivalent_ideals, from_vectors, qelt
+
+
+def rational_eigenlines(class_set):
+    """Every one-dimensional simultaneous rational eigenline, cuspidal or
+    not, in the order `cuspidal_eigenlines` gives its cuspidal ones."""
+    return _by_small_eigenvalues(_refine(class_set, None))
 
 
 @pytest.fixture(scope="module")
@@ -315,7 +321,7 @@ def test_class_set_holds_the_searched_order_and_unit_counts(level):
         order = eichler_order(algebra_ramified_at(list(ramified)), level)
         C = ideal_classes(order)
         assert C.rights[0] is order
-        assert C.unit_counts == [right.unit_count for right in C.rights], ramified
+        assert C.unit_counts == [oracles.unit_count(right) for right in C.rights], ramified
 
 
 def test_brandt_rejects_bad_degree(level15):

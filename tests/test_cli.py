@@ -125,10 +125,10 @@ def test_basis_json_roundtrip():
         "2": -1, "3": -1, "5": 1, "7": 0, "11": -4, "13": -2,
     }
     assert payload["selector_index"] == 0
-    g = QExpansion.from_json_dict(payload["g"], kohnen=True)
+    g = QExpansion(payload["g"]["prec"], payload["g"]["coeffs"], kohnen=True)
     assert g.prec == 24
     assert {n: g[n] for n in LEVEL15_G} == LEVEL15_G
-    h = QExpansion.from_json_dict(payload["h"])
+    h = QExpansion(payload["h"]["prec"], payload["h"]["coeffs"])
     assert {n: h[n] for n in LEVEL15_H} == LEVEL15_H
 
 
@@ -701,6 +701,30 @@ def test_workers_flag_is_refused(capsys):
     assert err.splitlines()[-1] == "error: unrecognized arguments: --workers 2"
 
 
+@pytest.mark.parametrize("argv", [
+    ["brandt", "--level", "15", "--nmax", "3", "--prec", "5"],
+    ["localfactors", "--level", "15", "--range", "2:5", "--prec", "5"],
+])
+def test_prec_is_refused_where_no_stage_reads_it(argv, capsys):
+    # only basis and theta count series: the others refuse --prec as argparse does
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("usage: halfint ")
+    assert err.splitlines()[-1] == "error: unrecognized arguments: --prec 5"
+
+
+def test_brandt_and_localfactors_read_no_precision():
+    # why neither takes --prec: a config's precision does not reach their output
+    for prec in (1, 500):
+        config = JobConfig(level=15, prec=prec)
+        assert cmd_brandt(config, nmax=5) == cmd_brandt(JobConfig(level=15), nmax=5)
+        assert cmd_localfactors(config, 2, 9) == cmd_localfactors(JobConfig(level=15), 2, 9)
+
+
 # ---------------------------------------------------------------------------
 # cache behavior
 # ---------------------------------------------------------------------------
@@ -1231,7 +1255,7 @@ def test_output_digests(level, args, capsys, monkeypatch):
 
 def test_module_invocation_subprocess():
     proc = subprocess.run(
-        [sys.executable, "-m", "halfint.cli", "basis", "--level", "15",
+        [sys.executable, "-m", "halfint", "basis", "--level", "15",
          "--prec", "24"],
         capture_output=True,
         text=True,
@@ -1435,7 +1459,7 @@ def test_direct_parse_takes_the_plain_form():
 
 def test_module_invocation_error_code():
     proc = subprocess.run(
-        [sys.executable, "-m", "halfint.cli", "basis", "--level", "14"],
+        [sys.executable, "-m", "halfint", "basis", "--level", "14"],
         capture_output=True,
         text=True,
     )

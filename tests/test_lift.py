@@ -42,11 +42,17 @@ LEVEL15_G = QExpansion(
 )
 
 
+def truncate(g, prec):
+    """g through q^prec, prec at most g's precision."""
+    assert prec <= g.prec
+    return QExpansion(prec, {n: c for n, c in g.coeffs.items() if n <= prec}, kohnen=g.kohnen)
+
+
 def deep_split(g):
     """(g, g4) through a fourth of g's precision: g4_m = g_{4m}, the
     series `assemble_h` reads beside g."""
     prec = g.prec // 4
-    return g.truncate(prec), QExpansion(prec, {n // 4: c for n, c in g.coeffs.items() if n % 4 == 0})
+    return truncate(g, prec), QExpansion(prec, {n // 4: c for n, c in g.coeffs.items() if n % 4 == 0})
 
 
 # g4 of the level-15 theta eigenform, through 25
@@ -415,7 +421,7 @@ def test_h_precision_guard():
     with pytest.raises(PrecisionError):
         assemble_h(LEVEL15_G, LEVEL15_G4, LEVEL15_PROFILE, 26)
     with pytest.raises(PrecisionError):
-        assemble_h(LEVEL15_G.truncate(24), LEVEL15_G4, LEVEL15_PROFILE, 25)
+        assemble_h(truncate(LEVEL15_G, 24), LEVEL15_G4, LEVEL15_PROFILE, 25)
 
 
 def test_h_missing_eigenvalue():

@@ -25,33 +25,13 @@ def test_basic_access():
 
 def test_zero_coefficients_dropped():
     f = QExpansion(10, {3: 0, 4: 1})
-    assert f.support() == [4]
-    assert bool(f)
-    assert not QExpansion(10, {})
+    assert list(f.coeffs) == [4]
+    assert not QExpansion(10, {}).coeffs
 
 
 def test_coefficient_beyond_precision_rejected():
     with pytest.raises(ValueError):
         QExpansion(5, {6: 1})
-
-
-def test_arithmetic():
-    f = QExpansion(10, {1: 1, 4: 2})
-    g = QExpansion(8, {1: -1, 3: 5})
-    s = f + g
-    assert s.prec == 8
-    assert s[1] == 0 and s[3] == 5 and s[4] == 2
-    d = f - g
-    assert d[1] == 2 and d[3] == -5
-    assert f.scale(3)[4] == 6
-
-
-def test_truncate():
-    f = QExpansion(10, {1: 1, 9: 3})
-    t = f.truncate(5)
-    assert t.prec == 5 and t.support() == [1]
-    with pytest.raises(PrecisionError):
-        f.truncate(11)
 
 
 def test_kohnen_flag_validation():
@@ -64,13 +44,8 @@ def test_kohnen_flag_validation():
 
 def test_kohnen_flag_propagates():
     f = QExpansion(10, {3: 1}, kohnen=True)
-    g = QExpansion(10, {4: 1}, kohnen=True)
-    assert (f + g).kohnen
-    assert (f - g).kohnen
     assert f.scale(3).kohnen
-    assert f.truncate(5).kohnen
-    plain = QExpansion(10, {3: 1})
-    assert not (f + plain).kohnen
+    assert not QExpansion(10, {3: 1}).scale(3).kohnen
 
 
 def test_leading_and_sign():
@@ -87,7 +62,7 @@ def test_non_int_coefficients_rejected():
     with pytest.raises(TypeError):
         QExpansion(5, {2: 4}).scale(Fraction(1, 2))
     with pytest.raises(TypeError):
-        QExpansion.from_json_dict({"prec": 5, "coeffs": {"2": "1/2"}})
+        QExpansion(5, {"2": "1/2"})  # a JSON object's key and a rational string
     assert all(type(v) is int for v in QExpansion(5, {2: 4}).coeffs.values())
 
 
@@ -96,22 +71,13 @@ def test_json_roundtrip_exact():
     data = f.to_json_dict()
     assert data["coeffs"]["8"] == -12345678901234567890
     assert data["coeffs"]["3"] == 1
-    assert QExpansion.from_json_dict(data) == f
+    assert QExpansion(data["prec"], data["coeffs"]) == f
     assert list(data["coeffs"]) == ["3", "8", "15"]
 
 
 def test_text_format():
     f = QExpansion(20, {3: 1, 8: -2})
     assert f.to_text() == "3 1\n8 -2"
-
-
-@given(coeff_dicts, coeff_dicts)
-def test_addition_matches_pointwise(a, b):
-    f = QExpansion(30, a)
-    g = QExpansion(30, b)
-    s = f + g
-    for n in range(31):
-        assert s[n] == f[n] + g[n]
 
 
 @given(coeff_dicts, st.integers(-5, 5))

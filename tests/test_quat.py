@@ -10,17 +10,11 @@ from hypothesis import strategies as st
 import oracles
 from halfint import numth
 from halfint.errors import EvenRootNumberError, SearchExhaustedError
-from halfint.quat import (
-    I,
-    J,
-    K,
-    ONE,
-    QuaternionAlgebra,
-    algebra_ramified_at,
-    conj,
-    trd,
-)
-from oracles import qadd, qelt, qscale
+from halfint.quat import QuaternionAlgebra, algebra_ramified_at, conj
+from oracles import qadd, qelt, qscale, trd
+
+# the basis (1, i, j, k)
+ONE, I, J, K = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 
 B25 = QuaternionAlgebra(2, 5)  # ramified at {5}
 B11 = QuaternionAlgebra(1, 1)  # Hamilton's, ramified at {2}

@@ -7,12 +7,13 @@ from pathlib import Path
 import pytest
 
 import halfint.theta as theta_module
+import oracles
 from halfint.brandt import Eigenform, cuspidal_eigenlines, ideal_classes
 from halfint.errors import IntegralityError, PrecisionError
 from halfint.lattice import Lattice4, Order, eichler_order
 from halfint.lift import LiftProfile
 from halfint.qexp import QExpansion
-from halfint.quat import QuaternionAlgebra, algebra_ramified_at, conj, trd
+from halfint.quat import QuaternionAlgebra, algebra_ramified_at, conj
 from halfint.cli import _odd_subsets
 from halfint.numth import prime_factors
 from halfint.theta import (
@@ -24,7 +25,7 @@ from halfint.theta import (
     trace_zero_lattice,
     trace_zero_part,
 )
-from oracles import basis, from_vectors, qelt, qscale
+from oracles import basis, from_vectors, qelt, qscale, trd
 
 # coefficients of the two class theta series at level 15 through q^95,
 # halved counts, constant term dropped; the principal class comes first
@@ -180,12 +181,12 @@ def test_theta_support_mod4(level15, level11):
     for C in (level15, level11):
         for order in C.rights:
             th = ternary_theta(trace_zero_lattice(order), 80)
-            assert all(n % 4 in (0, 3) for n in th.support())
+            assert all(n % 4 in (0, 3) for n in th.coeffs)
 
 
 def test_theta_zero_precision(level15):
     th = ternary_theta(trace_zero_lattice(level15.rights[0]), 0)
-    assert th.prec == 0 and not th
+    assert th.prec == 0 and not th.coeffs
 
 
 @pytest.mark.parametrize("prec", [0, 1, 30])
@@ -221,7 +222,7 @@ def test_theta_at_4m_counts_the_trace_zero_part(level):
         C = ideal_classes(eichler_order(algebra_ramified_at(list(ramified)), level))
         for order in C.rights:
             R = ternary_theta(trace_zero_lattice(order), 1200)
-            assert all(n % 4 in (0, 3) for n in R.support())
+            assert all(n % 4 in (0, 3) for n in R.coeffs)
             part = ternary_theta(trace_zero_part(order), 300)
             assert {m: R[4 * m] for m in range(1, 301) if R[4 * m]} == part.coeffs
 
@@ -256,17 +257,18 @@ def test_class_swap_flips_sign_only(level15):
     swapped = Eigenform(
         class_set=level15, vector=tuple(reversed(f.vector)), eigs=dict(f.eigs)
     )
-    g_swapped = QExpansion(60, {})
-    for w, order in zip(swapped.vector, reversed(level15.rights)):
-        g_swapped = g_swapped + ternary_theta(trace_zero_lattice(order), 60).scale(w)
-    assert g_swapped.coeffs == g.coeffs
+    g_swapped = oracles.series_sum(
+        (w, ternary_theta(trace_zero_lattice(order), 60))
+        for w, order in zip(swapped.vector, reversed(level15.rights))
+    )
+    assert g_swapped == g.coeffs
     flipped = Eigenform(class_set=level15, vector=(-1, 1), eigs={})
     assert kohnen_form(flipped, 60) == g.scale(-1)
 
 
 def test_zero_vector_gives_zero_series(level15):
     z = Eigenform(class_set=level15, vector=(0, 0), eigs={})
-    assert not kohnen_form(z, 40)
+    assert not kohnen_form(z, 40).coeffs
 
 
 def test_kohnen_form_skips_classes_of_weight_zero(monkeypatch):
@@ -275,9 +277,10 @@ def test_kohnen_form_skips_classes_of_weight_zero(monkeypatch):
     alg = algebra_ramified_at([67])
     line = cuspidal_eigenlines(ideal_classes(eichler_order(alg, 67)), pins={67: 1})[0]
     assert line.vector == (1, 1, 0, 0, -1, -1)
-    full = QExpansion(80, {})
-    for weight, order in zip(line.vector, line.class_set.rights):
-        full = full + ternary_theta(trace_zero_lattice(order), 80).scale(weight)
+    full = oracles.series_sum(
+        (weight, ternary_theta(trace_zero_lattice(order), 80))
+        for weight, order in zip(line.vector, line.class_set.rights)
+    )
     calls = []
 
     def counted(lattice, prec):
@@ -287,7 +290,7 @@ def test_kohnen_form_skips_classes_of_weight_zero(monkeypatch):
     monkeypatch.setattr(theta_module, "ternary_theta", counted)
     g = kohnen_form(line, 80)
     assert len(calls) == 4
-    assert g.coeffs == full.coeffs and g
+    assert g.coeffs == full and full
 
 
 def test_hecke_check_level15(level15):
