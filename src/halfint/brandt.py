@@ -10,6 +10,8 @@ Conventions used throughout (and pinned by the tests):
 * the degree-n matrix has entries
       B(n)[i][j] = #{x in conj(I_j) I_i : nrd(x) = n * content} / e_j,
   so B(1) is the identity and coefficient vectors act as rows, v -> vB;
+* every row of B(n) sums to `IdealClassSet.row_sum(n)`, the Eisenstein
+  eigenvalue at n, and every counted or cached matrix is checked so;
 * a cuspidal rational eigenline is normalized primitive integral with
   positive first nonzero entry.
 
@@ -57,7 +59,7 @@ from .lattice import (
     combine,
     right_order_lattice,
 )
-from .numth import TRIAL_BOUND, divisors, factorize, is_prime, prime_factors, primes
+from .numth import TRIAL_BOUND, factorize, is_prime, prime_factors, primes
 
 # eigenlines are ordered by their eigenvalues at these primes, so every
 # searched class set has these degree matrices built
@@ -194,6 +196,19 @@ class IdealClassSet:
 
     # -- degree matrices -----------------------------------------------------
 
+    def row_sum(self, n: int) -> int:
+        """The sum of every row of B(n), n >= 1: the eigenvalue at n of the
+        Eisenstein line (all ones), multiplicative in n (Pizer, J. Algebra
+        64, 1980), with the factor 1 + p + ... + p^k at p^k || n prime to
+        the level N, 1 + 2(p + ... + p^k) at p dividing N/D and 1 at p
+        dividing the discriminant D."""
+        out = 1
+        for p, k in factorize(n).items():
+            if p not in self.alg.ramified:
+                s = (p ** (k + 1) - 1) // (p - 1)
+                out *= 2 * s - 1 if self.level % p == 0 else s
+        return out
+
     def plan(self, nmax: int) -> None:
         """Make the next counting pass run to degree nmax at least, so that
         one pass over the class pairs serves every degree up to nmax."""
@@ -227,7 +242,10 @@ class IdealClassSet:
         self._counted = nmax
 
     def brandt(self, n: int) -> tuple[tuple[int, ...], ...]:
-        """The degree-n matrix (n >= 1), rows indexed by source class."""
+        """The degree-n matrix (n >= 1), rows indexed by source class.
+
+        Raises IntegralityError when a count is not a multiple of its e_j,
+        and ComputationError when a row does not sum to `row_sum(n)`."""
         if n < 1:
             raise ValueError("degree must be >= 1")
         if n not in self._matrices:
@@ -246,6 +264,9 @@ class IdealClassSet:
                         )
                     row.append(raw // es[j])
                 rows.append(tuple(row))
+            total = self.row_sum(n)
+            if {sum(row) for row in rows} != {total}:
+                raise ComputationError(f"counted degree-{n} matrix has a row sum other than {total}")
             self._matrices[n] = tuple(rows)
         return self._matrices[n]
 
@@ -273,15 +294,15 @@ class IdealClassSet:
         of `to_state` output attached once they pass every check.
 
         Raises ValueError when the stored classes or unit counts are not
-        those of `searched`, when a stored matrix breaks an invariant of
-        the degree matrices (see `_check_degree_matrix`), when a stored
-        degree up to KEY_DEGREE has a row 0 or a diagonal other than the
-        counts the search made (module docstring), when two stored
-        prime-power degrees do not commute, or when a stored degree with two
-        or more primes is not the product of its prime-power degrees, or
-        one of those is not stored.  The stored classes are only compared,
-        never built into lattices, and a failed load leaves `searched` as
-        it was.
+        those of `searched`, when a stored matrix breaks the row-sum rule
+        (`row_sum`) or another invariant of the degree matrices (see
+        `_check_degree_matrix`), when a stored degree up to KEY_DEGREE has
+        a row 0 or a diagonal other than the counts the search made (module
+        docstring), when two stored prime-power degrees do not commute, or
+        when a stored degree with two or more primes is not the product of
+        its prime-power degrees, or one of those is not stored.  The stored
+        classes are only compared, never built into lattices, and a failed
+        load leaves `searched` as it was.
         """
         expected = searched.to_state()
         if (
@@ -289,14 +310,14 @@ class IdealClassSet:
             or state["unit_counts"] != expected["unit_counts"]
         ):
             raise ValueError("cached classes are not the ones the search finds")
-        es, ramified = searched.unit_counts, searched.alg.ramified
+        es = searched.unit_counts
         stored = state.get("brandt", {})
         if not isinstance(stored, dict):
             raise ValueError("cached degree matrices are not a JSON object")
         mats = {}
         for n, mat in stored.items():
             n = int(n)
-            _check_degree_matrix(n, mat, es, searched.level, ramified)
+            _check_degree_matrix(n, mat, searched)
             # up to KEY_DEGREE, row 0 and the diagonal are the search's counts
             if n <= KEY_DEGREE and any(
                 mat[i][j] * es[j] != searched._counts[i, j].get(n, 0)
@@ -332,34 +353,29 @@ class IdealClassSet:
         return searched
 
 
-def _check_degree_matrix(
-    n: int, mat, es: list[int], level: int, ramified: Sequence[int]
-) -> None:
-    """Raise ValueError unless `mat` can be the degree-n matrix: n from 1
-    to the trial-division bound (the row-sum check factors n), h x h with
-    non-negative integer entries, the identity at n = 1, symmetric after
-    weighting (e_j B_ij = e_i B_ji), with row sums sigma(n) (the sum of
-    the divisors of n) at every n prime to the level and 2n + 1 (the
-    Eisenstein a_n + n·w_n) at a prime n dividing the level but not the
-    discriminant, and a single 1 in every row at ramified primes (with
-    the symmetry, the permutation matrix of an involution)."""
+def _check_degree_matrix(n: int, mat, searched: IdealClassSet) -> None:
+    """Raise ValueError unless `mat` can be the degree-n matrix of
+    `searched`: n from 1 to the trial-division bound (the row-sum rule
+    factors n), h x h with non-negative integer entries, symmetric after
+    weighting (e_j B_ij = e_i B_ji), and every row summing to
+    `searched.row_sum(n)`.
+
+    The rule covers the special degrees too.  A row sum of 1 (n = 1, and
+    every n whose primes all divide D) with non-negative integer entries
+    leaves a single 1 in each row, so with the symmetry B(n) is the
+    permutation matrix of an involution; at n = 1 <= KEY_DEGREE the
+    searched diagonal (`from_state`) then forces the identity."""
+    es = searched.unit_counts
     h = len(es)
     if not 1 <= n <= TRIAL_BOUND or len(mat) != h or any(len(row) != h for row in mat):
         raise ValueError(f"cached degree-{n} matrix has the wrong degree or shape")
     if any(type(x) is not int or x < 0 for row in mat for x in row):
         raise ValueError(f"cached degree-{n} matrix has an entry that is not a count")
-    if n == 1 and any(mat[i][j] != (i == j) for i in range(h) for j in range(h)):
-        raise ValueError("cached degree-1 matrix is not the identity")
     if not _weighted_symmetric(mat, es):
         raise ValueError(f"cached degree-{n} matrix breaks the weighted symmetry")
-    coprime = gcd(n, level) == 1
-    row_sum = sum(divisors(n)) if coprime else 2 * n + 1
-    if (coprime or n not in ramified and is_prime(n)) and {sum(r) for r in mat} != {row_sum}:
+    row_sum = searched.row_sum(n)
+    if {sum(r) for r in mat} != {row_sum}:
         raise ValueError(f"cached degree-{n} matrix has a row sum other than {row_sum}")
-    if n in ramified and any(sorted(row) != [0] * (h - 1) + [1] for row in mat):
-        raise ValueError(
-            f"cached degree-{n} matrix at a ramified prime is not a permutation"
-        )
 
 
 def _weighted_symmetric(mat, es: Sequence[int]) -> bool:
@@ -532,15 +548,16 @@ def _refine(class_set: IdealClassSet, pins: dict[int, int] | None) -> list[Eigen
     A block is a list of integer rows, a basis of a subspace that the
     commuting degree matrices keep.  At p it splits into the eigenspaces
     spanned by the rows k block with (k block) B(p) = lam (k block), one
-    per integer lam (`_eigenspace`).  What lies outside them is
-    discarded: no line there has a rational eigenvalue at p.  The primes
-    dividing the level are refined first, then the other primes up to
-    PRIME_BOUND, each in increasing order.  `pins` maps primes to
-    eigenvalues: at a pinned prime only the eigenspace of the pinned
-    eigenvalue is kept, so the lines returned are exactly the unpinned
-    ones with those eigenvalues, in the same relative order.  A finished
-    line computes its eigenvalues from its vector, at the primes it was
-    refined at as at every other.
+    per integer lam with |lam| <= `row_sum(p)`, which bounds every
+    eigenvalue of the non-negative B(p) (`_eigenspace`).  What lies
+    outside them is discarded: no line there has a rational eigenvalue
+    at p.  The primes dividing the level are refined first, then the
+    other primes up to PRIME_BOUND, each in increasing order.  `pins`
+    maps primes to eigenvalues: at a pinned prime only the eigenspace of
+    the pinned eigenvalue is kept, so the lines returned are exactly the
+    unpinned ones with those eigenvalues, in the same relative order.  A
+    finished line computes its eigenvalues from its vector, at the primes
+    it was refined at as at every other.
     """
     pins = pins or {}
     H = class_set.h
@@ -561,8 +578,9 @@ def _refine(class_set: IdealClassSet, pins: dict[int, int] | None) -> list[Eigen
             roots = [pins[p]]
         else:
             # a rational eigenvalue of the integer matrix B is an integer,
-            # and B is non-negative, so it is bounded by its largest row sum
-            bound = max(sum(row) for row in B)
+            # and B is non-negative with every row summing to row_sum(p),
+            # so the eigenvalue is at most that in absolute value
+            bound = class_set.row_sum(p)
             roots = range(-bound, bound + 1)
         next_pending = []
         for block in pending:

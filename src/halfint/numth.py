@@ -9,7 +9,7 @@ Everything here is exact integer arithmetic; no floats.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .errors import FactorizationError
 
@@ -30,17 +30,10 @@ def valuation(n: int, p: int) -> int:
     return v
 
 
-class PAdicSplit(NamedTuple):
-    """n = u * p**h with p not dividing u."""
-
-    u: int
-    h: int
-
-
-def padic_split(n: int, p: int) -> PAdicSplit:
-    """Split n as u * p**h with p prime to u.  n must be nonzero."""
+def padic_split(n: int, p: int) -> tuple[int, int]:
+    """(u, h) with n = u * p**h and p prime to u.  n must be nonzero."""
     h = valuation(n, p)
-    return PAdicSplit(n // p**h, h)
+    return n // p**h, h
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -90,21 +83,14 @@ def is_squarefree(n: int) -> bool:
     return all(e == 1 for e in factorize(n).values())
 
 
-class SquarefreeSplit(NamedTuple):
-    """n = core * y**2 with core squarefree."""
-
-    core: int
-    y: int
-
-
-def squarefree_split(n: int) -> SquarefreeSplit:
-    """Write n >= 1 as core * y**2 with core squarefree."""
+def squarefree_split(n: int) -> tuple[int, int]:
+    """(core, y) with n = core * y**2 for n >= 1 and core squarefree."""
     core, y = 1, 1
     for p, e in factorize(n).items():
         if e % 2:
             core *= p
         y *= p ** (e // 2)
-    return SquarefreeSplit(core, y)
+    return core, y
 
 
 def squarefree_part(n: int) -> int:
@@ -112,7 +98,7 @@ def squarefree_part(n: int) -> int:
     if n == 0:
         raise ValueError("squarefree part of zero is undefined")
     sign = -1 if n < 0 else 1
-    return sign * squarefree_split(abs(n)).core
+    return sign * squarefree_split(abs(n))[0]
 
 
 def fundamental_discriminant(t: int) -> int:

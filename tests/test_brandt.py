@@ -1,5 +1,6 @@
 """Tests for ideal classes, degree matrices, and rational eigenlines."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -208,6 +209,50 @@ def test_row_sums_good_primes(level15, level11):
             B = C.brandt(p)
             for row in B:
                 assert sum(row) == p + 1, (N, p)
+
+
+def test_row_sum_rule_values(level15, level33):
+    # N = 15, D = 5: sigma(p^k) at p = 2, 1 + 2(3 + ... + 3^k) at 3 | N/D,
+    # 1 at 5 | D, multiplied over the primes of n
+    assert [level15.row_sum(n) for n in (1, 2, 4, 3, 9, 27, 5, 25, 60)] == [
+        1, 3, 7, 7, 25, 79, 1, 1, 49,
+    ]
+    # N = 33, D = 11
+    assert [level33.row_sum(n) for n in (3, 9, 11, 121, 5, 6, 99)] == [7, 25, 1, 1, 6, 21, 25]
+
+
+# class sets counted to degree RULE_DEGREE against the row-sum rule
+RULE_SETS = [
+    (15, (3,)), (21, (7,)), (33, (11,)), (35, (5,)), (57, (3,)),
+    (105, (3, 5, 7)), (143, (11,)), (231, (3,)), (399, (3, 7, 19)),
+]
+RULE_IDS = [f"{N}-{'.'.join(map(str, D))}" for N, D in RULE_SETS]
+RULE_DEGREE = 40
+
+
+@functools.cache
+def _counted_set(level, ramified):
+    C = ideal_classes(eichler_order(algebra_ramified_at(list(ramified)), level))
+    C.plan(RULE_DEGREE)
+    for n in range(1, RULE_DEGREE + 1):
+        C.brandt(n)
+    return C
+
+
+@pytest.mark.parametrize("level, ramified", RULE_SETS, ids=RULE_IDS)
+def test_counted_row_sums_follow_the_rule(level, ramified):
+    C = _counted_set(level, ramified)
+    for n in range(1, RULE_DEGREE + 1):
+        assert {sum(row) for row in C.brandt(n)} == {C.row_sum(n)}, n
+
+
+@pytest.mark.parametrize("level, ramified", RULE_SETS, ids=RULE_IDS)
+def test_counted_state_loads(level, ramified):
+    # every degree to RULE_DEGREE, ramified powers and powers of primes
+    # dividing N/D included, passes every load check
+    C = _counted_set(level, ramified)
+    loaded = IdealClassSet.from_state(ideal_classes(C.order), C.to_state())
+    assert loaded.to_state() == C.to_state()
 
 
 def test_degree_matrices_commute(level15, level11):

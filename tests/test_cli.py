@@ -1087,17 +1087,17 @@ def _non_commuting_b2(state):
 
 
 def _non_permutation_b37(state):
-    # B(37) + I commutes with every degree matrix; only the shape required
-    # at a ramified prime catches this
+    # B(37) + I commutes with every degree matrix; only the row sum 1 at a
+    # ramified prime catches this
     for i, row in enumerate(state["brandt"]["37"]):
         row[i] += 1
 
 
 def _identity_at(state, q):
     # the identity is a weighted-symmetric permutation commuting with every
-    # degree; at a ramified q only the searched counts of row 0 and the
-    # diagonal catch it, and at an unramified q dividing the level the row
-    # sum 2q + 1 does
+    # degree; at a ramified q (row sum 1) only the searched counts of row 0
+    # and the diagonal catch it, and at an unramified q dividing the level
+    # the row sum 2q + 1 does
     h = len(state["unit_counts"])
     state["brandt"][str(q)] = [[int(i == j) for j in range(h)] for i in range(h)]
 
@@ -1130,9 +1130,8 @@ def test_tampered_cache_matrices_are_recomputed(tmp_path, capsys, level, name, t
 
 
 def _b2_as_b18(state):
-    # 18 = 2 * 9 shares the prime 3 with the level, so no row sum is known
-    # there, and B(2) commutes with every degree and is weighted-symmetric;
-    # only B(18) = B(2) B(9) catches it
+    # B(2) commutes with every degree and is weighted-symmetric; the row sum
+    # 3 (not 3 * 25 = 75) and B(18) = B(2) B(9) each catch it
     state["brandt"]["18"] = state["brandt"]["2"]
 
 
@@ -1141,6 +1140,47 @@ def test_tampered_composite_degree_is_recomputed(tmp_path, capsys):
         tmp_path / "cache", capsys, 15, "brandt_a2_b5_N15.json", _b2_as_b18,
         command=("brandt", "--nmax", "20"),
     )
+
+
+def test_tampered_prime_power_is_recomputed_in_fresh_processes(tmp_path):
+    # 27 = 3^3 with 3 | N/D: no coprime split and no searched count covers
+    # it, and B(3) B(9) commutes with every degree and is weighted-symmetric;
+    # only its row sum 175, not 1 + 2(3 + 9 + 27) = 79, catches it
+    argv = [sys.executable, "-m", "halfint", "brandt", "--level", "15", "--nmax", "30",
+            "--cache-dir", str(tmp_path)]
+    cold = subprocess.run(argv, capture_output=True)
+    assert cold.returncode == 0
+    path = tmp_path / "brandt_a2_b5_N15.json"
+    cold_bytes = path.read_bytes()
+    state = json.loads(cold_bytes)
+    assert state["brandt"]["27"] == [[59, 20], [60, 19]]
+    B3, B9 = state["brandt"]["3"], state["brandt"]["9"]
+    state["brandt"]["27"] = [
+        [sum(B3[i][k] * B9[k][j] for k in range(2)) for j in range(2)] for i in range(2)
+    ]
+    assert state["brandt"]["27"] == [[131, 44], [132, 43]]
+    path.write_text(json.dumps(state, sort_keys=True) + "\n")
+    warm = subprocess.run(argv, capture_output=True)
+    assert (warm.returncode, warm.stdout, warm.stderr) == (0, cold.stdout, cold.stderr)
+    assert json.loads(path.read_bytes())["brandt"]["27"] == [[59, 20], [60, 19]]
+    assert path.read_bytes() == cold_bytes
+
+
+def test_a_count_off_by_its_unit_count_exits_4(capsys, monkeypatch):
+    # e_1 more elements of norm 17 in the pair (1, 1) add 1 to B(17)[1][1]:
+    # still integral and weighted-symmetric, but off the row sum 18
+    count = IdealClassSet._count
+
+    def miscount(self, nmax):
+        count(self, nmax)
+        pair = self._counts[1, 1]
+        pair[17] = pair.get(17, 0) + self.unit_counts[1]
+
+    monkeypatch.setattr(IdealClassSet, "_count", miscount)
+    assert main(["brandt", "--level", "15", "--nmax", "20"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: counted degree-17 matrix has a row sum other than 18\n"
 
 
 def test_warm_run_rewrites_no_cache_file(tmp_path, capsys, monkeypatch):

@@ -1,12 +1,15 @@
 """Run `basis` at every odd square-free level in a range, and report each.
 
 Each level N >= 3 runs `python -m halfint basis --level N --prec P
---format json` in a fresh process, with its own empty cache directory
-and a wall-clock timeout; at most `os.cpu_count()` levels run at a time.
-Per level it prints the exit code (or `timeout`), the wall time, the
+--format json` twice, each in a fresh process with a wall-clock
+timeout: cold on its own empty cache directory, then warm on the cache
+the cold run wrote.  At most `os.cpu_count()` levels run at a time.  Per
+level it prints the cold run's exit code (or `timeout`), wall time,
 class number read from the JSON (`-` when the run printed none) and the
-SHA-256 of stdout, in level order; it ends with the ten slowest levels
-and the levels that timed out.  Standard library only:
+SHA-256 of stdout, in level order; it ends with the ten slowest levels,
+the levels that timed out, and the levels whose warm run's exit code or
+stdout digest differs from the cold run's, which make the sweep exit 1.
+Standard library only:
 
     python3 tools/sweep.py 3 400 --prec 30 --timeout 60
     python3 tools/sweep.py 3 400 --src OTHER/src      # another checkout
@@ -50,22 +53,34 @@ def odd_squarefree(lo: int, hi: int) -> list[int]:
     return [n for n in range(max(lo, 3), hi) if n % 2 and squarefree(n)]
 
 
-def run_level(level: int, prec: int, timeout: float, src: Path) -> tuple[int, str, float, str, str]:
+def _run_once(argv: list[str], env: dict, timeout: float) -> tuple[str, float, bytes]:
+    """(exit code or "timeout", wall seconds, stdout) of one fresh process."""
+    start = time.perf_counter()
+    try:
+        done = subprocess.run(argv, env=env, capture_output=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return "timeout", time.perf_counter() - start, b""
+    return str(done.returncode), time.perf_counter() - start, done.stdout
+
+
+def run_level(
+    level: int, prec: int, timeout: float, src: Path
+) -> tuple[int, str, float, str, str, bool]:
     """(level, exit code or "timeout", wall seconds, class number or "-",
-    stdout SHA-256)."""
+    stdout SHA-256, whether the warm run matched), the first four of the
+    cold run."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     env.pop("HALFINT_CACHE_DIR", None)
     with tempfile.TemporaryDirectory(prefix="halfint-sweep-") as cache:
         argv = [sys.executable, "-m", "halfint", "basis", "--level", str(level),
                 "--prec", str(prec), "--format", "json", "--cache-dir", cache]
-        start = time.perf_counter()
-        try:
-            done = subprocess.run(argv, env=env, capture_output=True, timeout=timeout)
-        except subprocess.TimeoutExpired:
-            return level, "timeout", time.perf_counter() - start, "-", "-"
-        wall = time.perf_counter() - start
-    classes = str(json.loads(done.stdout)["class_number"]) if done.stdout.strip() else "-"
-    return level, str(done.returncode), wall, classes, hashlib.sha256(done.stdout).hexdigest()
+        code, wall, out = _run_once(argv, env, timeout)
+        if code == "timeout":
+            return level, code, wall, "-", "-", True
+        warm_code, _, warm_out = _run_once(argv, env, timeout)
+    classes = str(json.loads(out)["class_number"]) if out.strip() else "-"
+    warm_same = (warm_code, warm_out) == (code, out)
+    return level, code, wall, classes, hashlib.sha256(out).hexdigest(), warm_same
 
 
 def read_reference(path: Path) -> dict[int, tuple[str, str]]:
@@ -91,24 +106,26 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     ref = read_reference(args.check) if args.check else None
     levels = odd_squarefree(args.lo, args.hi)
-    results, differ = [], []
+    results, differ, warm_differ = [], [], []
     with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
         runs = pool.map(lambda n: run_level(n, args.prec, args.timeout, args.src.resolve()),
                         levels)
-        for level, code, wall, classes, digest in runs:
+        for level, code, wall, classes, digest, warm_same in runs:
             results.append((level, code, wall))
             print(f"{level:6} {code:>7} {wall:8.2f}s {classes:>4} {digest}", flush=True)
             if ref is not None and ref.get(level) != (code, digest):
                 differ.append(level)
+            if not warm_same:
+                warm_differ.append(level)
     print(f"# {len(levels)} levels in [{args.lo}, {args.hi}), --prec {args.prec}")
     slowest = sorted(results, key=lambda r: -r[2])[:10]
     print("# slowest: " + ", ".join(f"{n} {wall:.2f}s" for n, _, wall in slowest))
     timeouts = [n for n, code, _ in results if code == "timeout"]
     print("# timeouts: " + (", ".join(map(str, timeouts)) or "none"))
-    if ref is None:
-        return 0
-    print(f"# differ from {args.check}: " + (", ".join(map(str, differ)) or "none"))
-    return 1 if differ else 0
+    print("# warm differs from cold: " + (", ".join(map(str, warm_differ)) or "none"))
+    if ref is not None:
+        print(f"# differ from {args.check}: " + (", ".join(map(str, differ)) or "none"))
+    return 1 if differ or warm_differ else 0
 
 
 if __name__ == "__main__":
