@@ -32,10 +32,16 @@ and rights[j].lattice, which the class search has already counted.
 
 Classes come only from the search (`ideal_classes`).  A cached state
 (`IdealClassSet.from_state`) contributes only its degree matrices, and
-only when its classes and unit counts are exactly the searched ones and
+only when its classes and unit counts are exactly the searched ones,
 each stored degree up to KEY_DEGREE has the searched counts in row 0 and
-on the diagonal, so the classes and their order never depend on a cache
-file.
+on the diagonal, and each stored degree at a ramified prime q above it
+is the permutation I_j -> P I_j of the two-sided prime P over q
+(`_atkin_lehner`), so the classes and their order never depend on a
+cache file.
+
+Every count comes from the integer kernels (`kernels.count_by_value`,
+through `Lattice4.norm_counts`), and the eigenspaces of the refinement
+from their elimination `kernels._eigenspace`.
 """
 
 from __future__ import annotations
@@ -51,13 +57,14 @@ from .errors import (
     MassMismatchError,
     MissingEigenvalueError,
 )
+from .kernels import _eigenspace, _normalize_primitive, _product, combine
 from .lattice import (
     NEIGHBOR_PRIME,
     Lattice4,
     Order,
     _neighbors,
-    combine,
     right_order_lattice,
+    two_sided_prime,
 )
 from .numth import TRIAL_BOUND, factorize, is_prime, prime_factors, primes
 
@@ -145,6 +152,20 @@ def _class_key(I: Lattice4) -> dict[int, int]:
     key of I_j is the count of the Brandt pair (0, j).
     """
     return I.norm_counts(KEY_DEGREE)
+
+
+def _class_of(J: Lattice4, key, classes, gens, counts) -> int | None:
+    """The index of the class of J, a left ideal of the base order with
+    key `key` (`_class_key`), among `classes` with left generators `gens`
+    and keys counts[0, i]; None when it is none of them.  J is tested for
+    equivalence only with the classes of its key."""
+    same = [i for i in range(len(classes)) if counts[0, i] == key]
+    if same:
+        conj_J = J.conjugate()
+        for i in same:
+            if _is_principal(_pair_lattice(conj_J, classes[i], gens[i])):
+                return i
+    return None
 
 
 class IdealClassSet:
@@ -298,7 +319,9 @@ class IdealClassSet:
         (`row_sum`) or another invariant of the degree matrices (see
         `_check_degree_matrix`), when a stored degree up to KEY_DEGREE has
         a row 0 or a diagonal other than the counts the search made (module
-        docstring), when two stored prime-power degrees do not commute, or
+        docstring), when a stored degree at a ramified prime above
+        KEY_DEGREE is not the permutation `_atkin_lehner` finds, when two
+        stored prime-power degrees do not commute, or
         when a stored degree with two or more primes is not the product of
         its prime-power degrees, or one of those is not stored.  The stored
         classes are only compared, never built into lattices, and a failed
@@ -325,6 +348,12 @@ class IdealClassSet:
                 for i in (0, j)
             ):
                 raise ValueError(f"cached degree-{n} matrix differs from the searched counts")
+            # above it, a ramified prime degree is the permutation I_j -> P I_j
+            if n > KEY_DEGREE and n in searched.alg.ramified:
+                if [row.index(1) for row in mat] != _atkin_lehner(searched, n):
+                    raise ValueError(
+                        f"cached degree-{n} matrix is not the Atkin-Lehner permutation"
+                    )
             mats[n] = tuple(tuple(row) for row in mat)
         # B(mk) = B(m) B(k) for coprime m, k, so a degree with two or more
         # primes must be the product of its stored prime-power degrees;
@@ -378,6 +407,27 @@ def _check_degree_matrix(n: int, mat, searched: IdealClassSet) -> None:
         raise ValueError(f"cached degree-{n} matrix has a row sum other than {row_sum}")
 
 
+def _atkin_lehner(class_set: IdealClassSet, q: int) -> list[int]:
+    """w with P I_j in the class of I_{w[j]}, for the two-sided prime P of
+    the base order over q | D (`lattice.two_sided_prime`).  B(q) is the
+    permutation matrix with B(q)[j][w[j]] = 1 (Pizer, J. Algebra 64, 1980;
+    P P = qO, so w is an involution).  P I_j is a left ideal of the base
+    order, found by its key and then by equivalence inside that key's
+    bucket (`_class_of`), so row 0 of the counts must still hold the keys,
+    as it does on a class set fresh from `ideal_classes`.  Raises
+    ComputationError when no class holds some P I_j."""
+    P = two_sided_prime(class_set.order, q)
+    classes, gens, counts = class_set.classes, class_set.gens, class_set._counts
+    w = []
+    for I in classes:
+        J = P.product(I)
+        i = _class_of(J, _class_key(J), classes, gens, counts)
+        if i is None:
+            raise ComputationError(f"the prime over {q} times a class is in no class")
+        w.append(i)
+    return w
+
+
 def _weighted_symmetric(mat, es: Sequence[int]) -> bool:
     """Whether e_j M_ij = e_i M_ji for all i, j: M E = E M^t, E = diag(es)."""
     h = len(es)
@@ -420,13 +470,8 @@ def ideal_classes(order: Order) -> IdealClassSet:
             if J == back:
                 continue
             key = _class_key(J)
-            same = [i for i in range(len(classes)) if counts[0, i] == key]
-            if same:
-                conj_J = J.conjugate()
-                if any(
-                    _is_principal(_pair_lattice(conj_J, classes[i], gens[i])) for i in same
-                ):
-                    continue
+            if _class_of(J, key, classes, gens, counts) is not None:
+                continue
             j = len(classes)
             classes.append(J)
             gens.append(_left_generators(order, J))
@@ -445,55 +490,6 @@ def ideal_classes(order: Order) -> IdealClassSet:
             f"expected {_ratio_text(twelfths, 12)}"
         )
     return IdealClassSet(order, classes, rights, unit_counts, gens, counts)
-
-
-# ---------------------------------------------------------------------------
-# integer linear algebra for the eigen decomposition (row convention): each
-# eigenspace is one forward elimination, and only its span over Q is used
-# ---------------------------------------------------------------------------
-
-
-def _product(
-    A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]
-) -> list[tuple[int, ...]]:
-    """The integer matrix product A B, row by row."""
-    return [combine(B, row) for row in A]
-
-
-def _normalize_primitive(vec: Sequence[int]) -> tuple[int, ...]:
-    """Divide out the content, with positive first nonzero entry."""
-    g = gcd(*vec)
-    if g == 0:
-        raise ValueError("zero vector cannot be normalized")
-    if next(x for x in vec if x) < 0:
-        g = -g
-    return tuple(x // g for x in vec)
-
-
-def _eigenspace(T, block, lam: int) -> list[tuple[int, ...]]:
-    """Integer rows spanning {k block : k T = lam k block} over Q, for a
-    block of integer rows of full row rank and T = block B.
-
-    Forward elimination over Z of the rows [T - lam block | block]
-    (Cohen, GTM 138, Sec. 2.3): the pivot in column c is the first
-    remaining row nonzero there, and every other remaining row nonzero
-    there becomes pivot[c] row - row[c] pivot, made primitive.  Each row
-    is k [T - lam block | block] for some k != 0, so its block half is
-    not zero, and the rows never taken as pivots in the first H columns
-    end as [0 | k block].
-    """
-    H = len(block[0])
-    rows = [[t - lam * x for t, x in zip(tr, br)] + list(br) for tr, br in zip(T, block)]
-    for c in range(H):
-        i = next((i for i, row in enumerate(rows) if row[c]), None)
-        if i is not None:
-            pivot = rows.pop(i)
-            for r, row in enumerate(rows):
-                if row[c]:
-                    rows[r] = _normalize_primitive(
-                        [pivot[c] * s - row[c] * t for s, t in zip(row, pivot)]
-                    )
-    return [tuple(row[H:]) for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ if TYPE_CHECKING:
 __all__ = ["cmd_brandt", "cmd_theta", "cmd_localfactors", "run_subcommand", "build_parser"]
 
 
-def cmd_brandt(config: JobConfig, nmax: int = 10) -> str:
+def cmd_brandt(config: JobConfig, nmax: int) -> str:
     if nmax < 1:
         raise ConfigurationError(f"need nmax >= 1, got {nmax}")
 
@@ -70,7 +70,7 @@ def _clean(z: complex) -> complex:
     return complex(z.real if z.real != 0 else 0.0, z.imag if z.imag != 0 else 0.0)
 
 
-def cmd_localfactors(config: JobConfig, lo: int = 2, hi: int = 23) -> str:
+def cmd_localfactors(config: JobConfig, lo: int, hi: int) -> str:
     if not 1 <= lo <= hi:
         raise ConfigurationError(f"bad index range {lo}:{hi}")
     from .localfactors import local_K

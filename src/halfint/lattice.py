@@ -14,64 +14,24 @@ element is tested as an integer row over a denominator (`coordinates`),
 a rational invariant is an integer pair (the determinant `_det_ratio`
 is the pivot product over den^4), and `reduced_discriminant` is an int.
 
-`hnf_rows`, whose one caller is `Lattice4.from_int_rows`, brings each
-column to echelon form around the row whose entry there has the
-smallest nonzero absolute value.  A row whose entry that pivot divides
-is cleared by one row subtraction; any other row is
-combined with the pivot row by the Bezout coefficients of the two
-entries, taken from `math.gcd` and a modular inverse (`pow(x, -1, m)`),
-and the pivot becomes their gcd.  The Hermite form is unique, so the
-pivot rule changes only the work done, never the rows returned.
-
-The module also carries the exact positive-definite enumeration used
-everywhere counts of lattice points by norm are needed (theta series,
-Brandt counts, unit counts): `count_by_value`, a Fincke-Pohst enumerator
-that takes an integer Gram matrix and an integer bound and returns the
-values with their counts, both in units of the form's content (the gcd
-of its values).  Counts do not depend on the basis,
-and on a raw Hermite basis most intervals of the enumeration tree come
-out empty, so `count_by_value` first runs integral LLL on the matrix it
-is given and enumerates on the reduced basis.  That one fraction-free
-pass also leaves the leading minors and scaled Gram-Schmidt
-coefficients the enumeration needs, and each coordinate's interval
-comes from isqrt of an integer budget, so neither floating point nor
-rational arithmetic enters the enumeration.  A form takes one value on
-c and -c, so the enumeration visits only the half space of vectors
-whose last nonzero coordinate is positive and counts each of them
-twice.  The count is kept in a list indexed by the value in units of
-the content, and each innermost line of the enumeration is walked by
-second differences in those units, which are small integers: every
-step is a difference of values, so a multiple of the content, and no
-division is inexact.  The list has bound + 1 entries, the degree or the
-precision the caller asks for, and the histogram comes back with its
-keys ascending.  `Lattice4.norm_counts` is `count_by_value` on the raw
-integer Gram matrix, whose content is den^2 times the lattice's norm
-content, so each count is one LLL pass, its keys are the reduced norms
-in units of the norm content, and a lattice keeps nothing but its rows.
-
-These kernels run only on matrices of rank 4 (LLL and the enumeration
-also on the ternary forms of the theta series), so their cost is
-interpreter overhead rather than integer arithmetic.  They are written
-as flat loops over integers: row operations in place from the pivot
-column on and LLL's size reduction inline.  The enumeration is one
-recursive function, one plain call per node of its tree and at most
-three calls deep; no call builds a tuple or a generator per child.
-Each call costs little against the big-integer isqrt and divisions
-that every line needs anyway.  The tests hold them to slower references
-with the same output: `hnf_rows_ref` (first nonzero pivot),
-`lll_gram_ref` (the reduced Gram matrix of `_lll`, by an LLL with a
-nested size reduction that the flat loop replaced), `bareiss_ref` (the
-minors and coefficients of a reduced matrix by a second elimination)
-and `count_by_value_ref` (the rational recursion).
+The integer kernels these lattices run on live in `kernels`, which
+imports only the standard library: the Hermite form `hnf_rows` (for
+`Lattice4.from_int_rows` and `two_sided_prime`), the enumeration
+`count_by_value` and the row combination `combine`.  `Lattice4.norm_counts` is
+`count_by_value` on the raw integer Gram matrix, whose content is den^2
+times the lattice's norm content, so each count is one LLL pass, its
+keys are the reduced norms in units of the norm content, and a lattice
+keeps nothing but its rows.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import IntegralityError, MaximalOrderNotFoundError
+from .kernels import _form_content, combine, count_by_value, hnf_rows
 from .numth import prime_factors
 from .quat import QuaternionAlgebra, conj
 from .value import Value
@@ -81,279 +41,8 @@ from .value import Value
 NEIGHBOR_PRIME = 2
 
 # ---------------------------------------------------------------------------
-# Hermite normal form
-# ---------------------------------------------------------------------------
-
-
-def hnf_rows(rows: Iterable[Sequence[int]]) -> list[list[int]]:
-    """Row Hermite normal form of an integer matrix.
-
-    Returns the nonzero echelon rows: upper triangular in the pivot
-    columns, positive pivots, entries above each pivot reduced into
-    [0, pivot).  Unimodular row operations only; the pivot rule is in
-    the module docstring.
-    """
-    mat = [list(r) for r in rows if any(r)]
-    if not mat:
-        return []
-    nrows, ncols = len(mat), len(mat[0])
-    pivot_row = 0
-    for col in range(ncols):
-        # the rows from pivot_row on are zero left of col, so operations
-        # with the pivot row start at col; the pivot is the first of them
-        # with the smallest nonzero |entry| in col
-        best, small = -1, 0
-        for r in range(pivot_row, nrows):
-            x = mat[r][col]
-            if x:
-                if x < 0:
-                    x = -x
-                if best < 0 or x < small:
-                    best, small = r, x
-                    if x == 1:
-                        break
-        if best < 0:
-            continue
-        prow = mat[best]
-        mat[best] = mat[pivot_row]
-        mat[pivot_row] = prow
-        for r in range(pivot_row + 1, nrows):
-            row = mat[r]
-            b = row[col]
-            if not b:
-                continue
-            a = prow[col]
-            if b % a == 0:
-                q = b // a
-                for c in range(col, ncols):
-                    row[c] -= q * prow[c]
-                continue
-            # s a + t b = g with s = (a/g)^-1 mod |b/g|; the 2 x 2 step
-            # [[s, t], [-b/g, a/g]] has determinant (s a + t b) / g = 1
-            g = gcd(a, b)
-            ag, bg = a // g, b // g
-            s = pow(ag, -1, abs(bg))
-            t = (g - s * a) // b
-            for c in range(col, ncols):
-                x, y = prow[c], row[c]
-                prow[c] = s * x + t * y
-                row[c] = ag * y - bg * x
-        piv = prow[col]
-        if piv < 0:
-            piv = -piv
-            for c in range(col, ncols):
-                prow[c] = -prow[c]
-        for r in range(pivot_row):
-            row = mat[r]
-            q = row[col] // piv
-            if q:
-                for c in range(col, ncols):
-                    row[c] -= q * prow[c]
-        pivot_row += 1
-    # each of these rows has a positive pivot, so none is zero
-    return mat[:pivot_row]
-
-
-# ---------------------------------------------------------------------------
-# exact enumeration of short vectors of a positive-definite form
-# ---------------------------------------------------------------------------
-
-
-def _lll(gram: Sequence[Sequence[int]]):
-    """(G, d, lam): the Gram matrix G of an LLL-reduced basis (delta = 3/4)
-    of the lattice with positive-definite integer Gram matrix `gram`, its
-    leading minors d[0] = 1, d[1], ..., d[n], and lam[k][j] = d[j+1] mu_kj
-    for j < k, its scaled Gram-Schmidt coefficients.  Raises ValueError
-    when the form is not positive definite.
-
-    Integral LLL on the Gram matrix alone (Cohen, GTM 138, Alg. 2.6.7,
-    after Lenstra-Lenstra-Lovasz, Math. Ann. 261, 1982): d and lam are
-    integers and kept for the current basis, and every basis change is
-    applied to the Gram matrix as a row and a column operation.  On a
-    reduced matrix the pass changes nothing, so it returns that matrix
-    with its own minors and coefficients.
-    """
-    n = len(gram)
-    G = [list(row) for row in gram]
-    d = [1] + [0] * n
-    lam = [[0] * n for _ in range(n)]
-    k, kmax = 0, -1
-    while k < n:
-        # lam's rows stay in place (a swap exchanges entries), G's move
-        lk = lam[k]
-        if k > kmax:
-            # incremental Gram-Schmidt for the new vector b_k
-            kmax = k
-            Gk = G[k]
-            for j in range(k + 1):
-                u, lj = Gk[j], lam[j]
-                for i in range(j):
-                    u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
-                if j < k:
-                    lk[j] = u
-                elif u <= 0:
-                    raise ValueError("form is not positive definite")
-                else:
-                    d[k + 1] = u
-        if k == 0:
-            k = 1
-            continue
-        # size-reduce b_k against b_{k-1}, test the Lovasz condition there,
-        # and only when it holds size-reduce against b_{k-2}, ..., b_0
-        for l in range(k - 1, -1, -1):
-            dl, r = d[l + 1], lk[l]
-            if 2 * abs(r) > dl:
-                # b_k -= q b_l with q the integer nearest to mu_kl
-                q = (2 * r + dl) // (2 * dl)
-                Gk, Gl = G[k], G[l]
-                for j in range(n):
-                    Gk[j] -= q * Gl[j]
-                for row in G:
-                    row[k] -= q * row[l]
-                lk[l] = r - q * dl
-                ll = lam[l]
-                for i in range(l):
-                    lk[i] -= q * ll[i]
-            if l < k - 1:
-                continue
-            mu, dk, dk1 = lk[l], d[k], d[k + 1]
-            if 4 * dk1 * d[l] < 3 * dk * dk - 4 * mu * mu:
-                # the Lovasz condition fails: exchange b_k and b_{k-1}
-                G[k], G[l] = G[l], G[k]
-                for row in G:
-                    row[k], row[l] = row[l], row[k]
-                ll = lam[l]
-                for j in range(l):
-                    lk[j], ll[j] = ll[j], lk[j]
-                new = (d[l] * dk1 + mu * mu) // dk
-                for i in range(k + 1, kmax + 1):
-                    li = lam[i]
-                    t = li[k]
-                    li[k] = (dk1 * li[l] - mu * t) // dk
-                    li[l] = (new * t + mu * li[k]) // dk1
-                d[k] = new
-                k = max(1, l)
-                break
-        else:
-            k += 1
-    return G, d, lam
-
-
-def count_by_value(gram: Sequence[Sequence[int]], bound: int) -> dict[int, int]:
-    """Histogram {c^t G c / u: count} over the integer vectors c with
-    c^t G c <= bound u, for a positive-definite integer Gram matrix G whose
-    content (the gcd of its values, `_form_content`) is u: values and the
-    bound are in units of u.  The zero vector counts once, c and -c apart,
-    and the keys come in ascending order.  Raises ValueError when G is not
-    positive definite.
-
-    Integer-exact Fincke-Pohst enumeration (Math. Comp. 44, 1985) on the
-    basis that one LLL pass (`_lll`) makes of G.  With M_k the leading
-    minors of that basis and l_ci = M_{i+1} mu_ci its scaled Gram-Schmidt
-    coefficients, both left by the pass,
-
-        Q(c) = sum_i (M_{i+1} c_i + s_i)^2 / (M_i M_{i+1}),
-
-    where s_i = sum_{c > i} l_ci c_c, the coordinates after i weighted by
-    the coefficients against vector i.  The budget is the integer
-    S u bound, S = lcm_i(M_i M_{i+1}), and each term is an integer
-    w_i y_i^2 with w_i = S / (M_i M_{i+1}) and y_i = M_{i+1} c_i + s_i.
-    Coordinate i runs over the integers whose own term fits the budget
-    left by the coordinates after it, last coordinate slowest, in one
-    recursive call per node of the enumeration tree: a call at coordinate
-    i > 0 sums its children's shift over the coordinates after i once, as
-    `base`, and passes base + l_i,i-1 c_i to the child of each c_i.  The
-    depth is at most n - 1, and a call gets its parent's coordinate apart
-    from the ones after it, so no call builds a tuple per child.
-
-    The count goes into a list indexed by Q(c) / u, so it takes O(bound)
-    memory: for the callers u is the unit of the norm and the bound is
-    the degree or the precision asked for.  The first coordinate's run is
-    one line, walked by second differences in units of u.  The budget
-    `left` it gets is S u bound - used, where `used` is the sum of the
-    terms of the coordinates after the first, S Q(c) - w_0 y^2 for its
-    first vector c (y_0 = y).  Both are multiples of w_0 (w_0 divides S),
-    so room = left / w_0 is exact, and Q(c) / u = bound - (room - y^2) /
-    (M_1 u).  One step (y_0 += M_1) adds 2 y_0 + M_1 to Q, and each step
-    adds 2 M_1 more.  These are values of lattice vectors or differences
-    of them (2 M_1 = 2 Q(b_0)), so multiples of u, and every division is
-    exact.
-
-    c and -c have one value, so only the nonzero vectors whose last
-    nonzero coordinate is positive are visited, and each counts twice:
-    while the coordinates after i are all 0 (so s_i = 0), coordinate i
-    runs over 0..hi, and the first one over 1..hi.
-    """
-    if bound < 0:
-        return {}
-    n = len(gram)
-    _, minors, lam = _lll(gram)
-    unit = _form_content(gram)
-    scale = lcm(*(minors[i] * minors[i + 1] for i in range(n)))
-    weights = [scale // (minors[i] * minors[i + 1]) for i in range(n)]
-    cnt = [0] * (bound + 1)
-    m0 = minors[1]
-    mu, dd = m0 * unit, 2 * m0 // unit
-    # lam_rows[i][c] = l_ci: the coefficients against vector i, for c > i
-    lam_rows = list(zip(*lam))
-
-    def walk(i, t, left, zero, above, later):
-        # coordinate i with shift t and budget left; above is coordinate
-        # i + 1 (0 at the last coordinate) and later the ones after it,
-        # nearest first; zero is whether all of them are 0
-        m, w = minors[i + 1], weights[i]
-        room = left // w
-        ymax = isqrt(room)
-        lo, hi = -((ymax + t) // m), (ymax - t) // m
-        if zero:
-            lo = 0 if i else 1
-        if i == 0:
-            # the line c_0 = lo..hi, as values Q(c) / u
-            y = m * lo + t
-            v = bound - (room - y * y) // mu
-            d = (2 * y + m) // unit
-            for _ in range(lo, hi + 1):
-                cnt[v] += 1
-                v += d
-                d += dd
-            return
-        after = (above, *later)
-        row = lam_rows[i - 1]
-        base = 0
-        for l, x in zip(row[i + 1:], after):
-            base += l * x
-        l = row[i]
-        for x in range(lo, hi + 1):
-            y = m * x + t
-            walk(i - 1, base + l * x, left - w * y * y, zero and not x, x, after)
-
-    walk(n - 1, 0, scale * unit * bound, True, 0, ())
-    # the zero vector is not in the half space, so cnt[0] is 0
-    counts = {0: 1}
-    counts.update((k, 2 * c) for k, c in enumerate(cnt) if c)
-    return counts
-
-
-# ---------------------------------------------------------------------------
 # lattices
 # ---------------------------------------------------------------------------
-
-
-def _form_content(gram: Sequence[Sequence[int]]) -> int:
-    """The gcd of the values of x^t G x over integer x: the gcd of the
-    G_ii and the 2 G_ij."""
-    n = len(gram)
-    return gcd(*(gram[i][i] for i in range(n)),
-               *(2 * gram[i][j] for i in range(n) for j in range(i + 1, n)))
-
-
-def combine(rows: Sequence[Sequence[int]], coeffs: Sequence[int]) -> tuple[int, ...]:
-    """The integer combination sum coeffs[r] * rows[r] of integer rows."""
-    v = (0,) * len(rows[0])
-    for c, row in zip(coeffs, rows):
-        if c:
-            v = tuple(x + c * y for x, y in zip(v, row))
-    return v
 
 
 class Lattice4(Value):
@@ -687,3 +376,28 @@ def eichler_order(alg: QuaternionAlgebra, level: int) -> Order:
             f"order has discriminant {order.reduced_discriminant}, wanted {level}"
         )
     return order
+
+
+def two_sided_prime(order: Order, q: int) -> Lattice4:
+    """The two-sided prime P of an Eichler order O over a prime q of the
+    algebra's discriminant: qO plus the lifts of the kernel mod q of the
+    trace form trd(x conj(y)) on O's basis.
+
+    At q, O is the maximal order of the division algebra, and P/qO is the
+    radical of O/qO, on which the trace form vanishes mod q.  Its Gram
+    matrix G = 2 int_gram / den^2 has determinant N^2 for the level N, and
+    q^2 exactly divides that, so the kernel has dimension 2 at most, that of
+    P/qO: the two are equal.  `int_gram` itself would not do, as den can
+    be a multiple of q.  The lifts are the integer v with v G = 0 mod q,
+    qZ^4 among them: the right halves of the Hermite rows of the 4 x 4
+    blocks [G | 1] over [q | 0] whose left halves are zero.
+    """
+    lat = order.lattice
+    sq = lat.den * lat.den
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    gram = [[2 * x // sq for x in row] for row in lat.int_gram()]
+    rows = hnf_rows(
+        [g + e for g, e in zip(gram, eye)] + [[q * x for x in e] + [0] * 4 for e in eye]
+    )
+    lifts = [combine(lat.rows, row[4:]) for row in rows if not any(row[:4])]
+    return Lattice4.from_int_rows(lat.alg, lat.den, lifts)

@@ -24,6 +24,9 @@ from .value import Value
 # (x0, x1, x2, x3), integer coordinates in the basis (1, i, j, k)
 Quat = tuple
 
+# the largest a*b that `algebra_ramified_at` tries
+SEARCH_BOUND = 10**6
+
 
 def conj(x: Quat) -> Quat:
     """Standard involution: fixes 1, negates i, j, k."""
@@ -86,9 +89,7 @@ class QuaternionAlgebra(Value):
         return {"a": self.a, "b": self.b, "ramified": list(self.ramified)}
 
 
-def algebra_ramified_at(
-    finite_primes: Iterable[int], search_bound: int = 10**6
-) -> QuaternionAlgebra:
+def algebra_ramified_at(finite_primes: Iterable[int]) -> QuaternionAlgebra:
     """Definite algebra with finite ramification exactly `finite_primes`.
 
     The set must consist of distinct primes, odd in number (the infinite
@@ -96,7 +97,8 @@ def algebra_ramified_at(
     ascending, then a ascending, so the result is canonical.  Only the
     multiples of the odd target primes' product are tried for a*b: the
     Hilbert symbol (-a, -b)_p is 1 at an odd prime p not dividing ab, so
-    every other a*b leaves some odd target prime unramified.
+    every other a*b leaves some odd target prime unramified.  Raises
+    SearchExhaustedError past a*b = SEARCH_BOUND.
     """
     target = tuple(sorted(set(finite_primes)))
     if len(target) % 2 == 0:
@@ -109,9 +111,9 @@ def algebra_ramified_at(
             raise ValueError(f"{p} is not prime")
     step = math.prod(p for p in target if p != 2)
     for prod in itertools.count(step, step):
-        if prod > search_bound:
+        if prod > SEARCH_BOUND:
             raise SearchExhaustedError(
-                f"no presentation with a*b <= {search_bound} ramifies at {list(target)}"
+                f"no presentation with a*b <= {SEARCH_BOUND} ramifies at {list(target)}"
             )
         for a in divisors(prod):
             if _ramified(a, prod // a) == target:

@@ -8,10 +8,10 @@ combination of the class theta series is the half-integral form
 attached to the rational eigenline.
 
 R_i is kept as integer rows over a denominator den, and its series is
-counted on den^2 times the Gram matrix, an integer matrix, in units of
-that form's content u: the norms are integers exactly when den^2
-divides u, and a norm n is the value n den^2, counted under the key
-n den^2 / u.
+counted by the integer kernel `kernels.count_by_value` on den^2 times
+the Gram matrix, an integer matrix, in units of that form's content u:
+the norms are integers exactly when den^2 divides u, and a norm n is
+the value n den^2, counted under the key n den^2 / u.
 
 The coefficients of R_i at multiples of 4 are those of the smaller
 trace-zero part O_i⁰ of O_i itself: r_R(4m) = r_{O⁰}(m).  Proof: R_i is
@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from .brandt import Eigenform, _psi
 from .errors import IntegralityError, PrecisionError
-from .lattice import Lattice4, Order, _form_content, count_by_value
+from .kernels import _form_content, count_by_value
+from .lattice import Lattice4, Order
 from .numth import is_prime, kronecker, squarefree_part
 from .qexp import QExpansion
 from .quat import QuaternionAlgebra

@@ -24,7 +24,8 @@ import itertools
 import numpy as np
 
 from halfint.errors import IntegralityError
-from halfint.lattice import Lattice4, combine
+from halfint.kernels import combine
+from halfint.lattice import Lattice4
 from halfint.lift import kronecker_gate, power_sums
 from halfint.numth import divisors, factorize, hilbert, kronecker, squarefree_split
 from halfint.quat import QuaternionAlgebra, _ramified, conj

@@ -12,11 +12,10 @@ import oracles
 from halfint.brandt import (
     Eigenform,
     IdealClassSet,
+    _atkin_lehner,
     _class_key,
-    _eigenspace,
     _pair_lattice,
     _phi,
-    _product,
     _psi,
     _ratio_text,
     _unit_mass,
@@ -29,7 +28,8 @@ from halfint.brandt import (
 )
 from halfint.cli import _odd_subsets
 from halfint.errors import IrrationalEigenspaceError, MissingEigenvalueError
-from halfint.lattice import Lattice4, combine, eichler_order, maximal_order
+from halfint.kernels import _eigenspace, _product, combine
+from halfint.lattice import Lattice4, eichler_order, maximal_order
 from halfint.numth import prime_factors
 from halfint.quat import QuaternionAlgebra, algebra_ramified_at
 from oracles import basis, contains_lattice, equivalent_ideals, from_vectors, qelt
@@ -253,6 +253,36 @@ def test_counted_state_loads(level, ramified):
     C = _counted_set(level, ramified)
     loaded = IdealClassSet.from_state(ideal_classes(C.order), C.to_state())
     assert loaded.to_state() == C.to_state()
+
+
+# class sets with a ramified prime above KEY_DEGREE; 285 at (3, 5, 19) has
+# denominators divisible by 3
+ATKIN_LEHNER_SETS = [(37, (37,)), (57, (19,)), (67, (67,)), (285, (19,)), (285, (3, 5, 19))]
+ATKIN_LEHNER_IDS = [f"{N}-{'.'.join(map(str, D))}" for N, D in ATKIN_LEHNER_SETS]
+
+
+@pytest.mark.parametrize("level, ramified", ATKIN_LEHNER_SETS, ids=ATKIN_LEHNER_IDS)
+def test_atkin_lehner_permutation_is_the_counted_ramified_degree(level, ramified):
+    # the map is read on the fresh search, whose row 0 still holds the keys
+    C = ideal_classes(eichler_order(algebra_ramified_at(list(ramified)), level))
+    perms = {q: _atkin_lehner(C, q) for q in ramified}
+    for q, w in perms.items():
+        assert [w[i] for i in w] == list(range(C.h))
+        permutation = tuple(tuple(int(k == w[j]) for k in range(C.h)) for j in range(C.h))
+        assert C.brandt(q) == permutation, q
+
+
+def test_stored_ramified_degree_other_than_the_permutation_is_refused():
+    # at N = 57 in the algebra ramified at 19, B(19) moves class 0, so the
+    # identity breaks no other load check: 19 > KEY_DEGREE, the row sum is 1
+    C = ideal_classes(eichler_order(algebra_ramified_at([19]), 57))
+    C.brandt(19)
+    state = C.to_state()
+    loaded = IdealClassSet.from_state(ideal_classes(C.order), state)
+    assert loaded.brandt(19) == C.brandt(19)
+    state["brandt"]["19"] = [[int(i == j) for j in range(C.h)] for i in range(C.h)]
+    with pytest.raises(ValueError, match="19 matrix is not the Atkin-Lehner permutation"):
+        IdealClassSet.from_state(ideal_classes(C.order), state)
 
 
 def test_degree_matrices_commute(level15, level11):

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -396,6 +397,15 @@ def test_newform_file_filters_and_conflicts(tmp_path):
         kohnen_basis(JobConfig(level=15, prec=12, newform_file=str(bad)))
 
 
+# every subcommand on a config, with the command line's default options
+SUBCOMMAND_RUNS = (
+    kohnen_basis,
+    functools.partial(cmd_brandt, nmax=10),
+    cmd_theta,
+    functools.partial(cmd_localfactors, lo=2, hi=23),
+)
+
+
 def test_even_root_number_rejected_before_any_work(tmp_path):
     # every subcommand stops before the search: no cache file is written
     nf = tmp_path / "even.txt"
@@ -403,7 +413,7 @@ def test_even_root_number_rejected_before_any_work(tmp_path):
     config = JobConfig(level=15, prec=12, newform_file=str(nf), cache_dir=str(cache))
     for signs in ("3 1\n5 1\n", "3 -1\n5 -1\n"):
         nf.write_text(signs)
-        for run in (kohnen_basis, cmd_brandt, cmd_theta, cmd_localfactors):
+        for run in SUBCOMMAND_RUNS:
             with pytest.raises(EvenRootNumberError):
                 run(config)
     assert not cache.exists()
@@ -416,7 +426,7 @@ def test_level_sign_not_pm1_rejected_before_any_work(tmp_path, capsys):
     nf.write_text("3 5\n")
     cache = tmp_path / "cache"
     config = JobConfig(level=105, prec=12, newform_file=str(nf), cache_dir=str(cache))
-    for run in (kohnen_basis, cmd_brandt, cmd_theta, cmd_localfactors):
+    for run in SUBCOMMAND_RUNS:
         with pytest.raises(NewformFileError):
             run(config)
     assert main(["basis", "--level", "105", "--newform-file", str(nf),
@@ -1096,8 +1106,9 @@ def _non_permutation_b37(state):
 def _identity_at(state, q):
     # the identity is a weighted-symmetric permutation commuting with every
     # degree; at a ramified q (row sum 1) only the searched counts of row 0
-    # and the diagonal catch it, and at an unramified q dividing the level
-    # the row sum 2q + 1 does
+    # and the diagonal catch it up to KEY_DEGREE, and the Atkin-Lehner
+    # permutation above; at an unramified q dividing the level the row sum
+    # 2q + 1 does
     h = len(state["unit_counts"])
     state["brandt"][str(q)] = [[int(i == j) for j in range(h)] for i in range(h)]
 
@@ -1111,8 +1122,20 @@ def _identity_b5(state):
 
 
 def _identity_b19(state):
-    # 19 > KEY_DEGREE, so no searched count covers it
+    # 19 > KEY_DEGREE, so no searched count covers it: at N = 57 the row sum
+    # 2 * 19 + 1 catches it where 19 is unramified (a1_b3), and the
+    # Atkin-Lehner permutation where it is ramified (a1_b19)
     _identity_at(state, 19)
+
+
+def _identity_b37(state):
+    # B(37) swaps classes 1 and 2; loaded as the identity, it ends the
+    # warm run with exit 2
+    _identity_at(state, 37)
+
+
+def _identity_b67(state):
+    _identity_at(state, 67)
 
 
 @pytest.mark.parametrize(
@@ -1122,11 +1145,33 @@ def _identity_b19(state):
         (37, "brandt_a2_b37_N37.json", _non_permutation_b37),
         (57, "brandt_a1_b3_N57.json", _identity_b3),
         (57, "brandt_a1_b3_N57.json", _identity_b19),
+        (37, "brandt_a2_b37_N37.json", _identity_b37),
+        (67, "brandt_a1_b67_N67.json", _identity_b67),
         (195, "brandt_a1_b3_N195.json", _identity_b5),
     ],
 )
 def test_tampered_cache_matrices_are_recomputed(tmp_path, capsys, level, name, tamper):
     _assert_tampering_is_recomputed(tmp_path / "cache", capsys, level, name, tamper)
+
+
+def test_tampered_ramified_degree_of_a_host_set_is_recomputed(tmp_path):
+    # both selectable lines at N = 57 lie on the search set, ramified at 3,
+    # so no run reads the class set of the algebra ramified at 19; it is
+    # loaded and stored here by the two functions every run goes through
+    def eigenlines():
+        class_set = cli._class_set(57, (19,), tmp_path)
+        vectors = [f.vector for f in brandt.cuspidal_eigenlines(class_set)]
+        cli._store_class_set(class_set, tmp_path)
+        return vectors, class_set.brandt(19)
+
+    cold = eigenlines()
+    path = tmp_path / "brandt_a1_b19_N57.json"
+    cold_bytes = path.read_bytes()
+    state = json.loads(cold_bytes)
+    _identity_b19(state)
+    path.write_text(json.dumps(state, sort_keys=True) + "\n")
+    assert eigenlines() == cold
+    assert path.read_bytes() == cold_bytes
 
 
 def _b2_as_b18(state):
@@ -1413,6 +1458,39 @@ def test_no_module_uses_fractions():
             if {"fractions", "Fraction"} & set(names):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_kernels_import_only_the_standard_library():
+    # the integer kernels are a leaf module: importing them compiles no
+    # other halfint module
+    path = Path(__file__).resolve().parents[1] / "src" / "halfint" / "kernels.py"
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or "").partition(".")[0])
+    assert modules and modules <= set(sys.stdlib_module_names)
+
+
+def test_every_name_a_module_imports_from_the_package_is_used_there():
+    # no module but the package itself binds a halfint name only for
+    # others to import it from there
+    src = Path(__file__).resolve().parents[1] / "src" / "halfint"
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {
+            alias.asname or alias.name: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{n} {name}" for name, n in imported.items() if name not in used]
+    assert unused == []
 
 
 # ---------------------------------------------------------------------------

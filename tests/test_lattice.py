@@ -11,19 +11,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import oracles
 
-import halfint.lattice as lattice_module
+import halfint.kernels as kernels_module
 from halfint.brandt import _pair_lattice, ideal_classes
 from halfint.cli import _odd_subsets
 from halfint.errors import IntegralityError, MaximalOrderNotFoundError
+from halfint.kernels import _form_content, _lll, count_by_value, hnf_rows
 from halfint.lattice import (
     Lattice4,
     Order,
     _close_to_order,
-    _form_content,
-    _lll,
-    count_by_value,
     eichler_order,
-    hnf_rows,
     maximal_order,
     right_order_lattice,
 )
@@ -344,13 +341,13 @@ def test_norm_counts_runs_one_lll_pass_per_count(monkeypatch):
     # matrix once, inside count_by_value, and a repeated count repeats it
     want = _std(B25).norm_counts(9)
     passes = []
-    lll = lattice_module._lll
+    lll = kernels_module._lll
 
     def counted(gram):
         passes.append([list(row) for row in gram])
         return lll(gram)
 
-    monkeypatch.setattr(lattice_module, "_lll", counted)
+    monkeypatch.setattr(kernels_module, "_lll", counted)
     L = _std(B25).scale(3)
     first = L.norm_counts(6)
     assert passes == [L.int_gram()]

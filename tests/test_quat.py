@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from halfint import numth
+from halfint import numth, quat
 from halfint.errors import EvenRootNumberError, SearchExhaustedError
 from halfint.quat import QuaternionAlgebra, algebra_ramified_at, conj
 from oracles import qadd, qelt, qscale, trd
@@ -125,12 +125,14 @@ def test_search_over_odd_multiples_matches_full_scan():
 
 
 @pytest.mark.parametrize("target", [(5,), (2, 3, 5), (13, 17, 23)])
-def test_search_bound_still_exhausts(target):
+def test_search_bound_still_exhausts(target, monkeypatch):
     found = algebra_ramified_at(target)
     prod = found.a * found.b
-    assert algebra_ramified_at(target, search_bound=prod) == found
+    monkeypatch.setattr(quat, "SEARCH_BOUND", prod)
+    assert algebra_ramified_at(target) == found
+    monkeypatch.setattr(quat, "SEARCH_BOUND", prod - 1)
     with pytest.raises(SearchExhaustedError):
-        algebra_ramified_at(target, search_bound=prod - 1)
+        algebra_ramified_at(target)
 
 
 def test_even_sets_rejected():

@@ -1,8 +1,14 @@
-"""Count code lines per module under src/halfint, and their total.
+"""Count code lines per module under src/halfint, and their total, with
+each module's compile() peak.
 
 A code line is a non-blank line that is not a comment and does not lie
 in a module, class or function docstring; lines of any other string
-count.  Standard library only:
+count.  The compile peak is the most memory, in kB, that tracemalloc
+sees allocated while `compile()` turns the module's source into a code
+object.  A process that imports halfint without cached bytecode
+compiles every module it loads, and its peak memory is that of its
+largest single compile, so the module marked `<- largest` sets the
+high-water of such a job.  Standard library only:
 
     python3 tools/loc.py
 """
@@ -13,6 +19,7 @@ import ast
 import io
 import sys
 import tokenize
+import tracemalloc
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "halfint"
@@ -53,13 +60,27 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
+def compile_peak_kb(source: str, filename: str) -> int:
+    """The tracemalloc peak of compiling one module's source, in kB."""
+    tracemalloc.start()
+    try:
+        compile(source, filename, "exec", dont_inherit=True)
+        return tracemalloc.get_traced_memory()[1] // 1024
+    finally:
+        tracemalloc.stop()
+
+
 def main() -> int:
-    total = 0
+    rows = []
     for path in sorted(PACKAGE.glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{path.name:16} {count:5}")
-    print(f"{'total':16} {total:5}")
+        source = path.read_text(encoding="utf-8")
+        rows.append((path.name, code_lines(source), compile_peak_kb(source, str(path))))
+    largest = max(peak for _, _, peak in rows)
+    print(f"{'module':16} {'lines':>5} {'compile kB':>10}")
+    for name, count, peak in rows:
+        mark = "  <- largest" if peak == largest else ""
+        print(f"{name:16} {count:5} {peak:10}{mark}")
+    print(f"{'total':16} {sum(count for _, count, _ in rows):5}")
     return 0
 
 
