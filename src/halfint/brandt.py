@@ -30,14 +30,20 @@ most levels, and those counts serve as the pairs (0, j) and (j, j) of
 every pass up to that degree; a deeper pass counts them on classes[j]
 and rights[j].lattice, which the class search has already counted.
 
+Two relations give degrees without counting (Pizer, J. Algebra 64,
+1980): B(mk) = B(m) B(k) for coprime m, k, and at a ramified prime q,
+B(q) is the permutation I_j -> P I_j of the two-sided prime P over q
+(`_atkin_lehner`).  `IdealClassSet.brandt` builds a degree with two or
+more primes, or a ramified prime above KEY_DEGREE, from them unless the
+counting pass has already reached it; every other degree is counted,
+and only those are stored (`IdealClassSet.to_state`).
+
 Classes come only from the search (`ideal_classes`).  A cached state
-(`IdealClassSet.from_state`) contributes only its degree matrices, and
-only when its classes and unit counts are exactly the searched ones,
-each stored degree up to KEY_DEGREE has the searched counts in row 0 and
-on the diagonal, and each stored degree at a ramified prime q above it
-is the permutation I_j -> P I_j of the two-sided prime P over q
-(`_atkin_lehner`), so the classes and their order never depend on a
-cache file.
+(`IdealClassSet.from_state`) contributes only its counted prime-power
+degree matrices, and only when its classes and unit counts are exactly
+the searched ones and each stored degree up to KEY_DEGREE has the
+searched counts in row 0 and on the diagonal, so the classes and their
+order never depend on a cache file.
 
 Every count comes from the integer kernels (`kernels.count_by_value`,
 through `Lattice4.norm_counts`), and the eigenspaces of the refinement
@@ -47,6 +53,7 @@ from their elimination `kernels._eigenspace`.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 from math import gcd, lcm
 from typing import Sequence
 
@@ -154,12 +161,12 @@ def _class_key(I: Lattice4) -> dict[int, int]:
     return I.norm_counts(KEY_DEGREE)
 
 
-def _class_of(J: Lattice4, key, classes, gens, counts) -> int | None:
+def _class_of(J: Lattice4, key, classes, gens, keys) -> int | None:
     """The index of the class of J, a left ideal of the base order with
     key `key` (`_class_key`), among `classes` with left generators `gens`
-    and keys counts[0, i]; None when it is none of them.  J is tested for
+    and keys `keys`; None when it is none of them.  J is tested for
     equivalence only with the classes of its key."""
-    same = [i for i in range(len(classes)) if counts[0, i] == key]
+    same = [i for i in range(len(classes)) if keys[i] == key]
     if same:
         conj_J = J.conjugate()
         for i in same:
@@ -178,7 +185,8 @@ class IdealClassSet:
         rights: list[Order],
         unit_counts: list[int],
         gens: list,
-        counts: dict[tuple[int, int], dict[int, int]] | None = None,
+        keys: list[dict[int, int]],
+        diagonal: list[dict[int, int]],
     ):
         self.order = order
         self.classes = classes
@@ -187,10 +195,14 @@ class IdealClassSet:
         self.unit_counts = unit_counts
         # gens[i] generate classes[i] as a left ideal (`_left_generators`)
         self.gens = gens
+        # keys[j] is the key of classes[j] (`_class_key`), and diagonal[j]
+        # the counts of rights[j], both counted to KEY_DEGREE by the search
+        self.keys = keys
         # raw counts per unordered pair (i <= j), complete up to degree
-        # _counted; the pairs in _seeded (from `counts`, made by the class
-        # search) are complete up to KEY_DEGREE at least
-        self._counts = dict(counts or {})
+        # _counted; the pairs in _seeded, (0, j) and (j, j) from the class
+        # search (module docstring), are complete up to KEY_DEGREE at least
+        self._counts = {(0, j): key for j, key in enumerate(keys)}
+        self._counts |= {(j, j): counts for j, counts in enumerate(diagonal)}
         self._seeded = frozenset(self._counts)
         self._counted = 0
         self._planned = 0
@@ -230,6 +242,12 @@ class IdealClassSet:
                 out *= 2 * s - 1 if self.level % p == 0 else s
         return out
 
+    def derivable(self, n: int) -> bool:
+        """Whether `brandt` builds B(n) from other degrees once the counting
+        pass is below n: n has two or more primes, or n is a ramified prime
+        above KEY_DEGREE (module docstring)."""
+        return len(factorize(n)) > 1 or (n > KEY_DEGREE and n in self.alg.ramified)
+
     def plan(self, nmax: int) -> None:
         """Make the next counting pass run to degree nmax at least, so that
         one pass over the class pairs serves every degree up to nmax."""
@@ -263,12 +281,21 @@ class IdealClassSet:
         self._counted = nmax
 
     def brandt(self, n: int) -> tuple[tuple[int, ...], ...]:
-        """The degree-n matrix (n >= 1), rows indexed by source class.
+        """The degree-n matrix (n >= 1), rows indexed by source class: read
+        from the counts when the pass has reached n or n is not `derivable`,
+        else the product of its prime-power degrees or the permutation
+        `_atkin_lehner` finds.
 
         Raises IntegralityError when a count is not a multiple of its e_j,
         and ComputationError when a row does not sum to `row_sum(n)`."""
         if n < 1:
             raise ValueError("degree must be >= 1")
+        if n not in self._matrices and n > self._counted and self.derivable(n):
+            if n in self.alg.ramified:
+                mat = [tuple(int(k == i) for k in range(self.h)) for i in _atkin_lehner(self, n)]
+            else:
+                mat = reduce(_product, (self.brandt(p**k) for p, k in factorize(n).items()))
+            self._matrices[n] = tuple(mat)
         if n not in self._matrices:
             if n > self._counted:
                 self._count(max(n, self._planned))
@@ -298,6 +325,8 @@ class IdealClassSet:
     # -- persistence ---------------------------------------------------------
 
     def to_state(self) -> dict:
+        """The classes, unit counts and every built degree matrix that is
+        not `derivable`; `from_state` reads it back."""
         return {
             "classes": [
                 {"den": c.den, "rows": [list(r) for r in c.rows]} for c in self.classes
@@ -306,6 +335,7 @@ class IdealClassSet:
             "brandt": {
                 str(n): [list(r) for r in mat]
                 for n, mat in sorted(self._matrices.items())
+                if not self.derivable(n)
             },
         }
 
@@ -319,13 +349,11 @@ class IdealClassSet:
         (`row_sum`) or another invariant of the degree matrices (see
         `_check_degree_matrix`), when a stored degree up to KEY_DEGREE has
         a row 0 or a diagonal other than the counts the search made (module
-        docstring), when a stored degree at a ramified prime above
-        KEY_DEGREE is not the permutation `_atkin_lehner` finds, when two
-        stored prime-power degrees do not commute, or
-        when a stored degree with two or more primes is not the product of
-        its prime-power degrees, or one of those is not stored.  The stored
-        classes are only compared, never built into lattices, and a failed
-        load leaves `searched` as it was.
+        docstring), or when two stored degrees do not commute.  A stored
+        degree that is `derivable` passes `_check_degree_matrix` and is then
+        skipped: `brandt` builds it on every run, and the next `to_state`
+        leaves it out.  The stored classes are only compared, never built
+        into lattices, and a failed load leaves `searched` as it was.
         """
         expected = searched.to_state()
         if (
@@ -340,7 +368,10 @@ class IdealClassSet:
         mats = {}
         for n, mat in stored.items():
             n = int(n)
+            # bounds n before `derivable` factors it
             _check_degree_matrix(n, mat, searched)
+            if searched.derivable(n):
+                continue
             # up to KEY_DEGREE, row 0 and the diagonal are the search's counts
             if n <= KEY_DEGREE and any(
                 mat[i][j] * es[j] != searched._counts[i, j].get(n, 0)
@@ -348,36 +379,14 @@ class IdealClassSet:
                 for i in (0, j)
             ):
                 raise ValueError(f"cached degree-{n} matrix differs from the searched counts")
-            # above it, a ramified prime degree is the permutation I_j -> P I_j
-            if n > KEY_DEGREE and n in searched.alg.ramified:
-                if [row.index(1) for row in mat] != _atkin_lehner(searched, n):
-                    raise ValueError(
-                        f"cached degree-{n} matrix is not the Atkin-Lehner permutation"
-                    )
             mats[n] = tuple(tuple(row) for row in mat)
-        # B(mk) = B(m) B(k) for coprime m, k, so a degree with two or more
-        # primes must be the product of its stored prime-power degrees;
-        # products of commuting matrices commute, so only the prime powers
-        # are tested for commutativity.  With B E = E B^t for both
-        # (E = diag(es)), (A B) E = E (B A)^t, so A B is weighted-symmetric
-        # exactly when A B = B A
-        factors = {n: [p**k for p, k in factorize(n).items()] for n in mats}
-        powers = [n for n in mats if len(factors[n]) == 1]
+        # with B E = E B^t for both (E = diag(es)), (A B) E = E (B A)^t, so
+        # A B is weighted-symmetric exactly when A B = B A
         if not all(
             _weighted_symmetric(_product(mats[m], mats[n]), es)
-            for m, n in itertools.combinations(powers, 2)
+            for m, n in itertools.combinations(mats, 2)
         ):
             raise ValueError("cached degree matrices do not commute")
-        for n, parts in factors.items():
-            if len(parts) < 2:
-                continue
-            if any(k not in mats for k in parts):
-                raise ValueError(f"cached degree-{n} matrix comes without its prime-power factors")
-            product = mats[parts[0]]
-            for k in parts[1:]:
-                product = _product(product, mats[k])
-            if tuple(product) != mats[n]:
-                raise ValueError(f"cached degree-{n} matrix is not the product of its prime powers")
         searched._matrices = mats
         return searched
 
@@ -413,15 +422,13 @@ def _atkin_lehner(class_set: IdealClassSet, q: int) -> list[int]:
     permutation matrix with B(q)[j][w[j]] = 1 (Pizer, J. Algebra 64, 1980;
     P P = qO, so w is an involution).  P I_j is a left ideal of the base
     order, found by its key and then by equivalence inside that key's
-    bucket (`_class_of`), so row 0 of the counts must still hold the keys,
-    as it does on a class set fresh from `ideal_classes`.  Raises
-    ComputationError when no class holds some P I_j."""
+    bucket (`_class_of`).  Raises ComputationError when no class holds
+    some P I_j."""
     P = two_sided_prime(class_set.order, q)
-    classes, gens, counts = class_set.classes, class_set.gens, class_set._counts
     w = []
-    for I in classes:
+    for I in class_set.classes:
         J = P.product(I)
-        i = _class_of(J, _class_key(J), classes, gens, counts)
+        i = _class_of(J, _class_key(J), class_set.classes, class_set.gens, class_set.keys)
         if i is None:
             raise ComputationError(f"the prime over {q} times a class is in no class")
         w.append(i)
@@ -454,12 +461,13 @@ def ideal_classes(order: Order) -> IdealClassSet:
     )
     classes = [order.lattice]
     # the pairs (0, j) and (j, j), counted to KEY_DEGREE (module docstring):
-    # counts[0, j] is the key of classes[j], and counts[j, j][1] the unit
-    # count of rights[j]; I_0 = O is its own right order
-    counts = {(0, 0): _class_key(order.lattice)}
+    # keys[j] is the key of classes[j], and diagonal[j][1] the unit count
+    # of rights[j]; I_0 = O is its own right order
+    keys = [_class_key(order.lattice)]
+    diagonal = keys[:]
     gens = [_left_generators(order, order.lattice)]
     rights = [order]
-    unit_counts = [counts[0, 0].get(1, 0)]
+    unit_counts = [keys[0].get(1, 0)]
     num, den = _unit_mass(unit_counts)
     # (class, the class it was found as a neighbour of)
     frontier = [(0, None)]
@@ -470,18 +478,17 @@ def ideal_classes(order: Order) -> IdealClassSet:
             if J == back:
                 continue
             key = _class_key(J)
-            if _class_of(J, key, classes, gens, counts) is not None:
+            if _class_of(J, key, classes, gens, keys) is not None:
                 continue
-            j = len(classes)
+            frontier.append((len(classes), idx))
             classes.append(J)
+            keys.append(key)
             gens.append(_left_generators(order, J))
             right = right_order_lattice(J)
-            counts[0, j] = key
-            counts[j, j] = right.norm_counts(KEY_DEGREE)
+            diagonal.append(right.norm_counts(KEY_DEGREE))
             rights.append(Order(right))
-            unit_counts.append(counts[j, j].get(1, 0))
+            unit_counts.append(diagonal[-1].get(1, 0))
             num, den = _unit_mass(unit_counts)
-            frontier.append((j, idx))
             if 12 * num >= twelfths * den:
                 break
     if 12 * num != twelfths * den:
@@ -489,7 +496,7 @@ def ideal_classes(order: Order) -> IdealClassSet:
             f"class search ended with mass {_ratio_text(num, den)}, "
             f"expected {_ratio_text(twelfths, 12)}"
         )
-    return IdealClassSet(order, classes, rights, unit_counts, gens, counts)
+    return IdealClassSet(order, classes, rights, unit_counts, gens, keys, diagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +570,8 @@ def _refine(class_set: IdealClassSet, pins: dict[int, int] | None) -> list[Eigen
     bad = prime_factors(class_set.level)
     good = itertools.takewhile(lambda q: q <= PRIME_BOUND, primes())
     # one counting pass serves the pinned primes and the ORDER_PRIMES that
-    # `_by_small_eigenvalues` asks for afterwards
-    class_set.plan(max([*pins, *ORDER_PRIMES]))
+    # `_by_small_eigenvalues` asks for afterwards; a derivable pin needs none
+    class_set.plan(max([*(p for p in pins if not class_set.derivable(p)), *ORDER_PRIMES]))
 
     for p in [*bad, *(q for q in good if q not in bad)]:
         if not pending:

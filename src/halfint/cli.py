@@ -513,6 +513,11 @@ def main(argv: list[str] | None = None) -> int:
     except HalfIntError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except (MemoryError, OverflowError) as exc:
+        # a degree or precision whose counts fit in no list index or in no
+        # memory: a request that cannot be worked with, as a bad option
+        print(f"error: request too large to compute ({type(exc).__name__})", file=sys.stderr)
+        return 3
     return 0
 
 

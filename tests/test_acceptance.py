@@ -388,6 +388,23 @@ def test_pinned_outputs(argv):
     assert hashlib.sha256(proc.stdout).hexdigest() == PINNED_OUTPUTS[argv]
 
 
+# line 2 at N=141 is hosted by the algebra ramified at 47: its class set is
+# counted to 31 (the profile of --prec 1000) before the match asks for
+# B(47), the permutation by the two-sided prime over 47, whose classes are
+# found by the keys the class search counted; digest recorded before B(47)
+# was built so, when the pass to 47 counted it
+SELECTED_141 = "820f8eb153a302aa4a70317268e669aaebfd2a1e7697be1c2244644018dc76ab"
+
+
+def test_deep_host_builds_its_ramified_degree_cold_and_warm(tmp_path):
+    argv = ["basis", "--level", "141", "--prec", "1000", "--selector", "2",
+            "--cache-dir", str(tmp_path)]
+    for run in ("cold", "warm"):
+        proc = _halfint(argv)
+        assert (proc.returncode, proc.stderr) == (0, b""), run
+        assert hashlib.sha256(proc.stdout).hexdigest() == SELECTED_141, run
+
+
 # the large levels that have no basis: N=197, 255 and 465 have no rational
 # newform whose signs admit an algebra (exit 3).  At 255 and 465 a 3-old
 # line has admissible signs on its subset's own class set, but the maximal

@@ -30,7 +30,7 @@ from halfint.cli import _odd_subsets
 from halfint.errors import IrrationalEigenspaceError, MissingEigenvalueError
 from halfint.kernels import _eigenspace, _product, combine
 from halfint.lattice import Lattice4, eichler_order, maximal_order
-from halfint.numth import prime_factors
+from halfint.numth import factorize, prime_factors
 from halfint.quat import QuaternionAlgebra, algebra_ramified_at
 from oracles import basis, contains_lattice, equivalent_ideals, from_vectors, qelt
 
@@ -263,8 +263,11 @@ ATKIN_LEHNER_IDS = [f"{N}-{'.'.join(map(str, D))}" for N, D in ATKIN_LEHNER_SETS
 
 @pytest.mark.parametrize("level, ramified", ATKIN_LEHNER_SETS, ids=ATKIN_LEHNER_IDS)
 def test_atkin_lehner_permutation_is_the_counted_ramified_degree(level, ramified):
-    # the map is read on the fresh search, whose row 0 still holds the keys
+    # one pass to the largest ramified prime counts every B(q), and the map
+    # reads the class keys, which that pass leaves as the search found them
     C = ideal_classes(eichler_order(algebra_ramified_at(list(ramified)), level))
+    C.plan(max(ramified))
+    C.brandt(1)
     perms = {q: _atkin_lehner(C, q) for q in ramified}
     for q, w in perms.items():
         assert [w[i] for i in w] == list(range(C.h))
@@ -272,17 +275,36 @@ def test_atkin_lehner_permutation_is_the_counted_ramified_degree(level, ramified
         assert C.brandt(q) == permutation, q
 
 
-def test_stored_ramified_degree_other_than_the_permutation_is_refused():
-    # at N = 57 in the algebra ramified at 19, B(19) moves class 0, so the
-    # identity breaks no other load check: 19 > KEY_DEGREE, the row sum is 1
-    C = ideal_classes(eichler_order(algebra_ramified_at([19]), 57))
-    C.brandt(19)
+@pytest.mark.parametrize("level, ramified", RULE_SETS, ids=RULE_IDS)
+def test_loaded_set_derives_the_counted_degrees(level, ramified):
+    # the state holds the prime powers only; a loaded set builds every
+    # degree with two primes as a product, and B(19) at N = 399 as the
+    # permutation of the classes by the prime over 19, with no count
+    C = _counted_set(level, ramified)
     state = C.to_state()
+    assert all(len(factorize(int(n))) < 2 for n in state["brandt"])
+    loaded = IdealClassSet.from_state(ideal_classes(C.order), state)
+    for n in range(1, RULE_DEGREE + 1):
+        assert loaded.brandt(n) == C.brandt(n), n
+    assert loaded._counted == 0
+
+
+def test_stored_ramified_degree_above_key_degree_is_never_read():
+    # at N = 57 in the algebra ramified at 19, B(19) moves class 0, so the
+    # identity passes every check of a stored matrix: 19 > KEY_DEGREE, and
+    # the row sum is 1.  B(19) is built from the prime over 19 on every
+    # run, so the stored one is skipped, and the next state leaves it out
+    C = ideal_classes(eichler_order(algebra_ramified_at([19]), 57))
+    C.plan(19)
+    C.brandt(2)  # one pass to 19, so B(19) is read from the counts
+    state = C.to_state()
+    assert "19" not in state["brandt"]
+    identity = [[int(i == j) for j in range(C.h)] for i in range(C.h)]
+    assert C.brandt(19) != tuple(map(tuple, identity))
+    state["brandt"]["19"] = identity
     loaded = IdealClassSet.from_state(ideal_classes(C.order), state)
     assert loaded.brandt(19) == C.brandt(19)
-    state["brandt"]["19"] = [[int(i == j) for j in range(C.h)] for i in range(C.h)]
-    with pytest.raises(ValueError, match="19 matrix is not the Atkin-Lehner permutation"):
-        IdealClassSet.from_state(ideal_classes(C.order), state)
+    assert "19" not in loaded.to_state()["brandt"]
 
 
 def test_degree_matrices_commute(level15, level11):
@@ -344,11 +366,11 @@ def test_height_symmetry(level15, level33):
 
 
 def test_one_pass_counts_match_per_degree_recounts(level33, monkeypatch):
-    # a planned class set counts each unordered pair once, up to the planned
-    # degree, and its matrices agree with recounting every ordered pair
-    C = IdealClassSet(
-        level33.order, level33.classes, level33.rights, level33.unit_counts, level33.gens
-    )
+    # a class set planned past KEY_DEGREE counts each unordered pair once,
+    # up to the planned degree (row 0 and the diagonal on the classes and
+    # the right orders), and its matrices agree with recounting every
+    # ordered pair
+    C = ideal_classes(level33.order)
     assert C.h >= 3
     passes = []
     original = Lattice4.norm_counts
@@ -358,9 +380,9 @@ def test_one_pass_counts_match_per_degree_recounts(level33, monkeypatch):
         return original(self, bound)
 
     monkeypatch.setattr(Lattice4, "norm_counts", counted)
-    C.plan(13)
-    mats = {n: C.brandt(n) for n in range(1, 14)}
-    assert passes == [13] * (C.h * (C.h + 1) // 2)
+    C.plan(17)
+    mats = {n: C.brandt(n) for n in range(1, 18)}
+    assert passes == [17] * (C.h * (C.h + 1) // 2)
     monkeypatch.setattr(Lattice4, "norm_counts", original)
 
     es = C.unit_counts
@@ -556,18 +578,22 @@ def test_state_roundtrip(level15):
     assert f.vector == (1, -1)
 
 
-def test_state_with_a_composite_degree_needs_its_prime_powers():
-    # B(6) is checked as B(2) B(3), so it loads only with both factors
+def test_stored_composite_degree_is_never_read():
+    # B(6) = B(2) B(3) is built on every run, so a stored B(6) that passes
+    # every check of a stored matrix (weighted symmetry with e = (2, 6),
+    # row sum 21) is skipped
     C = ideal_classes(eichler_order(algebra_ramified_at([5]), 15))
-    for n in (2, 6):
-        C.brandt(n)
+    for n in (2, 3, 6):
+        C.brandt(n)  # the pass to 13 counts B(6) too
     state = C.to_state()
-    assert sorted(state["brandt"]) == ["2", "6"]
-    with pytest.raises(ValueError, match="degree-6 matrix comes without its prime-power"):
-        IdealClassSet.from_state(ideal_classes(C.order), state)
-    C.brandt(3)
-    loaded = IdealClassSet.from_state(ideal_classes(C.order), C.to_state())
+    assert sorted(state["brandt"]) == ["2", "3"]
+    (a, b), (c, d) = C.brandt(6)
+    tampered = [[a - 1, b + 1], [c + 3, d - 3]]
+    assert min(min(row) for row in tampered) >= 0
+    state["brandt"]["6"] = tampered
+    loaded = IdealClassSet.from_state(ideal_classes(C.order), state)
     assert loaded.brandt(6) == C.brandt(6)
+    assert "6" not in loaded.to_state()["brandt"]
 
 
 @pytest.mark.parametrize("level", [37, 67])

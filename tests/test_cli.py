@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import oracles
 from halfint import brandt, cli
 from halfint.brandt import (
+    KEY_DEGREE,
     ORDER_PRIMES,
     IdealClassSet,
     ideal_classes,
@@ -806,6 +807,39 @@ def test_deep_run_counts_the_host_once(argv, degree, tmp_path, monkeypatch, caps
     assert host == [degree]
 
 
+@pytest.mark.parametrize("level, code", [(37, 0), (67, 0), (197, 3), (285, 0)])
+def test_cold_run_counts_no_pair_to_a_ramified_level_prime(
+    level, code, tmp_path, monkeypatch, capsys
+):
+    # B(q) at a ramified q above KEY_DEGREE is the permutation of the classes
+    # by the two-sided prime over q, so a pin at q plans no pass: the class
+    # set ramified at the largest level prime q (at N = 285 the search set,
+    # ramified at 3, 5 and 19) is counted once, to KEY_DEGREE, not to q
+    passes = []
+    original = IdealClassSet._count
+
+    def counted(self, nmax):
+        passes.append((self.alg.ramified, nmax))
+        return original(self, nmax)
+
+    monkeypatch.setattr(IdealClassSet, "_count", counted)
+    argv = ["basis", "--level", str(level), "--prec", "100", "--cache-dir", str(tmp_path)]
+    assert main(argv) == code
+    capsys.readouterr()
+    q = max(prime_factors(level))
+    assert [nmax for ramified, nmax in passes if q in ramified] == [KEY_DEGREE]
+
+
+@pytest.mark.parametrize("level", [37, 67])
+def test_cold_cache_file_holds_no_ramified_level_prime(level, tmp_path, capsys):
+    # every run builds B(level) from the two-sided prime, so no file keeps it
+    argv = ["basis", "--level", str(level), "--prec", "100", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    (path,) = tmp_path.iterdir()
+    assert str(level) not in json.loads(path.read_text())["brandt"]
+
+
 def test_cold_run_at_195_builds_the_reference_and_the_host(tmp_path, monkeypatch, capsys):
     # the default line at N = 195 is hosted by the algebra ramified at 3:
     # the search builds the reference set, and the selected line moves to
@@ -1097,18 +1131,18 @@ def _non_commuting_b2(state):
 
 
 def _non_permutation_b37(state):
-    # B(37) + I commutes with every degree matrix; only the row sum 1 at a
-    # ramified prime catches this
-    for i, row in enumerate(state["brandt"]["37"]):
-        row[i] += 1
+    # B(37) + I, B(37) being the swap of classes 1 and 2, commutes with every
+    # degree matrix; the file holds no B(37), and the row sum 1 at a
+    # ramified prime refuses this one before it could be skipped
+    state["brandt"]["37"] = [[2, 0, 0], [0, 1, 1], [0, 1, 1]]
 
 
 def _identity_at(state, q):
     # the identity is a weighted-symmetric permutation commuting with every
     # degree; at a ramified q (row sum 1) only the searched counts of row 0
-    # and the diagonal catch it up to KEY_DEGREE, and the Atkin-Lehner
-    # permutation above; at an unramified q dividing the level the row sum
-    # 2q + 1 does
+    # and the diagonal catch it up to KEY_DEGREE, and above it a stored B(q)
+    # is skipped, since every run builds B(q) from the two-sided prime over
+    # q; at an unramified q dividing the level the row sum 2q + 1 catches it
     h = len(state["unit_counts"])
     state["brandt"][str(q)] = [[int(i == j) for j in range(h)] for i in range(h)]
 
@@ -1123,18 +1157,19 @@ def _identity_b5(state):
 
 def _identity_b19(state):
     # 19 > KEY_DEGREE, so no searched count covers it: at N = 57 the row sum
-    # 2 * 19 + 1 catches it where 19 is unramified (a1_b3), and the
-    # Atkin-Lehner permutation where it is ramified (a1_b19)
+    # 2 * 19 + 1 catches it where 19 is unramified (a1_b3); where 19 is
+    # ramified (a1_b19) the stored B(19) is skipped, never read
     _identity_at(state, 19)
 
 
 def _identity_b37(state):
-    # B(37) swaps classes 1 and 2; loaded as the identity, it ends the
-    # warm run with exit 2
+    # B(37) swaps classes 1 and 2; read as the identity, it would end the
+    # warm run with exit 2, but a stored B(37) is skipped, never read
     _identity_at(state, 37)
 
 
 def _identity_b67(state):
+    # 67 > KEY_DEGREE is ramified: skipped, as B(37) at N = 37
     _identity_at(state, 67)
 
 
@@ -1176,7 +1211,8 @@ def test_tampered_ramified_degree_of_a_host_set_is_recomputed(tmp_path):
 
 def _b2_as_b18(state):
     # B(2) commutes with every degree and is weighted-symmetric; the row sum
-    # 3 (not 3 * 25 = 75) and B(18) = B(2) B(9) each catch it
+    # 3 (not 3 * 25 = 75) refuses it, and a stored B(18) that passed would
+    # be skipped, since every run builds B(18) as B(2) B(9)
     state["brandt"]["18"] = state["brandt"]["2"]
 
 
@@ -1254,6 +1290,34 @@ def test_unreadable_cache_file_is_a_miss(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(type(cache), "read_text", unreadable)
     assert main(argv) == 0
     assert capsys.readouterr().out == cold_out
+
+
+# a degree or precision past the index range of the dense list that counts
+# by value: refused when the list is sized, before anything is allocated
+OVERSIZED_ARGVS = [
+    ["theta", "--level", "15", "--prec", str(10**20)],
+    ["brandt", "--level", "15", "--nmax", str(10**20)],
+    ["localfactors", "--level", "15", "--range", f"2:{10**44}"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZED_ARGVS, ids=lambda argv: argv[0])
+def test_oversized_request_exits_3_without_a_traceback(argv, tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "halfint", *argv, "--cache-dir", str(tmp_path)],
+                          capture_output=True)
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr == b"error: request too large to compute (OverflowError)\n"
+
+
+def test_memory_error_exits_3_without_a_traceback(monkeypatch, capsys):
+    # no argv here allocates for real: a host that overcommits memory could
+    # kill such a run instead of raising MemoryError
+    def exhausted(config):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_basis", exhausted)
+    assert main(["basis", "--level", "15", "--prec", "5"]) == 3
+    assert capsys.readouterr() == ("", "error: request too large to compute (MemoryError)\n")
 
 
 def test_cache_dir_under_a_file_exits_3(tmp_path, capsys):
