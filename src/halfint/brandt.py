@@ -544,7 +544,7 @@ class Eigenform:
         return sum(self.vector) == 0
 
 
-def _refine(class_set: IdealClassSet, pins: dict[int, int] | None) -> list[Eigenform]:
+def _refine(class_set: IdealClassSet, pins: dict[int, tuple] | None) -> list[Eigenform]:
     """Rational simultaneous eigenlines by successive refinement under the
     degree-p matrices, unsorted.
 
@@ -556,11 +556,13 @@ def _refine(class_set: IdealClassSet, pins: dict[int, int] | None) -> list[Eigen
     outside them is discarded: no line there has a rational eigenvalue
     at p.  The primes dividing the level are refined first, then the
     other primes up to PRIME_BOUND, each in increasing order.  `pins`
-    maps primes to eigenvalues: at a pinned prime only the eigenspace of
-    the pinned eigenvalue is kept, so the lines returned are exactly the
-    unpinned ones with those eigenvalues, in the same relative order.  A
-    finished line computes its eigenvalues from its vector, at the primes
-    it was refined at as at every other.
+    maps primes to the tuples of eigenvalues a line may have there: at a
+    pinned prime only their eigenspaces are kept, in the tuple's order.
+    A block's children depend only on that block, so a pin only drops
+    subtrees, and the lines returned are exactly the unpinned ones with
+    admissible eigenvalues, in the same relative order.  A finished line
+    computes its eigenvalues from its vector, at the primes it was
+    refined at as at every other.
     """
     pins = pins or {}
     H = class_set.h
@@ -578,7 +580,7 @@ def _refine(class_set: IdealClassSet, pins: dict[int, int] | None) -> list[Eigen
             break
         B = class_set.brandt(p)
         if p in pins:
-            roots = [pins[p]]
+            roots = pins[p]
         else:
             # a rational eigenvalue of the integer matrix B is an integer,
             # and B is non-negative with every row summing to row_sum(p),
@@ -596,7 +598,7 @@ def _refine(class_set: IdealClassSet, pins: dict[int, int] | None) -> list[Eigen
 
     lines = [Eigenform(class_set, _normalize_primitive(block[0])) for block in finished]
     # a line finished before every pinned prime was reached is checked there
-    return [f for f in lines if all(f.eigenvalue(p) == v for p, v in pins.items())]
+    return [f for f in lines if all(f.eigenvalue(p) in vs for p, vs in pins.items())]
 
 
 def _by_small_eigenvalues(lines: list[Eigenform]) -> list[Eigenform]:
@@ -605,16 +607,16 @@ def _by_small_eigenvalues(lines: list[Eigenform]) -> list[Eigenform]:
 
 
 def cuspidal_eigenlines(
-    class_set: IdealClassSet, pins: dict[int, int] | None = None
+    class_set: IdealClassSet, pins: dict[int, tuple[int, ...]] | None = None
 ) -> list[Eigenform]:
     """The one-dimensional simultaneous rational eigenlines of the class
     set that are cuspidal, found by successive refinement under the
     degree-p matrices up to `PRIME_BOUND` (`_refine`) and ordered by their
     eigenvalues at ORDER_PRIMES.
 
-    `pins` optionally maps primes to the eigenvalues the lines must have
-    there; only lines with those eigenvalues are then refined and
-    returned.
+    `pins` optionally maps primes to the tuples of eigenvalues the lines
+    may have there; only lines with admissible eigenvalues are then
+    refined and returned.
     """
     lines = _refine(class_set, pins)
     return _by_small_eigenvalues([f for f in lines if f.is_cuspidal()])
@@ -627,7 +629,7 @@ def matching_eigenline(line: Eigenform, class_set: IdealClassSet) -> Eigenform:
     counted, then compared at the next primes up to PRIME_BOUND only while
     more than one line is left.  Raises ComputationError unless exactly
     one line is left."""
-    pins = {p: line.eigenvalue(p) for p in (*prime_factors(class_set.level), *ORDER_PRIMES)}
+    pins = {p: (line.eigenvalue(p),) for p in (*prime_factors(class_set.level), *ORDER_PRIMES)}
     matches = cuspidal_eigenlines(class_set, pins)
     # the pinned primes compare equal already
     for p in itertools.takewhile(lambda p: p <= PRIME_BOUND, primes()):

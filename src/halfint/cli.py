@@ -2,10 +2,10 @@
 `basis` subcommand and serialization.
 
 Every subcommand runs one pipeline, `_run`: check a newform file and
-take its entries as pins (`pins._newform_pins`), search the odd
-ramification subsets of the level for the admissible eigenlines with those
-eigenvalues (`eigenline_candidates`), select one, move it to the class
-set of its own algebra (`matching_eigenline`), build its profile, then
+take its entries as pins (`pins._newform_pins`), search one class set
+for the admissible eigenlines with those eigenvalues
+(`eigenline_candidates`), select one, move it to the class set of its
+own algebra (`matching_eigenline`), build its profile, then
 run the subcommand's stage: {g, g4, h} for `basis` (the library's
 `kohnen_basis`), degree matrices for `brandt`, class theta series for
 `theta`, local products for `localfactors`.  The selected class set is
@@ -156,12 +156,6 @@ def _store_class_set(class_set: IdealClassSet, directory: Path | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _odd_subsets(ps: list[int]) -> list[tuple[int, ...]]:
-    """Odd-cardinality subsets, ordered by product then lexicographically."""
-    subsets = [c for k in range(1, len(ps) + 1, 2) for c in itertools.combinations(ps, k)]
-    return sorted(subsets, key=lambda chosen: (prod(chosen), chosen))
-
-
 def _class_set(level: int, ramified: tuple[int, ...], cache_dir: Path | None) -> IdealClassSet:
     """The class set of the level-N Eichler order in the algebra ramified
     at `ramified`, searched, with the degree matrices a valid cache file
@@ -179,49 +173,58 @@ def _class_set(level: int, ramified: tuple[int, ...], cache_dir: Path | None) ->
     return searched
 
 
+def _host(line: Eigenform) -> tuple[int, ...]:
+    """The primes of the level at which the line's eigenvalue is +1: the
+    ramification of the algebra whose class set hosts it."""
+    return tuple(p for p in prime_factors(line.class_set.level) if line.eigenvalue(p) == 1)
+
+
 def eigenline_candidates(
     level: int,
     cache_dir: Path | None = None,
     pins: dict[int, int] | None = None,
+    degree: int = 0,
 ) -> list[Eigenform]:
-    """Admissible eigenlines over the odd ramification subsets, with the
-    eigenvalues `pins` gives (a newform file's reachable entries).
+    """The admissible eigenlines of the level, with the eigenvalues `pins`
+    gives (a newform file's reachable entries, ±1 at the level primes),
+    found on one class set, the search set, whose first counting pass
+    runs to `degree` at least.
 
-    A line qualifies for the subset S when its eigenvalue at every prime
-    dividing the level is +1 at the primes of S and -1 at the others.
-    Every subset whose signs agree with the pins at the level primes is
-    refined with its signs and the pins on one class set, the search
-    set: the Eichler order of level N in the algebra ramified at the
-    largest odd-sized prefix D of N's sorted primes, built
-    (`_class_set`), refined and stored once.  Its rational cuspidal lines
-    are the rational forms of level N that are new at D, each once
+    The search set is the Eichler order of level N in the algebra
+    ramified at the largest odd-sized prefix D of N's sorted primes,
+    built (`_class_set`), refined once and stored.  Its rational cuspidal
+    lines are the rational forms of level N that are new at D, each once
     (Jacquet–Langlands, made explicit for Brandt matrices by Pizer,
     J. Algebra 64, 1980, and Gross, "Heights and special values of
     L-series", 1987); on a newform, the degree matrix at q | N has
-    eigenvalue a_q, which is +1 exactly at the primes of the subset whose
-    own class set holds it.  With an odd number of primes D = N, the
-    maximal order of discriminant N, which holds no old form.  With an
-    even number D = N/q for the largest prime q, and the set also holds
-    the q-old forms of level N/q; such a line has B(q)-eigenvalue
-    a_q + q·w_q, a sign only when a_q = ±(q - 1), which the Hasse bound
-    |a_q| <= 2√q allows only for q <= 5, that is N = 15, and level 3 has
-    no cusp form.  So each subset's signs give that subset's lines,
-    sorted by their eigenvalues at ORDER_PRIMES, and `_run` moves only
-    the selected line to its host (`matching_eigenline`).  Lines that tie
-    at every ORDER_PRIME keep the order in which the refinement finished
-    them, and the pins only drop lines from that order.
+    eigenvalue a_q, so a line's host, the algebra whose own class set
+    holds it, is ramified at the primes where its eigenvalue is +1
+    (`_host`).  A line is admissible when its eigenvalue at every level
+    prime is ±1 and its host has an odd number of primes.  With an odd number of primes D = N, the maximal order of
+    discriminant N, which holds no old form.  With an even number D = N/q
+    for the largest prime q, and the set also holds the q-old forms of
+    level N/q; such a line has B(q)-eigenvalue a_q + q·w_q, a sign only
+    when a_q = ±(q - 1), which the Hasse bound |a_q| <= 2√q allows only
+    for q <= 5, that is N = 15, and level 3 has no cusp form.
+
+    The refinement keeps both signs at every level prime, and the lines
+    are sorted by their eigenvalues at ORDER_PRIMES (`cuspidal_eigenlines`)
+    and then by host (product, then primes), both sorts stable.  This is
+    the order of one refinement per odd subset with its signs pinned: a
+    block's children depend only on that block, so a pin at a level prime
+    only drops sibling branches, and the lines of each sign vector finish
+    in the same relative order.  Lines that tie at every ORDER_PRIME keep
+    that order, and the pins only drop lines from it.  `_run` moves only
+    the selected line to its host (`matching_eigenline`).
     """
-    pins = pins or {}
     bad_primes = prime_factors(level)
     search = tuple(bad_primes[: len(bad_primes) - 1 + len(bad_primes) % 2])
     class_set = _class_set(level, search, cache_dir)
-    out: list[Eigenform] = []
-    for ramified in _odd_subsets(bad_primes):
-        signs = {p: 1 if p in ramified else -1 for p in bad_primes}
-        if all(pins.get(p, s) == s for p, s in signs.items()):
-            out += cuspidal_eigenlines(class_set, signs | pins)
+    class_set.plan(degree)
+    admissible = {q: (1, -1) for q in bad_primes} | {p: (v,) for p, v in (pins or {}).items()}
+    lines = [f for f in cuspidal_eigenlines(class_set, admissible) if len(_host(f)) % 2]
     _store_class_set(class_set, cache_dir)
-    return out
+    return sorted(lines, key=lambda f: (prod(_host(f)), _host(f)))
 
 
 def _select(
@@ -277,17 +280,18 @@ def _run(config: JobConfig, stage: Callable[[dict], dict], pmax: int = 0) -> dic
 
     Check a newform file and take its reachable entries as pins
     (`pins._newform_pins`), search for the lines with those eigenvalues,
-    select one, move it to the class set of its host, the algebra
-    ramified where its eigenvalue is +1, when the search found it on
-    another (`matching_eigenline`), and build its profile at the primes
-    up to max(pmax, ORDER_PRIMES), `pmax` being the largest degree the
-    stage reads.  A stage that reads no profile past ORDER_PRIMES (`brandt`)
-    still gets one to pmax: one `apply` per prime, on matrices the stage
-    builds anyway.  The selected class set is planned to that degree before
-    the match counts it, so one pass serves the match, the profile and the
-    stage.  The run {"line", "selector_index", "profile"} is then extended
-    by the dict `stage` returns, and the selected class set is stored with
-    every degree the run built.
+    select one, move it to the class set of its host (`_host`), the
+    algebra ramified where its eigenvalue is +1, when the search found it
+    on another (`matching_eigenline`), and build its profile at the
+    primes up to max(pmax, ORDER_PRIMES), `pmax` being the largest degree
+    the stage reads.  A stage that reads no profile past ORDER_PRIMES
+    (`brandt`) still gets one to pmax: one `apply` per prime, on matrices
+    the stage builds anyway.  The search set and the host set are each
+    planned to that degree before their first count, so one pass per
+    class set serves the search or the match, the profile and the stage.
+    The run {"line", "selector_index", "profile"} is then extended by the
+    dict `stage` returns, and the selected class set is stored with every
+    degree the run built.
     """
     pins = {}  # without a file nothing is pinned, and nothing is there to check
     if config.newform_file:
@@ -295,18 +299,17 @@ def _run(config: JobConfig, stage: Callable[[dict], dict], pmax: int = 0) -> dic
 
         pins = _newform_pins(ingest_newform(config.newform_file), config.level)
     cache_dir = _cache_dir(config)
-    lines = eigenline_candidates(config.level, cache_dir, pins)
+    pmax = max(pmax, *ORDER_PRIMES)
+    lines = eigenline_candidates(config.level, cache_dir, pins, pmax)
     if pins and not lines:
         raise NewformFileError("external eigenvalues conflict with every computed eigenline")
     index, line = _select(lines, config.selector, config.level)
-    pmax = max(pmax, *ORDER_PRIMES)
-    host = tuple(p for p in prime_factors(config.level) if line.eigenvalue(p) == 1)
+    host = _host(line)
     if host != line.class_set.alg.ramified:
         # one counting pass on the host serves the match and the profile
         host_set = _class_set(config.level, host, cache_dir)
         host_set.plan(pmax)
         line = matching_eigenline(line, host_set)
-    line.class_set.plan(pmax)
     run = {"line": line, "selector_index": index, "profile": _build_profile(line, pmax)}
     run |= stage(run)
     _store_class_set(line.class_set, cache_dir)

@@ -3,8 +3,8 @@
 Every error carries an ``exit_code`` so the command-line front end can map
 outcomes uniformly: 2 for the mathematically meaningful zero-form case,
 3 for configuration problems (bad level, bad selector, inconsistent
-newform data), 4 for internal computation failures that should never
-happen on valid input.
+newform data, a level past a program bound), 4 for internal computation
+failures that should never happen on valid input.
 """
 
 
@@ -51,12 +51,14 @@ class NewformFileError(ConfigurationError):
     eigenvalues actually computed."""
 
 
+class SearchExhaustedError(ConfigurationError):
+    """A bounded search ran out of room before finding its object: a
+    program bound on the input (`quat.SEARCH_BOUND`), as the
+    trial-division bound on the level is."""
+
+
 class ComputationError(HalfIntError):
     """Internal failure: a search or consistency check did not close."""
-
-
-class SearchExhaustedError(ComputationError):
-    """A bounded search ran out of room before finding its object."""
 
 
 class MaximalOrderNotFoundError(ComputationError):

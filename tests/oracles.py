@@ -9,15 +9,15 @@ library replaced by faster code with the same output (`hnf_rows_ref`,
 `unpruned_candidates`, `filtered_candidates`): they pin the replacement
 to what it replaced.
 The small helpers after them (`xgcd`, `hilbert_real`, `qadd`, `trd`,
-`contains_lattice`, `unit_count`, `series_sum`, `equivalent_ideals`)
-serve only the tests.
+`contains_lattice`, `unit_count`, `series_sum`, `equivalent_ideals`,
+`_odd_subsets`) serve only the tests.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
 import itertools
 
@@ -824,12 +824,17 @@ def assemble_h_ref(g, profile, prec):
 # ---------------------------------------------------------------------------
 
 
+def _odd_subsets(ps: list[int]) -> list[tuple[int, ...]]:
+    """Odd-cardinality subsets, ordered by product then lexicographically."""
+    subsets = [c for k in range(1, len(ps) + 1, 2) for c in itertools.combinations(ps, k)]
+    return sorted(subsets, key=lambda chosen: (prod(chosen), chosen))
+
+
 def eigenline_candidates_ref(level):
     """The admissible eigenlines of every odd ramification subset, in
     `_odd_subsets` order, each refined with its signs on the class set of
     the level-N Eichler order in its own algebra."""
     from halfint.brandt import cuspidal_eigenlines, ideal_classes
-    from halfint.cli import _odd_subsets
     from halfint.lattice import eichler_order
     from halfint.numth import prime_factors
     from halfint.quat import algebra_ramified_at
@@ -838,7 +843,7 @@ def eigenline_candidates_ref(level):
     out = []
     for ramified in _odd_subsets(bad):
         order = eichler_order(algebra_ramified_at(list(ramified)), level)
-        signs = {p: 1 if p in ramified else -1 for p in bad}
+        signs = {p: (1,) if p in ramified else (-1,) for p in bad}
         out += cuspidal_eigenlines(ideal_classes(order), pins=signs)
     return out
 
@@ -847,7 +852,6 @@ def unpruned_candidates(level):
     """The search without sign pruning: every subset fully refined, then
     the lines with the wrong bad-prime signs dropped."""
     from halfint.brandt import cuspidal_eigenlines, ideal_classes
-    from halfint.cli import _odd_subsets
     from halfint.lattice import eichler_order
     from halfint.numth import prime_factors
     from halfint.quat import algebra_ramified_at

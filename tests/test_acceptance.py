@@ -356,6 +356,11 @@ PINNED_OUTPUTS = {
     # each subset was searched on its own class set
     "basis --level 339 --prec 100":
         "5d6fbc4217fba68dc582d4d7d574d7d8203470fe7f3cc6022e0fd1b6c6aef768",
+    # four level primes (3, 5, 7, 11): eight sign vectors in one refinement
+    "basis --level 1155 --prec 30 --format json --selector 1":
+        "0e35f33f7cc9d1f1a54c5f910b4f919d800e77c0dcddd316039d9ac896553198",
+    "basis --level 1155 --prec 30 --format json --selector 2":
+        "769a8235be25fef19763ece716580a94b71c9896bf799ff273d42d33314abb12",
     "brandt --level 67 --nmax 20 --format json":
         "595f82b1a82f74f50a8822db01cb6a8aed15f780b9d365d0b0baee6be7f35564",
     "brandt --level 105 --nmax 20 --format json":

@@ -26,13 +26,12 @@ from halfint.brandt import (
     ideal_classes,
     _neighbors,
 )
-from halfint.cli import _odd_subsets
 from halfint.errors import IrrationalEigenspaceError, MissingEigenvalueError
 from halfint.kernels import _eigenspace, _product, combine
 from halfint.lattice import Lattice4, eichler_order, maximal_order
 from halfint.numth import factorize, prime_factors
 from halfint.quat import QuaternionAlgebra, algebra_ramified_at
-from oracles import basis, contains_lattice, equivalent_ideals, from_vectors, qelt
+from oracles import _odd_subsets, basis, contains_lattice, equivalent_ideals, from_vectors, qelt
 
 
 def rational_eigenlines(class_set):

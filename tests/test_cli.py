@@ -560,6 +560,16 @@ def test_main_config_errors(capsys):
     )
 
 
+def test_level_past_the_algebra_search_exits_3(tmp_path):
+    # a valid odd square-free level whose algebra needs a*b past
+    # quat.SEARCH_BOUND: a program bound on the input, as the
+    # trial-division bound is, so a configuration error and not exit 4
+    proc = subprocess.run([sys.executable, "-m", "halfint", "basis", "--level", "1000003",
+                           "--cache-dir", str(tmp_path)], capture_output=True)
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr == b"error: no presentation with a*b <= 1000000 ramifies at [1000003]\n"
+
+
 def test_selector_repeat_with_another_value_exits_3(capsys):
     # 2=-1 alone picks a line at N=15; 2=1 first must not be overridden
     assert main(["basis", "--level", "15", "--selector", "2=1,2=-1"]) == 3
@@ -784,14 +794,22 @@ def test_cold_run_counts_each_class_set_once(tmp_path, monkeypatch, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["brandt_a7_b15_N105.json"]
 
 
-@pytest.mark.parametrize("argv, degree", [
-    (["basis", "--level", "15", "--prec", "1000"], 31),
-    (["brandt", "--level", "15", "--nmax", "20"], 20),
-], ids=["basis", "brandt"])
-def test_deep_run_counts_the_host_once(argv, degree, tmp_path, monkeypatch, capsys):
-    # the stage's degree (31 for the profile at --prec 1000, 20 for B(20))
-    # exceeds KEY_DEGREE: the host (the algebra ramified at 5) is planned to
-    # it before the match, so the match and the stage share one counting pass
+@pytest.mark.parametrize("argv, header, ramified, degree", [
+    (["basis", "--level", "15", "--prec", "1000"], "a=2 b=5 ramified 5", (5,), 31),
+    (["brandt", "--level", "15", "--nmax", "20"], "a=2 b=5 ramified 5", (5,), 20),
+    (["basis", "--level", "11", "--prec", "300"], "a=1 b=11 ramified 11", (11,), 17),
+    (["basis", "--level", "37", "--prec", "300"], "a=2 b=37 ramified 37", (37,), 17),
+    (["basis", "--level", "67", "--prec", "300"], "a=1 b=67 ramified 67", (67,), 17),
+    (["basis", "--level", "105", "--prec", "300"], "a=7 b=15 ramified 3,5,7", (3, 5, 7), 17),
+], ids=["basis", "brandt", "search-11", "search-37", "search-67", "search-105"])
+def test_deep_run_counts_the_host_once(
+    argv, header, ramified, degree, tmp_path, monkeypatch, capsys
+):
+    # the stage's degree (31 for the profile at --prec 1000, 17 at --prec
+    # 300, 20 for B(20)) exceeds KEY_DEGREE: the host is planned to it
+    # before its first count, so one counting pass serves the search or the
+    # match and the stage; at N=15 the host is ramified at 5, and at the
+    # other levels it is the search set, planned before the search counts
     passes = []
     original = IdealClassSet._count
 
@@ -801,9 +819,9 @@ def test_deep_run_counts_the_host_once(argv, degree, tmp_path, monkeypatch, caps
 
     monkeypatch.setattr(IdealClassSet, "_count", counted)
     assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
-    assert capsys.readouterr().out.startswith("level 15\nalgebra a=2 b=5 ramified 5\n")
+    assert capsys.readouterr().out.startswith(f"level {argv[2]}\nalgebra {header}\n")
     assert len(passes) == len({id(class_set) for class_set, _ in passes})
-    host = [nmax for class_set, nmax in passes if class_set.alg.ramified == (5,)]
+    host = [nmax for class_set, nmax in passes if class_set.alg.ramified == ramified]
     assert host == [degree]
 
 
@@ -894,11 +912,17 @@ def test_reference_search_matches_the_per_subset_search(level):
 
 @pytest.mark.parametrize("level", [11, 15, 21, 105, 195])
 def test_search_builds_one_class_set(level, monkeypatch):
-    searched = []
+    # and refines it once: every sign vector of the level primes in one
+    # refinement, each line's host read from its eigenvalues, where one
+    # refinement per odd subset made four at N=105
+    searched, refined = [], []
     monkeypatch.setattr(cli, "ideal_classes", lambda order: searched.append(order)
                         or ideal_classes(order))
+    original = cli.cuspidal_eigenlines
+    monkeypatch.setattr(cli, "cuspidal_eigenlines", lambda class_set, pins=None:
+                        refined.append(class_set) or original(class_set, pins))
     eigenline_candidates(level)
-    assert len(searched) == 1
+    assert len(searched) == len(refined) == 1
 
 
 def test_cold_run_counts_each_lattice_once(tmp_path, monkeypatch, capsys):

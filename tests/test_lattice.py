@@ -13,7 +13,6 @@ import oracles
 
 import halfint.kernels as kernels_module
 from halfint.brandt import _pair_lattice, ideal_classes
-from halfint.cli import _odd_subsets
 from halfint.errors import IntegralityError, MaximalOrderNotFoundError
 from halfint.kernels import _form_content, _lll, count_by_value, hnf_rows
 from halfint.lattice import (
@@ -26,7 +25,7 @@ from halfint.lattice import (
 )
 from halfint.numth import is_squarefree, prime_factors
 from halfint.quat import QuaternionAlgebra, algebra_ramified_at, conj
-from oracles import basis, contains_lattice, from_vectors, qelt, qscale
+from oracles import _odd_subsets, basis, contains_lattice, from_vectors, qelt, qscale
 
 B25 = QuaternionAlgebra(2, 5)
 B11 = QuaternionAlgebra(1, 1)

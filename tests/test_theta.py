@@ -14,7 +14,6 @@ from halfint.lattice import Lattice4, Order, eichler_order
 from halfint.lift import LiftProfile
 from halfint.qexp import QExpansion
 from halfint.quat import QuaternionAlgebra, algebra_ramified_at, conj
-from halfint.cli import _odd_subsets
 from halfint.numth import prime_factors
 from halfint.theta import (
     TernaryLattice,
@@ -25,7 +24,7 @@ from halfint.theta import (
     trace_zero_lattice,
     trace_zero_part,
 )
-from oracles import basis, from_vectors, qelt, qscale, trd
+from oracles import _odd_subsets, basis, from_vectors, qelt, qscale, trd
 
 # coefficients of the two class theta series at level 15 through q^95,
 # halved counts, constant term dropped; the principal class comes first
@@ -275,7 +274,7 @@ def test_kohnen_form_skips_classes_of_weight_zero(monkeypatch):
     # the N=67 line weights two of its six classes by 0; their theta
     # series add nothing, so only the other four are enumerated
     alg = algebra_ramified_at([67])
-    line = cuspidal_eigenlines(ideal_classes(eichler_order(alg, 67)), pins={67: 1})[0]
+    line = cuspidal_eigenlines(ideal_classes(eichler_order(alg, 67)), pins={67: (1,)})[0]
     assert line.vector == (1, 1, 0, 0, -1, -1)
     full = oracles.series_sum(
         (weight, ternary_theta(trace_zero_lattice(order), 80))
