@@ -30,7 +30,7 @@ from .errors import (
     ZeroFormError,
 )
 from .lattice import Lattice4, Order, eichler_order, maximal_order
-from .lift import LiftProfile, assemble_h, kronecker_gate, power_sums
+from .lift import LiftProfile, assemble_h, power_sums
 from .qexp import QExpansion
 from .quat import Quat, QuaternionAlgebra, algebra_ramified_at
 from .theta import (
@@ -73,14 +73,11 @@ __all__ = [
     "cuspidal_eigenlines",
     "deep_coefficients",
     "eichler_order",
-    "f1_f2_diagnostic",
-    "global_factor",
     "hecke_check",
     "ideal_classes",
     "ingest_newform",
     "kohnen_basis",
     "kohnen_form",
-    "kronecker_gate",
     "local_K",
     "main",
     "maximal_order",
@@ -89,16 +86,13 @@ __all__ = [
     "trace_zero_lattice",
 ]
 
-# loaded on first use, since a basis job needs neither: the float
-# diagnostics and the newform-file parser
-_LOCALFACTORS = ("f1_f2_diagnostic", "global_factor", "local_K")
-
-
+# loaded on first use, since a basis job needs neither: the float local
+# products and the newform-file parser
 def __getattr__(name: str):
-    if name in _LOCALFACTORS:
-        from . import localfactors
+    if name == "local_K":
+        from .localfactors import local_K
 
-        return getattr(localfactors, name)
+        return local_K
     if name == "ingest_newform":
         from .pins import ingest_newform
 

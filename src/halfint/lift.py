@@ -6,8 +6,10 @@ coefficient factors as a product of local terms, one per prime.  This
 module assembles the second basis vector h from g exactly, in integers,
 by one recursion that peels the largest odd prime off the square part
 of each index, down to a square part 2^s that the power sums at 2
-handle.  The floating-complex evaluation of the same local terms, a
-diagnostic for small tables, is `halfint.localfactors`.
+handle.  The floating-complex local products that the `localfactors`
+subcommand prints are `halfint.localfactors`; the floating f₁ and f₂
+with √2·(f₁ + f₂) = h, which check this assembly, live in the tests
+(`tests/oracles.py`).
 
 h through q^prec reads g at the square-free cores t <= prec: g_t when
 t ≡ 3 mod 4, and g_{4t} otherwise.  The second comes from g4, the series
@@ -17,8 +19,9 @@ once, from a sieve: it runs the gate once per core, on the discriminant
 of the sieved core (no second square-free test), and then walks the
 indices core·y² in increasing y, factoring only y, each y <= √prec once.
 
-Both read one number per prime from a `LiftProfile`: the eigenvalue b_p
-of the degree-p matrix on the eigenline.  At a prime dividing the level
+`assemble_h` and `local_K` read one number per prime from a
+`LiftProfile`: the eigenvalue b_p of the degree-p matrix on the
+eigenline.  At a prime dividing the level
 b_p is a sign, and the level involution there has sign w_p = -b_p,
 which `LiftProfile.involution_sign` alone computes.
 """
@@ -31,7 +34,6 @@ from types import MappingProxyType
 from .errors import MissingEigenvalueError, PrecisionError
 from .numth import (
     factorize,
-    fundamental_discriminant,
     hilbert,
     is_squarefree,
     kronecker,
@@ -43,7 +45,6 @@ from .value import Value
 __all__ = [
     "LiftProfile",
     "power_sums",
-    "kronecker_gate",
     "assemble_h",
 ]
 
@@ -103,14 +104,10 @@ def power_sums(b2: int, smax: int) -> list[int]:
     return vals[: smax + 1]
 
 
-def kronecker_gate(profile: LiftProfile, t: int) -> bool:
-    """Local sign condition at the bad primes for a square-free index."""
-    return _gate(profile, fundamental_discriminant(t))
-
-
 def _gate(profile: LiftProfile, disc: int) -> bool:
-    """`kronecker_gate` at the index whose fundamental discriminant is
-    `disc`, for a caller that knows the index is square-free."""
+    """The local sign condition at the bad primes for the square-free
+    index whose fundamental discriminant is `disc`: at each bad prime p
+    prime to `disc`, (disc | p) must equal the involution sign w_p."""
     for p in profile.bad:
         if disc % p != 0 and kronecker(disc, p) != profile.involution_sign(p):
             return False

@@ -1,8 +1,8 @@
 """Elementary exact number theory.
 
 Valuations and p-parts, trial-division factorization, squarefree
-decompositions, discriminants of imaginary quadratic orders, Kronecker
-symbols, and Hilbert symbols over Q_2 and Q_p in closed form.
+decompositions, Kronecker symbols, and Hilbert symbols over Q_2 and Q_p
+in closed form.
 
 Everything here is exact integer arithmetic; no floats.
 """
@@ -99,17 +99,6 @@ def squarefree_part(n: int) -> int:
         raise ValueError("squarefree part of zero is undefined")
     sign = -1 if n < 0 else 1
     return sign * squarefree_split(abs(n))[0]
-
-
-def fundamental_discriminant(t: int) -> int:
-    """Discriminant of the quadratic order attached to sqrt(-t).
-
-    t must be a squarefree positive integer; the result is -t when
-    -t = 1 mod 4 and -4t otherwise.
-    """
-    if t < 1 or not is_squarefree(t):
-        raise ValueError(f"need squarefree t >= 1, got {t}")
-    return -t if (-t) % 4 == 1 else -4 * t
 
 
 def is_prime(n: int) -> bool:

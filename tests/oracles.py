@@ -10,24 +10,37 @@ library replaced by faster code with the same output (`hnf_rows_ref`,
 to what it replaced.
 The small helpers after them (`xgcd`, `hilbert_real`, `qadd`, `trd`,
 `contains_lattice`, `unit_count`, `series_sum`, `equivalent_ideals`,
-`_odd_subsets`) serve only the tests.
+`_odd_subsets`) serve only the tests.  The floating-complex pair f₁, f₂
+(`f1_f2_diagnostic`, with `global_factor`, `c2_doubleprime`,
+`local_K_doubleprime`, `kronecker_gate` and `fundamental_discriminant`)
+reaches h by Waldspurger's local factors without `lift.assemble_h`'s
+recursion, so √2·(f₁ + f₂) = h checks the exact assembly.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import isqrt, lcm, prod, sqrt
 
 import itertools
 
 import numpy as np
 
-from halfint.errors import IntegralityError
+from halfint.errors import IntegralityError, PrecisionError
 from halfint.kernels import combine
 from halfint.lattice import Lattice4
-from halfint.lift import kronecker_gate, power_sums
-from halfint.numth import divisors, factorize, hilbert, kronecker, squarefree_split
+from halfint.lift import power_sums
+from halfint.localfactors import alpha_pair, c2_prime, cp_0, cp_s, local_K
+from halfint.numth import (
+    divisors,
+    factorize,
+    hilbert,
+    is_squarefree,
+    kronecker,
+    squarefree_split,
+    valuation,
+)
 from halfint.quat import QuaternionAlgebra, _ramified, conj
 
 
@@ -759,6 +772,99 @@ def algebra_ramified_at_ref(targets):
                 left.discard(target)
                 if not left:
                     return out
+
+
+# ---------------------------------------------------------------------------
+# The two-element basis f1, f2 in complex floating point, from the global
+# factor read off g and the local products of `halfint.localfactors`:
+# h = √2·(f1 + f2), reached without the exact recursion.
+# ---------------------------------------------------------------------------
+
+
+def fundamental_discriminant(t: int) -> int:
+    """Discriminant of the quadratic order attached to sqrt(-t).
+
+    t must be a squarefree positive integer; the result is -t when
+    -t = 1 mod 4 and -4t otherwise.
+    """
+    if t < 1 or not is_squarefree(t):
+        raise ValueError(f"need squarefree t >= 1, got {t}")
+    return -t if (-t) % 4 == 1 else -4 * t
+
+
+def kronecker_gate(profile, t: int) -> bool:
+    """Local sign condition at the bad primes for a square-free index t:
+    (D | p) = w_p at each bad p prime to D, the discriminant of sqrt(-t)."""
+    disc = fundamental_discriminant(t)
+    return all(
+        disc % p == 0 or kronecker(disc, p) == profile.involution_sign(p)
+        for p in profile.bad
+    )
+
+
+def c2_doubleprime(delta: complex, n: int) -> complex:
+    """Local term at 2, second kind (recursive)."""
+    v2 = valuation(n, 2)
+    if v2 == 0:
+        return delta if hilbert(n, -1, 2) == -1 else 0j
+    if v2 == 1:
+        return 0j
+    return delta * (c2_doubleprime(delta, n // 4) + c2_prime(delta, n // 4))
+
+
+def local_K_doubleprime(profile, n: int) -> complex:
+    """The "K2'" product: `local_K`'s terms at the odd primes, with the
+    second-kind term at 2 at α₂ in place of the first-kind one."""
+    if n < 1:
+        raise ValueError("index must be positive")
+    value = c2_doubleprime(alpha_pair(profile)[0], n)
+    for p in profile.bad:
+        value *= cp_s(profile.eigenvalue(p) / sqrt(p), p, n)
+    for p, e in factorize(n).items():
+        if p != 2 and p not in profile.bad and e >= 2:
+            value *= cp_0(profile.eigenvalue(p) / sqrt(p), p, n)
+    return value
+
+
+def global_factor(profile, g, g4, t: int) -> float:
+    """A-value at a square-free index passing the gate, normalized r = 1.
+
+    Reads the theta-side coefficient at |Δ_{−t}|: g_t when Δ_{−t} = −t,
+    and g4_t = g_{4t} when Δ_{−t} = −4t.  It multiplies that by the
+    discriminant and dyadic normalizations.
+    """
+    if not kronecker_gate(profile, t):
+        raise ValueError(f"local sign condition fails at {t}")
+    disc = fundamental_discriminant(t)
+    uncovered = sum(1 for p in profile.bad if disc % p != 0)
+    coefficient = g[t] if disc == -t else g4[t]
+    return 2.0 ** (-uncovered / 2) * abs(disc) ** (-0.25) * float(coefficient)
+
+
+def f1_f2_diagnostic(g, g4, profile, prec: int):
+    """Floating coefficients {n: f1_n}, {n: f2_n} of the two-element
+    basis for 1 <= n <= prec, normalized r = 1.
+
+    `g4` holds g's coefficients at multiples of 4, as for `assemble_h`.
+    Every index whose square-free part fails the gate gets 0; the rest
+    combine the global factor with the local products.
+    """
+    for series in (g, g4):
+        if series.prec < prec:
+            raise PrecisionError(
+                f"need theta coefficients through {prec}, have {series.prec}"
+            )
+    f1: dict[int, complex] = {}
+    f2: dict[int, complex] = {}
+    for n in range(1, prec + 1):
+        core, _ = squarefree_split(n)
+        if not kronecker_gate(profile, core):
+            f1[n] = f2[n] = 0j
+            continue
+        base = global_factor(profile, g, g4, core) * n**0.25
+        f1[n] = base * local_K(profile, "K1", n)
+        f2[n] = base * local_K(profile, "K2", n)
+    return f1, f2
 
 
 # ---------------------------------------------------------------------------

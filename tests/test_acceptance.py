@@ -31,10 +31,11 @@ from halfint.errors import (
     ZeroFormError,
 )
 from halfint.lift import power_sums
-from halfint.localfactors import global_factor, local_K
+from halfint.localfactors import local_K
 from halfint.numth import hilbert, prime_factors, squarefree_part
 from halfint.qexp import QExpansion
 from halfint.theta import hecke_check, kohnen_form, ternary_theta, trace_zero_lattice
+from oracles import global_factor
 
 SQRT2 = math.sqrt(2.0)
 SQRT7 = math.sqrt(7.0)

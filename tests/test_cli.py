@@ -1492,7 +1492,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = halfint.cli.main(["basis", "--level", "15", "--prec", "20"])
 print(code, sorted(heavy & set(sys.modules)))
 import halfint
-print(halfint.local_K.__module__, halfint.f1_f2_diagnostic.__module__)
+print(halfint.local_K.__module__)
 print(halfint.ingest_newform.__module__)
 """
 
@@ -1500,7 +1500,7 @@ print(halfint.ingest_newform.__module__)
 def test_import_loads_neither_dataclasses_nor_inspect():
     # every job is a fresh process, so what the import pulls in is paid on
     # every run; -S keeps site hooks of the environment out of the check.
-    # The float diagnostics still resolve from the package, on first use.
+    # The float local products still resolve from the package, on first use.
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", IMPORT_PROBE],
@@ -1510,7 +1510,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
-        "[]\n0 []\nhalfint.localfactors halfint.localfactors\nhalfint.pins\n"
+        "[]\n0 []\nhalfint.localfactors\nhalfint.pins\n"
     )
 
 

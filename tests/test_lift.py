@@ -5,21 +5,22 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import halfint
 import oracles
 from halfint import lift
+from halfint.cli import JobConfig, kohnen_basis
 from halfint.errors import MissingEigenvalueError, PrecisionError
-from halfint.lift import LiftProfile, assemble_h, kronecker_gate, power_sums
-from halfint.localfactors import (
-    alpha_pair,
+from halfint.lift import LiftProfile, assemble_h, power_sums
+from halfint.localfactors import alpha_pair, c2_prime, cp_0, cp_s, local_K
+from halfint.numth import hilbert
+from halfint.qexp import QExpansion
+from oracles import (
     c2_doubleprime,
-    c2_prime,
-    cp_0,
-    cp_s,
     f1_f2_diagnostic,
     global_factor,
-    local_K,
+    kronecker_gate,
+    local_K_doubleprime,
 )
-from halfint.qexp import QExpansion
 
 SQRT2 = math.sqrt(2)
 SQRT7 = math.sqrt(7)
@@ -218,6 +219,36 @@ def test_local_product_rejects_bad_kind():
         local_K(LEVEL15_PROFILE, "K3", 5)
 
 
+def test_local_product_of_the_second_kind_is_gone():
+    # the second-kind product at 2 is a test oracle now, not a kind
+    with pytest.raises(ValueError, match="unknown local product"):
+        local_K(LEVEL15_PROFILE, "K2'", 5)
+
+
+@pytest.mark.parametrize("name", ["f1_f2_diagnostic", "global_factor", "kronecker_gate"])
+def test_float_diagnostics_left_the_package(name):
+    with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
+        getattr(halfint, name)
+    assert name not in halfint.__all__
+
+
+def test_second_kind_product_against_the_first():
+    # both products share their odd-prime terms, and at a 2-adic unit
+    # n = 3 mod 4 the terms at 2 are α₂ and α₂ − (2, n)₂/√2; at n = 1, 2
+    # mod 4 the second kind vanishes, and it needs n >= 1 as local_K does
+    a, _ = alpha_pair(LEVEL15_PROFILE)
+    for n in range(1, 60):
+        k2 = local_K_doubleprime(LEVEL15_PROFILE, n)
+        if n % 4 in (1, 2):
+            assert k2 == 0
+        elif n % 4 == 3:
+            eps = hilbert(2, n, 2)
+            k1 = local_K(LEVEL15_PROFILE, "K1", n)
+            assert abs(k2 * (a - eps / SQRT2) - a * k1) < 1e-12, n
+    with pytest.raises(ValueError):
+        local_K_doubleprime(LEVEL15_PROFILE, 0)
+
+
 # ---------------------------------------------------------------------------
 # gate and global factors
 # ---------------------------------------------------------------------------
@@ -241,11 +272,11 @@ def test_gate_forces_zero_products():
 
 def test_h_gates_each_core_without_a_second_square_free_test(monkeypatch):
     # the sieve already knows each core is square-free, so assemble_h hands
-    # the gate the core's discriminant; only outside callers pay the check
+    # the gate the core's discriminant and never tests a core again
     def refuse(t):
         raise AssertionError(f"square-free test of the sieved core {t}")
 
-    monkeypatch.setattr(lift, "fundamental_discriminant", refuse)
+    monkeypatch.setattr(lift, "is_squarefree", refuse)
     assert assemble_h(LEVEL15_G, LEVEL15_G4, LEVEL15_PROFILE, 25).coeffs == LEVEL15_H
 
 
@@ -312,6 +343,23 @@ def test_ratio_identity():
 def test_diagnostic_requires_deep_theta():
     with pytest.raises(PrecisionError):
         f1_f2_diagnostic(LEVEL15_G, LEVEL15_G4, LEVEL15_PROFILE, 26)
+
+
+# prime levels and levels of two, three and four primes, up to 144 classes
+# at N = 1155
+ORACLE_LEVELS = (11, 15, 19, 35, 37, 57, 67, 105, 195, 231, 285, 1155)
+
+
+@pytest.mark.parametrize("level", ORACLE_LEVELS)
+def test_h_matches_the_float_pair(level):
+    # the global factor read off g and the local products reach
+    # h = √2·(f₁ + f₂) without the recursion of assemble_h
+    run = kohnen_basis(JobConfig(level=level, prec=120))
+    f1, f2 = f1_f2_diagnostic(run["g"], run["g4"], run["profile"], 120)
+    h = run["h"]
+    assert h.coeffs
+    for n in range(1, 121):
+        assert abs(SQRT2 * (f1[n] + f2[n]) - h[n]) <= 1e-9 * max(1, abs(h[n])), n
 
 
 # ---------------------------------------------------------------------------

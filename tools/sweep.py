@@ -21,7 +21,13 @@ at the same `--prec` (lines starting with `#` are skipped, and so are the
 wall time and the class number), and exits 1 naming every level that
 differs or that FILE does not list; any sub-range of FILE can be checked.
 `tools/sweep_reference.txt` is the sweep of 3 <= N < 1100 at `--prec 30`,
-in which no level took 16 s, two levels at a time on two cores.
+in which no level took 16 s, two levels at a time on two cores, and
+`tools/sweep_reference_2100.txt` the sweep of 1100 <= N < 2100 at the same
+precision.
+
+When stdout closes early (`... | head -1`), the sweep starts no further
+level, kills the processes of the levels running, and exits 3 with one
+line on stderr.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -53,31 +60,60 @@ def odd_squarefree(lo: int, hi: int) -> list[int]:
     return [n for n in range(max(lo, 3), hi) if n % 2 and squarefree(n)]
 
 
-def _run_once(argv: list[str], env: dict, timeout: float) -> tuple[str, float, bytes]:
-    """(exit code or "timeout", wall seconds, stdout) of one fresh process."""
-    start = time.perf_counter()
-    try:
-        done = subprocess.run(argv, env=env, capture_output=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return "timeout", time.perf_counter() - start, b""
-    return str(done.returncode), time.perf_counter() - start, done.stdout
+class Processes:
+    """The level processes of one sweep.  After `stop`, no process starts,
+    and the ones running have been killed."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._running: set[subprocess.Popen] = set()
+        self._stopped = False
+
+    def run(self, argv: list[str], env: dict, timeout: float) -> tuple[str, float, bytes]:
+        """(exit code or "timeout" or "stopped", wall seconds, stdout) of
+        one fresh process."""
+        start = time.perf_counter()
+        with self._lock:
+            if self._stopped:
+                return "stopped", 0.0, b""
+            proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE)
+            self._running.add(proc)
+        try:
+            out, _ = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+            return "timeout", time.perf_counter() - start, b""
+        finally:
+            with self._lock:
+                self._running.discard(proc)
+        if self._stopped:
+            return "stopped", 0.0, b""
+        return str(proc.returncode), time.perf_counter() - start, out
+
+    def stop(self) -> None:
+        with self._lock:
+            self._stopped = True
+            for proc in self._running:
+                proc.kill()
 
 
 def run_level(
-    level: int, prec: int, timeout: float, src: Path
+    level: int, prec: int, timeout: float, src: Path, procs: Processes
 ) -> tuple[int, str, float, str, str, bool]:
-    """(level, exit code or "timeout", wall seconds, class number or "-",
-    stdout SHA-256, whether the warm run matched), the first four of the
-    cold run."""
+    """(level, exit code or "timeout" or "stopped", wall seconds, class
+    number or "-", stdout SHA-256, whether the warm run matched), the
+    middle four of the cold run."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     env.pop("HALFINT_CACHE_DIR", None)
     with tempfile.TemporaryDirectory(prefix="halfint-sweep-") as cache:
         argv = [sys.executable, "-m", "halfint", "basis", "--level", str(level),
                 "--prec", str(prec), "--format", "json", "--cache-dir", cache]
-        code, wall, out = _run_once(argv, env, timeout)
-        if code == "timeout":
+        code, wall, out = procs.run(argv, env, timeout)
+        if code in ("timeout", "stopped"):
             return level, code, wall, "-", "-", True
-        warm_code, _, warm_out = _run_once(argv, env, timeout)
+        warm_code, _, warm_out = procs.run(argv, env, timeout)
     classes = str(json.loads(out)["class_number"]) if out.strip() else "-"
     warm_same = (warm_code, warm_out) == (code, out)
     return level, code, wall, classes, hashlib.sha256(out).hexdigest(), warm_same
@@ -106,17 +142,35 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     ref = read_reference(args.check) if args.check else None
     levels = odd_squarefree(args.lo, args.hi)
-    results, differ, warm_differ = [], [], []
+    procs = Processes()
     with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
-        runs = pool.map(lambda n: run_level(n, args.prec, args.timeout, args.src.resolve()),
-                        levels)
-        for level, code, wall, classes, digest, warm_same in runs:
-            results.append((level, code, wall))
-            print(f"{level:6} {code:>7} {wall:8.2f}s {classes:>4} {digest}", flush=True)
-            if ref is not None and ref.get(level) != (code, digest):
-                differ.append(level)
-            if not warm_same:
-                warm_differ.append(level)
+        runs = pool.map(
+            lambda n: run_level(n, args.prec, args.timeout, args.src.resolve(), procs), levels
+        )
+        try:
+            return report(args, levels, runs, ref)
+        except BrokenPipeError as exc:
+            procs.stop()
+            pool.shutdown(cancel_futures=True)
+            # the interpreter's own flush at exit would fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+            return 3
+
+
+def report(args: argparse.Namespace, levels: list[int], runs, ref) -> int:
+    """Print each level's line as its runs finish, then the summary; the
+    sweep's exit code."""
+    results, differ, warm_differ = [], [], []
+    for level, code, wall, classes, digest, warm_same in runs:
+        results.append((level, code, wall))
+        print(f"{level:6} {code:>7} {wall:8.2f}s {classes:>4} {digest}", flush=True)
+        if ref is not None and ref.get(level) != (code, digest):
+            differ.append(level)
+        if not warm_same:
+            warm_differ.append(level)
     print(f"# {len(levels)} levels in [{args.lo}, {args.hi}), --prec {args.prec}")
     slowest = sorted(results, key=lambda r: -r[2])[:10]
     print("# slowest: " + ", ".join(f"{n} {wall:.2f}s" for n, _, wall in slowest))
@@ -125,6 +179,7 @@ def main(argv: list[str] | None = None) -> int:
     print("# warm differs from cold: " + (", ".join(map(str, warm_differ)) or "none"))
     if ref is not None:
         print(f"# differ from {args.check}: " + (", ".join(map(str, differ)) or "none"))
+    sys.stdout.flush()
     return 1 if differ or warm_differ else 0
 
 
