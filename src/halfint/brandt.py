@@ -12,6 +12,8 @@ Conventions used throughout (and pinned by the tests):
   so B(1) is the identity and coefficient vectors act as rows, v -> vB;
 * every row of B(n) sums to `IdealClassSet.row_sum(n)`, the Eisenstein
   eigenvalue at n, and every counted or cached matrix is checked so;
+* so every B(n) keeps the cusp hyperplane sum(v) = 0, the complement of
+  the Eisenstein line, and the refinement starts there (`_refine`);
 * a cuspidal rational eigenline is normalized primitive integral with
   positive first nonzero entry.
 
@@ -24,11 +26,12 @@ the same lattice as the 16 products of the two bases.  Row 0 and the
 diagonal need no pair lattice at all (`IdealClassSet._count`): counts
 are in units of the content, conj(I_j) O = conj(I_j) has the counts of
 I_j, and conj(I_j) I_j = nrd(I_j) O_j those of the right order O_j.
-The class search counts each class (its key) and each right order (its
-unit count) to KEY_DEGREE, the largest degree the refinement plans at
-most levels, and those counts serve as the pairs (0, j) and (j, j) of
-every pass up to that degree; a deeper pass counts them on classes[j]
-and rights[j].lattice, which the class search has already counted.
+The class search counts each class (its key) and each right order to
+KEY_DEGREE, the largest degree the refinement plans at most levels, and
+those counts serve as the pairs (0, j) and (j, j) of every pass up to
+that degree, e_j being the right order's count at 1; a deeper pass
+counts them on classes[j] and rights[j].lattice, which the class search
+has already counted.
 
 Two relations give degrees without counting (Pizer, J. Algebra 64,
 1980): B(mk) = B(m) B(k) for coprime m, k, and at a ramified prime q,
@@ -54,7 +57,7 @@ from __future__ import annotations
 
 import itertools
 from functools import reduce
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from .errors import (
@@ -183,7 +186,6 @@ class IdealClassSet:
         order: Order,
         classes: list[Lattice4],
         rights: list[Order],
-        unit_counts: list[int],
         gens: list,
         keys: list[dict[int, int]],
         diagonal: list[dict[int, int]],
@@ -191,19 +193,18 @@ class IdealClassSet:
         self.order = order
         self.classes = classes
         self.rights = rights
-        # unit_counts[j] is e_j, the unit count of rights[j]
-        self.unit_counts = unit_counts
+        # unit_counts[j] is e_j, the number of norm-1 units of rights[j]
+        self.unit_counts = [counts[1] for counts in diagonal]
         # gens[i] generate classes[i] as a left ideal (`_left_generators`)
         self.gens = gens
         # keys[j] is the key of classes[j] (`_class_key`), and diagonal[j]
         # the counts of rights[j], both counted to KEY_DEGREE by the search
         self.keys = keys
         # raw counts per unordered pair (i <= j), complete up to degree
-        # _counted; the pairs in _seeded, (0, j) and (j, j) from the class
-        # search (module docstring), are complete up to KEY_DEGREE at least
+        # _counted; the pairs (0, j) and (j, j) from the class search
+        # (module docstring) are complete up to KEY_DEGREE at least
         self._counts = {(0, j): key for j, key in enumerate(keys)}
         self._counts |= {(j, j): counts for j, counts in enumerate(diagonal)}
-        self._seeded = frozenset(self._counts)
         self._counted = 0
         self._planned = 0
         self._matrices: dict[int, tuple[tuple[int, ...], ...]] = {}
@@ -258,18 +259,17 @@ class IdealClassSet:
 
         The raw counts are symmetric: conj(I_i) I_j is the conjugate lattice
         of conj(I_j) I_i, and conjugation keeps the reduced norm.  Up to
-        KEY_DEGREE the seeded pairs keep the counts the class search made;
-        otherwise the pairs (0, j) are counted on classes[j] and the pairs
-        (j, j) on rights[j].lattice, which have the same counts (module
-        docstring).  Only the pairs 0 < i < j build a lattice.
+        KEY_DEGREE the pairs (0, j) and (j, j) keep the counts the class
+        search made; otherwise they are counted on classes[j] and
+        rights[j].lattice, which have the same counts (module docstring).
+        Only the pairs 0 < i < j build a lattice.
         """
         classes, rights = self.classes, self.rights
-        seeded = self._seeded if nmax <= KEY_DEGREE else ()
         for j in range(self.h):
             if j > 1:
                 conj_j = classes[j].conjugate()
             for i in range(j + 1):
-                if (i, j) in seeded:
+                if nmax <= KEY_DEGREE and (i == 0 or i == j):
                     continue
                 if i == 0:
                     P = classes[j]
@@ -467,8 +467,7 @@ def ideal_classes(order: Order) -> IdealClassSet:
     diagonal = keys[:]
     gens = [_left_generators(order, order.lattice)]
     rights = [order]
-    unit_counts = [keys[0].get(1, 0)]
-    num, den = _unit_mass(unit_counts)
+    num, den = _unit_mass([counts[1] for counts in diagonal])
     # (class, the class it was found as a neighbour of)
     frontier = [(0, None)]
     while 12 * num < twelfths * den and frontier:
@@ -487,8 +486,7 @@ def ideal_classes(order: Order) -> IdealClassSet:
             right = right_order_lattice(J)
             diagonal.append(right.norm_counts(KEY_DEGREE))
             rights.append(Order(right))
-            unit_counts.append(diagonal[-1].get(1, 0))
-            num, den = _unit_mass(unit_counts)
+            num, den = _unit_mass([counts[1] for counts in diagonal])
             if 12 * num >= twelfths * den:
                 break
     if 12 * num != twelfths * den:
@@ -496,7 +494,7 @@ def ideal_classes(order: Order) -> IdealClassSet:
             f"class search ended with mass {_ratio_text(num, den)}, "
             f"expected {_ratio_text(twelfths, 12)}"
         )
-    return IdealClassSet(order, classes, rights, unit_counts, gens, keys, diagonal)
+    return IdealClassSet(order, classes, rights, gens, keys, diagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -540,21 +538,25 @@ class Eigenform:
             self.eigs[p] = lam
         return self.eigs[p]
 
-    def is_cuspidal(self) -> bool:
-        return sum(self.vector) == 0
-
 
 def _refine(class_set: IdealClassSet, pins: dict[int, tuple] | None) -> list[Eigenform]:
-    """Rational simultaneous eigenlines by successive refinement under the
-    degree-p matrices, unsorted.
+    """Rational simultaneous cuspidal eigenlines by successive refinement
+    under the degree-p matrices, unsorted.
 
     A block is a list of integer rows, a basis of a subspace that the
-    commuting degree matrices keep.  At p it splits into the eigenspaces
-    spanned by the rows k block with (k block) B(p) = lam (k block), one
-    per integer lam with |lam| <= `row_sum(p)`, which bounds every
-    eigenvalue of the non-negative B(p) (`_eigenspace`).  What lies
-    outside them is discarded: no line there has a rational eigenvalue
-    at p.  The primes dividing the level are refined first, then the
+    commuting degree matrices keep.  The first block is the cusp
+    hyperplane sum(v) = 0, spanned by the rows e_i - e_{H-1}: every B(n)
+    keeps it, because every row of B(n) sums to `row_sum(n)`, and it is
+    the complement of the Eisenstein line (H = 1 leaves no block).  At p
+    a block splits into the eigenspaces spanned by the rows k block with
+    (k block) B(p) = lam (k block), one per integer lam in a bound
+    (`_eigenspace`); what lies outside them is discarded, since no line
+    there has a rational eigenvalue at p.  At a prime p not dividing the
+    level the eigenvalue is a_p of a weight-2 cusp form, so |lam| <=
+    isqrt(4p) (Hasse; Eichler-Shimura, and Pizer, J. Algebra 64, 1980).
+    At a level prime a p-old line reaches a_p + p w_p, so there the bound
+    is `row_sum(p)`, which bounds every eigenvalue of the non-negative
+    B(p).  The primes dividing the level are refined first, then the
     other primes up to PRIME_BOUND, each in increasing order.  `pins`
     maps primes to the tuples of eigenvalues a line may have there: at a
     pinned prime only their eigenspaces are kept, in the tuple's order.
@@ -566,7 +568,8 @@ def _refine(class_set: IdealClassSet, pins: dict[int, tuple] | None) -> list[Eig
     """
     pins = pins or {}
     H = class_set.h
-    pending = [[tuple(int(i == j) for j in range(H)) for i in range(H)]]
+    cusp = [tuple(int(j == i) - int(j == H - 1) for j in range(H)) for i in range(H - 1)]
+    pending = [cusp] if cusp else []
     finished: list[list[tuple[int, ...]]] = []
 
     bad = prime_factors(class_set.level)
@@ -582,10 +585,8 @@ def _refine(class_set: IdealClassSet, pins: dict[int, tuple] | None) -> list[Eig
         if p in pins:
             roots = pins[p]
         else:
-            # a rational eigenvalue of the integer matrix B is an integer,
-            # and B is non-negative with every row summing to row_sum(p),
-            # so the eigenvalue is at most that in absolute value
-            bound = class_set.row_sum(p)
+            # a rational eigenvalue of the integer matrix B is an integer
+            bound = class_set.row_sum(p) if p in bad else isqrt(4 * p)
             roots = range(-bound, bound + 1)
         next_pending = []
         for block in pending:
@@ -610,16 +611,15 @@ def cuspidal_eigenlines(
     class_set: IdealClassSet, pins: dict[int, tuple[int, ...]] | None = None
 ) -> list[Eigenform]:
     """The one-dimensional simultaneous rational eigenlines of the class
-    set that are cuspidal, found by successive refinement under the
-    degree-p matrices up to `PRIME_BOUND` (`_refine`) and ordered by their
-    eigenvalues at ORDER_PRIMES.
+    set that are cuspidal, found by successive refinement of the cusp
+    hyperplane under the degree-p matrices up to `PRIME_BOUND`
+    (`_refine`) and ordered by their eigenvalues at ORDER_PRIMES.
 
     `pins` optionally maps primes to the tuples of eigenvalues the lines
     may have there; only lines with admissible eigenvalues are then
     refined and returned.
     """
-    lines = _refine(class_set, pins)
-    return _by_small_eigenvalues([f for f in lines if f.is_cuspidal()])
+    return _by_small_eigenvalues(_refine(class_set, pins))
 
 
 def matching_eigenline(line: Eigenform, class_set: IdealClassSet) -> Eigenform:

@@ -5,9 +5,9 @@ than the library (exhaustive searches, floating point, point counting,
 rational rather than integer elimination), so agreement between the two
 is evidence rather than tautology.  The exceptions are routines the
 library replaced by faster code with the same output (`hnf_rows_ref`,
-`lll_gram_ref`, `bareiss_ref`, `eigenline_candidates_ref`,
-`unpruned_candidates`, `filtered_candidates`): they pin the replacement
-to what it replaced.
+`lll_gram_ref`, `bareiss_ref`, `rational_eigenlines_ref`,
+`eigenline_candidates_ref`, `unpruned_candidates`,
+`filtered_candidates`): they pin the replacement to what it replaced.
 The small helpers after them (`xgcd`, `hilbert_real`, `qadd`, `trd`,
 `contains_lattice`, `unit_count`, `series_sum`, `equivalent_ideals`,
 `_odd_subsets`) serve only the tests.  The floating-complex pair f₁, f₂
@@ -985,3 +985,50 @@ def filtered_candidates(level, pins):
         for line in eigenline_candidates(level)
         if all(line.eigenvalue(p) == v for p, v in pins.items())
     ]
+
+
+# ---------------------------------------------------------------------------
+# The refinement before it started from the cusp hyperplane: the whole
+# space, every eigenvalue up to the row sum at every prime, and the
+# Eisenstein line dropped only after the lines were found.
+# ---------------------------------------------------------------------------
+
+
+def rational_eigenlines_ref(class_set, pins=None):
+    """Every rational simultaneous eigenline of the class set, cuspidal or
+    not, refined from the identity block with |lam| <= `row_sum(p)` at
+    every prime, and sorted by the eigenvalues at ORDER_PRIMES (stably,
+    so its cuspidal lines are in the order `cuspidal_eigenlines_ref`
+    gives them)."""
+    from halfint.brandt import PRIME_BOUND, Eigenform, _by_small_eigenvalues
+    from halfint.kernels import _eigenspace, _normalize_primitive, _product
+    from halfint.numth import prime_factors, primes
+
+    pins = pins or {}
+    H = class_set.h
+    pending = [[tuple(int(i == j) for j in range(H)) for i in range(H)]]
+    finished = []
+    bad = prime_factors(class_set.level)
+    good = itertools.takewhile(lambda q: q <= PRIME_BOUND, primes())
+    for p in [*bad, *(q for q in good if q not in bad)]:
+        if not pending:
+            break
+        B = class_set.brandt(p)
+        bound = class_set.row_sum(p)
+        roots = pins.get(p, range(-bound, bound + 1))
+        next_pending = []
+        for block in pending:
+            T = _product(block, B)
+            for lam in roots:
+                child = _eigenspace(T, block, lam)
+                if child:
+                    (finished if len(child) == 1 else next_pending).append(child)
+        pending = next_pending
+    lines = [Eigenform(class_set, _normalize_primitive(block[0])) for block in finished]
+    lines = [f for f in lines if all(f.eigenvalue(p) in vs for p, vs in pins.items())]
+    return _by_small_eigenvalues(lines)
+
+
+def cuspidal_eigenlines_ref(class_set, pins=None):
+    """The lines of `rational_eigenlines_ref` whose entries sum to zero."""
+    return [f for f in rational_eigenlines_ref(class_set, pins) if sum(f.vector) == 0]

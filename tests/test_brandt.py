@@ -2,6 +2,7 @@
 
 import functools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,8 +21,6 @@ from halfint.brandt import (
     _ratio_text,
     _unit_mass,
     _weighted_symmetric,
-    _by_small_eigenvalues,
-    _refine,
     cuspidal_eigenlines,
     ideal_classes,
     _neighbors,
@@ -32,12 +31,6 @@ from halfint.lattice import Lattice4, eichler_order, maximal_order
 from halfint.numth import factorize, prime_factors
 from halfint.quat import QuaternionAlgebra, algebra_ramified_at
 from oracles import _odd_subsets, basis, contains_lattice, equivalent_ideals, from_vectors, qelt
-
-
-def rational_eigenlines(class_set):
-    """Every one-dimensional simultaneous rational eigenline, cuspidal or
-    not, in the order `cuspidal_eigenlines` gives its cuspidal ones."""
-    return _by_small_eigenvalues(_refine(class_set, None))
 
 
 @pytest.fixture(scope="module")
@@ -451,13 +444,14 @@ def test_eigenvalue_is_exact_in_integers():
         Eigenform(_FixedAction([3, 3]), (2, 2)).eigenvalue(3)
 
 
+def _eisenstein_row(class_set):
+    """The row with entries 1/e_j, scaled to integers."""
+    L = lcm(*class_set.unit_counts)
+    return [L // e for e in class_set.unit_counts]
+
+
 def test_level15_eigenlines(level15):
-    lines = rational_eigenlines(level15)
-    assert len(lines) == 2
-    cusp = [f for f in lines if f.is_cuspidal()]
-    eis = [f for f in lines if not f.is_cuspidal()]
-    assert len(cusp) == 1 and len(eis) == 1
-    f = cusp[0]
+    (f,) = cuspidal_eigenlines(level15)
     assert f.vector == (1, -1)
     # eigenvalues of the tracked newform at level 15
     assert f.eigenvalue(2) == -1
@@ -465,16 +459,15 @@ def test_level15_eigenlines(level15):
     assert f.eigenvalue(5) == 1
     assert f.eigenvalue(7) == 0
     assert f.eigenvalue(11) == -4
-    # the Eisenstein line is the unit-count direction with eigenvalue p+1
-    e = eis[0]
-    w = [Fraction(v) * u for v, u in zip(e.vector, level15.unit_counts)]
-    assert w[0] == w[1]
-    assert e.eigenvalue(7) == 8
+    # the Eisenstein line, the unit-count direction, has eigenvalue p+1
+    e = _eisenstein_row(level15)
+    assert e == [3, 1]
+    assert level15.apply(e, 7) == [8 * x for x in e]
 
 
 def test_eigenvalues_match_point_counts(level15, level11):
     for C, N in ((level15, 15), (level11, 11)):
-        f = next(f for f in rational_eigenlines(C) if f.is_cuspidal())
+        f = cuspidal_eigenlines(C)[0]
         for p in (2, 3, 7, 13, 17, 19):
             if N % p == 0:
                 continue
@@ -490,9 +483,19 @@ def test_hasse_bound(level15, level11, level33):
                 assert f.eigenvalue(p) ** 2 <= 4 * p
 
 
-def test_cuspidal_means_summing_to_zero(level15):
-    for f in rational_eigenlines(level15):
-        assert f.is_cuspidal() == (sum(f.vector) == 0)
+def test_cuspidal_means_summing_to_zero(level15, level11, level33):
+    # the all-ones column is an eigenvector of every B(p) at row_sum(p), so
+    # B(p) keeps the hyperplane sum(v) = 0 that the refinement starts from;
+    # the Eisenstein row, outside it, is the eigenvector at the same value
+    for C in (level15, level11, level33):
+        for f in cuspidal_eigenlines(C):
+            assert sum(f.vector) == 0
+        e = _eisenstein_row(C)
+        assert sum(e) != 0
+        for p in (2, 3, 5, 7, 11, 13):
+            B, total = C.brandt(p), C.row_sum(p)
+            assert [sum(row) for row in B] == [total] * C.h
+            assert C.apply(e, p) == [total * x for x in e]
 
 
 def test_level33_old_lines_are_filtered_by_sign(level33):
@@ -550,9 +553,35 @@ def test_rational_eigenlines_golden(level, ramified):
     C = ideal_classes(eichler_order(algebra_ramified_at(list(ramified)), level))
     got = [
         (f.vector, tuple(f.eigenvalue(p) for p in (2, 3, 5, 7, 11, 13)))
-        for f in rational_eigenlines(C)
+        for f in oracles.rational_eigenlines_ref(C)
     ]
     assert got == RATIONAL_EIGENLINES[level, ramified]
+
+
+# the golden class sets, and every odd ramification subset at four levels
+# with 3 or 4 candidates each
+HYPERPLANE_SETS = [
+    *sorted(RATIONAL_EIGENLINES),
+    *((N, ramified) for N in (141, 195, 307, 345) for ramified in _odd_subsets(prime_factors(N))),
+]
+
+
+@pytest.mark.parametrize(
+    "level, ramified", HYPERPLANE_SETS,
+    ids=[f"{N}-{'.'.join(map(str, ramified))}" for N, ramified in HYPERPLANE_SETS],
+)
+def test_cusp_hyperplane_refinement_matches_the_whole_space(level, ramified):
+    # refined from sum(v) = 0 with |lam| <= isqrt(4p) at the good primes,
+    # the lines, their order and their eigenvalues are those of refining
+    # the whole space with |lam| <= row_sum(p) and dropping the Eisenstein
+    # line afterwards
+    C = ideal_classes(eichler_order(algebra_ramified_at(list(ramified)), level))
+    primes_read = (*prime_factors(level), *brandt_module.ORDER_PRIMES)
+    got, want = cuspidal_eigenlines(C), oracles.cuspidal_eigenlines_ref(C)
+    assert [f.vector for f in got] == [f.vector for f in want]
+    assert [[f.eigenvalue(p) for p in primes_read] for f in got] == [
+        [f.eigenvalue(p) for p in primes_read] for f in want
+    ]
 
 
 def test_eigenvalue_requires_prime(level15):

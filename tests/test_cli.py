@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -908,6 +909,21 @@ def test_reference_search_matches_the_per_subset_search(level):
     ] == [summary(line, line.class_set.alg.ramified) for line in want]
     for line, old in zip(got, want):
         assert matching_eigenline(line, old.class_set).vector == old.vector
+
+
+@pytest.mark.parametrize("level", [141, 195, 307, 345])
+def test_candidates_never_tie_on_their_sort_key(level):
+    # the candidates are strictly increasing in (host product, host,
+    # eigenvalues at ORDER_PRIMES), so no tie is left to the order in which
+    # the refinement finishes its lines, and moving a prime within the
+    # refinement cannot reorder them
+    bad = prime_factors(level)
+    keys = []
+    for line in eigenline_candidates(level):
+        host = tuple(p for p in bad if line.eigenvalue(p) == 1)
+        keys.append((prod(host), host, [line.eigenvalue(p) for p in ORDER_PRIMES]))
+    assert len(keys) >= 3
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 @pytest.mark.parametrize("level", [11, 15, 21, 105, 195])

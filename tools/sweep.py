@@ -4,12 +4,13 @@ Each level N >= 3 runs `python -m halfint basis --level N --prec P
 --format json` twice, each in a fresh process with a wall-clock
 timeout: cold on its own empty cache directory, then warm on the cache
 the cold run wrote.  At most `os.cpu_count()` levels run at a time.  Per
-level it prints the cold run's exit code (or `timeout`), wall time,
-class number read from the JSON (`-` when the run printed none) and the
-SHA-256 of stdout, in level order; it ends with the ten slowest levels,
-the levels that timed out, and the levels whose warm run's exit code or
-stdout digest differs from the cold run's, which make the sweep exit 1.
-Standard library only:
+level it prints the cold run's exit code (or `timeout`), wall time, CPU
+time (the process's own user and system time, which outside load moves
+far less than the wall time), class number read from the JSON (`-` when
+the run printed none) and the SHA-256 of stdout, in level order; it ends
+with the ten levels of most CPU time, the levels that timed out, and the
+levels whose warm run's exit code or stdout digest differs from the cold
+run's, which make the sweep exit 1.  Standard library only (Unix):
 
     python3 tools/sweep.py 3 400 --prec 30 --timeout 60
     python3 tools/sweep.py 3 400 --src OTHER/src      # another checkout
@@ -17,13 +18,14 @@ Standard library only:
 
 With `--check FILE` it compares the exit code and the stdout digest of
 each level it runs against FILE, the printed output of an earlier sweep
-at the same `--prec` (lines starting with `#` are skipped, and so are the
-wall time and the class number), and exits 1 naming every level that
-differs or that FILE does not list; any sub-range of FILE can be checked.
-`tools/sweep_reference.txt` is the sweep of 3 <= N < 1100 at `--prec 30`,
-in which no level took 16 s, two levels at a time on two cores, and
-`tools/sweep_reference_2100.txt` the sweep of 1100 <= N < 2100 at the same
-precision.
+at the same `--prec` (lines starting with `#` are skipped, and so is
+every field between the exit code and the digest), and exits 1 naming
+every level that differs or that FILE does not list; any sub-range of
+FILE can be checked.  `tools/sweep_reference.txt` is the sweep of
+3 <= N < 1100 at `--prec 30`, in which no level took 16 s, two levels at
+a time on two cores, and `tools/sweep_reference_2100.txt` the sweep of
+1100 <= N < 2100 at the same precision; both were printed before the CPU
+column was added.
 
 When stdout closes early (`... | head -1`), the sweep starts no further
 level, kills the processes of the levels running, and exits 3 with one
@@ -36,6 +38,7 @@ import argparse
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -65,58 +68,73 @@ class Processes:
     and the ones running have been killed."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._running: set[subprocess.Popen] = set()
+        self._lock = threading.RLock()
+        # pid -> why it was killed ("timeout" or "stopped"), or None
+        self._running: dict[int, str | None] = {}
         self._stopped = False
 
-    def run(self, argv: list[str], env: dict, timeout: float) -> tuple[str, float, bytes]:
-        """(exit code or "timeout" or "stopped", wall seconds, stdout) of
-        one fresh process."""
+    def run(self, argv: list[str], env: dict, timeout: float) -> tuple[str, float, float, bytes]:
+        """(exit code or "timeout" or "stopped", wall seconds, CPU seconds,
+        stdout) of one fresh process; the CPU seconds are its own user and
+        system time, read when it is reaped."""
         start = time.perf_counter()
         with self._lock:
             if self._stopped:
-                return "stopped", 0.0, b""
+                return "stopped", 0.0, 0.0, b""
             proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
-                                    stderr=subprocess.PIPE)
-            self._running.add(proc)
-        try:
-            out, _ = proc.communicate(timeout=timeout)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.communicate()
-            return "timeout", time.perf_counter() - start, b""
-        finally:
-            with self._lock:
-                self._running.discard(proc)
-        if self._stopped:
-            return "stopped", 0.0, b""
-        return str(proc.returncode), time.perf_counter() - start, out
+                                    stderr=subprocess.DEVNULL)
+            self._running[proc.pid] = None
+        timer = threading.Timer(timeout, self._kill, (proc.pid, "timeout"))
+        timer.start()
+        with proc.stdout:
+            out = proc.stdout.read()
+        # wait for the exit without reaping, so that no kill can reach the
+        # pid once it is reaped and free for another process
+        os.waitid(os.P_PID, proc.pid, os.WEXITED | os.WNOWAIT)
+        timer.cancel()
+        with self._lock:
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            killed = self._running.pop(proc.pid)
+        wall = time.perf_counter() - start
+        if self._stopped or killed == "stopped":
+            return "stopped", 0.0, 0.0, b""
+        if killed == "timeout":
+            return "timeout", wall, 0.0, b""
+        return str(proc.returncode), wall, usage.ru_utime + usage.ru_stime, out
+
+    def _kill(self, pid: int, why: str) -> None:
+        """Kill a process that is not reaped and not yet killed."""
+        with self._lock:
+            if pid in self._running and self._running[pid] is None:
+                self._running[pid] = why
+                os.kill(pid, signal.SIGKILL)
 
     def stop(self) -> None:
         with self._lock:
             self._stopped = True
-            for proc in self._running:
-                proc.kill()
+            for pid in list(self._running):
+                self._kill(pid, "stopped")
 
 
 def run_level(
     level: int, prec: int, timeout: float, src: Path, procs: Processes
-) -> tuple[int, str, float, str, str, bool]:
-    """(level, exit code or "timeout" or "stopped", wall seconds, class
-    number or "-", stdout SHA-256, whether the warm run matched), the
-    middle four of the cold run."""
+) -> tuple[int, str, float, float, str, str, bool]:
+    """(level, exit code or "timeout" or "stopped", wall seconds, CPU
+    seconds, class number or "-", stdout SHA-256, whether the warm run
+    matched), the middle five of the cold run."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     env.pop("HALFINT_CACHE_DIR", None)
     with tempfile.TemporaryDirectory(prefix="halfint-sweep-") as cache:
         argv = [sys.executable, "-m", "halfint", "basis", "--level", str(level),
                 "--prec", str(prec), "--format", "json", "--cache-dir", cache]
-        code, wall, out = procs.run(argv, env, timeout)
+        code, wall, cpu, out = procs.run(argv, env, timeout)
         if code in ("timeout", "stopped"):
-            return level, code, wall, "-", "-", True
-        warm_code, _, warm_out = procs.run(argv, env, timeout)
+            return level, code, wall, cpu, "-", "-", True
+        warm_code, _, _, warm_out = procs.run(argv, env, timeout)
     classes = str(json.loads(out)["class_number"]) if out.strip() else "-"
     warm_same = (warm_code, warm_out) == (code, out)
-    return level, code, wall, classes, hashlib.sha256(out).hexdigest(), warm_same
+    return level, code, wall, cpu, classes, hashlib.sha256(out).hexdigest(), warm_same
 
 
 def read_reference(path: Path) -> dict[int, tuple[str, str]]:
@@ -164,17 +182,18 @@ def report(args: argparse.Namespace, levels: list[int], runs, ref) -> int:
     """Print each level's line as its runs finish, then the summary; the
     sweep's exit code."""
     results, differ, warm_differ = [], [], []
-    for level, code, wall, classes, digest, warm_same in runs:
-        results.append((level, code, wall))
-        print(f"{level:6} {code:>7} {wall:8.2f}s {classes:>4} {digest}", flush=True)
+    for level, code, wall, cpu, classes, digest, warm_same in runs:
+        results.append((level, code, wall, cpu))
+        print(f"{level:6} {code:>7} {wall:8.2f}s {cpu:7.2f}s {classes:>4} {digest}", flush=True)
         if ref is not None and ref.get(level) != (code, digest):
             differ.append(level)
         if not warm_same:
             warm_differ.append(level)
     print(f"# {len(levels)} levels in [{args.lo}, {args.hi}), --prec {args.prec}")
-    slowest = sorted(results, key=lambda r: -r[2])[:10]
-    print("# slowest: " + ", ".join(f"{n} {wall:.2f}s" for n, _, wall in slowest))
-    timeouts = [n for n, code, _ in results if code == "timeout"]
+    slowest = sorted(results, key=lambda r: -r[3])[:10]
+    print("# most CPU time: " + ", ".join(
+        f"{n} {cpu:.2f}s (wall {wall:.2f}s)" for n, _, wall, cpu in slowest))
+    timeouts = [n for n, code, _, _ in results if code == "timeout"]
     print("# timeouts: " + (", ".join(map(str, timeouts)) or "none"))
     print("# warm differs from cold: " + (", ".join(map(str, warm_differ)) or "none"))
     if ref is not None:
